@@ -1,7 +1,9 @@
 """Command-line front end: wick / lattice / verify / curvature / report.
 
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage or config
-error.  All file output is deterministic for a fixed config and seed.
+error, including a spectral sum that hits its hard cap (TruncationError:
+lower t or raise policy.hard_cap).  All file output is deterministic for a
+fixed config and seed.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from .asymptotics import (
     umbilical_suite,
 )
 from .lattice import run_triple_suite
-from .manifolds import TruncationPolicy, make_model
+from .manifolds import TruncationError, TruncationPolicy, make_model
 from .reporting import (
     fmt_float,
     json_dumps,
@@ -158,6 +160,22 @@ def config_policy(cfg: dict) -> TruncationPolicy:
         raise ConfigError(str(exc)) from exc
 
 
+def _config_int(key: str, value, low: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def config_lattice(cfg: dict) -> tuple[int, int, int]:
+    """(n, max_degree, count) of the lattice suite; n defaults to 3."""
+    n = cfg.get("n")
+    return (
+        _config_int("n", 3 if n is None else n, 1),
+        _config_int("max_degree", cfg["max_degree"], 0),
+        _config_int("count", cfg["count"], 1),
+    )
+
+
 def _a_text(a) -> str:
     if a.sign == 0:
         return "0"
@@ -271,11 +289,11 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     if args.action != "sample":
         raise ConfigError(f"unknown lattice action {args.action!r}")
     cfg = build_config(args)
-    n = cfg.get("n") or 3
+    n, max_degree, count = config_lattice(cfg)
     rows, report = run_triple_suite(
         n=n,
-        max_degree=cfg["max_degree"],
-        count=cfg["count"],
+        max_degree=max_degree,
+        count=count,
         seed=cfg["seed"],
         triangle_slack_tol=cfg["tolerances"]["triangle_slack"],
     )
@@ -408,7 +426,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from typing import Callable
 
 from .multiindex import (
     MultiIndex,
@@ -20,7 +22,7 @@ from .multiindex import (
     pair_profile,
     symmetric_difference_size,
 )
-from .wick import WickB, wick_b
+from .wick import WickB, double_factorial_table, wick_b, wick_kernel
 
 #: Constant tested in the distance-comparison inequality.  The bound chain
 #: prod (1 - x/(2s))^s <= exp(-x/2) <= 1 - (1 - e^(-1/2)) x on [0,1] justifies
@@ -136,28 +138,38 @@ def _task_rng(seed: int, task_index: int) -> random.Random:
     return random.Random((seed * 1_000_003 + task_index) & 0xFFFFFFFFFFFFFFFF)
 
 
-def _degree_weights(n: int, max_degree: int) -> list[int]:
-    return [math.comb(d + n - 1, n - 1) for d in range(max_degree + 1)]
+def _counts_sampler(
+    n: int, max_degree: int
+) -> Callable[[random.Random], tuple[int, ...]]:
+    """Uniform sampler of count tuples of degree <= max_degree.
+
+    Picks the degree with stars-and-bars weights, then a uniformly random
+    composition of that degree into n parts.  The cumulative weights are
+    built once; ``choices`` draws the same stream from them as from the
+    plain weights.
+    """
+    degrees = range(max_degree + 1)
+    cum_weights = list(accumulate(math.comb(d + n - 1, n - 1) for d in degrees))
+
+    def sample(rng: random.Random) -> tuple[int, ...]:
+        d = rng.choices(degrees, cum_weights=cum_weights, k=1)[0]
+        if n == 1:
+            return (d,)
+        bars = sorted(rng.sample(range(d + n - 1), n - 1))
+        counts = []
+        prev = -1
+        for bar in bars:
+            counts.append(bar - prev - 1)
+            prev = bar
+        counts.append(d + n - 2 - prev)
+        return tuple(counts)
+
+    return sample
 
 
 def sample_multiindex(rng: random.Random, n: int, max_degree: int) -> MultiIndex:
-    """Uniform sample from {alpha in Z_+^n : degree <= max_degree}.
-
-    Picks the degree with stars-and-bars weights, then a uniformly random
-    composition of that degree into n parts.
-    """
-    weights = _degree_weights(n, max_degree)
-    d = rng.choices(range(max_degree + 1), weights=weights, k=1)[0]
-    if n == 1:
-        return MultiIndex((d,))
-    bars = sorted(rng.sample(range(d + n - 1), n - 1))
-    counts = []
-    prev = -1
-    for bar in bars:
-        counts.append(bar - prev - 1)
-        prev = bar
-    counts.append(d + n - 2 - prev)
-    return MultiIndex(tuple(counts))
+    """Uniform sample from {alpha in Z_+^n : degree <= max_degree}."""
+    return MultiIndex(_counts_sampler(n, max_degree)(rng))
 
 
 @dataclass(frozen=True)
@@ -202,6 +214,18 @@ class TripleSuiteReport:
         )
 
 
+def _cos(kernel: tuple[int, int, int, int]) -> float:
+    """B as a float from a :func:`wick_kernel` result.
+
+    int / int true division is correctly rounded, so this equals the float
+    view of the reduced exact square (``WickB.value``) bit for bit.
+    """
+    sign, magnitude, diag_a, diag_b = kernel
+    if sign == 0:
+        return 0.0
+    return sign * math.sqrt(magnitude * magnitude / (diag_a * diag_b))
+
+
 def run_triple_suite(
     n: int,
     max_degree: int,
@@ -212,10 +236,16 @@ def run_triple_suite(
     """Sample ``count`` triples and exercise every lattice invariant on them.
 
     Per triple: all three triangle inequalities (float slack tolerance),
-    d = 0 <=> equality (exact squares), orthogonality <=> parity cosets,
-    the distance-comparison inequality with delta = 1/4 (exact squares), and
-    one diagonal stabilization step per coordinate (exact squares).
+    d = 0 <=> equality, orthogonality <=> parity cosets, the
+    distance-comparison inequality with delta = 1/4, and one diagonal
+    stabilization step per coordinate.  Points stay count tuples and every
+    B^2 decision is made on :func:`wick_kernel` integers by
+    cross-multiplication.
     """
+    # the shifted pairs reach multiplicity max_degree + 1
+    df = double_factorial_table(max_degree + 2)
+    sample = _counts_sampler(n, max_degree)
+    delta_num, delta_den = COMPARISON_DELTA.numerator, COMPARISON_DELTA.denominator
     rows: list[TripleRow] = []
     triangle_violations = 0
     identity_violations = 0
@@ -228,58 +258,64 @@ def run_triple_suite(
 
     for i in range(count):
         rng = _task_rng(seed, i)
-        a = sample_multiindex(rng, n, max_degree)
-        b = sample_multiindex(rng, n, max_degree)
-        c = sample_multiindex(rng, n, max_degree)
+        a = sample(rng)
+        b = sample(rng)
+        c = sample(rng)
 
-        d_ab = angle_distance(a, b)
-        d_bc = angle_distance(b, c)
-        d_ac = angle_distance(a, c)
+        ab = wick_kernel(a, b, df)
+        cos_ab = _cos(ab)
+        d_ab = math.acos(cos_ab)
+        d_bc = math.acos(_cos(wick_kernel(b, c, df)))
+        d_ac = math.acos(_cos(wick_kernel(a, c, df)))
 
-        slack = max(
-            d_ac.radians - d_ab.radians - d_bc.radians,
-            d_ab.radians - d_ac.radians - d_bc.radians,
-            d_bc.radians - d_ab.radians - d_ac.radians,
-        )
+        slack = max(d_ac - d_ab - d_bc, d_ab - d_ac - d_bc, d_bc - d_ab - d_ac)
         if slack > triangle_slack_tol:
             triangle_violations += 1
+        alpha, beta, gamma = MultiIndex(a), MultiIndex(b), MultiIndex(c)
         if slack > max_slack:
             max_slack = slack
-            worst = (a.text(), b.text(), c.text())
+            worst = (alpha.text(), beta.text(), gamma.text())
 
-        # d(a, b) = 0 <=> a = b, on the exact square representation.
-        zero_dist = d_ab.exact_cos.sign == 1 and d_ab.exact_cos.square == 1
-        if zero_dist != (a == b):
+        sign, magnitude, diag_a, diag_b = ab
+        num, den = magnitude * magnitude, diag_a * diag_b  # B(a, b)^2 = num / den
+        # d(a, b) = 0 <=> a = b, decided on B^2 = 1 exactly.
+        if (sign == 1 and num == den) != (a == b):
             identity_violations += 1
 
-        if is_orthogonal(a, b) != (coset_of(a) != coset_of(b)):
+        if (sign == 0) != any((x - y) % 2 for x, y in zip(a, b)):
             orthogonality_violations += 1
 
-        if a.degree + b.degree >= 1:
-            cmp_check = distance_comparison_check(a, b)
-            if not cmp_check.holds:
+        total = sum(a) + sum(b)
+        if total >= 1:
+            # rhs = 1 - delta d0 / total = p / q >= 1 - delta >= 0, so
+            # B^2 <= rhs^2 is num q^2 <= den p^2.
+            d0 = sum(abs(x - y) for x, y in zip(a, b))
+            q = delta_den * total
+            p = q - delta_num * d0
+            if num * q * q > den * p * p:
                 comparison_violations += 1
-            lhs, rhs = cmp_check.lhs, cmp_check.rhs
-            d0 = symmetric_difference_size(a, b)
+            lhs, rhs = abs(cos_ab), p / q
             if d0:
-                min_margin = min(
-                    min_margin, (1.0 - lhs) * (a.degree + b.degree) / d0
-                )
+                min_margin = min(min_margin, (1.0 - lhs) * total / d0)
         else:
             lhs, rhs = 1.0, 1.0
 
-        for j in range(1, n + 1):
-            shifted = wick_b(a.add(j), b.add(j))
-            if shifted.square < d_ab.exact_cos.square:
-                stabilization_violations += 1
-                break
+        # One diagonal step along each axis must not shrink B^2; the shifted
+        # B^2 comes from the closed form, not from the step recurrence.  With
+        # B = 0 there is nothing to shrink.
+        if sign:
+            for j in range(n):
+                _, s_mag, s_diag_a, s_diag_b = wick_kernel(
+                    a[:j] + (a[j] + 1,) + a[j + 1:],
+                    b[:j] + (b[j] + 1,) + b[j + 1:],
+                    df,
+                )
+                if s_mag * s_mag * den < num * s_diag_a * s_diag_b:
+                    stabilization_violations += 1
+                    break
 
         rows.append(
-            TripleRow(
-                a, b, c,
-                d_ab.radians, d_bc.radians, d_ac.radians,
-                slack, lhs, rhs,
-            )
+            TripleRow(alpha, beta, gamma, d_ab, d_bc, d_ac, slack, lhs, rhs)
         )
 
     report = TripleSuiteReport(

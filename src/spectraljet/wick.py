@@ -19,6 +19,7 @@ B = 1 <=> alpha = beta radical-free.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -80,26 +81,59 @@ class GraphCount:
     common_sign: int | None  # defined only when count > 0
 
 
+def double_factorial_table(size: int) -> list[int]:
+    """``table[k] = (2k - 1)!!`` for 0 <= k < size, one multiplication per entry."""
+    table = [1] * size
+    for k in range(1, size):
+        table[k] = table[k - 1] * (2 * k - 1)
+    return table
+
+
+def wick_kernel(
+    a: tuple[int, ...], b: tuple[int, ...], df: Sequence[int] | Mapping[int, int]
+) -> tuple[int, int, int, int]:
+    """The closed form on count tuples: (sign, |A(a, b)|, A(a, a), A(b, b)).
+
+    B(a, b)^2 = |A(a, b)|^2 / (A(a, a) A(b, b)), so every B decision can be
+    made by integer cross-multiplication.  When some a_r + b_r is odd, A = 0
+    and all four entries are 0.  ``df[k]`` must give (2k - 1)!! for every
+    a_r, b_r and (a_r + b_r) // 2: a :func:`double_factorial_table` or a dict
+    of just those entries.  Nothing is validated: callers pass count tuples
+    of one length.
+    """
+    magnitude = diag_a = diag_b = 1
+    gap = 0
+    for x, y in zip(a, b):
+        if (x + y) % 2:
+            return 0, 0, 0, 0
+        magnitude *= df[(x + y) // 2]
+        diag_a *= df[x]
+        diag_b *= df[y]
+        gap += x - y
+    return (-1 if (gap // 2) % 2 else 1), magnitude, diag_a, diag_b
+
+
+def _closed_form(alpha: MultiIndex, beta: MultiIndex) -> tuple[int, int, int, int]:
+    check_same_dimension(alpha, beta)
+    # Only the entries the kernel reads: O(sum of counts) multiplications,
+    # where a table up to the degree would cost O(degree^2).
+    df = {k: double_factorial(k)
+          for x, y in zip(alpha.counts, beta.counts) for k in (x, y, (x + y) // 2)}
+    return wick_kernel(alpha.counts, beta.counts, df)
+
+
 def wick_a(alpha: MultiIndex, beta: MultiIndex) -> WickA:
     """A(alpha, beta) by the closed double-factorial form."""
-    prof = pair_profile(alpha, beta)
-    if not prof.even_total():
-        return WickA(0, 0)
-    magnitude = 1
-    for e in prof.entries:
-        magnitude *= double_factorial(e.sigma2 // 2)
-    half_gap = (alpha.degree - beta.degree) // 2
-    sign = -1 if half_gap % 2 else 1
+    sign, magnitude, _, _ = _closed_form(alpha, beta)
     return WickA(sign, magnitude)
 
 
 def wick_b(alpha: MultiIndex, beta: MultiIndex) -> WickB:
     """B(alpha, beta) as sign plus exact rational square A^2 / (A_aa * A_bb)."""
-    a = wick_a(alpha, beta)
-    if a.sign == 0:
+    sign, magnitude, diag_a, diag_b = _closed_form(alpha, beta)
+    if sign == 0:
         return WickB(0, Fraction(0))
-    denom = wick_a(alpha, alpha).magnitude * wick_a(beta, beta).magnitude
-    return WickB(a.sign, Fraction(a.magnitude * a.magnitude, denom))
+    return WickB(sign, Fraction(magnitude * magnitude, diag_a * diag_b))
 
 
 @lru_cache(maxsize=4096)

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from spectraljet.cli import main
 from spectraljet.reporting import fmt_float, json_dumps
@@ -72,6 +75,14 @@ class TestVerifyCommand:
         assert code == 1
         assert "passed=False" in out
 
+    def test_truncation_cap_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"policy": {"hard_cap": 10}}))
+        code, _, err = run(capsys, "verify", "--model", "sphere3", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error: hard cap 10 reached")
+        assert "Traceback" not in err
+
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--model", "banana")
         assert code == 2
@@ -125,6 +136,48 @@ class TestLatticeCommand:
             assert code == 0
             paths.append((out_csv.read_bytes(), out_json.read_bytes()))
         assert paths[0] == paths[1]
+
+    # sha256 of the CSV and JSON written by the Fraction-based suite that the
+    # integer kernel replaced; a refactor of the lattice path must keep them.
+    @pytest.mark.parametrize("n, max_degree, count, csv_sha, json_sha", [
+        (3, 8, 300,
+         "9ebc373c706e337cfc6a148d295a56e2af5d2e466eb0abbeb3dc619788412931",
+         "48765e1bac3a78f65525898b1b4ea3672dec07698752038bb6aa336e1fb26bc9"),
+        (8, 40, 200,
+         "e92691bea14dcf5be267acebad351944c6e67feb65ff787f4d1e10d27d4f9e82",
+         "fa05a10374dad6fb2c65608e6358065928e1da722ea9322d4507f1f978bdcf28"),
+        (1, 12, 300,
+         "80450f345106fc82188ba0edfc0a622767ed67c877ad6781c97856410e450187",
+         "d4f4fca683899f6d1091ad143e2c95db06afc25368c1134aab3229730fc5c423"),
+    ])
+    def test_golden_bytes(self, tmp_path, capsys, n, max_degree, count,
+                          csv_sha, json_sha):
+        out_csv = tmp_path / "lat.csv"
+        out_json = tmp_path / "lat.json"
+        code, _, _ = run(
+            capsys, "lattice", "sample", "--n", str(n),
+            "--max-degree", str(max_degree), "--count", str(count),
+            "--seed", "42", "--out", str(out_csv), "--out-json", str(out_json),
+        )
+        assert code == 0
+        assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(out_json.read_bytes()).hexdigest() == json_sha
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "0"], "n must be an integer >= 1"),
+        (["--count", "0"], "count must be an integer >= 1"),
+        (["--count", "-3"], "count must be an integer >= 1"),
+        (["--max-degree", "-1"], "max_degree must be an integer >= 0"),
+    ])
+    def test_rejects_out_of_range_config(self, tmp_path, capsys, argv, message):
+        out_json = tmp_path / "lat.json"
+        code, out, err = run(
+            capsys, "lattice", "sample", *argv, "--out-json", str(out_json)
+        )
+        assert code == 2
+        assert err.startswith(f"error: {message}")
+        assert out == ""
+        assert not out_json.exists()
 
 
 class TestCurvatureCommand:

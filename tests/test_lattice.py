@@ -13,6 +13,7 @@ from spectraljet.lattice import (
     stabilization_scan,
     verify_metric_axioms,
 )
+from spectraljet import lattice
 from spectraljet.lattice import _task_rng
 from spectraljet.multiindex import (
     MultiIndex,
@@ -222,3 +223,38 @@ class TestSampling:
         for r in rows[:25]:
             assert r.triangle_slack <= 1e-12
             assert r.comparison_lhs <= r.comparison_rhs + 1e-15
+
+
+class TestTripleSuiteExactDecisions:
+    """The integer suite against the Fraction route it replaced, row by row."""
+
+    # delta = 1 lies beyond the sampled comparison margin (about 0.42) at
+    # n = 3 and n = 1, so there the decisions compared include failures.
+    @pytest.mark.parametrize("n, max_degree, delta", [
+        (3, 8, Fraction(1, 4)),
+        (8, 40, Fraction(1, 4)),
+        (1, 12, Fraction(1, 4)),
+        (3, 8, Fraction(1)),
+        (1, 12, Fraction(1)),
+    ])
+    def test_agrees_with_fraction_route(self, monkeypatch, n, max_degree, delta):
+        monkeypatch.setattr(lattice, "COMPARISON_DELTA", delta)
+        rows, report = run_triple_suite(n, max_degree, 2000, 11)
+        comparison_failures = stabilization_failures = 0
+        for r in rows:
+            a, b = r.alpha, r.beta
+            assert r.d_ab == angle_distance(a, b).radians
+            assert r.d_bc == angle_distance(b, r.gamma).radians
+            assert r.d_ac == angle_distance(a, r.gamma).radians
+            if a.degree + b.degree >= 1:
+                check = distance_comparison_check(a, b, delta)
+                assert (r.comparison_lhs, r.comparison_rhs) == (check.lhs, check.rhs)
+                comparison_failures += not check.holds
+            square = wick_b(a, b).square
+            stabilization_failures += any(
+                wick_b(a.add(j), b.add(j)).square < square for j in range(1, n + 1)
+            )
+        assert report.comparison_violations == comparison_failures
+        assert report.stabilization_violations == stabilization_failures
+        if delta == 1:
+            assert comparison_failures > 0

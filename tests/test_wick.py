@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from spectraljet import wick
-from spectraljet.multiindex import empty, enumerate_multiindices, from_indices
+from spectraljet.multiindex import MultiIndex, empty, enumerate_multiindices, from_indices
 from spectraljet.wick import (
     WickB,
     b_stabilization_scan,
@@ -25,6 +25,7 @@ def mi(indices, n):
 
 def test_double_factorial():
     assert [double_factorial(k) for k in range(6)] == [1, 1, 3, 15, 105, 945]
+    assert wick.double_factorial_table(40) == [double_factorial(k) for k in range(40)]
 
 
 class TestWickA:
@@ -72,6 +73,22 @@ class TestWickB:
     def test_minus_inv_sqrt_three(self):
         b = wick_b(mi([1, 2, 2], 2), mi([1], 2))
         assert (b.sign, b.square) == (-1, Fraction(1, 3))
+
+    def test_large_degree_pair(self, monkeypatch):
+        # B^2((D, 0), (D - 2, 2)) = (2D - 3) / (3 (2D - 1)); the closed form
+        # evaluates a double factorial only per entry it reads, not a table
+        # up to the degree
+        d = 3000
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return double_factorial(k)
+
+        monkeypatch.setattr(wick, "double_factorial", counted)
+        b = wick_b(MultiIndex((d, 0)), MultiIndex((d - 2, 2)))
+        assert (b.sign, b.square) == (1, Fraction(2 * d - 3, 3 * (2 * d - 1)))
+        assert len(calls) <= 6
 
     def test_diagonal_is_one(self):
         for a in enumerate_multiindices(2, 4):
@@ -129,8 +146,9 @@ class TestGraphEnumeration:
                 assert sign == (-1) ** (((a - b) // 2) % 2)
 
     def test_matches_closed_form_small(self):
-        basis = enumerate_multiindices(2, 4)
+        basis = enumerate_multiindices(3, 6)
         for a in basis:
+            assert wick_a(a, a).magnitude == enumerate_admissible_graphs(a, a).count
             for b in basis:
                 g = enumerate_admissible_graphs(a, b)
                 w = wick_a(a, b)
