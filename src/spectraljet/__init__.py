@@ -40,7 +40,6 @@ from .lattice import (
     run_triple_suite,
     sample_multiindex,
     stabilization_scan,
-    verify_metric_axioms,
 )
 from .jets import (
     COS,
@@ -63,7 +62,6 @@ from .manifolds import (
     TruncationPolicy,
     gauss_curvature_difference,
     gauss_curvature_estimate,
-    heat_kernel_diag_jet,
     curvature_symmetry_residuals,
     jet_gram,
     levi_civita_check,

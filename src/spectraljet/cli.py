@@ -65,10 +65,40 @@ class ConfigError(ValueError):
     pass
 
 
-def _deep_update(base: dict, extra: dict) -> dict:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _type_mismatch(value, default) -> str | None:
+    """What ``value`` must be to replace ``default``, or None if it is that."""
+    if isinstance(default, dict):
+        return None if isinstance(value, dict) else "an object"
+    if isinstance(default, list):
+        ok = isinstance(value, list) and all(_is_number(v) for v in value)
+        return None if ok else "a list of numbers"
+    if isinstance(default, int):
+        return None if _is_int(value) else "an integer"
+    if isinstance(default, float):
+        return None if _is_number(value) else "a number"
+    return None if value is None or _is_number(value) else "a number or null"
+
+
+def _deep_update(base: dict, extra: dict, prefix: str = "") -> dict:
+    """Merge ``extra`` into ``base``; every value that replaces a default must
+    have the default's type.  Keys without a default, and model.kind (a name,
+    checked by make_model), pass unchecked."""
     for key, value in extra.items():
+        name = prefix + key
+        if key in base and name != "model.kind":
+            expected = _type_mismatch(value, base[key])
+            if expected:
+                raise ConfigError(f"config {name} must be {expected}, got {value!r}")
         if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], value)
+            _deep_update(base[key], value, name + ".")
         else:
             base[key] = value
     return base
@@ -161,7 +191,7 @@ def config_policy(cfg: dict) -> TruncationPolicy:
 
 
 def _config_int(key: str, value, low: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+    if not _is_int(value) or value < low:
         raise ConfigError(f"{key} must be an integer >= {low}, got {value!r}")
     return value
 
@@ -423,9 +453,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError, TruncationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -333,68 +333,3 @@ def run_triple_suite(
         min_comparison_margin=min_margin,
     )
     return rows, report
-
-
-@dataclass(frozen=True)
-class MetricAxiomReport:
-    triples_checked: int
-    symmetry_violations: int
-    identity_violations: int
-    triangle_violations: int
-    max_triangle_slack: float
-    worst_triple: tuple[str, str, str] | None
-
-    def passed(self) -> bool:
-        return (
-            self.symmetry_violations == 0
-            and self.identity_violations == 0
-            and self.triangle_violations == 0
-        )
-
-
-def verify_metric_axioms(
-    n: int,
-    max_degree: int,
-    sample_count: int,
-    seed: int,
-    triangle_slack_tol: float = 1e-12,
-) -> MetricAxiomReport:
-    """Property test of the metric axioms on random triples.
-
-    Symmetry and the identity axiom are decided exactly; the triangle
-    inequality is checked in floats with ``triangle_slack_tol`` slack.
-    """
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
-    symmetry_violations = identity_violations = triangle_violations = 0
-    max_slack = -math.inf
-    worst = None
-    for i in range(sample_count):
-        rng = _task_rng(seed, i)
-        a = sample_multiindex(rng, n, max_degree)
-        b = sample_multiindex(rng, n, max_degree)
-        c = sample_multiindex(rng, n, max_degree)
-        if wick_b(a, b) != wick_b(b, a):
-            symmetry_violations += 1
-        bab = wick_b(a, b)
-        if ((bab.sign == 1 and bab.square == 1)) != (a == b):
-            identity_violations += 1
-        d_ab = math.acos(bab.value)
-        d_bc = math.acos(wick_b(b, c).value)
-        d_ac = math.acos(wick_b(a, c).value)
-        slack = max(
-            d_ac - d_ab - d_bc, d_ab - d_ac - d_bc, d_bc - d_ab - d_ac
-        )
-        if slack > triangle_slack_tol:
-            triangle_violations += 1
-        if slack > max_slack:
-            max_slack = slack
-            worst = (a.text(), b.text(), c.text())
-    return MetricAxiomReport(
-        triples_checked=sample_count,
-        symmetry_violations=symmetry_violations,
-        identity_violations=identity_violations,
-        triangle_violations=triangle_violations,
-        max_triangle_slack=max_slack,
-        worst_triple=worst,
-    )

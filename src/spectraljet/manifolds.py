@@ -75,41 +75,35 @@ def _tail_sum(term, start: int, min_index: int, policy: TruncationPolicy,
               hard_cap: int) -> tuple[float, int]:
     """Kahan-compensated sum of term(k), k = start, start+1, ...
 
-    Returns (sum, last index summed).  The tail rule never fires while terms
-    are still growing toward their peak.
+    Returns (sum, last index summed).  fixed_cutoff mode sums exactly
+    policy.fixed_cutoff terms.  relative_tail mode stops on the tail rule,
+    which never fires while terms are still growing toward their peak, and
+    raises TruncationError after hard_cap terms.
     """
-    if policy.mode == "fixed_cutoff":
-        s = c = 0.0
-        last = start - 1
-        for k in range(start, start + policy.fixed_cutoff):
-            y = term(k) - c
-            tmp = s + y
-            c = (tmp - s) - y
-            s = tmp
-            last = k
-        return s, last
-
-    s = c = 0.0
-    abs_acc = 0.0
+    fixed = policy.mode == "fixed_cutoff"
+    limit = policy.fixed_cutoff if fixed else hard_cap
+    s = c = abs_acc = 0.0
     prev = math.inf
     k = start
-    while True:
+    while k - start < limit:
         v = term(k)
         y = v - c
         tmp = s + y
         c = (tmp - s) - y
         s = tmp
-        av = abs(v)
-        abs_acc += av
-        if k >= min_index and av <= prev and av <= policy.epsilon * abs_acc:
-            return s, k
-        if k - start + 1 >= hard_cap:
-            raise TruncationError(
-                f"hard cap {hard_cap} reached before the tail bound "
-                f"(epsilon={policy.epsilon}); lower t or raise the cap"
-            )
-        prev = av
+        if not fixed:
+            av = abs(v)
+            abs_acc += av
+            if k >= min_index and av <= prev and av <= policy.epsilon * abs_acc:
+                return s, k
+            prev = av
         k += 1
+    if fixed:
+        return s, k - 1
+    raise TruncationError(
+        f"hard cap {hard_cap} reached before the tail bound "
+        f"(epsilon={policy.epsilon}); lower t or raise the cap"
+    )
 
 
 class SpectralModel:
@@ -426,26 +420,22 @@ class Sphere(SpectralModel):
         peak = self.radius * math.sqrt((power + policy.rho) / (2.0 * t))
         return max(8, int(math.ceil(peak)) + 2)
 
-    def diag_jet_with_cutoff(self, t, alpha, beta, policy=DEFAULT_POLICY,
-                             include_constant_mode=True):
-        self._validate_time(t)
-        self._validate_pair(alpha, beta)
-        total = alpha.degree + beta.degree
-        if total == 0:
-            start = 0 if include_constant_mode else 1
+    def _diagonal_sum(self, t: float, start: int,
+                      policy: TruncationPolicy) -> tuple[float, int]:
+        """sum_l mult(l) exp(-lambda_l t) from l = start, before 1/Vol."""
 
-            def term(l):
-                return math.exp(-self.eigenvalue(l) * t) * self.multiplicity(l)
+        def term(l):
+            return math.exp(-self.eigenvalue(l) * t) * self.multiplicity(l)
 
-            min_index = self._min_index(t, self.n - 1.0, policy)
-            s, used = _tail_sum(term, start, min_index, policy, self._cap(policy))
-            return s / self.volume, used
+        min_index = self._min_index(t, self.n - 1.0, policy)
+        return _tail_sum(term, start, min_index, policy, self._cap(policy))
 
-        degree = self._series_degree(total)
-        em = self._extract_vector(alpha, beta, degree)
+    def _zonal_sum(self, em, t: float,
+                   policy: TruncationPolicy) -> tuple[float, int]:
+        """sum_l exp(-lambda_l t) sum_m zonal_taylor(l, m) em[m], before the
+        zonal scale; (0.0, 0) when every em[m] vanishes."""
         if all(e == 0.0 for e in em):
             return 0.0, 0
-        scale = self._zonal_scale()
 
         def term(l):
             acc = 0.0
@@ -455,8 +445,19 @@ class Sphere(SpectralModel):
             return math.exp(-self.eigenvalue(l) * t) * acc
 
         min_index = self._min_index(t, 2 * (len(em) - 1) + self.n - 1.0, policy)
-        s, used = _tail_sum(term, 0, min_index, policy, self._cap(policy))
-        return s * scale, used
+        return _tail_sum(term, 0, min_index, policy, self._cap(policy))
+
+    def diag_jet_with_cutoff(self, t, alpha, beta, policy=DEFAULT_POLICY,
+                             include_constant_mode=True):
+        self._validate_time(t)
+        self._validate_pair(alpha, beta)
+        total = alpha.degree + beta.degree
+        if total == 0:
+            s, used = self._diagonal_sum(t, 0 if include_constant_mode else 1, policy)
+            return s / self.volume, used
+        em = self._extract_vector(alpha, beta, self._series_degree(total))
+        s, used = self._zonal_sum(em, t, policy)
+        return s * self._zonal_scale(), used
 
     def gram_difference(self, t, pair1, pair2,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -475,19 +476,7 @@ class Sphere(SpectralModel):
         degree = self._series_degree(total)
         em1 = self._extract_vector(a1, b1, degree)
         em2 = self._extract_vector(a2, b2, degree)
-        delta = tuple(x - y for x, y in zip(em1, em2))
-        if all(d == 0.0 for d in delta):
-            return 0.0
-
-        def term(l):
-            acc = 0.0
-            for m, d in enumerate(delta):
-                if d:
-                    acc += self._zonal_taylor(l, m) * d
-            return math.exp(-self.eigenvalue(l) * t) * acc
-
-        min_index = self._min_index(t, 2 * (len(delta) - 1) + self.n - 1.0, policy)
-        s, _ = _tail_sum(term, 0, min_index, policy, self._cap(policy))
+        s, _ = self._zonal_sum(tuple(x - y for x, y in zip(em1, em2)), t, policy)
         return self.gram_prefactor(t) * s * self._zonal_scale()
 
     # -- closed-form kernel evaluation (finite-difference cross checks) ------
@@ -507,12 +496,7 @@ class Sphere(SpectralModel):
         self._validate_time(t)
         z = self.chart_cosine(u, v)
         # cutoff: reuse the diagonal tail rule (|zonal(z)| <= zonal(1))
-
-        def diag_term(l):
-            return math.exp(-self.eigenvalue(l) * t) * self.multiplicity(l)
-
-        min_index = self._min_index(t, self.n - 1.0, policy)
-        _, cutoff = _tail_sum(diag_term, 0, min_index, policy, self._cap(policy))
+        _, cutoff = self._diagonal_sum(t, 0, policy)
         weights = np.exp(
             -np.array([self.eigenvalue(l) for l in range(cutoff + 1)]) * t
         )
@@ -543,16 +527,6 @@ def make_model(kind: str, radius: float = 1.0, radii=None) -> SpectralModel:
     if kind == "sphere3":
         return Sphere(3, radius)
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def heat_kernel_diag_jet(model: SpectralModel, t: float, alpha: MultiIndex,
-                         beta: MultiIndex,
-                         policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """J(t, alpha, beta) = D_y^beta D_x^alpha H(t, x, y) at x = y.
-
-    Functional form of :meth:`SpectralModel.diag_jet`.
-    """
-    return model.diag_jet(t, alpha, beta, policy)
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,87 @@ class TestLatticeCommand:
         assert not out_json.exists()
 
 
+class TestGoldenBytes:
+    # sha256 of verify and curvature output; any change to the order of the
+    # float operations in the spectral mode sums or the fits moves them.
+    @pytest.mark.parametrize("argv, csv_sha, json_sha", [
+        (["verify", "--model", "sphere3", "--max-degree", "6",
+          "--t-grid", "0.1:0.5:7"],
+         "5142c6028f32d85dc90fe18339a0f405dc16422ed6588e2f8792be698d024d01",
+         "9862fb81dc7d20e8bcaf9403991220eca53aa40f08cfd0baa4540315d0153093"),
+        (["verify", "--model", "sphere2", "--radius", "2.0", "--max-degree", "6",
+          "--t-grid", "0.1:0.5:7"],
+         "74440a3d3cc9468e84893863e76b960e68490c4c3b50714341732f2b78d6e402",
+         "7c5054834b17fb16f1f3d550ac344988e27679acd3d5b2ff81d6ac19ac85eb25"),
+        (["verify", "--model", "torus", "--radii", "1.0,1.3", "--max-degree", "6",
+          "--t", "0.01"],
+         "431aeae0b1207fc199bca4f96d6ef24de16487a98857c9e6fe8cf40b73f80794",
+         "dc0cd8ff720b2eea9f42fbf134f15b0d849c7774a4c4b60b3727ced2e5daff00"),
+        (["curvature", "--model", "sphere3"], None,
+         "8a2a50ca7b74643058448e013be41991c3d707ff3be4e2e01dec80d481586cd3"),
+        (["curvature", "--model", "torus", "--radii", "1.0,1.3"], None,
+         "c3974276ab624ec6da33f054b9ab2d02f7ce93d1c806c6a75c9f9438c01ac7fa"),
+    ], ids=["verify-sphere3", "verify-sphere2", "verify-torus",
+            "curvature-sphere3", "curvature-torus"])
+    def test_verify_and_curvature(self, tmp_path, capsys, argv, csv_sha, json_sha):
+        out_csv = tmp_path / "out.csv"
+        out_json = tmp_path / "out.json"
+        extra = ["--out", str(out_csv)] if csv_sha else []
+        code, _, _ = run(capsys, *argv, *extra, "--out-json", str(out_json))
+        assert code == 0
+        if csv_sha:
+            assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(out_json.read_bytes()).hexdigest() == json_sha
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("argv, file_cfg, message", [
+        (["lattice", "sample"], {"seed": "abc"}, "config seed must be an integer"),
+        (["lattice", "sample"], {"seed": 1.5}, "config seed must be an integer"),
+        (["lattice", "sample"], {"tolerances": {"triangle_slack": "x"}},
+         "config tolerances.triangle_slack must be a number"),
+        (["verify", "--model", "sphere2"], {"max_degree": "4"},
+         "config max_degree must be an integer"),
+        (["verify", "--model", "sphere2"], {"t": "0.1"},
+         "config t must be a number or null"),
+        (["verify", "--model", "sphere2"], {"model": {"radius": "2"}},
+         "config model.radius must be a number"),
+        (["verify", "--model", "sphere2"], {"model": "sphere2"},
+         "config model must be an object"),
+        (["verify", "--model", "sphere2"], {"policy": {"epsilon": "x"}},
+         "config policy.epsilon must be a number"),
+        (["verify", "--model", "sphere2"], {"policy": {"hard_cap": True}},
+         "config policy.hard_cap must be a number or null"),
+        (["verify", "--model", "sphere2"], {"tolerances": {"fit_rel": "x"}},
+         "config tolerances.fit_rel must be a number"),
+        (["verify", "--model", "torus"], {"model": {"radii": 5}},
+         "config model.radii must be a list of numbers"),
+        (["curvature", "--model", "sphere3"], {"tolerances": {"curvature_rel": "x"}},
+         "config tolerances.curvature_rel must be a number"),
+    ])
+    def test_wrong_type_is_config_error(self, tmp_path, capsys, argv, file_cfg,
+                                        message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_cfg))
+        out_json = tmp_path / "out.json"
+        code, out, err = run(capsys, *argv, "--config", str(cfg),
+                             "--out-json", str(out_json))
+        assert code == 2
+        assert err.startswith(f"error: {message}")
+        assert out == ""
+        assert not out_json.exists()
+
+    def test_numbers_of_either_kind_accepted(self, tmp_path, capsys):
+        # an int where the default is a float, and a number where it is null
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "model": {"radius": 1}, "t": 1e-2, "max_degree": 2,
+            "policy": {"hard_cap": 200000}, "tolerances": {"flat_jet_abs": 1},
+        }))
+        code, _, _ = run(capsys, "verify", "--model", "circle", "--config", str(cfg))
+        assert code == 0
+
+
 class TestCurvatureCommand:
     def test_all_models_serialize_and_pass(self, tmp_path, capsys):
         # flat and curved models exercise every suite branch of the JSON writer

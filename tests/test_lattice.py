@@ -11,7 +11,6 @@ from spectraljet.lattice import (
     run_triple_suite,
     sample_multiindex,
     stabilization_scan,
-    verify_metric_axioms,
 )
 from spectraljet import lattice
 from spectraljet.lattice import _task_rng
@@ -177,7 +176,7 @@ class TestStabilizationScan:
 
 class TestMetricAxioms:
     def test_small_run_clean(self):
-        report = verify_metric_axioms(n=2, max_degree=6, sample_count=1500, seed=42)
+        _, report = run_triple_suite(2, 6, 1500, 42)
         assert report.passed()
         assert report.max_triangle_slack <= 1e-12
 
@@ -188,10 +187,6 @@ class TestMetricAxioms:
         b = mi([2, 2], 2)
         d_ab = angle_distance(a, b).radians
         assert d_ab <= d_ab + angle_distance(b, b).radians + 1e-15
-
-    def test_sample_count_validated(self):
-        with pytest.raises(ValueError):
-            verify_metric_axioms(2, 4, 0, 1)
 
 
 class TestSampling:

@@ -12,6 +12,7 @@ from spectraljet.manifolds import (
     Sphere,
     TruncationError,
     TruncationPolicy,
+    _tail_sum,
     curvature_symmetry_residuals,
     gauss_curvature_difference,
     gauss_curvature_estimate,
@@ -21,7 +22,6 @@ from spectraljet.manifolds import (
     mean_curvature_proxy,
     pullback_metric,
     ricci_scalar_extract,
-    heat_kernel_diag_jet,
     squared_distance_jets,
     squared_distance_target,
     third_jet_umbilical,
@@ -131,7 +131,6 @@ class TestSphereJets:
         s = Sphere(3, 1.0)
         a, b = mi([1, 1], 3), mi([2, 2], 3)
         assert s.diag_jet(0.05, a, b) == s.diag_jet(0.05, b, a)
-        assert heat_kernel_diag_jet(s, 0.05, a, b) == s.diag_jet(0.05, a, b)
 
     def test_odd_jets_exactly_zero(self):
         s = Sphere(2, 1.0)
@@ -397,6 +396,27 @@ class TestTruncation:
         v2 = c.diag_jet(0.05, a, a)
         assert abs(v1 - v2) < 1e-12
 
+    def test_tail_sum_term_counts(self):
+        calls = []
+
+        def term(k):
+            calls.append(k)
+            return 1.0
+
+        # fixed mode sums exactly fixed_cutoff terms, whatever the cap
+        fixed = TruncationPolicy(mode="fixed_cutoff", fixed_cutoff=7)
+        assert _tail_sum(term, 1, 8, fixed, hard_cap=3) == (7.0, 7)
+        assert calls == list(range(1, 8))
+        # tail mode raises after exactly hard_cap terms of a flat series
+        calls.clear()
+        with pytest.raises(TruncationError, match="hard cap 5 reached"):
+            _tail_sum(term, 0, 8, TruncationPolicy(), hard_cap=5)
+        assert calls == list(range(5))
+        # and stops at the first index past min_index where the rule fires:
+        # 2^-46 <= 1e-14 * (2 - 2^-46) < 2^-45
+        s, last = _tail_sum(lambda k: 2.0 ** -k, 0, 8, TruncationPolicy(), 1000)
+        assert last == 46 and s == 2.0 - 2.0 ** -46
+
 
 class TestScalarDiagonal:
     def test_sphere3_diagonal_closed_form(self):
@@ -423,3 +443,8 @@ class TestScalarDiagonal:
         assert T.diag_jet(t, a, a, include_constant_mode=True) == T.diag_jet(
             t, a, a, include_constant_mode=False
         )
+        for S in (Sphere(2, 1.5), Sphere(3, 1.0)):
+            e = empty(S.n)
+            with_c = S.diag_jet(t, e, e, include_constant_mode=True)
+            without_c = S.diag_jet(t, e, e, include_constant_mode=False)
+            assert abs((with_c - without_c) - 1.0 / S.volume) < 1e-13

@@ -52,6 +52,7 @@ class TestWickA:
         for a in basis:
             for b in basis:
                 assert wick_a(a, b) == wick_a(b, a)
+                assert wick_b(a, b) == wick_b(b, a)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
