@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .multiindex import MultiIndex, enumerate_multiindices
 from .wick import wick_a, wick_b
 from .manifolds import (
@@ -73,6 +71,8 @@ def limit_fit(samples, order: int = 2) -> LimitFit:
     Refuses grids with fewer than order + 2 points or non-distinct or
     non-positive times.
     """
+    import numpy as np
+
     if order not in (1, 2):
         raise ValueError("fit order must be 1 or 2")
     samples = sorted(samples)
@@ -406,6 +406,8 @@ def curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
                     rel_tol: float = 0.05, flat_abs_tol: float = 1e-6,
                     residual_rel_tol: float = 1e-3) -> SuiteResult:
     """Riemann tensor from the asymptotic Gauss formula, plus its symmetries."""
+    import numpy as np
+
     if model.n < 2:
         raise ValueError("curvature suite needs dimension at least 2")
     ts = tuple(sorted(ts))

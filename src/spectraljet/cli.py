@@ -1,9 +1,9 @@
 """Command-line front end: wick / lattice / verify / curvature / report.
 
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage or config
-error, including a spectral sum that hits its hard cap (TruncationError:
-lower t or raise policy.hard_cap).  All file output is deterministic for a
-fixed config and seed.
+error, including a non-finite config number and a spectral sum that hits its
+hard cap (TruncationError: lower t or raise policy.hard_cap).  All file
+output is deterministic for a fixed config and seed.
 """
 from __future__ import annotations
 
@@ -104,6 +104,19 @@ def _deep_update(base: dict, extra: dict, prefix: str = "") -> dict:
     return base
 
 
+def _check_finite(value, name: str = "") -> None:
+    """Every number of the merged config must be finite: json reads NaN and
+    Infinity, and float flags read 'nan' and 'inf'."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{name}.{key}" if name else key)
+    elif isinstance(value, list):
+        for item in value:
+            _check_finite(item, name)
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"config {name} must be finite, got {value!r}")
+
+
 def build_config(args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit CLI flags."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
@@ -150,6 +163,7 @@ def build_config(args: argparse.Namespace) -> dict:
         cfg["count"] = args.count
     if getattr(args, "n", None) is not None:
         cfg["n"] = args.n
+    _check_finite(cfg)
     return cfg
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -133,9 +134,13 @@ def stabilization_scan(
 # Random sampling of lattice points and the triple suite
 # ---------------------------------------------------------------------------
 
-def _task_rng(seed: int, task_index: int) -> random.Random:
+def _task_seed(seed: int, task_index: int) -> int:
     # Deterministic per-task stream: mixing keeps tasks independent of order.
-    return random.Random((seed * 1_000_003 + task_index) & 0xFFFFFFFFFFFFFFFF)
+    return (seed * 1_000_003 + task_index) & 0xFFFFFFFFFFFFFFFF
+
+
+def _task_rng(seed: int, task_index: int) -> random.Random:
+    return random.Random(_task_seed(seed, task_index))
 
 
 def _counts_sampler(
@@ -144,15 +149,18 @@ def _counts_sampler(
     """Uniform sampler of count tuples of degree <= max_degree.
 
     Picks the degree with stars-and-bars weights, then a uniformly random
-    composition of that degree into n parts.  The cumulative weights are
-    built once; ``choices`` draws the same stream from them as from the
-    plain weights.
+    composition of that degree into n parts.  The degree draw is the body of
+    ``rng.choices(range(max_degree + 1), cum_weights=..., k=1)[0]``: one
+    ``random()`` bisected into the cumulative weights, so the stream is the
+    one ``choices`` draws.
     """
-    degrees = range(max_degree + 1)
-    cum_weights = list(accumulate(math.comb(d + n - 1, n - 1) for d in degrees))
+    cum_weights = list(
+        accumulate(math.comb(d + n - 1, n - 1) for d in range(max_degree + 1))
+    )
+    total = cum_weights[-1] + 0.0
 
     def sample(rng: random.Random) -> tuple[int, ...]:
-        d = rng.choices(degrees, cum_weights=cum_weights, k=1)[0]
+        d = bisect_right(cum_weights, rng.random() * total, 0, max_degree)
         if n == 1:
             return (d,)
         bars = sorted(rng.sample(range(d + n - 1), n - 1))
@@ -255,9 +263,17 @@ def run_triple_suite(
     max_slack = -math.inf
     worst: tuple[str, str, str] | None = None
     min_margin = math.inf
+    points: dict[tuple[int, ...], MultiIndex] = {}  # one per distinct point
 
+    def point(counts: tuple[int, ...]) -> MultiIndex:
+        m = points.get(counts)
+        if m is None:
+            m = points[counts] = MultiIndex(counts)
+        return m
+
+    rng = random.Random()
     for i in range(count):
-        rng = _task_rng(seed, i)
+        rng.seed(_task_seed(seed, i))
         a = sample(rng)
         b = sample(rng)
         c = sample(rng)
@@ -271,7 +287,7 @@ def run_triple_suite(
         slack = max(d_ac - d_ab - d_bc, d_ab - d_ac - d_bc, d_bc - d_ab - d_ac)
         if slack > triangle_slack_tol:
             triangle_violations += 1
-        alpha, beta, gamma = MultiIndex(a), MultiIndex(b), MultiIndex(c)
+        alpha, beta, gamma = point(a), point(b), point(c)
         if slack > max_slack:
             max_slack = slack
             worst = (alpha.text(), beta.text(), gamma.text())

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-import numpy as np
-
 from .multiindex import MultiIndex, empty, from_indices
 from .jets import (
     SQRT_COS,
@@ -262,6 +260,8 @@ class FlatTorus(SpectralModel):
         exp(-lambda t / 2) and the psi normalization; the global constant
         mode is dropped.
         """
+        import numpy as np
+
         self._validate_time(t)
         axis_funcs: list[list[tuple[float, float]]] = []  # (lambda, value)
         for axis in range(self.n):
@@ -493,6 +493,8 @@ class Sphere(SpectralModel):
     def kernel_value(self, t: float, u, v,
                      policy: TruncationPolicy = DEFAULT_POLICY) -> float:
         """H(t, exp(u), exp(v)) by direct zonal summation."""
+        import numpy as np
+
         self._validate_time(t)
         z = self.chart_cosine(u, v)
         # cutoff: reuse the diagonal tail rule (|zonal(z)| <= zonal(1))
@@ -549,6 +551,8 @@ class JetGram:
         return self.entries[(beta.counts, alpha.counts)]
 
     def matrix(self) -> np.ndarray:
+        import numpy as np
+
         m = len(self.basis)
         out = np.empty((m, m))
         for i, a in enumerate(self.basis):
@@ -578,6 +582,8 @@ def jet_gram(model: SpectralModel, t: float, max_order: int,
 def pullback_metric(model: SpectralModel, t: float,
                     policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Induced metric of the embedding: the first-derivative Gram matrix."""
+    import numpy as np
+
     n = model.n
     out = np.empty((n, n))
     for i in range(1, n + 1):
@@ -609,6 +615,8 @@ def ricci_scalar_extract(model: SpectralModel, ts,
     expands as  delta_ij + t c1_ij + O(t^2)  with  c1 = (1/3)((S/2) delta - Ric),
     so Ric_ij = (S/2) delta_ij - 3 c1_ij.
     """
+    import numpy as np
+
     from .asymptotics import limit_fit
 
     ts = sorted(ts)
@@ -717,6 +725,8 @@ def gauss_curvature_estimate(model: SpectralModel, ts, ijkl,
 def fitted_curvature_tensor(model: SpectralModel, ts,
                             policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
     """R(V_i, V_j, V_k, V_l) for all index quadruples, as fitted limits."""
+    import numpy as np
+
     if model.n < 2:
         raise ValueError("curvature needs dimension at least 2")
     n = model.n
@@ -755,6 +765,8 @@ class SymmetryResidualReport:
 def curvature_symmetry_residuals(model: SpectralModel, ts,
                                  policy: TruncationPolicy = DEFAULT_POLICY) -> SymmetryResidualReport:
     """Residuals of the algebraic curvature symmetries on the fitted tensor."""
+    import numpy as np
+
     r = fitted_curvature_tensor(model, ts, policy)
     a1 = float(np.max(np.abs(r + np.transpose(r, (1, 0, 2, 3)))))
     a2 = float(np.max(np.abs(r + np.transpose(r, (0, 1, 3, 2)))))

@@ -73,7 +73,7 @@ class MultiIndex:
 
     def text(self) -> str:
         """Comma-separated index list; the empty multi-index is ''."""
-        return ",".join(str(j) for j in self.indices())
+        return "".join(f"{j}," * c for j, c in enumerate(self.counts, 1))[:-1]
 
     def _check_index(self, index: int) -> None:
         if not 1 <= index <= self.n:

@@ -49,13 +49,20 @@ def records_to_csv(records) -> str:
 
 def triple_rows_to_csv(rows) -> str:
     lines = [LATTICE_CSV_HEADER]
+    fields: dict[tuple[int, ...], str] = {}  # counts -> quoted text, once per point
+
+    def point(m) -> str:
+        text = fields.get(m.counts)
+        if text is None:
+            text = fields[m.counts] = _csv_field(m.text())
+        return text
+
     for r in rows:
         lines.append(
-            csv_line(
-                (r.alpha.text(), r.beta.text(), r.gamma.text(),
-                 r.d_ab, r.d_bc, r.d_ac,
-                 r.triangle_slack, r.comparison_lhs, r.comparison_rhs)
-            )
+            f"{point(r.alpha)},{point(r.beta)},{point(r.gamma)},"
+            f"{fmt_float(r.d_ab)},{fmt_float(r.d_bc)},{fmt_float(r.d_ac)},"
+            f"{fmt_float(r.triangle_slack)},{fmt_float(r.comparison_lhs)},"
+            f"{fmt_float(r.comparison_rhs)}"
         )
     return "\n".join(lines) + "\n"
 

@@ -1,8 +1,14 @@
 import hashlib
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spectraljet
 from spectraljet.cli import main
 from spectraljet.reporting import fmt_float, json_dumps
 
@@ -179,6 +185,26 @@ class TestLatticeCommand:
         assert out == ""
         assert not out_json.exists()
 
+    def test_imports_no_numpy(self, tmp_path):
+        code = (
+            "import sys, spectraljet\n"
+            "from spectraljet import cli\n"
+            "code = cli.main(['lattice', 'sample', '--n', '3', '--max-degree', '8',\n"
+            "                 '--count', '300', '--out', sys.argv[1]])\n"
+            "assert code == 0, code\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        )
+        src = str(Path(spectraljet.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "lat.csv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestGoldenBytes:
     # sha256 of verify and curvature output; any change to the order of the
@@ -247,6 +273,29 @@ class TestConfigTypes:
                              "--out-json", str(out_json))
         assert code == 2
         assert err.startswith(f"error: {message}")
+        assert out == ""
+        assert not out_json.exists()
+
+    @pytest.mark.parametrize("flags, file_cfg, message", [
+        (["--radius", "inf"], None, "config model.radius must be finite, got inf"),
+        ([], {"model": {"radius": math.inf}},
+         "config model.radius must be finite, got inf"),
+        (["--policy-eps", "nan"], None,
+         "config policy.epsilon must be finite, got nan"),
+        ([], {"policy": {"epsilon": math.nan}},
+         "config policy.epsilon must be finite, got nan"),
+    ], ids=["radius-flag", "radius-file", "epsilon-flag", "epsilon-file"])
+    def test_non_finite_is_config_error(self, tmp_path, capsys, flags, file_cfg,
+                                        message):
+        argv = ["verify", "--model", "sphere2", *flags]
+        if file_cfg is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(file_cfg))  # writes Infinity / NaN
+            argv += ["--config", str(cfg)]
+        out_json = tmp_path / "out.json"
+        code, out, err = run(capsys, *argv, "--out-json", str(out_json))
+        assert code == 2
+        assert err == f"error: {message}\n"
         assert out == ""
         assert not out_json.exists()
 

@@ -1,5 +1,7 @@
 import math
+import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -13,7 +15,7 @@ from spectraljet.lattice import (
     stabilization_scan,
 )
 from spectraljet import lattice
-from spectraljet.lattice import _task_rng
+from spectraljet.lattice import _counts_sampler, _task_rng, _task_seed
 from spectraljet.multiindex import (
     MultiIndex,
     empty,
@@ -218,6 +220,40 @@ class TestSampling:
         for r in rows[:25]:
             assert r.triangle_slack <= 1e-12
             assert r.comparison_lhs <= r.comparison_rhs + 1e-15
+
+
+class TestSamplerStream:
+    """The suite's sampler and its one reseeded RNG draw the stream of a
+    fresh ``random.Random`` per task sampled through ``choices``."""
+
+    @staticmethod
+    def reference_sample(rng, n, max_degree):
+        cum_weights = list(accumulate(
+            math.comb(d + n - 1, n - 1) for d in range(max_degree + 1)
+        ))
+        d = rng.choices(range(max_degree + 1), cum_weights=cum_weights, k=1)[0]
+        bars = sorted(rng.sample(range(d + n - 1), n - 1))
+        return tuple(
+            hi - lo - 1 for lo, hi in zip([-1] + bars, bars + [d + n - 1])
+        )
+
+    @pytest.mark.parametrize("n, max_degree", [(1, 12), (3, 8), (8, 40), (4, 0)])
+    def test_matches_choices_reference(self, n, max_degree):
+        sample = _counts_sampler(n, max_degree)
+        rng = random.Random()
+        for seed in range(500):
+            ref = _task_rng(seed, 0)
+            rng.seed(_task_seed(seed, 0))
+            for _ in range(3):
+                assert sample(rng) == self.reference_sample(ref, n, max_degree)
+            assert rng.random() == ref.random()
+
+    def test_reseeding_equals_fresh_rng(self):
+        rng = random.Random()
+        for seed in range(500):
+            for i in (0, 1, 9999):
+                rng.seed(_task_seed(seed, i))
+                assert rng.getstate() == _task_rng(seed, i).getstate()
 
 
 class TestTripleSuiteExactDecisions:

@@ -54,6 +54,13 @@ def test_parse_round_trip():
         multiindex.parse("1,x", 2)
 
 
+def test_text_is_the_index_list():
+    points = enumerate_multiindices(4, 7) + [MultiIndex((12, 0, 21, 7))]
+    for m in points:
+        assert m.text() == ",".join(map(str, m.indices()))
+        assert multiindex.parse(m.text(), m.n) == m
+
+
 def test_degree_and_indices():
     m = from_indices([2, 1, 1], 3)
     assert m.degree == 3
