@@ -231,6 +231,11 @@ def jet_relation_suite(
         samples = []
         for t in ts:
             denom = math.sqrt(gram(t, a, a) * gram(t, b, b))
+            if denom == 0.0:
+                raise ValueError(
+                    f"Gram norms of {a.text()} and {b.text()} underflow at "
+                    f"t={t}: lower t"
+                )
             samples.append((t, gram(t, a, b) / denom))
         summaries[f"B[{a.text()}|{b.text()}]"] = judge(samples, wick_b(a, b).value)
 

@@ -70,7 +70,10 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """A float, or an int that converts to one (json reads ints of any size)."""
+    if _is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float)
 
 
 def _type_mismatch(value, default) -> str | None:

@@ -76,7 +76,8 @@ def _tail_sum(term, start: int, min_index: int, policy: TruncationPolicy,
     Returns (sum, last index summed).  fixed_cutoff mode sums exactly
     policy.fixed_cutoff terms.  relative_tail mode stops on the tail rule,
     which never fires while terms are still growing toward their peak, and
-    raises TruncationError after hard_cap terms.
+    raises TruncationError after hard_cap terms.  The models call it only
+    through SpectralModel._sum, which memoizes the result per instance.
     """
     fixed = policy.mode == "fixed_cutoff"
     limit = policy.fixed_cutoff if fixed else hard_cap
@@ -104,8 +105,38 @@ def _tail_sum(term, start: int, min_index: int, policy: TruncationPolicy,
     )
 
 
+def _checked_volume(radii, volume) -> float:
+    """volume(), after checking that every radius has a finite, nonzero
+    square and inverse square and that the volume and its inverse are
+    finite and nonzero; otherwise the mode sums would divide by zero or
+    overflow."""
+    for r in radii:
+        if not r > 0:
+            raise ValueError("radius must be positive")
+        a2 = r * r
+        if not (0.0 < a2 < math.inf and 1.0 / a2 < math.inf):
+            raise ValueError(
+                f"radius {r!r} out of range: its square or inverse square "
+                "is zero or not finite"
+            )
+    try:
+        v = volume()
+    except OverflowError:
+        v = math.inf
+    if not (0.0 < v < math.inf and 1.0 / v < math.inf):
+        raise ValueError(
+            f"radii {list(radii)!r} out of range: the volume or its inverse "
+            "is zero or not finite"
+        )
+    return v
+
+
 class SpectralModel:
-    """Shared interface of the closed-spectrum models."""
+    """Shared interface of the closed-spectrum models.
+
+    Every spectral sum goes through ``_sum``, which memoizes it for the
+    lifetime of the instance.
+    """
 
     n: int
     volume: float
@@ -118,8 +149,27 @@ class SpectralModel:
     sectional_curvature: float
     is_flat: bool
 
+    def __init__(self):
+        self._sums: dict = {}
+
     def _cap(self, policy: TruncationPolicy) -> int:
         return policy.hard_cap if policy.hard_cap else self.default_hard_cap
+
+    def _sum(self, key, term, start: int, min_index: int,
+             policy: TruncationPolicy) -> tuple[float, int]:
+        """_tail_sum(term, start, ...), memoized on (key, start, policy).
+
+        key must hold everything besides self that term and min_index
+        depend on.  A hit returns the stored (sum, last index) of the same
+        float operations; a capped sum raises before anything is stored.
+        """
+        memo = (key, start, policy)
+        hit = self._sums.get(memo)
+        if hit is None:
+            hit = self._sums[memo] = _tail_sum(
+                term, start, min_index, policy, self._cap(policy)
+            )
+        return hit
 
     def diag_jet_with_cutoff(self, t, alpha, beta, policy=DEFAULT_POLICY,
                              include_constant_mode=True):
@@ -187,12 +237,15 @@ class FlatTorus(SpectralModel):
     sectional_curvature = 0.0
 
     def __init__(self, radii):
+        super().__init__()
         radii = tuple(float(r) for r in radii)
-        if not radii or any(r <= 0 for r in radii):
-            raise ValueError("radii must be positive")
+        if not radii:
+            raise ValueError("a torus needs at least one radius")
         self.radii = radii
         self.n = len(radii)
-        self.volume = math.prod(TWO_PI * r for r in radii)
+        self.volume = _checked_volume(
+            radii, lambda: math.prod(TWO_PI * r for r in radii)
+        )
 
     def describe(self) -> dict:
         return {"kind": self.label, "radii": list(self.radii)}
@@ -203,11 +256,13 @@ class FlatTorus(SpectralModel):
         scale = t / (R * R)
 
         def term(k):
-            return math.exp(-k * k * scale) * (k / R) ** m
+            # past the weight's underflow the power alone may overflow
+            w = math.exp(-k * k * scale)
+            return w * (k / R) ** m if w else 0.0
 
         peak = R * math.sqrt((m + policy.rho) / (2.0 * t))
         min_index = max(8, int(math.ceil(peak)) + 2)
-        return _tail_sum(term, 1, min_index, policy, self._cap(policy))
+        return self._sum((axis, m, t), term, 1, min_index, policy)
 
     def diag_jet_with_cutoff(self, t, alpha, beta, policy=DEFAULT_POLICY,
                              include_constant_mode=True):
@@ -345,6 +400,12 @@ class Sphere(SpectralModel):
 
         P_l^(m)(1) / m! = C(l+m, 2m) C(2m, m) / 2^m,
         U_l^(m)(1) / m! = 2^m C(l+m+1, 2m+1).
+
+    A jet pairs these coefficients with its extraction vector em, where
+    em[m] is D_u^alpha D_v^beta of w^m at the origin (memoized per degree,
+    alpha and beta).  Many (alpha, beta) pairs share one em, so the zonal
+    sum over l is memoized on (em, t, policy) and the diagonal sum on
+    (t, start, policy).
     """
 
     is_flat = False
@@ -353,15 +414,19 @@ class Sphere(SpectralModel):
     def __init__(self, dim: int, radius: float = 1.0):
         if dim not in (2, 3):
             raise ValueError("sphere dimension must be 2 or 3")
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        super().__init__()
+        radius = float(radius)
         self.n = dim
-        self.radius = float(radius)
+        self.radius = radius
         self.label = f"sphere{dim}"
         if dim == 2:
-            self.volume = 4.0 * math.pi * radius**2
+            self.volume = _checked_volume(
+                (radius,), lambda: 4.0 * math.pi * radius**2
+            )
         else:
-            self.volume = 2.0 * math.pi**2 * radius**3
+            self.volume = _checked_volume(
+                (radius,), lambda: 2.0 * math.pi**2 * radius**3
+            )
         a2 = radius * radius
         self.scalar_curvature = dim * (dim - 1) / a2
         self.ricci_coefficient = (dim - 1) / a2
@@ -428,7 +493,7 @@ class Sphere(SpectralModel):
             return math.exp(-self.eigenvalue(l) * t) * self.multiplicity(l)
 
         min_index = self._min_index(t, self.n - 1.0, policy)
-        return _tail_sum(term, start, min_index, policy, self._cap(policy))
+        return self._sum(("diagonal", t), term, start, min_index, policy)
 
     def _zonal_sum(self, em, t: float,
                    policy: TruncationPolicy) -> tuple[float, int]:
@@ -445,7 +510,7 @@ class Sphere(SpectralModel):
             return math.exp(-self.eigenvalue(l) * t) * acc
 
         min_index = self._min_index(t, 2 * (len(em) - 1) + self.n - 1.0, policy)
-        return _tail_sum(term, 0, min_index, policy, self._cap(policy))
+        return self._sum((em, t), term, 0, min_index, policy)
 
     def diag_jet_with_cutoff(self, t, alpha, beta, policy=DEFAULT_POLICY,
                              include_constant_mode=True):
@@ -731,17 +796,13 @@ def fitted_curvature_tensor(model: SpectralModel, ts,
         raise ValueError("curvature needs dimension at least 2")
     n = model.n
     out = np.empty((n, n, n, n))
-    cache: dict = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 for l in range(1, n + 1):
-                    key = (i, j, k, l)
-                    if key not in cache:
-                        cache[key] = gauss_curvature_estimate(
-                            model, ts, key, policy
-                        ).value
-                    out[i - 1, j - 1, k - 1, l - 1] = cache[key]
+                    out[i - 1, j - 1, k - 1, l - 1] = gauss_curvature_estimate(
+                        model, ts, (i, j, k, l), policy
+                    ).value
     return out
 
 

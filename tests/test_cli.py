@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spectraljet
 from spectraljet.cli import main
@@ -97,6 +102,19 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--t", "0.01")
         assert code == 2
         assert "no model" in err
+
+    @pytest.mark.parametrize("model, radius", [
+        ("sphere2", "1e300"),
+        ("sphere3", "1e-200"),
+        ("circle", "1e-300"),
+    ])
+    def test_extreme_radius_is_config_error(self, capsys, model, radius):
+        code, out, err = run(capsys, "verify", "--model", model,
+                             "--radius", radius, "--t", "0.1")
+        assert code == 2
+        assert err.startswith("error: radius")
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_config_file_roundtrip(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -375,3 +393,81 @@ class TestSerialization:
         assert text.index('"a"') < text.index('"b"')
         assert json.loads(text) == {"b": [1.0, 0.5], "a": {"y": True, "x": None}}
         assert json_dumps(doc) == text
+
+
+def _log_uniform(low_exp, high_exp):
+    return st.floats(low_exp, high_exp).map(lambda e: 10.0 ** e)
+
+
+_BAD_NUMBERS = st.sampled_from([0.0, -0.1, math.nan])
+_CONFIG_VALUES = st.sampled_from(
+    [None, True, 0, -1, 2, 0.5, 10**400, math.nan, math.inf, "x", [], {}, [1, 2]]
+)
+_CONFIG_FIELDS = st.sampled_from([
+    "model.kind", "model.radius", "model.radii", "t", "t_grid.count",
+    "policy.epsilon", "policy.rho", "policy.hard_cap", "tolerances.fit_rel",
+    "tolerances.curvature_rel", "max_degree",
+])
+
+
+@st.composite
+def _config_text(draw):
+    """Config file text: not JSON, JSON that is not an object, or an object
+    with odd values at known keys."""
+    kind = draw(st.sampled_from(["text", "json", "fields"]))
+    if kind == "text":
+        return draw(st.text(max_size=12))
+    if kind == "json":
+        return json.dumps(draw(_CONFIG_VALUES))
+    doc: dict = {}
+    for path in draw(st.lists(_CONFIG_FIELDS, max_size=3)):
+        head, _, tail = path.partition(".")
+        value = draw(_CONFIG_VALUES)
+        if tail:
+            doc.setdefault(head, {})[tail] = value
+        else:
+            doc[head] = value
+    return json.dumps(doc)  # writes NaN and Infinity, as json reads them
+
+
+@st.composite
+def _cli_argv(draw):
+    kind = draw(st.sampled_from(["circle", "torus", "sphere2", "sphere3"]))
+    argv = [draw(st.sampled_from(["verify", "curvature"])), "--model", kind,
+            "--max-degree", "2"]
+    radius = _log_uniform(-300, 300)
+    if kind == "torus":
+        argv += ["--radii", f"{draw(radius)!r},{draw(radius)!r}"]
+    else:
+        argv += ["--radius", repr(draw(radius))]
+    # always one time flag, so a config file never sets the grid
+    if draw(st.booleans()):
+        t = draw(st.one_of(_BAD_NUMBERS, _log_uniform(-5, 1)))
+        argv += ["--t", repr(t)]
+    else:
+        start = draw(st.one_of(_BAD_NUMBERS, _log_uniform(-5, 1)))
+        ratio = draw(st.one_of(_BAD_NUMBERS, st.floats(0.05, 1.5)))
+        count = draw(st.sampled_from([-1, 0, 1, 4, 5, 7]))
+        argv += ["--t-grid", f"{start!r}:{ratio!r}:{count}"]
+    config = draw(st.one_of(st.none(), _config_text()))
+    return argv, config
+
+
+class TestCliFuzz:
+    # Every verify/curvature command line ends in an exit code of the
+    # contract, never in an exception: extreme radii, bad grids and broken
+    # config files included.
+    @settings(max_examples=60, deadline=None)
+    @given(_cli_argv())
+    def test_exit_code_contract(self, case):
+        argv, config = case
+        with tempfile.TemporaryDirectory() as tmp:
+            if config is not None:
+                path = os.path.join(tmp, "cfg.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(config)
+                argv = argv + ["--config", path]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        assert code in (0, 1, 2)

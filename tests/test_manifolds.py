@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from spectraljet.asymptotics import normalization_factor, time_grid
+from spectraljet.asymptotics import jet_relation_suite, normalization_factor, time_grid
 from spectraljet.manifolds import (
     Circle,
     FlatTorus,
@@ -416,6 +416,65 @@ class TestTruncation:
         # 2^-46 <= 1e-14 * (2 - 2^-46) < 2^-45
         s, last = _tail_sum(lambda k: 2.0 ** -k, 0, 8, TruncationPolicy(), 1000)
         assert last == 46 and s == 2.0 - 2.0 ** -46
+
+
+class TestModeSumMemo:
+    """A model memoizes its mode sums; a warm model must return, bit for bit,
+    what a fresh model computes for every value and cutoff."""
+
+    MODELS = {
+        "sphere2": lambda: Sphere(2, 1.5),
+        "sphere3": lambda: Sphere(3, 1.0),
+        "torus": lambda: FlatTorus((1.0, 1.3)),
+    }
+    TS = time_grid(0.1, 0.5, 4)
+
+    @staticmethod
+    def pairs(n):
+        basis = list(enumerate_multiindices(n, 2))
+        return [(a, b) for i, a in enumerate(basis) for b in basis[i:]]
+
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_warm_model_equals_fresh_model(self, kind):
+        make = self.MODELS[kind]
+        warm = make()
+        jet_relation_suite(warm, 4, ts=self.TS)
+        for t in self.TS:
+            for a, b in self.pairs(warm.n):
+                truncation_stability(warm, t, a, b)
+        for t in self.TS:
+            for a, b in self.pairs(warm.n):
+                for constant in (True, False):
+                    got = warm.diag_jet_with_cutoff(
+                        t, a, b, include_constant_mode=constant
+                    )
+                    want = make().diag_jet_with_cutoff(
+                        t, a, b, include_constant_mode=constant
+                    )
+                    assert got == want, (t, a, b, constant)
+                    if got[1]:
+                        doubled = TruncationPolicy().doubled(got[1])
+                        assert warm.diag_jet_with_cutoff(t, a, b, doubled) == (
+                            make().diag_jet_with_cutoff(t, a, b, doubled)
+                        ), (t, a, b, "doubled")
+            n = warm.n
+            for ijkl in product(range(1, n + 1), repeat=4):
+                assert gauss_curvature_difference(warm, t, ijkl) == (
+                    gauss_curvature_difference(make(), t, ijkl)
+                ), (t, ijkl)
+
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_short_fixed_cutoff_does_not_shadow_default(self, kind):
+        make = self.MODELS[kind]
+        model = make()
+        a = b = mi([1, 1], model.n)
+        t = 0.05
+        short = model.diag_jet_with_cutoff(
+            t, a, b, TruncationPolicy(mode="fixed_cutoff", fixed_cutoff=3)
+        )
+        full = model.diag_jet_with_cutoff(t, a, b)
+        assert full == make().diag_jet_with_cutoff(t, a, b)
+        assert full != short and full[1] > short[1]
 
 
 class TestScalarDiagonal:
