@@ -39,9 +39,11 @@ print("=== pullback metric and Ricci on unit S3 ===")
 report = ricci_scalar_extract(Sphere(3, 1.0), GRID)
 print(f"scalar estimate  : {report.scalar_estimate:.4f}   (target 6)")
 print("pullback t-slope :")
-print(np.array_str(report.pullback_c1, precision=4, suppress_small=True))
+print(np.array_str(np.array(report.pullback_c1), precision=4,
+                   suppress_small=True))
 print("Ricci estimate   :")
-print(np.array_str(report.ricci_estimate, precision=4, suppress_small=True))
+print(np.array_str(np.array(report.ricci_estimate), precision=4,
+                   suppress_small=True))
 
 print()
 print("=== mean curvature length sqrt((n+2)/2n) ===")

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 from .multiindex import MultiIndex, enumerate_multiindices
 from .wick import wick_a, wick_b
@@ -18,6 +21,7 @@ from .manifolds import (
     SpectralModel,
     TruncationPolicy,
     curvature_symmetry_residuals,
+    heat_power,
     mean_curvature_proxy,
     ricci_scalar_extract,
     third_jet_umbilical,
@@ -37,7 +41,7 @@ DEFAULT_GRID = time_grid()
 def normalization_factor(n: int, t: float, alpha: MultiIndex, beta: MultiIndex) -> float:
     """(4 pi t)^(n/2) (2t)^floor((|alpha|+|beta|)/2), the jet normalization."""
     half = (alpha.degree + beta.degree) // 2
-    return (4.0 * math.pi * t) ** (n / 2.0) * (2.0 * t) ** half
+    return heat_power(t, 4.0 * math.pi, n / 2.0) * heat_power(t, 2.0, half)
 
 
 @dataclass(frozen=True)
@@ -65,30 +69,157 @@ class LimitFit:
     grid: tuple[float, ...]
 
 
-def limit_fit(samples, order: int = 2) -> LimitFit:
-    """Polynomial-in-t least squares on (t, y) samples.
+def _dyadic(values) -> tuple[list[int], int]:
+    """Integers m_i and one shift s with values[i] == m_i / 2**s exactly
+    (every finite float is a dyadic rational)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    shift = max(d for _, d in ratios).bit_length() - 1
+    return [n << (shift - d.bit_length() + 1) for n, d in ratios], shift
 
-    Refuses grids with fewer than order + 2 points or non-distinct or
-    non-positive times.
+
+def _quotient(num: int, den: int) -> float:
+    """num / den correctly rounded (den > 0), +-inf past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _root_mean_square(sq: int, count: int, shift: int) -> float:
+    """sqrt(sq / count) / 2**shift, with the binary exponent taken out
+    before the division so that no intermediate under- or overflows."""
+    if sq == 0:
+        return 0.0
+    half = (sq.bit_length() - count.bit_length()) // 2
+    if half >= 0:
+        mean = sq / (count << 2 * half)
+    else:
+        mean = (sq << -2 * half) / count
+    try:
+        return math.ldexp(math.sqrt(mean), half - shift)
+    except OverflowError:
+        return math.inf
+
+
+@lru_cache(maxsize=32)
+def _fit_operator(ts: tuple[float, ...], order: int):
+    """The exact least-squares operator of the order-``order`` polynomial
+    fit on the grid ts.
+
+    Returns (rows, denom, powers, shift): the pseudo-inverse (V^T V)^-1 V^T
+    of the Vandermonde V_ij = t_i^j is rows / denom with integer rows and
+    one positive integer denom, and t_i^j == powers[i][j] / 2**(j * shift).
     """
-    import numpy as np
+    vander = [[Fraction(t) ** j for j in range(order + 1)] for t in ts]
+    size = order + 1
+    # Gauss-Jordan on [V^T V | V^T] in exact rationals; V^T V is positive
+    # definite for distinct times, so every pivot is nonzero.
+    aug = [
+        [sum(row[p] * row[q] for row in vander) for q in range(size)]
+        + [row[p] for row in vander]
+        for p in range(size)
+    ]
+    for p in range(size):
+        pivot = aug[p][p]
+        aug[p] = [x / pivot for x in aug[p]]
+        for q in range(size):
+            if q != p and aug[q][p]:
+                factor = aug[q][p]
+                aug[q] = [x - factor * y for x, y in zip(aug[q], aug[p])]
+    pinv = [row[size:] for row in aug]
+    denom = math.lcm(*(x.denominator for row in pinv for x in row))
+    rows = tuple(
+        tuple(x.numerator * (denom // x.denominator) for x in row) for row in pinv
+    )
+    grid, shift = _dyadic(ts)
+    powers = tuple(tuple(g**j for j in range(size)) for g in grid)
+    return rows, denom, powers, shift
 
+
+def limit_fit(samples, order: int = 2) -> LimitFit:
+    """Polynomial-in-t least squares on (t, y) samples, solved exactly.
+
+    Each coefficient is the correctly rounded value of the exact rational
+    least-squares solution: one integer dot product of the memoized exact
+    operator of the grid with the samples, then one integer division.
+    stderr is the root mean square of the exact residuals of the rounded
+    coefficients.  A NaN or infinite sample gives a NaN fit.
+
+    Refuses grids with fewer than order + 2 points or non-distinct,
+    non-positive or non-finite times.
+    """
     if order not in (1, 2):
         raise ValueError("fit order must be 1 or 2")
     samples = sorted(samples)
-    ts = np.array([t for t, _ in samples], dtype=float)
-    ys = np.array([y for _, y in samples], dtype=float)
+    ts = tuple(float(t) for t, _ in samples)
+    ys = [float(y) for _, y in samples]
     if len(ts) < order + 2:
         raise ValueError(f"need at least {order + 2} samples for order {order}")
-    if np.any(ts <= 0) or len(set(ts.tolist())) != len(ts):
+    if not all(0.0 < t < math.inf for t in ts) or len(set(ts)) != len(ts):
         raise ValueError("times must be distinct and positive")
-    design = np.vander(ts, order + 1, increasing=True)
-    coeffs, _, _, _ = np.linalg.lstsq(design, ys, rcond=None)
-    resid = ys - design @ coeffs
-    stderr = float(np.sqrt(np.mean(resid**2)))
-    c0, c1 = float(coeffs[0]), float(coeffs[1])
-    c2 = float(coeffs[2]) if order == 2 else 0.0
-    return LimitFit(c0, c1, c2, stderr, tuple(ts.tolist()))
+    if not all(math.isfinite(y) for y in ys):
+        nan = math.nan
+        return LimitFit(nan, nan, nan if order == 2 else 0.0, nan, ts)
+    rows, denom, powers, t_shift = _fit_operator(ts, order)
+    ints, y_shift = _dyadic(ys)
+    scale = denom << y_shift
+    coeffs = [_quotient(sum(map(mul, row, ints)), scale) for row in rows]
+    if all(math.isfinite(c) for c in coeffs):
+        # exact residuals r_i * 2**shift; c_j t_i^j is
+        # num_j * powers[i][j] / 2**c_shifts[j]
+        ratios = [c.as_integer_ratio() for c in coeffs]
+        c_shifts = [d.bit_length() - 1 + j * t_shift for j, (_, d) in enumerate(ratios)]
+        shift = max(y_shift, *c_shifts)
+        sq = 0
+        for y, pw in zip(ints, powers):
+            r = y << (shift - y_shift)
+            for (num, _), p, s in zip(ratios, pw, c_shifts):
+                r -= (num * p) << (shift - s)
+            sq += r * r
+        stderr = _root_mean_square(sq, len(ys), shift)
+    else:
+        stderr = math.inf
+    c2 = coeffs[2] if order == 2 else 0.0
+    return LimitFit(coeffs[0], coeffs[1], c2, stderr, ts)
+
+
+_JACOBI_SWEEPS = 30
+_JACOBI_TOL = 1e-15
+
+
+def grid_condition(ts) -> float:
+    """2-norm condition number of the quadratic fit design [1, t, t^2] on ts.
+
+    One-sided Jacobi: rotate column pairs until they are orthogonal; the
+    column norms are then the singular values.  NaN if a power of t is not
+    finite, inf if the design is singular.
+    """
+    cols = [[1.0] * len(ts), list(ts), [t * t for t in ts]]
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for p in range(len(cols)):
+            for q in range(p + 1, len(cols)):
+                a, b = cols[p], cols[q]
+                alpha = sum(x * x for x in a)
+                beta = sum(y * y for y in b)
+                gamma = sum(x * y for x, y in zip(a, b))
+                # false on NaN too, so non-finite input cannot loop
+                if not abs(gamma) > _JACOBI_TOL * math.sqrt(alpha * beta):
+                    continue
+                rotated = True
+                zeta = (beta - alpha) / (2.0 * gamma)
+                tan = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                cos = 1.0 / math.hypot(1.0, tan)
+                sin = cos * tan
+                cols[p] = [cos * x - sin * y for x, y in zip(a, b)]
+                cols[q] = [sin * x + cos * y for x, y in zip(a, b)]
+        if not rotated:
+            break
+    sigma = [math.sqrt(sum(x * x for x in c)) for c in cols]
+    if not all(math.isfinite(s) for s in sigma):
+        return math.nan
+    low = min(sigma)
+    return max(sigma) / low if low > 0.0 else math.inf
 
 
 def fit_on_smallest(samples, order: int = 2, points: int = 5) -> LimitFit:
@@ -274,7 +405,7 @@ def scalar_suite(model: SpectralModel, ts=DEFAULT_GRID,
     ts = tuple(sorted(ts))
     n = model.n
     samples = [
-        (t, (4.0 * math.pi * t) ** (n / 2.0) * model.heat_diagonal(t, policy))
+        (t, heat_power(t, 4.0 * math.pi, n / 2.0) * model.heat_diagonal(t, policy))
         for t in ts
     ]
     fit = fit_on_smallest(samples, order=2)
@@ -310,7 +441,7 @@ def isometry_suite(model: SpectralModel, ts=DEFAULT_GRID,
             target_c1 = (
                 model.scalar_curvature / 2.0 * delta - model.ricci_coefficient * delta
             ) / 3.0
-            samples = [(t, float(p[i, j])) for t, p in pulls]
+            samples = [(t, p[i][j]) for t, p in pulls]
             observed = samples[0][1]
             if model.is_flat:
                 ok = abs(observed - delta) <= flat_abs_tol
@@ -411,8 +542,6 @@ def curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
                     rel_tol: float = 0.05, flat_abs_tol: float = 1e-6,
                     residual_rel_tol: float = 1e-3) -> SuiteResult:
     """Riemann tensor from the asymptotic Gauss formula, plus its symmetries."""
-    import numpy as np
-
     if model.n < 2:
         raise ValueError("curvature suite needs dimension at least 2")
     ts = tuple(sorted(ts))
@@ -423,7 +552,7 @@ def curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
     K = model.sectional_curvature
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            value = float(r[i - 1, j - 1, j - 1, i - 1])
+            value = r[i - 1][j - 1][j - 1][i - 1]
             if model.is_flat:
                 ok = abs(value) <= flat_abs_tol
             else:
@@ -432,7 +561,7 @@ def curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
                 K, value, None, None, value, ok
             )
     if model.is_flat:
-        max_entry = float(np.max(np.abs(r)))
+        max_entry = report.max_abs
         result.summaries["curvature.max_abs"] = PairSummary(
             0.0, max_entry, None, None, max_entry, max_entry <= flat_abs_tol
         )
@@ -471,7 +600,7 @@ def scalar_ricci_suite(model: SpectralModel, ts=DEFAULT_GRID,
     for i in range(n):
         for j in range(i, n):
             target = model.ricci_coefficient if i == j else 0.0
-            value = float(report.ricci_estimate[i, j])
+            value = report.ricci_estimate[i][j]
             if target == 0.0:
                 ok = abs(value) <= max(0.05 * max(abs(target_s), 1.0), 1e-5)
             else:

@@ -105,6 +105,17 @@ def _tail_sum(term, start: int, min_index: int, policy: TruncationPolicy,
     )
 
 
+def heat_power(t: float, factor: float, p: float) -> float:
+    """(factor * t) ** p, a power of the heat time in a normalization; past
+    the float range it is a ValueError naming t, not an OverflowError."""
+    try:
+        return (factor * t) ** p
+    except OverflowError:
+        raise ValueError(
+            f"heat time t={t!r} too large: its power {p:g} overflows; lower t"
+        ) from None
+
+
 def _checked_volume(radii, volume) -> float:
     """volume(), after checking that every radius has a finite, nonzero
     square and inverse square and that the volume and its inverse are
@@ -171,6 +182,15 @@ class SpectralModel:
             )
         return hit
 
+    def _min_index(self, radius: float, t: float, power: float,
+                   policy: TruncationPolicy) -> int:
+        """First index at which the tail rule may stop: 2 past the peak
+        radius * sqrt((power + rho) / 2t) of the summand, and at least 8.
+        A peak past the hard cap (inf for a subnormal t) is clamped to it;
+        the sum then hits the cap all the same."""
+        peak = radius * math.sqrt((power + policy.rho) / (2.0 * t))
+        return max(8, int(math.ceil(min(peak, self._cap(policy)))) + 2)
+
     def diag_jet_with_cutoff(self, t, alpha, beta, policy=DEFAULT_POLICY,
                              include_constant_mode=True):
         raise NotImplementedError
@@ -192,7 +212,10 @@ class SpectralModel:
         return self.diag_jet(t, e, e, policy, include_constant_mode)
 
     def gram_prefactor(self, t: float) -> float:
-        return 2.0 * (4.0 * math.pi) ** (self.n / 2.0) * t ** ((self.n + 2) / 2.0)
+        return (
+            2.0 * (4.0 * math.pi) ** (self.n / 2.0)
+            * heat_power(t, 1.0, (self.n + 2) / 2.0)
+        )
 
     def gram_entry(self, t: float, alpha: MultiIndex, beta: MultiIndex,
                    policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -260,9 +283,15 @@ class FlatTorus(SpectralModel):
             w = math.exp(-k * k * scale)
             return w * (k / R) ** m if w else 0.0
 
-        peak = R * math.sqrt((m + policy.rho) / (2.0 * t))
-        min_index = max(8, int(math.ceil(peak)) + 2)
-        return self._sum((axis, m, t), term, 1, min_index, policy)
+        min_index = self._min_index(R, t, m, policy)
+        try:
+            return self._sum((axis, m, t), term, 1, min_index, policy)
+        except OverflowError:
+            # the jet itself, about R^-(m+1), is past the float range
+            raise ValueError(
+                f"jet of order {m} overflows at t={t!r} for radius {R!r}: "
+                "lower the max degree or raise the radius"
+            ) from None
 
     def diag_jet_with_cutoff(self, t, alpha, beta, policy=DEFAULT_POLICY,
                              include_constant_mode=True):
@@ -481,10 +510,6 @@ class Sphere(SpectralModel):
         self._extract_cache[key] = vec
         return vec
 
-    def _min_index(self, t: float, power: float, policy: TruncationPolicy) -> int:
-        peak = self.radius * math.sqrt((power + policy.rho) / (2.0 * t))
-        return max(8, int(math.ceil(peak)) + 2)
-
     def _diagonal_sum(self, t: float, start: int,
                       policy: TruncationPolicy) -> tuple[float, int]:
         """sum_l mult(l) exp(-lambda_l t) from l = start, before 1/Vol."""
@@ -492,7 +517,7 @@ class Sphere(SpectralModel):
         def term(l):
             return math.exp(-self.eigenvalue(l) * t) * self.multiplicity(l)
 
-        min_index = self._min_index(t, self.n - 1.0, policy)
+        min_index = self._min_index(self.radius, t, self.n - 1.0, policy)
         return self._sum(("diagonal", t), term, start, min_index, policy)
 
     def _zonal_sum(self, em, t: float,
@@ -509,7 +534,9 @@ class Sphere(SpectralModel):
                     acc += self._zonal_taylor(l, m) * e
             return math.exp(-self.eigenvalue(l) * t) * acc
 
-        min_index = self._min_index(t, 2 * (len(em) - 1) + self.n - 1.0, policy)
+        min_index = self._min_index(
+            self.radius, t, 2 * (len(em) - 1) + self.n - 1.0, policy
+        )
         return self._sum((em, t), term, 0, min_index, policy)
 
     def diag_jet_with_cutoff(self, t, alpha, beta, policy=DEFAULT_POLICY,
@@ -645,30 +672,32 @@ def jet_gram(model: SpectralModel, t: float, max_order: int,
 # ---------------------------------------------------------------------------
 
 def pullback_metric(model: SpectralModel, t: float,
-                    policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Induced metric of the embedding: the first-derivative Gram matrix."""
-    import numpy as np
-
+                    policy: TruncationPolicy = DEFAULT_POLICY) -> list[list[float]]:
+    """Induced metric of the embedding: the first-derivative Gram matrix,
+    as rows ``g[i][j]``."""
     n = model.n
-    out = np.empty((n, n))
+    out = [[0.0] * n for _ in range(n)]
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             g = model.gram_entry(
                 t, from_indices([i], n), from_indices([j], n), policy
             )
-            out[i - 1, j - 1] = g
-            out[j - 1, i - 1] = g
+            out[i - 1][j - 1] = g
+            out[j - 1][i - 1] = g
     return out
 
 
 @dataclass(frozen=True)
 class ScalarRicciReport:
+    """Fitted scalar curvature and the n x n matrices (rows ``m[i][j]``) of
+    the pullback fits and the Ricci estimate."""
+
     scalar_estimate: float
     scalar_slope: float
     scalar_slope_stderr: float
-    pullback_c0: np.ndarray
-    pullback_c1: np.ndarray
-    ricci_estimate: np.ndarray
+    pullback_c0: list[list[float]]
+    pullback_c1: list[list[float]]
+    ricci_estimate: list[list[float]]
     condition_number: float
 
 
@@ -680,32 +709,33 @@ def ricci_scalar_extract(model: SpectralModel, ts,
     expands as  delta_ij + t c1_ij + O(t^2)  with  c1 = (1/3)((S/2) delta - Ric),
     so Ric_ij = (S/2) delta_ij - 3 c1_ij.
     """
-    import numpy as np
-
-    from .asymptotics import limit_fit
+    from .asymptotics import grid_condition, limit_fit
 
     ts = sorted(ts)
     if len(ts) < 4:
         raise ValueError("need at least 4 grid points for the quadratic fits")
     n = model.n
     diag = [
-        (t, (4.0 * math.pi * t) ** (n / 2.0) * model.heat_diagonal(t, policy))
+        (t, heat_power(t, 4.0 * math.pi, n / 2.0) * model.heat_diagonal(t, policy))
         for t in ts
     ]
-    cond = np.linalg.cond(np.vander(np.array(ts), 3, increasing=True))
-    if not np.isfinite(cond) or cond > 1e12:
+    cond = grid_condition(ts)
+    if not math.isfinite(cond) or cond > 1e12:
         raise ValueError(f"ill-conditioned fit grid (condition number {cond:.3g})")
     scalar_fit = limit_fit(diag, order=2)
     pulls = [(t, pullback_metric(model, t, policy)) for t in ts]
-    c0 = np.empty((n, n))
-    c1 = np.empty((n, n))
+    c0 = [[0.0] * n for _ in range(n)]
+    c1 = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            fit = limit_fit([(t, p[i, j]) for t, p in pulls], order=2)
-            c0[i, j] = fit.c0
-            c1[i, j] = fit.c1
+            fit = limit_fit([(t, p[i][j]) for t, p in pulls], order=2)
+            c0[i][j] = fit.c0
+            c1[i][j] = fit.c1
     scalar = 6.0 * scalar_fit.c1
-    ricci = (scalar / 2.0) * np.eye(n) - 3.0 * c1
+    ricci = [
+        [(scalar / 2.0 if i == j else 0.0) - 3.0 * c1[i][j] for j in range(n)]
+        for i in range(n)
+    ]
     return ScalarRicciReport(
         scalar_estimate=scalar,
         scalar_slope=scalar_fit.c1,
@@ -713,7 +743,7 @@ def ricci_scalar_extract(model: SpectralModel, ts,
         pullback_c0=c0,
         pullback_c1=c1,
         ricci_estimate=ricci,
-        condition_number=float(cond),
+        condition_number=cond,
     )
 
 
@@ -788,32 +818,34 @@ def gauss_curvature_estimate(model: SpectralModel, ts, ijkl,
 
 
 def fitted_curvature_tensor(model: SpectralModel, ts,
-                            policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """R(V_i, V_j, V_k, V_l) for all index quadruples, as fitted limits."""
-    import numpy as np
-
+                            policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+    """R(V_i, V_j, V_k, V_l) for all index quadruples, as fitted limits,
+    nested as ``r[i][j][k][l]`` with 0-based indices."""
     if model.n < 2:
         raise ValueError("curvature needs dimension at least 2")
     n = model.n
-    out = np.empty((n, n, n, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    out[i - 1, j - 1, k - 1, l - 1] = gauss_curvature_estimate(
-                        model, ts, (i, j, k, l), policy
-                    ).value
-    return out
+    axes = range(1, n + 1)
+    return [
+        [
+            [
+                [gauss_curvature_estimate(model, ts, (i, j, k, l), policy).value
+                 for l in axes]
+                for k in axes
+            ]
+            for j in axes
+        ]
+        for i in axes
+    ]
 
 
 @dataclass(frozen=True)
 class SymmetryResidualReport:
-    tensor: np.ndarray
+    tensor: list                # r[i][j][k][l]
     max_abs: float
     antisymmetry_first: float   # R_ijkl + R_jikl
     antisymmetry_last: float    # R_ijkl + R_ijlk
     pair_symmetry: float        # R_ijkl - R_klij
-    first_bianchi: float        # R_ijkl + R_jkil + R_kijl
+    first_bianchi: float        # R_ijkl + R_kijl + R_jkil
 
     def max_relative_residual(self) -> float:
         scale = max(self.max_abs, 1e-30)
@@ -823,25 +855,42 @@ class SymmetryResidualReport:
         ) / scale
 
 
+def _max_abs(values) -> float:
+    """max |v| over a non-empty iterable; NaN if any value is NaN."""
+    out = 0.0
+    for v in values:
+        a = abs(v)
+        if not a <= out:  # larger, or NaN
+            if a != a:
+                return a
+            out = a
+    return out
+
+
 def curvature_symmetry_residuals(model: SpectralModel, ts,
                                  policy: TruncationPolicy = DEFAULT_POLICY) -> SymmetryResidualReport:
     """Residuals of the algebraic curvature symmetries on the fitted tensor."""
-    import numpy as np
-
     r = fitted_curvature_tensor(model, ts, policy)
-    a1 = float(np.max(np.abs(r + np.transpose(r, (1, 0, 2, 3)))))
-    a2 = float(np.max(np.abs(r + np.transpose(r, (0, 1, 3, 2)))))
-    pair = float(np.max(np.abs(r - np.transpose(r, (2, 3, 0, 1)))))
-    bianchi = float(
-        np.max(np.abs(r + np.transpose(r, (1, 2, 0, 3)) + np.transpose(r, (2, 0, 1, 3))))
-    )
+    quads = [
+        (i, j, k, l)
+        for i in range(model.n) for j in range(model.n)
+        for k in range(model.n) for l in range(model.n)
+    ]
     return SymmetryResidualReport(
         tensor=r,
-        max_abs=float(np.max(np.abs(r))),
-        antisymmetry_first=a1,
-        antisymmetry_last=a2,
-        pair_symmetry=pair,
-        first_bianchi=bianchi,
+        max_abs=_max_abs(r[i][j][k][l] for i, j, k, l in quads),
+        antisymmetry_first=_max_abs(
+            r[i][j][k][l] + r[j][i][k][l] for i, j, k, l in quads
+        ),
+        antisymmetry_last=_max_abs(
+            r[i][j][k][l] + r[i][j][l][k] for i, j, k, l in quads
+        ),
+        pair_symmetry=_max_abs(
+            r[i][j][k][l] - r[k][l][i][j] for i, j, k, l in quads
+        ),
+        first_bianchi=_max_abs(
+            r[i][j][k][l] + r[k][i][j][l] + r[j][k][i][l] for i, j, k, l in quads
+        ),
     )
 
 

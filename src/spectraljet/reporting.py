@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Iterator
 
 CSV_HEADER = "model,alpha,beta,t,raw,normalized,target,abs_err"
 LATTICE_CSV_HEADER = (
@@ -35,20 +36,19 @@ def csv_line(values) -> str:
     return ",".join(_csv_field(v) for v in values)
 
 
-def records_to_csv(records) -> str:
-    lines = [CSV_HEADER]
+def records_to_csv(records) -> Iterator[str]:
+    """The jet-record CSV as newline-terminated lines, header first."""
+    yield CSV_HEADER + "\n"
     for r in records:
-        lines.append(
-            csv_line(
-                (r.model, r.alpha.text(), r.beta.text(), r.t,
-                 r.raw_jet, r.normalized, r.target, r.abs_err)
-            )
-        )
-    return "\n".join(lines) + "\n"
+        yield csv_line(
+            (r.model, r.alpha.text(), r.beta.text(), r.t,
+             r.raw_jet, r.normalized, r.target, r.abs_err)
+        ) + "\n"
 
 
-def triple_rows_to_csv(rows) -> str:
-    lines = [LATTICE_CSV_HEADER]
+def triple_rows_to_csv(rows) -> Iterator[str]:
+    """The lattice-triple CSV as newline-terminated lines, header first."""
+    yield LATTICE_CSV_HEADER + "\n"
     fields: dict[tuple[int, ...], str] = {}  # counts -> quoted text, once per point
 
     def point(m) -> str:
@@ -58,13 +58,12 @@ def triple_rows_to_csv(rows) -> str:
         return text
 
     for r in rows:
-        lines.append(
+        yield (
             f"{point(r.alpha)},{point(r.beta)},{point(r.gamma)},"
             f"{fmt_float(r.d_ab)},{fmt_float(r.d_bc)},{fmt_float(r.d_ac)},"
             f"{fmt_float(r.triangle_slack)},{fmt_float(r.comparison_lhs)},"
-            f"{fmt_float(r.comparison_rhs)}"
+            f"{fmt_float(r.comparison_rhs)}\n"
         )
-    return "\n".join(lines) + "\n"
 
 
 def json_dumps(obj) -> str:
@@ -117,6 +116,10 @@ def _write_json(obj, out: list[str], depth: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__} to report JSON")
 
 
-def write_text(path: str, text: str) -> None:
+def write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write a str, or the strings of an iterable one after another."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        if isinstance(text, str):
+            fh.write(text)
+        else:
+            fh.writelines(text)

@@ -1,11 +1,15 @@
 import math
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spectraljet.asymptotics import (
     DEFAULT_GRID,
     curvature_suite,
     fit_on_smallest,
+    grid_condition,
     isometry_suite,
     jet_relation_suite,
     limit_fit,
@@ -16,7 +20,7 @@ from spectraljet.asymptotics import (
     time_grid,
     umbilical_suite,
 )
-from spectraljet.manifolds import Circle, FlatTorus, Sphere
+from spectraljet.manifolds import Circle, FlatTorus, Sphere, ricci_scalar_extract
 from spectraljet.multiindex import from_indices
 
 
@@ -84,6 +88,120 @@ class TestLimitFit:
         fit = fit_on_smallest(samples, order=1, points=4)
         assert len(fit.grid) == 4
         assert max(fit.grid) == sorted(s[0] for s in samples)[3]
+
+
+def _det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** k * m[0][k] * _det([row[:k] + row[k + 1:] for row in m[1:]])
+        for k in range(len(m))
+    )
+
+
+def _cramer_fit(samples, order):
+    """Independent exact oracle: Cramer's rule on the normal equations in
+    Fractions, each coefficient rounded once."""
+    size = order + 1
+    ts = [Fraction(t) for t, _ in samples]
+    ys = [Fraction(y) for _, y in samples]
+    gram = [[sum(t ** (p + q) for t in ts) for q in range(size)]
+            for p in range(size)]
+    rhs = [sum(y * t**p for t, y in zip(ts, ys)) for p in range(size)]
+    det = _det(gram)
+    return [
+        float(_det([row[:k] + [b] + row[k + 1:] for row, b in zip(gram, rhs)]) / det)
+        for k in range(size)
+    ]
+
+
+def _random_fit_case(rng, order):
+    """A geometric grid like the tool's and smooth data plus noise."""
+    count = rng.randint(order + 2, 7)
+    ts = time_grid(rng.uniform(0.02, 0.2), rng.uniform(0.4, 0.6), count)
+    c = [rng.uniform(-10, 10) for _ in range(3)]
+    noise = 10 ** rng.uniform(-12, 0)
+    return [(t, c[0] + c[1] * t + c[2] * t * t + rng.gauss(0, noise)) for t in ts]
+
+
+class TestExactFit:
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_bit_equal_to_fraction_normal_equations(self, order):
+        rng = random.Random(order)
+        for _ in range(150):
+            if rng.random() < 0.5:
+                samples = _random_fit_case(rng, order)
+            else:  # arbitrary distinct times and data over many scales
+                ts = {10 ** rng.uniform(-6, 2) for _ in range(rng.randint(order + 2, 7))}
+                samples = [(t, rng.gauss(0, 1) * 10 ** rng.uniform(-8, 8)) for t in ts]
+            fit = limit_fit(samples, order=order)
+            got = [fit.c0, fit.c1, fit.c2][: order + 1]
+            assert got == _cramer_fit(samples, order), samples
+            # stderr: the exact residuals of the rounded coefficients
+            coeffs = [Fraction(c) for c in got]
+            sq = sum(
+                (Fraction(y) - sum(c * Fraction(t) ** j for j, c in enumerate(coeffs))) ** 2
+                for t, y in samples
+            )
+            assert fit.stderr == math.sqrt(float(sq / len(samples)))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_within_rounding_of_lstsq(self, order):
+        rng = random.Random(10 + order)
+        for _ in range(150):
+            samples = sorted(_random_fit_case(rng, order))
+            fit = limit_fit(samples, order=order)
+            design = np.vander([t for t, _ in samples], order + 1, increasing=True)
+            ref, _, _, _ = np.linalg.lstsq(
+                design, np.array([y for _, y in samples]), rcond=None
+            )
+            # the reported c0 and c1 to 1e-12; lstsq's own rounding error
+            # in the curvature term c2 reaches 2e-11 on these grids
+            for got, want, tol in zip([fit.c0, fit.c1, fit.c2], ref,
+                                      (1e-12, 1e-12, 1e-10)):
+                assert abs(got - want) <= tol * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_gives_nan_fit(self, bad):
+        for order in (1, 2):
+            for pos in range(5):
+                ys = [1.0, 2.0, 0.5, 3.0, 1.5]
+                ys[pos] = bad
+                fit = limit_fit(list(zip((0.1, 0.2, 0.3, 0.4, 0.5), ys)), order)
+                assert math.isnan(fit.c0) and math.isnan(fit.c1)
+                assert math.isnan(fit.stderr)
+                assert math.isnan(fit.c2) if order == 2 else fit.c2 == 0.0
+
+    def test_huge_and_tiny_data_stay_finite(self):
+        for scale in (1e300, 1e-300):
+            samples = [(t, scale * y) for t, y in
+                       ((1.0, 1.0), (2.0, -1.0), (3.0, 1.0), (4.0, 0.5))]
+            fit = limit_fit(samples, order=1)
+            assert fit.c0 == _cramer_fit(samples, 1)[0]
+            assert 0.0 < fit.stderr / scale < 2.0
+
+    # cond_2 of [1, t, t^2] from 1e3 to 3e13, no grid within rounding of
+    # the 1e12 limit; the two routes agree to about eps * cond.
+    @pytest.mark.parametrize("start, ratio, count", [
+        (0.1, 0.5, 7), (0.01, 0.9, 4), (0.1, 0.999, 7), (0.01, 0.999, 4),
+        (0.001, 0.999, 7), (0.01, 0.99995, 7), (0.001, 0.9995, 4),
+        (0.01, 0.99999, 7),
+    ])
+    def test_grid_condition_matches_numpy(self, start, ratio, count):
+        ts = time_grid(start, ratio, count)
+        want = np.linalg.cond(np.vander(np.array(ts), 3, increasing=True))
+        got = grid_condition(ts)
+        assert abs(got - want) <= max(1e-15, 2.3e-16 * want) * want
+        model = FlatTorus((1.0, 1.3))
+        if want > 1e12:
+            with pytest.raises(ValueError, match="ill-conditioned"):
+                ricci_scalar_extract(model, ts)
+        else:
+            assert ricci_scalar_extract(model, ts).condition_number == got
+
+    def test_grid_condition_non_finite(self):
+        assert math.isnan(grid_condition([1e200, 2e200, 3e200]))
+        assert grid_condition([1.0, 1.0, 1.0]) == math.inf
 
 
 class TestJetRelationSuite:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,23 @@ class TestVerifyCommand:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("radius, t, degree", [
+        ("1e-60", "1e-122", "6"),
+        ("1e-80", "1e-158", "4"),
+    ])
+    def test_jet_overflow_is_config_error(self, capsys, radius, t, degree):
+        # the jet, about R^-(m+1), exceeds the float range while the
+        # Gaussian weight exp(-t / R^2) of its first mode is not 0
+        code, out, err = run(capsys, "verify", "--model", "circle",
+                             "--radius", radius, "--t", t,
+                             "--max-degree", degree)
+        assert code == 2
+        assert err == (
+            f"error: jet of order {degree} overflows at t={t} for radius "
+            f"{radius}: lower the max degree or raise the radius\n"
+        )
+        assert out == ""
+
     def test_config_file_roundtrip(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -204,21 +222,34 @@ class TestLatticeCommand:
         assert not out_json.exists()
 
     def test_imports_no_numpy(self, tmp_path):
-        code = (
-            "import sys, spectraljet\n"
-            "from spectraljet import cli\n"
-            "code = cli.main(['lattice', 'sample', '--n', '3', '--max-degree', '8',\n"
-            "                 '--count', '300', '--out', sys.argv[1]])\n"
-            "assert code == 0, code\n"
-            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
-        )
+        # numpy is blocked, so any import of it on these paths raises
+        code = textwrap.dedent("""\
+            import sys
+            sys.modules["numpy"] = None
+            from spectraljet import cli
+            out = sys.argv[1]
+            for argv in (
+                ["lattice", "sample", "--n", "3", "--max-degree", "8",
+                 "--count", "300", "--out", out + "/lat.csv"],
+                ["wick", "--alpha", "1,1", "--beta", "2,2", "--n", "2",
+                 "--graphs", "--oracle"],
+                ["verify", "--model", "sphere3", "--max-degree", "4",
+                 "--t-grid", "0.1:0.5:7", "--out", out + "/s3.csv",
+                 "--out-json", out + "/s3.json"],
+                ["curvature", "--model", "sphere2", "--out-json", out + "/s2.json"],
+                ["curvature", "--model", "torus", "--radii", "1.0,1.3",
+                 "--out-json", out + "/t2.json"],
+            ):
+                assert cli.main(argv) == 0, argv
+            assert sys.modules["numpy"] is None, "numpy imported"
+        """)
         src = str(Path(spectraljet.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "lat.csv")],
+            [sys.executable, "-c", code, str(tmp_path)],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -231,19 +262,19 @@ class TestGoldenBytes:
         (["verify", "--model", "sphere3", "--max-degree", "6",
           "--t-grid", "0.1:0.5:7"],
          "5142c6028f32d85dc90fe18339a0f405dc16422ed6588e2f8792be698d024d01",
-         "9862fb81dc7d20e8bcaf9403991220eca53aa40f08cfd0baa4540315d0153093"),
+         "2f3e09a33c4ec5e89dbcdd8433dc1ded0a13149513d80c0a5f9c2d9dc9fe6f24"),
         (["verify", "--model", "sphere2", "--radius", "2.0", "--max-degree", "6",
           "--t-grid", "0.1:0.5:7"],
          "74440a3d3cc9468e84893863e76b960e68490c4c3b50714341732f2b78d6e402",
-         "7c5054834b17fb16f1f3d550ac344988e27679acd3d5b2ff81d6ac19ac85eb25"),
+         "f211750f89dee659ae42925653da04d0f9df4dafb1f9fe5a03de06fd3242f2fc"),
         (["verify", "--model", "torus", "--radii", "1.0,1.3", "--max-degree", "6",
           "--t", "0.01"],
          "431aeae0b1207fc199bca4f96d6ef24de16487a98857c9e6fe8cf40b73f80794",
          "dc0cd8ff720b2eea9f42fbf134f15b0d849c7774a4c4b60b3727ced2e5daff00"),
         (["curvature", "--model", "sphere3"], None,
-         "8a2a50ca7b74643058448e013be41991c3d707ff3be4e2e01dec80d481586cd3"),
+         "a37c7223af484be70aff4691fa824722564a0f3333ef462aba3323b0e1d0de57"),
         (["curvature", "--model", "torus", "--radii", "1.0,1.3"], None,
-         "c3974276ab624ec6da33f054b9ab2d02f7ce93d1c806c6a75c9f9438c01ac7fa"),
+         "bd76e39a5b21b6c19877317e0ebb512fd37ca35f65a26cda49aa4590b9b8e9d4"),
     ], ids=["verify-sphere3", "verify-sphere2", "verify-torus",
             "curvature-sphere3", "curvature-torus"])
     def test_verify_and_curvature(self, tmp_path, capsys, argv, csv_sha, json_sha):
@@ -431,26 +462,67 @@ def _config_text(draw):
 
 
 @st.composite
-def _cli_argv(draw):
+def _model_argv(draw, max_exp=300):
+    """verify or curvature on one model, radii log-uniform in
+    10^-max_exp..10^max_exp, and heat times R^2 u for the first radius R:
+    the argv so far and a strategy for such times."""
     kind = draw(st.sampled_from(["circle", "torus", "sphere2", "sphere3"]))
     argv = [draw(st.sampled_from(["verify", "curvature"])), "--model", kind,
-            "--max-degree", "2"]
-    radius = _log_uniform(-300, 300)
+            "--max-degree", draw(st.sampled_from(["2", "4", "6"]))]
+    radius = _log_uniform(-max_exp, max_exp)
+    radii = [draw(radius) for _ in range(2 if kind == "torus" else 1)]
     if kind == "torus":
-        argv += ["--radii", f"{draw(radius)!r},{draw(radius)!r}"]
+        argv += ["--radii", f"{radii[0]!r},{radii[1]!r}"]
     else:
-        argv += ["--radius", repr(draw(radius))]
+        argv += ["--radius", repr(radii[0])]
+    # Times are R^2 u, so the modes summed do not grow with the radius: a
+    # tiny radius reaches its high-order jets (about R^-(m+1)) and a huge
+    # one the powers of a huge t, instead of the hard cap.  R^2 u may be 0
+    # or inf: a bad time.
+    time = _log_uniform(-5, 1).map(lambda u: radii[0] * radii[0] * u)
+    return argv, time
+
+
+@st.composite
+def _cli_argv(draw):
+    argv, time = draw(_model_argv())
     # always one time flag, so a config file never sets the grid
     if draw(st.booleans()):
-        t = draw(st.one_of(_BAD_NUMBERS, _log_uniform(-5, 1)))
+        t = draw(st.one_of(_BAD_NUMBERS, time))
         argv += ["--t", repr(t)]
     else:
-        start = draw(st.one_of(_BAD_NUMBERS, _log_uniform(-5, 1)))
+        start = draw(st.one_of(_BAD_NUMBERS, time))
         ratio = draw(st.one_of(_BAD_NUMBERS, st.floats(0.05, 1.5)))
         count = draw(st.sampled_from([-1, 0, 1, 4, 5, 7]))
         argv += ["--t-grid", f"{start!r}:{ratio!r}:{count}"]
     config = draw(st.one_of(st.none(), _config_text()))
     return argv, config
+
+
+@st.composite
+def _valid_argv(draw):
+    """Command lines without a bad number or a config file, so that most
+    of them compute; R^2 stays within the float range, down to subnormal
+    times."""
+    argv, time = draw(_model_argv(max_exp=155))
+    start = draw(time)
+    if argv[0] == "verify" and argv[2] in ("circle", "torus") and draw(st.booleans()):
+        return argv + ["--t", repr(start)]
+    ratio = draw(st.floats(0.05, 0.95))
+    count = draw(st.sampled_from([4, 5, 7]))
+    return argv + ["--t-grid", f"{start!r}:{ratio!r}:{count}"]
+
+
+def _exit_code(argv, config=None) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = os.path.join(tmp, "cfg.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(config)
+            argv = argv + ["--config", path]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
 
 
 class TestCliFuzz:
@@ -460,14 +532,11 @@ class TestCliFuzz:
     @settings(max_examples=60, deadline=None)
     @given(_cli_argv())
     def test_exit_code_contract(self, case):
-        argv, config = case
-        with tempfile.TemporaryDirectory() as tmp:
-            if config is not None:
-                path = os.path.join(tmp, "cfg.json")
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(config)
-                argv = argv + ["--config", path]
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = main(argv)
-        assert code in (0, 1, 2)
+        assert _exit_code(*case) in (0, 1, 2)
+
+    # The same on well-formed command lines, which reach the numerical
+    # limits: jets and powers of t past the float range, subnormal times.
+    @settings(max_examples=100, deadline=None)
+    @given(_valid_argv())
+    def test_valid_command_lines(self, argv):
+        assert _exit_code(argv) in (0, 1, 2)

@@ -299,7 +299,7 @@ class TestGeometryOps:
         assert report.max_abs > 0.9
         assert report.max_relative_residual() < 1e-3
         # the forced-zero entries R(1,1,k,l) vanish through antisymmetry
-        assert abs(report.tensor[0, 0, 1, 2]) < 1e-3
+        assert abs(report.tensor[0][0][1][2]) < 1e-3
 
     def test_levi_civita_parallel_field(self):
         s = Sphere(2, 1.0)
