@@ -48,8 +48,6 @@ from .jets import (
     SQRT_COS,
     SQRT_SINC,
     SQUARED_GEODESIC,
-    ChebyshevUKernel,
-    LegendreKernel,
     TruncatedSeries,
     compose_univariate,
     extract_mixed_partial,

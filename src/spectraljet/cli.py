@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage or config
 error, including a non-finite config number and a spectral sum that hits its
-hard cap (TruncationError: lower t or raise policy.hard_cap).  All file
+hard cap (TruncationError: raise t or raise policy.hard_cap).  All file
 output is deterministic for a fixed config and seed.
 """
 from __future__ import annotations

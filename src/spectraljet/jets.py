@@ -13,7 +13,6 @@ every digit matters.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .multiindex import MultiIndex
 
@@ -166,8 +165,8 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 class AnalyticKernel:
-    """A univariate entire (or polynomial) function with Taylor coefficients
-    available at a requested expansion point."""
+    """A univariate entire function with Taylor coefficients available at a
+    requested expansion point."""
 
     name = "kernel"
 
@@ -275,83 +274,6 @@ class SquaredGeodesicKernel(_OriginOnlyKernel):
     def __call__(self, w):
         x = min(1.0, max(-1.0, 1.0 + w))
         return math.acos(x) ** 2
-
-
-def _poly_coefficients_legendre(degree: int) -> list[Fraction]:
-    """Exact coefficients of the Legendre polynomial via Bonnet's recurrence."""
-    p0 = [Fraction(1)]
-    if degree == 0:
-        return p0
-    p1 = [Fraction(0), Fraction(1)]
-    for l in range(1, degree):
-        # (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}
-        nxt = [Fraction(0)] * (l + 2)
-        for k, c in enumerate(p1):
-            nxt[k + 1] += Fraction(2 * l + 1, l + 1) * c
-        for k, c in enumerate(p0):
-            nxt[k] -= Fraction(l, l + 1) * c
-        p0, p1 = p1, nxt
-    return p1
-
-
-def _poly_coefficients_chebyshev_u(degree: int) -> list[Fraction]:
-    """Exact coefficients of the Chebyshev polynomial of the second kind."""
-    p0 = [Fraction(1)]
-    if degree == 0:
-        return p0
-    p1 = [Fraction(0), Fraction(2)]
-    for _ in range(1, degree):
-        nxt = [Fraction(0)] * (len(p1) + 1)
-        for k, c in enumerate(p1):
-            nxt[k + 1] += 2 * c
-        for k, c in enumerate(p0):
-            nxt[k] -= c
-        p0, p1 = p1, nxt
-    return p1
-
-
-class _PolynomialKernel(AnalyticKernel):
-    """Finite-degree kernel given by exact coefficients in the monomial basis."""
-
-    def __init__(self, degree: int, poly: list[Fraction], name: str):
-        self.degree = degree
-        self._poly = poly
-        self.name = f"{name}({degree})"
-
-    def coefficients(self, center, count):
-        # k-th Taylor coefficient = P^(k)(center) / k!, via repeated exact
-        # differentiation and Horner evaluation at the (exactly converted)
-        # center.
-        cen = Fraction(center)
-        poly = list(self._poly)
-        derivs: list[Fraction] = []
-        for _ in range(count):
-            val = Fraction(0)
-            for c in reversed(poly):
-                val = val * cen + c
-            derivs.append(val)
-            if len(poly) <= 1:
-                break
-            poly = [c * (i + 1) for i, c in enumerate(poly[1:])]
-        out = [float(d / math.factorial(k)) for k, d in enumerate(derivs)]
-        out.extend([0.0] * (count - len(out)))
-        return out
-
-    def __call__(self, x):
-        val = 0.0
-        for c in reversed(self._poly):
-            val = val * x + float(c)
-        return val
-
-
-class LegendreKernel(_PolynomialKernel):
-    def __init__(self, degree: int):
-        super().__init__(degree, _poly_coefficients_legendre(degree), "legendre")
-
-
-class ChebyshevUKernel(_PolynomialKernel):
-    def __init__(self, degree: int):
-        super().__init__(degree, _poly_coefficients_chebyshev_u(degree), "chebyshev_u")
 
 
 EXP = ExpKernel()

@@ -9,16 +9,18 @@ for spheres), together with the normalized embedding Gram entries
 which are the inner products of the jet vectors of the normalized embedding.
 
 Flat models use termwise-differentiated trigonometric series in closed form.
-Spheres build the zonal kernel as a truncated Taylor series in the chart
-offsets through the entire functions c(z) = cos(sqrt z), s(z) = sin(sqrt z)/
-sqrt z (the chart expression of the cosine of geodesic distance), then read
-off mixed partials; the degree-l zonal polynomial enters only through its few
-leading Taylor coefficients at 1, for which closed forms are used.
+A sphere S^n of any dimension n >= 2 writes the cosine of geodesic distance
+as a truncated Taylor series in the chart offsets, through the entire
+functions c(z) = cos(sqrt z), s(z) = sin(sqrt z)/sqrt z, then reads off
+mixed partials; the degree-l zonal function, a Gegenbauer polynomial with
+parameter (n-1)/2, enters only through its few leading Taylor coefficients
+at 1, which have one closed form for every n.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import lru_cache
 
 from .multiindex import MultiIndex, empty, from_indices
@@ -31,6 +33,7 @@ from .jets import (
 )
 
 TWO_PI = 2.0 * math.pi
+MAX_JET_ORDER = 8  # |alpha| + |beta| of any diagonal jet
 
 
 class TruncationError(RuntimeError):
@@ -101,7 +104,7 @@ def _tail_sum(term, start: int, min_index: int, policy: TruncationPolicy,
         return s, k - 1
     raise TruncationError(
         f"hard cap {hard_cap} reached before the tail bound "
-        f"(epsilon={policy.epsilon}); lower t or raise the cap"
+        f"(epsilon={policy.epsilon}); raise t or raise the cap"
     )
 
 
@@ -241,8 +244,8 @@ class SpectralModel:
                 f"multi-index dimension must be {self.n}, "
                 f"got {alpha.n} and {beta.n}"
             )
-        if alpha.degree + beta.degree > 8:
-            raise ValueError("jet order above 8 is not supported")
+        if alpha.degree + beta.degree > MAX_JET_ORDER:
+            raise ValueError(f"jet order above {MAX_JET_ORDER} is not supported")
 
 
 class FlatTorus(SpectralModel):
@@ -420,15 +423,15 @@ def _sphere_series_tables(dim: int, radius: float, max_degree: int):
 
 
 class Sphere(SpectralModel):
-    """Round sphere S^2 or S^3 of the given radius.
+    """Round sphere S^n (n >= 2) of radius a.
 
-    S^2: eigenvalues l(l+1)/a^2 with multiplicity 2l+1 and zonal polynomial
-    P_l; S^3: l(l+2)/a^2 with multiplicity (l+1)^2 and zonal polynomial U_l
-    (Chebyshev, second kind).  Only the Taylor coefficients of the zonal
-    polynomial at argument 1 enter the diagonal jets; closed forms:
+    The Laplacian has eigenvalues l(l+n-1)/a^2 with multiplicity
+    (2l+n-1) C(l+n-2, l)/(n-1), and the zonal function of degree l is
+    Z_l = (2l+n-1)/(n-1) C_l^lam, the Gegenbauer polynomial with
+    lam = (n-1)/2 (P_l on S^2, U_l on S^3).  Only the Taylor coefficients
+    of Z_l at argument 1 enter the diagonal jets, in the closed form
 
-        P_l^(m)(1) / m! = C(l+m, 2m) C(2m, m) / 2^m,
-        U_l^(m)(1) / m! = 2^m C(l+m+1, 2m+1).
+        Z_l^(m)(1) / m! = (2l+n-1)/(n-1) C(l+m+n-2, l-m) 2^m (lam)_m / m!.
 
     A jet pairs these coefficients with its extraction vector em, where
     em[m] is D_u^alpha D_v^beta of w^m at the origin (memoized per degree,
@@ -441,21 +444,26 @@ class Sphere(SpectralModel):
     default_hard_cap = 5_000
 
     def __init__(self, dim: int, radius: float = 1.0):
-        if dim not in (2, 3):
-            raise ValueError("sphere dimension must be 2 or 3")
+        if dim < 2:
+            raise ValueError("sphere dimension must be at least 2")
         super().__init__()
         radius = float(radius)
         self.n = dim
         self.radius = radius
         self.label = f"sphere{dim}"
-        if dim == 2:
-            self.volume = _checked_volume(
-                (radius,), lambda: 4.0 * math.pi * radius**2
-            )
-        else:
-            self.volume = _checked_volume(
-                (radius,), lambda: 2.0 * math.pi**2 * radius**3
-            )
+        # |S^k| = 2 pi |S^(k-2)| / (k-1), from |S^0| = 2 and |S^1| = 2 pi
+        area = [2.0, TWO_PI]
+        for k in range(2, dim + 1):
+            area.append(TWO_PI * area[k - 2] / (k - 1))
+        self.volume = _checked_volume((radius,), lambda: area[dim] * radius**dim)
+        self._zonal_scale = 1.0 / self.volume
+        # 2^m (lam)_m / m! for every m a jet reaches; exact dyadics on S^2
+        # and S^3, so the coefficients there are single roundings
+        lam = Fraction(dim - 1, 2)
+        rise = [Fraction(1)]
+        for m in range(MAX_JET_ORDER // 2):
+            rise.append(rise[-1] * 2 * (lam + m) / (m + 1))
+        self._rise = tuple(float(r) for r in rise)
         a2 = radius * radius
         self.scalar_curvature = dim * (dim - 1) / a2
         self.ricci_coefficient = (dim - 1) / a2
@@ -466,31 +474,21 @@ class Sphere(SpectralModel):
         return {"kind": self.label, "radius": self.radius}
 
     def eigenvalue(self, l: int) -> float:
-        if self.n == 2:
-            return l * (l + 1) / (self.radius * self.radius)
-        return l * (l + 2) / (self.radius * self.radius)
+        return l * (l + self.n - 1) / (self.radius * self.radius)
 
     def multiplicity(self, l: int) -> int:
-        return 2 * l + 1 if self.n == 2 else (l + 1) ** 2
+        n = self.n
+        return (2 * l + n - 1) * math.comb(l + n - 2, l) // (n - 1)
 
     def _zonal_taylor(self, l: int, m: int) -> float:
-        """m-th Taylor coefficient at 1 of (multiplicity-weighted) zonal
-        polynomial, before the 1/Vol normalization.  Exact in doubles: the
-        only division is by a power of two."""
+        """m-th Taylor coefficient at 1 of the zonal function Z_l, before
+        the 1/Vol normalization."""
         if m > l:
             return 0.0
-        if self.n == 2:
-            # (2l+1) * P_l^(m)(1)/m! with P_l^(m)(1)/m! = C(l+m,2m) C(2m,m)/2^m
-            return (2 * l + 1) * math.comb(l + m, 2 * m) * (
-                math.comb(2 * m, m) / (1 << m)
-            )
-        # (l+1) * U_l^(m)(1)/m! with U_l^(m)(1)/m! = 2^m C(l+m+1, 2m+1)
-        return float((l + 1) * (1 << m) * math.comb(l + m + 1, 2 * m + 1))
-
-    def _zonal_scale(self) -> float:
-        if self.n == 2:
-            return 1.0 / (4.0 * math.pi * self.radius**2)
-        return 1.0 / (2.0 * math.pi**2 * self.radius**3)
+        n = self.n
+        return float(
+            (2 * l + n - 1) * math.comb(l + m + n - 2, l - m)
+        ) / (n - 1) * self._rise[m]
 
     def _series_degree(self, total: int) -> int:
         return max(2, total + (total % 2))
@@ -549,7 +547,7 @@ class Sphere(SpectralModel):
             return s / self.volume, used
         em = self._extract_vector(alpha, beta, self._series_degree(total))
         s, used = self._zonal_sum(em, t, policy)
-        return s * self._zonal_scale(), used
+        return s * self._zonal_scale, used
 
     def gram_difference(self, t, pair1, pair2,
                         policy: TruncationPolicy = DEFAULT_POLICY) -> float:
@@ -569,7 +567,7 @@ class Sphere(SpectralModel):
         em1 = self._extract_vector(a1, b1, degree)
         em2 = self._extract_vector(a2, b2, degree)
         s, _ = self._zonal_sum(tuple(x - y for x, y in zip(em1, em2)), t, policy)
-        return self.gram_prefactor(t) * s * self._zonal_scale()
+        return self.gram_prefactor(t) * s * self._zonal_scale
 
     # -- closed-form kernel evaluation (finite-difference cross checks) ------
 
@@ -584,28 +582,23 @@ class Sphere(SpectralModel):
 
     def kernel_value(self, t: float, u, v,
                      policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-        """H(t, exp(u), exp(v)) by direct zonal summation."""
-        import numpy as np
-
+        """H(t, exp(u), exp(v)) by direct zonal summation, the Gegenbauer
+        polynomials from their three-term recurrence."""
         self._validate_time(t)
         z = self.chart_cosine(u, v)
-        # cutoff: reuse the diagonal tail rule (|zonal(z)| <= zonal(1))
+        # cutoff: reuse the diagonal tail rule (|Z_l(z)| <= Z_l(1))
         _, cutoff = self._diagonal_sum(t, 0, policy)
-        weights = np.exp(
-            -np.array([self.eigenvalue(l) for l in range(cutoff + 1)]) * t
-        )
-        if self.n == 2:
-            coeffs = weights * (2 * np.arange(cutoff + 1) + 1)
-            from numpy.polynomial.legendre import legval
-
-            return float(legval(z, coeffs)) * self._zonal_scale()
-        theta = math.acos(z)
-        ls = np.arange(cutoff + 1)
-        if theta < 1e-8:
-            vals = (ls + 1.0) ** 2  # sin((l+1)theta)/sin(theta) -> l+1
-        else:
-            vals = (ls + 1.0) * np.sin((ls + 1.0) * theta) / math.sin(theta)
-        return float(np.dot(weights, vals)) * self._zonal_scale()
+        n = self.n
+        lam = (n - 1) / 2.0
+        prev, cur = 0.0, 1.0  # C_(l-1)^lam(z), C_l^lam(z)
+        terms = []
+        for l in range(cutoff + 1):
+            terms.append(
+                math.exp(-self.eigenvalue(l) * t) * (2 * l + n - 1) / (n - 1) * cur
+            )
+            # (l+1) C_(l+1) = 2 (l+lam) z C_l - (l+2lam-1) C_(l-1)
+            prev, cur = cur, (2.0 * (l + lam) * z * cur - (l + n - 2) * prev) / (l + 1)
+        return math.fsum(terms) * self._zonal_scale
 
 
 def make_model(kind: str, radius: float = 1.0, radii=None) -> SpectralModel:
@@ -616,10 +609,8 @@ def make_model(kind: str, radius: float = 1.0, radii=None) -> SpectralModel:
         if not radii:
             raise ValueError("torus needs --radii")
         return FlatTorus(radii)
-    if kind == "sphere2":
-        return Sphere(2, radius)
-    if kind == "sphere3":
-        return Sphere(3, radius)
+    if kind in ("sphere2", "sphere3"):
+        return Sphere(int(kind[-1]), radius)
     raise ValueError(f"unknown model kind {kind!r}")
 
 

@@ -277,6 +277,7 @@ class TestUniversalLimits:
             (FlatTorus((1.0, 1.3)), (0.01,)),
             (Sphere(2, 2.0), DEFAULT_GRID),
             (Sphere(3, 1.0), DEFAULT_GRID),
+            (Sphere(4, 1.3), DEFAULT_GRID),
         ]
         for model, ts in cases:
             result = jet_relation_suite(model, 6, ts=ts)
@@ -307,6 +308,7 @@ class TestSuitePassFlags:
         r = scalar_suite(Sphere(2, 2.0), DEFAULT_GRID)
         assert r.passed
         assert r.summaries["scalar.slope"].target == pytest.approx(1 / 12)
+        assert scalar_suite(Sphere(4, 1.3), DEFAULT_GRID).passed
 
     def test_isometry_suite(self):
         r = isometry_suite(Sphere(3, 1.0), DEFAULT_GRID)
@@ -346,6 +348,7 @@ class TestSuitePassFlags:
     def test_curvature_suite(self):
         assert curvature_suite(Sphere(3, 1.0), DEFAULT_GRID).passed
         assert curvature_suite(FlatTorus((1.0, 1.3)), DEFAULT_GRID).passed
+        assert curvature_suite(Sphere(4, 1.3), DEFAULT_GRID).passed
         with pytest.raises(ValueError):
             curvature_suite(Circle(1.0), DEFAULT_GRID)
 

@@ -93,6 +93,7 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--model", "sphere3", "--config", str(cfg))
         assert code == 2
         assert err.startswith("error: hard cap 10 reached")
+        assert "raise t or raise the cap" in err
         assert "Traceback" not in err
 
     def test_usage_error(self, capsys):
@@ -241,6 +242,10 @@ class TestLatticeCommand:
                  "--out-json", out + "/t2.json"],
             ):
                 assert cli.main(argv) == 0, argv
+            from spectraljet.manifolds import FlatTorus, Sphere
+            for model in (Sphere(2), Sphere(3), Sphere(4), FlatTorus((1.0, 1.3))):
+                u, v = (0.1,) * model.n, (0.0,) * model.n
+                assert model.kernel_value(0.1, u, v) > 0, model.label
             assert sys.modules["numpy"] is None, "numpy imported"
         """)
         src = str(Path(spectraljet.__file__).resolve().parents[1])

@@ -11,8 +11,6 @@ from spectraljet.jets import (
     SQRT_COS,
     SQRT_SINC,
     SQUARED_GEODESIC,
-    ChebyshevUKernel,
-    LegendreKernel,
     TruncatedSeries,
     compose_univariate,
     extract_mixed_partial,
@@ -177,22 +175,6 @@ class TestKernels:
         for w in (-0.02, -0.005, -0.001):
             series_val = sum(c * w**k for k, c in enumerate(coeffs))
             assert abs(series_val - SQUARED_GEODESIC(w)) < 1e-13
-
-    def test_polynomial_kernels_match_sympy(self):
-        import sympy
-
-        x = sympy.Symbol("x")
-        for degree in (0, 1, 3, 5):
-            pl = sympy.legendre(degree, x)
-            ul = sympy.chebyshevu(degree, x)
-            for center in (0.0, 1.0):
-                got_p = LegendreKernel(degree).coefficients(center, degree + 2)
-                got_u = ChebyshevUKernel(degree).coefficients(center, degree + 2)
-                for k in range(degree + 2):
-                    want_p = float(sympy.diff(pl, x, k).subs(x, center)) / math.factorial(k)
-                    want_u = float(sympy.diff(ul, x, k).subs(x, center)) / math.factorial(k)
-                    assert abs(got_p[k] - want_p) <= 1e-14 * max(1.0, abs(want_p))
-                    assert abs(got_u[k] - want_u) <= 1e-14 * max(1.0, abs(want_u))
 
     def test_origin_only_kernels_refuse_recentring(self):
         with pytest.raises(ValueError):

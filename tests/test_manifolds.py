@@ -58,7 +58,7 @@ class TestModelBasics:
         with pytest.raises(ValueError):
             s.diag_jet(0.1, mi([1] * 5, 3), mi([1] * 5, 3))
         with pytest.raises(ValueError):
-            Sphere(4, 1.0)
+            Sphere(1, 1.0)
         with pytest.raises(ValueError):
             FlatTorus(())
         with pytest.raises(ValueError):
@@ -137,6 +137,25 @@ class TestSphereJets:
         assert s.diag_jet(0.05, mi([1], 2), empty(2)) == 0.0
         assert s.diag_jet(0.05, mi([1, 1], 2), mi([2], 2)) == 0.0
 
+    def test_zonal_closed_form_matches_sympy_gegenbauer(self):
+        # Z_l = (2l+n-1)/(n-1) C_l^((n-1)/2): its Taylor coefficients at 1
+        # and its value there (the multiplicity), from sympy's polynomials;
+        # the volume against 2 pi^((n+1)/2) / Gamma((n+1)/2)
+        import sympy
+
+        x = sympy.Symbol("x")
+        for n in (2, 3, 4, 5):
+            s = Sphere(n, 1.0)
+            area = 2 * math.pi ** ((n + 1) / 2) / math.gamma((n + 1) / 2)
+            assert s.volume == pytest.approx(area, rel=1e-14), n
+            lam = sympy.Rational(n - 1, 2)
+            for l in range(13):
+                zonal = sympy.Rational(2 * l + n - 1, n - 1) * sympy.gegenbauer(l, lam, x)
+                assert s.multiplicity(l) == zonal.subs(x, 1), (n, l)
+                for m in range(5):
+                    want = sympy.diff(zonal, x, m).subs(x, 1) / math.factorial(m)
+                    assert s._zonal_taylor(l, m) == float(want), (n, l, m)
+
     def test_normalized_jets_converge(self):
         s = Sphere(3, 1.0)
         a = mi([1, 2], 3)
@@ -152,7 +171,7 @@ class TestSphereJets:
         # kernel along chart 2-parameter families
         from tests.test_jets import fd_mixed_partial
 
-        for model in (Sphere(2, 1.0), Sphere(3, 1.0)):
+        for model in (Sphere(2, 1.0), Sphere(3, 1.0), Sphere(4, 1.0)):
             t = 0.1
             n = model.n
             cases = [
