@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .multiindex import (
     MultiIndex,
@@ -149,27 +149,61 @@ def _counts_sampler(
     """Uniform sampler of count tuples of degree <= max_degree.
 
     Picks the degree with stars-and-bars weights, then a uniformly random
-    composition of that degree into n parts.  The degree draw is the body of
-    ``rng.choices(range(max_degree + 1), cum_weights=..., k=1)[0]``: one
-    ``random()`` bisected into the cumulative weights, so the stream is the
-    one ``choices`` draws.
+    composition of that degree into n parts.  The draws are written out from
+    :mod:`random` so that the stream is the one its methods draw:
+
+    * the degree is the body of
+      ``rng.choices(range(max_degree + 1), cum_weights=..., k=1)[0]``: one
+      ``random()`` bisected into the cumulative weights;
+    * the n - 1 bars are the body of ``rng.sample(range(d + n - 1), n - 1)``
+      with its ``_randbelow(m)``, which draws ``getrandbits(m.bit_length())``
+      until the draw is below m.  Like ``sample``, it swaps picks out of a
+      pool when the range is at most ``setsize`` long, and otherwise rejects
+      repeats against the set of picks.
     """
     cum_weights = list(
         accumulate(math.comb(d + n - 1, n - 1) for d in range(max_degree + 1))
     )
-    total = cum_weights[-1] + 0.0
+    try:
+        total = cum_weights[-1] + 0.0
+    except OverflowError:
+        raise ValueError(
+            f"n={n} and max_degree={max_degree} give too many lattice points "
+            "for float degree weights"
+        ) from None
+    k = n - 1  # bars
+    setsize = 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
 
     def sample(rng: random.Random) -> tuple[int, ...]:
         d = bisect_right(cum_weights, rng.random() * total, 0, max_degree)
-        if n == 1:
+        if not k:
             return (d,)
-        bars = sorted(rng.sample(range(d + n - 1), n - 1))
+        getrandbits = rng.getrandbits
+        size = d + k
+        if size <= setsize:
+            pool = list(range(size))
+            bars = []
+            for m in range(size, d, -1):
+                bits = m.bit_length()
+                j = getrandbits(bits)
+                while j >= m:
+                    j = getrandbits(bits)
+                bars.append(pool[j])
+                pool[j] = pool[m - 1]
+        else:
+            bits = size.bit_length()
+            bars = set()
+            for _ in range(k):
+                j = getrandbits(bits)
+                while j >= size or j in bars:
+                    j = getrandbits(bits)
+                bars.add(j)
         counts = []
         prev = -1
-        for bar in bars:
+        for bar in sorted(bars):
             counts.append(bar - prev - 1)
             prev = bar
-        counts.append(d + n - 2 - prev)
+        counts.append(size - 1 - prev)
         return tuple(counts)
 
     return sample
@@ -180,8 +214,7 @@ def sample_multiindex(rng: random.Random, n: int, max_degree: int) -> MultiIndex
     return MultiIndex(_counts_sampler(n, max_degree)(rng))
 
 
-@dataclass(frozen=True)
-class TripleRow:
+class TripleRow(NamedTuple):
     """One sampled triple, in the CSV column layout of the lattice suite."""
 
     alpha: MultiIndex

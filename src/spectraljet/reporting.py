@@ -57,12 +57,15 @@ def triple_rows_to_csv(rows) -> Iterator[str]:
             text = fields[m.counts] = _csv_field(m.text())
         return text
 
-    for r in rows:
-        yield (
-            f"{point(r.alpha)},{point(r.beta)},{point(r.gamma)},"
-            f"{fmt_float(r.d_ab)},{fmt_float(r.d_bc)},{fmt_float(r.d_ac)},"
-            f"{fmt_float(r.triangle_slack)},{fmt_float(r.comparison_lhs)},"
-            f"{fmt_float(r.comparison_rhs)}\n"
+    # "%.17g" is fmt_float's text for every finite float, and every float of
+    # a row is finite by construction: each d = acos B lies in [0, pi], the
+    # triangle slack is a difference of such d, |cos d| <= 1, and the
+    # comparison bound p/q lies in [3/4, 1] (1.0 for a degree-0 pair).
+    line = "%s,%s,%s," + ",".join(["%.17g"] * 6) + "\n"
+    for alpha, beta, gamma, d_ab, d_bc, d_ac, slack, lhs, rhs in rows:
+        yield line % (
+            point(alpha), point(beta), point(gamma),
+            d_ab, d_bc, d_ac, slack, lhs, rhs,
         )
 
 

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import spectraljet
 from spectraljet.cli import main
-from spectraljet.reporting import fmt_float, json_dumps
+from spectraljet.lattice import run_triple_suite
+from spectraljet.reporting import csv_line, fmt_float, json_dumps, triple_rows_to_csv
 
 
 def run(capsys, *argv):
@@ -192,6 +193,10 @@ class TestLatticeCommand:
         (1, 12, 300,
          "80450f345106fc82188ba0edfc0a622767ed67c877ad6781c97856410e450187",
          "d4f4fca683899f6d1091ad143e2c95db06afc25368c1134aab3229730fc5c423"),
+        # ranges longer than 21 make the bar draw take random.sample's set branch
+        (2, 40, 300,
+         "181fa88b038729c802c3ff1cfa541ebbe2f81124acba2cfa60b4caca52d21de3",
+         "ac15b3cf5ad79c58ade404655407a3b914cafab166a42c63aaa147d64858732e"),
     ])
     def test_golden_bytes(self, tmp_path, capsys, n, max_degree, count,
                           csv_sha, json_sha):
@@ -211,6 +216,9 @@ class TestLatticeCommand:
         (["--count", "0"], "count must be an integer >= 1"),
         (["--count", "-3"], "count must be an integer >= 1"),
         (["--max-degree", "-1"], "max_degree must be an integer >= 0"),
+        # C(1200, 600) lattice points overflow the float degree weights
+        (["--n", "600", "--max-degree", "600", "--count", "1"],
+         "n=600 and max_degree=600 give too many lattice points"),
     ])
     def test_rejects_out_of_range_config(self, tmp_path, capsys, argv, message):
         out_json = tmp_path / "lat.json"
@@ -422,6 +430,15 @@ class TestSerialization:
         assert fmt_float(1 / 3) == "0.33333333333333331"
         assert fmt_float(1.0) == "1"
         assert float(fmt_float(0.1)) == 0.1
+
+    @pytest.mark.parametrize("n, max_degree", [(3, 8), (3, 0)])
+    def test_triple_rows_match_fmt_float_route(self, n, max_degree):
+        rows, _ = run_triple_suite(n, max_degree, 300, 42)
+        lines = list(triple_rows_to_csv(rows))
+        assert len(lines) == len(rows) + 1
+        for row, line in zip(rows, lines[1:]):
+            fields = (row.alpha.text(), row.beta.text(), row.gamma.text(), *row[3:])
+            assert line == csv_line(fields) + "\n"
 
     def test_json_sorted_and_stable(self):
         doc = {"b": [1.0, 0.5], "a": {"y": True, "x": None}}

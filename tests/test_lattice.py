@@ -224,7 +224,8 @@ class TestSampling:
 
 class TestSamplerStream:
     """The suite's sampler and its one reseeded RNG draw the stream of a
-    fresh ``random.Random`` per task sampled through ``choices``."""
+    fresh ``random.Random`` per task sampled through ``choices`` and
+    ``sample``."""
 
     @staticmethod
     def reference_sample(rng, n, max_degree):
@@ -237,7 +238,11 @@ class TestSamplerStream:
             hi - lo - 1 for lo, hi in zip([-1] + bars, bars + [d + n - 1])
         )
 
-    @pytest.mark.parametrize("n, max_degree", [(1, 12), (3, 8), (8, 40), (4, 0)])
+    # (2, 40) and (8, 200) draw bars from ranges longer than sample's setsize
+    # (21 and 85), so they take its set branch; the others take the pool.
+    @pytest.mark.parametrize("n, max_degree", [
+        (1, 12), (3, 8), (8, 40), (4, 0), (2, 40), (8, 200),
+    ])
     def test_matches_choices_reference(self, n, max_degree):
         sample = _counts_sampler(n, max_degree)
         rng = random.Random()
