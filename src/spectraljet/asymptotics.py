@@ -9,10 +9,12 @@ at the smallest grid time.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
+from types import MappingProxyType
 
 from .multiindex import MultiIndex, enumerate_multiindices
 from .wick import wick_a, wick_b
@@ -23,6 +25,7 @@ from .manifolds import (
     curvature_symmetry_residuals,
     heat_power,
     mean_curvature_proxy,
+    pullback_metric,
     ricci_scalar_extract,
     third_jet_umbilical,
 )
@@ -228,6 +231,24 @@ def fit_on_smallest(samples, order: int = 2, points: int = 5) -> LimitFit:
     return limit_fit(samples, order=order)
 
 
+#: Default tolerance of each verify and curvature check that has a config key,
+#: keyed as the ``tolerances`` object of the CLI config.
+TOLERANCES = MappingProxyType({
+    "flat_jet_abs": 1e-6,
+    "fit_rel": 0.01,
+    "scalar_rel": 0.02,
+    "scalar_flat_abs": 1e-6,
+    "isometry_c1_rel": 0.05,
+    "isometry_flat_abs": 1e-8,
+    "mean_curvature_rel": 0.02,
+    "umbilical_rel": 0.03,
+    "umbilical_zero_abs": 0.05,
+    "curvature_rel": 0.05,
+    "curvature_flat_abs": 1e-6,
+    "residual_rel": 1e-3,
+})
+
+
 @dataclass(frozen=True)
 class PairSummary:
     """Per-quantity verification summary, serialized into report JSON."""
@@ -250,21 +271,40 @@ class PairSummary:
         }
 
 
-def _within(value: float, target: float, rel: float, abs_floor: float) -> bool:
-    return abs(value - target) <= max(rel * abs(target), abs_floor)
-
-
 @dataclass
-class JetRelationResult:
+class SuiteResult:
+    """The named checks of one suite; the jet-relation suite also keeps
+    every measurement behind them in ``records``."""
+
+    name: str
     model: str
-    max_degree: int
-    grid: tuple[float, ...]
-    records: list[ConvergenceRecord]
-    summaries: dict[str, PairSummary]
-    passed: bool
+    summaries: dict[str, PairSummary] = field(default_factory=dict)
+    records: list[ConvergenceRecord] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(s.passes for s in self.summaries.values())
 
     def summary_dict(self) -> dict:
         return {name: s.as_dict() for name, s in self.summaries.items()}
+
+
+def _judge(value: float, target: float, rel: float, zero_abs: float = 0.0,
+           floor: float = 0.0) -> bool:
+    """The pass rule of every check against a target: |value - target| <=
+    rel * max(|target|, floor), or |value| <= zero_abs when that scale is 0
+    (a zero target and no floor).  Tolerances are >= 0."""
+    scale = max(abs(target), floor)
+    if scale == 0.0:
+        return abs(value) <= zero_abs
+    return abs(value - target) <= rel * scale
+
+
+def _fitted(samples, target: float, passes) -> PairSummary:
+    """Fit the five smallest-t samples (sorted by t) and record the fit
+    against ``target``; ``passes(fit)`` decides the check."""
+    fit = fit_on_smallest(samples)
+    return PairSummary(target, fit.c0, fit.c1, fit.stderr, samples[0][1], passes(fit))
 
 
 def _canonical_pairs(n: int, max_degree: int):
@@ -282,10 +322,8 @@ def jet_relation_suite(
     max_degree: int,
     ts=DEFAULT_GRID,
     policy: TruncationPolicy = DEFAULT_POLICY,
-    fit_points: int = 5,
-    flat_abs_tol: float = 1e-6,
-    fit_rel_tol: float = 0.01,
-) -> JetRelationResult:
+    tol: Mapping[str, float] = TOLERANCES,
+) -> SuiteResult:
     """Normalized jets and angles against their exact Wick targets.
 
     Covers every unordered pair with |alpha| + |beta| <= max_degree.  The
@@ -302,21 +340,19 @@ def jet_relation_suite(
     use_fit = not model.is_flat
     if use_fit and len(ts) < 4:
         raise ValueError("curved models need a grid with at least 4 times")
+    fit_rel = tol["fit_rel"]
 
     def judge(samples, target) -> PairSummary:
-        # Flat models pass on the smallest-t sample, curved ones on the
-        # fitted limit; both report the fit whenever the grid allows one.
-        observed = samples[0][1]
-        fit = None
-        if len(ts) >= 4:
-            fit = fit_on_smallest(samples, order=2, points=fit_points)
+        # Curved models pass on the fitted limit, flat ones on the
+        # smallest-t sample; both report the fit whenever the grid allows one.
         if use_fit:
-            ok = _within(fit.c0, target, fit_rel_tol, fit_rel_tol)
-        else:
-            ok = abs(observed - target) < flat_abs_tol
-        if fit is None:
+            return _fitted(samples, target,
+                           lambda fit: _judge(fit.c0, target, fit_rel, floor=1.0))
+        observed = samples[0][1]
+        ok = abs(observed - target) < tol["flat_jet_abs"]
+        if len(ts) < 4:
             return PairSummary(target, None, None, None, observed, ok)
-        return PairSummary(target, fit.c0, fit.c1, fit.stderr, observed, ok)
+        return _fitted(samples, target, lambda fit: ok)
 
     records: list[ConvergenceRecord] = []
     summaries: dict[str, PairSummary] = {}
@@ -370,37 +406,16 @@ def jet_relation_suite(
             samples.append((t, gram(t, a, b) / denom))
         summaries[f"B[{a.text()}|{b.text()}]"] = judge(samples, wick_b(a, b).value)
 
-    return JetRelationResult(
-        model=model.label,
-        max_degree=max_degree,
-        grid=ts,
-        records=records,
-        summaries=summaries,
-        passed=all(s.passes for s in summaries.values()),
-    )
+    return SuiteResult("jet_relation", model.label, summaries, records)
 
 
 # ---------------------------------------------------------------------------
 # Geometry suites
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SuiteResult:
-    name: str
-    model: str
-    summaries: dict[str, PairSummary] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(s.passes for s in self.summaries.values())
-
-    def summary_dict(self) -> dict:
-        return {name: s.as_dict() for name, s in self.summaries.items()}
-
-
 def scalar_suite(model: SpectralModel, ts=DEFAULT_GRID,
                  policy: TruncationPolicy = DEFAULT_POLICY,
-                 rel_tol: float = 0.02, flat_abs_tol: float = 1e-6) -> SuiteResult:
+                 tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
     """Scalar curvature from the on-diagonal expansion slope, S/6."""
     ts = tuple(sorted(ts))
     n = model.n
@@ -408,29 +423,22 @@ def scalar_suite(model: SpectralModel, ts=DEFAULT_GRID,
         (t, heat_power(t, 4.0 * math.pi, n / 2.0) * model.heat_diagonal(t, policy))
         for t in ts
     ]
-    fit = fit_on_smallest(samples, order=2)
     target = model.scalar_curvature / 6.0
-    if target == 0.0:
-        ok = abs(fit.c1) <= flat_abs_tol
-    else:
-        ok = _within(fit.c1, target, rel_tol, 0.0)
     result = SuiteResult("scalar", model.label)
-    result.summaries["scalar.slope"] = PairSummary(
-        target, fit.c0, fit.c1, fit.stderr, samples[0][1], ok
-    )
+    result.summaries["scalar.slope"] = _fitted(samples, target, lambda fit: _judge(
+        fit.c1, target, tol["scalar_rel"], tol["scalar_flat_abs"]
+    ))
     return result
 
 
 def isometry_suite(model: SpectralModel, ts=DEFAULT_GRID,
                    policy: TruncationPolicy = DEFAULT_POLICY,
-                   c1_rel_tol: float = 0.05, flat_abs_tol: float = 1e-8) -> SuiteResult:
+                   tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
     """Pullback metric: identity at leading order, curvature correction at O(t).
 
     The O(t) coefficient must match (1/3)((S/2) delta_ij - Ric_ij); flat
     models must return the identity outright at the smallest time.
     """
-    from .manifolds import pullback_metric
-
     ts = tuple(sorted(ts))
     n = model.n
     result = SuiteResult("isometry", model.label)
@@ -442,48 +450,43 @@ def isometry_suite(model: SpectralModel, ts=DEFAULT_GRID,
                 model.scalar_curvature / 2.0 * delta - model.ricci_coefficient * delta
             ) / 3.0
             samples = [(t, p[i][j]) for t, p in pulls]
-            observed = samples[0][1]
+            name = f"[{i + 1},{j + 1}]"
             if model.is_flat:
-                ok = abs(observed - delta) <= flat_abs_tol
-                result.summaries[f"isometry.g[{i + 1},{j + 1}]"] = PairSummary(
+                observed = samples[0][1]
+                ok = abs(observed - delta) <= tol["isometry_flat_abs"]
+                result.summaries["isometry.g" + name] = PairSummary(
                     delta, None, None, None, observed, ok
                 )
-            else:
-                fit = fit_on_smallest(samples, order=2)
-                ok_c0 = _within(fit.c0, delta, 0.0, 0.01)
-                if target_c1 == 0.0:
-                    ok_c1 = abs(fit.c1) <= 0.01
-                else:
-                    ok_c1 = _within(fit.c1, target_c1, c1_rel_tol, 0.0)
-                result.summaries[f"isometry.g[{i + 1},{j + 1}]"] = PairSummary(
-                    delta, fit.c0, fit.c1, fit.stderr, observed, ok_c0
-                )
-                result.summaries[f"isometry.c1[{i + 1},{j + 1}]"] = PairSummary(
-                    target_c1, fit.c1, None, fit.stderr, fit.c1, ok_c1
-                )
+                continue
+            g = result.summaries["isometry.g" + name] = _fitted(
+                samples, delta, lambda fit: abs(fit.c0 - delta) <= 0.01
+            )
+            c1 = g.fitted_c1
+            result.summaries["isometry.c1" + name] = PairSummary(
+                target_c1, c1, None, g.stderr, c1,
+                _judge(c1, target_c1, tol["isometry_c1_rel"], 0.01),
+            )
     return result
 
 
 def mean_curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
                          policy: TruncationPolicy = DEFAULT_POLICY,
-                         rel_tol: float = 0.02) -> SuiteResult:
+                         tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
     """sqrt(t) |H| -> sqrt((n+2)/(2n)), the universal mean-curvature length."""
     ts = tuple(sorted(ts))
     n = model.n
     target = math.sqrt((n + 2.0) / (2.0 * n))
     samples = [(t, mean_curvature_proxy(model, t, policy)) for t in ts]
-    fit = fit_on_smallest(samples, order=2)
-    ok = _within(fit.c0, target, rel_tol, 0.0)
     result = SuiteResult("mean_curvature", model.label)
-    result.summaries["mean_curvature.length"] = PairSummary(
-        target, fit.c0, fit.c1, fit.stderr, samples[0][1], ok
+    result.summaries["mean_curvature.length"] = _fitted(
+        samples, target, lambda fit: _judge(fit.c0, target, tol["mean_curvature_rel"])
     )
     return result
 
 
 def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
                     policy: TruncationPolicy = DEFAULT_POLICY,
-                    rel_tol: float = 0.03, zero_abs_tol: float = 0.05) -> SuiteResult:
+                    tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
     """Third-jet umbilical limits 2t <D_i D_k D_k psi, D_j psi>.
 
     Targets: -3 for i=j=k, -1 for i=j!=k, 0 for i!=j.  The aggregate
@@ -494,29 +497,17 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
     """
     ts = tuple(sorted(ts))
     n = model.n
+    rel, zero_abs = tol["umbilical_rel"], tol["umbilical_zero_abs"]
     result = SuiteResult("umbilical", model.label)
-
-    def classify(i, j, k):
-        if i == j == k:
-            return -3.0
-        if i == j:
-            return -1.0
-        return 0.0
-
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
-                target = classify(i, j, k)
+                target = -3.0 if i == j == k else -1.0 if i == j else 0.0
                 samples = [
                     (t, third_jet_umbilical(model, t, i, j, k, policy)) for t in ts
                 ]
-                fit = fit_on_smallest(samples, order=2)
-                if target == 0.0:
-                    ok = abs(fit.c0) <= zero_abs_tol
-                else:
-                    ok = _within(fit.c0, target, rel_tol, 0.0)
-                result.summaries[f"umbilical.jet[{i},{j},{k}]"] = PairSummary(
-                    target, fit.c0, fit.c1, fit.stderr, samples[0][1], ok
+                result.summaries[f"umbilical.jet[{i},{j},{k}]"] = _fitted(
+                    samples, target, lambda fit: _judge(fit.c0, target, rel, zero_abs)
                 )
 
     # aggregate umbilical constant (no pass condition on the contested value)
@@ -524,12 +515,12 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
     for t in ts:
         acc = sum(third_jet_umbilical(model, t, 1, 1, k, policy) for k in range(1, n + 1))
         agg_samples.append((t, acc / n))
-    agg_fit = fit_on_smallest(agg_samples, order=2)
+    agg_fit = fit_on_smallest(agg_samples)
     shape_constant = agg_fit.c0 / 2.0
     formula = -(n + 2.0) / (2.0 * n)
     result.summaries["umbilical.shape_constant"] = PairSummary(
         formula, shape_constant, None, agg_fit.stderr, shape_constant,
-        _within(shape_constant, formula, 0.03, 0.0),
+        _judge(shape_constant, formula, 0.03),
     )
     result.summaries["umbilical.shape_constant_alternative"] = PairSummary(
         -1.5, shape_constant, None, agg_fit.stderr, shape_constant, True
@@ -539,13 +530,13 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
 
 def curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
                     policy: TruncationPolicy = DEFAULT_POLICY,
-                    rel_tol: float = 0.05, flat_abs_tol: float = 1e-6,
-                    residual_rel_tol: float = 1e-3) -> SuiteResult:
+                    tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
     """Riemann tensor from the asymptotic Gauss formula, plus its symmetries."""
     if model.n < 2:
         raise ValueError("curvature suite needs dimension at least 2")
     ts = tuple(sorted(ts))
     n = model.n
+    flat_abs = tol["curvature_flat_abs"]
     result = SuiteResult("curvature", model.label)
     report = curvature_symmetry_residuals(model, ts, policy)
     r = report.tensor
@@ -553,17 +544,15 @@ def curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             value = r[i - 1][j - 1][j - 1][i - 1]
-            if model.is_flat:
-                ok = abs(value) <= flat_abs_tol
-            else:
-                ok = _within(value, K, rel_tol, 0.0)
+            # a flat model's K is 0: the check is then |value| <= flat_abs
             result.summaries[f"curvature.sectional[{i},{j}]"] = PairSummary(
-                K, value, None, None, value, ok
+                K, value, None, None, value,
+                _judge(value, K, tol["curvature_rel"], flat_abs),
             )
     if model.is_flat:
         max_entry = report.max_abs
         result.summaries["curvature.max_abs"] = PairSummary(
-            0.0, max_entry, None, None, max_entry, max_entry <= flat_abs_tol
+            0.0, max_entry, None, None, max_entry, max_entry <= flat_abs
         )
     else:
         scale = max(report.max_abs, 1e-30)
@@ -575,37 +564,34 @@ def curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
         ):
             rel = resid / scale
             result.summaries[f"curvature.residual.{name}"] = PairSummary(
-                0.0, rel, None, None, rel, rel < residual_rel_tol
+                0.0, rel, None, None, rel, rel < tol["residual_rel"]
             )
     return result
 
 
 def scalar_ricci_suite(model: SpectralModel, ts=DEFAULT_GRID,
                        policy: TruncationPolicy = DEFAULT_POLICY,
-                       rel_tol: float = 0.05) -> SuiteResult:
-    """Scalar and Ricci recovery S = 6 c1(diagonal), Ric = (S/2) I - 3 c1(pullback)."""
+                       tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
+    """Scalar and Ricci recovery S = 6 c1(diagonal), Ric = (S/2) I - 3 c1(pullback).
+
+    Its tolerances have no config key, so it reads nothing from ``tol``."""
     ts = tuple(sorted(ts))
     report = ricci_scalar_extract(model, ts, policy)
     result = SuiteResult("scalar_ricci", model.label)
     target_s = model.scalar_curvature
-    if target_s == 0.0:
-        ok_s = abs(report.scalar_estimate) <= 1e-5
-    else:
-        ok_s = _within(report.scalar_estimate, target_s, 0.02, 0.0)
     result.summaries["scalar_ricci.scalar"] = PairSummary(
         target_s, report.scalar_estimate, report.scalar_slope,
-        report.scalar_slope_stderr, report.scalar_estimate, ok_s,
+        report.scalar_slope_stderr, report.scalar_estimate,
+        _judge(report.scalar_estimate, target_s, 0.02, 1e-5),
     )
+    # an off-diagonal Ricci entry is judged on the scale of S
+    zero_abs = 0.05 * max(abs(target_s), 1.0)
     n = model.n
     for i in range(n):
         for j in range(i, n):
             target = model.ricci_coefficient if i == j else 0.0
             value = report.ricci_estimate[i][j]
-            if target == 0.0:
-                ok = abs(value) <= max(0.05 * max(abs(target_s), 1.0), 1e-5)
-            else:
-                ok = _within(value, target, rel_tol, 0.0)
             result.summaries[f"scalar_ricci.ric[{i + 1},{j + 1}]"] = PairSummary(
-                target, value, None, None, value, ok
+                target, value, None, None, value, _judge(value, target, 0.05, zero_abs)
             )
     return result

@@ -1,8 +1,10 @@
 """Command-line front end: wick / lattice / verify / curvature / report.
 
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage or config
-error, including a non-finite config number and a spectral sum that hits its
-hard cap (TruncationError: raise t or raise policy.hard_cap).  All file
+error, including an unknown config key, a non-finite config number, a
+negative tolerance, a hard cap that is not an integer >= 1, and a spectral
+sum that hits its hard cap (TruncationError: raise t or raise
+policy.hard_cap).  All file
 output is deterministic for a fixed config and seed.
 """
 from __future__ import annotations
@@ -15,6 +17,7 @@ import sys
 
 from . import multiindex
 from .asymptotics import (
+    TOLERANCES,
     curvature_suite,
     isometry_suite,
     jet_relation_suite,
@@ -24,8 +27,8 @@ from .asymptotics import (
     time_grid,
     umbilical_suite,
 )
-from .lattice import run_triple_suite
-from .manifolds import TruncationError, TruncationPolicy, make_model
+from .lattice import TRIANGLE_SLACK, run_triple_suite
+from .manifolds import DEFAULT_POLICY, TruncationError, TruncationPolicy, make_model
 from .reporting import (
     fmt_float,
     json_dumps,
@@ -40,24 +43,12 @@ DEFAULT_CONFIG = {
     "t": None,
     "t_grid": {"start": 0.1, "ratio": 0.5, "count": 7},
     "max_degree": 4,
-    "policy": {"epsilon": 1e-14, "rho": 0.5, "hard_cap": None},
+    "policy": {
+        key: getattr(DEFAULT_POLICY, key) for key in ("epsilon", "rho", "hard_cap")
+    },
     "seed": 42,
     "count": 10000,
-    "tolerances": {
-        "flat_jet_abs": 1e-6,
-        "fit_rel": 0.01,
-        "scalar_rel": 0.02,
-        "scalar_flat_abs": 1e-6,
-        "isometry_c1_rel": 0.05,
-        "isometry_flat_abs": 1e-8,
-        "mean_curvature_rel": 0.02,
-        "umbilical_rel": 0.03,
-        "umbilical_zero_abs": 0.05,
-        "curvature_rel": 0.05,
-        "curvature_flat_abs": 1e-6,
-        "residual_rel": 1e-3,
-        "triangle_slack": 1e-12,
-    },
+    "tolerances": {**TOLERANCES, "triangle_slack": TRIANGLE_SLACK},
 }
 
 
@@ -91,12 +82,15 @@ def _type_mismatch(value, default) -> str | None:
 
 
 def _deep_update(base: dict, extra: dict, prefix: str = "") -> dict:
-    """Merge ``extra`` into ``base``; every value that replaces a default must
-    have the default's type.  Keys without a default, and model.kind (a name,
-    checked by make_model), pass unchecked."""
+    """Merge ``extra`` into ``base``; every key must have a default, and every
+    value that replaces one must have the default's type.  The top-level n
+    (the lattice dimension, which has no default) and model.kind (a name,
+    checked by make_model) pass unchecked."""
     for key, value in extra.items():
         name = prefix + key
-        if key in base and name != "model.kind":
+        if name not in ("n", "model.kind"):
+            if key not in base:
+                raise ConfigError(f"unknown config key {name}")
             expected = _type_mismatch(value, base[key])
             if expected:
                 raise ConfigError(f"config {name} must be {expected}, got {value!r}")
@@ -167,6 +161,9 @@ def build_config(args: argparse.Namespace) -> dict:
     if getattr(args, "n", None) is not None:
         cfg["n"] = args.n
     _check_finite(cfg)
+    for key, value in cfg["tolerances"].items():
+        if value < 0:
+            raise ConfigError(f"config tolerances.{key} must be >= 0, got {value!r}")
     return cfg
 
 
@@ -188,23 +185,11 @@ def config_grid(cfg: dict) -> tuple[float, ...]:
         if cfg["t"] <= 0:
             raise ConfigError("t must be positive")
         return (float(cfg["t"]),)
-    g = cfg["t_grid"]
-    try:
-        return time_grid(g["start"], g["ratio"], g["count"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return time_grid(**cfg["t_grid"])
 
 
 def config_policy(cfg: dict) -> TruncationPolicy:
-    p = cfg["policy"]
-    try:
-        return TruncationPolicy(
-            epsilon=p.get("epsilon", 1e-14),
-            rho=p.get("rho", 0.5),
-            hard_cap=p.get("hard_cap"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return TruncationPolicy(**cfg["policy"])
 
 
 def _config_int(key: str, value, low: int) -> int:
@@ -257,37 +242,35 @@ def cmd_wick(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_suites(args: argparse.Namespace, cfg: dict, model, suites) -> bool:
+    """Write the summary JSON of ``suites`` if asked; True if all passed."""
+    passed = all(s.passed for s in suites)
+    if args.out_json:
+        write_text(args.out_json, json_dumps({
+            "command": args.command,
+            "config": cfg,
+            "model": model.describe(),
+            "passed": passed,
+            "suites": {s.name: s.summary_dict() for s in suites},
+        }))
+    return passed
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     model = config_model(cfg)
-    grid = config_grid(cfg)
-    policy = config_policy(cfg)
-    tol = cfg["tolerances"]
     result = jet_relation_suite(
-        model,
-        cfg["max_degree"],
-        ts=grid,
-        policy=policy,
-        flat_abs_tol=tol["flat_jet_abs"],
-        fit_rel_tol=tol["fit_rel"],
+        model, cfg["max_degree"], config_grid(cfg), config_policy(cfg),
+        cfg["tolerances"],
     )
     if args.out:
         write_text(args.out, records_to_csv(result.records))
-    doc = {
-        "command": "verify",
-        "config": cfg,
-        "model": model.describe(),
-        "passed": result.passed,
-        "suites": {"jet_relation": result.summary_dict()},
-    }
-    if args.out_json:
-        write_text(args.out_json, json_dumps(doc))
-    n_pairs = len(result.summaries)
+    passed = _write_suites(args, cfg, model, [result])
     print(
         f"verify: model={model.label} max_degree={cfg['max_degree']} "
-        f"checks={n_pairs} passed={result.passed}"
+        f"checks={len(result.summaries)} passed={passed}"
     )
-    return 0 if result.passed else 1
+    return 0 if passed else 1
 
 
 def cmd_curvature(args: argparse.Namespace) -> int:
@@ -297,36 +280,11 @@ def cmd_curvature(args: argparse.Namespace) -> int:
     if len(grid) < 4:
         raise ConfigError("curvature suites need a t-grid (use --t-grid)")
     policy = config_policy(cfg)
-    tol = cfg["tolerances"]
-    suites = [
-        scalar_suite(model, grid, policy,
-                     rel_tol=tol["scalar_rel"], flat_abs_tol=tol["scalar_flat_abs"]),
-        isometry_suite(model, grid, policy,
-                       c1_rel_tol=tol["isometry_c1_rel"],
-                       flat_abs_tol=tol["isometry_flat_abs"]),
-        mean_curvature_suite(model, grid, policy, rel_tol=tol["mean_curvature_rel"]),
-        umbilical_suite(model, grid, policy,
-                        rel_tol=tol["umbilical_rel"],
-                        zero_abs_tol=tol["umbilical_zero_abs"]),
-    ]
+    runs = [scalar_suite, isometry_suite, mean_curvature_suite, umbilical_suite]
     if model.n >= 2:
-        suites.append(
-            curvature_suite(model, grid, policy,
-                            rel_tol=tol["curvature_rel"],
-                            flat_abs_tol=tol["curvature_flat_abs"],
-                            residual_rel_tol=tol["residual_rel"])
-        )
-        suites.append(scalar_ricci_suite(model, grid, policy))
-    passed = all(s.passed for s in suites)
-    doc = {
-        "command": "curvature",
-        "config": cfg,
-        "model": model.describe(),
-        "passed": passed,
-        "suites": {s.name: s.summary_dict() for s in suites},
-    }
-    if args.out_json:
-        write_text(args.out_json, json_dumps(doc))
+        runs += [curvature_suite, scalar_ricci_suite]
+    suites = [run(model, grid, policy, cfg["tolerances"]) for run in runs]
+    passed = _write_suites(args, cfg, model, suites)
     for s in suites:
         print(f"curvature: suite={s.name} checks={len(s.summaries)} passed={s.passed}")
     return 0 if passed else 1

@@ -31,6 +31,9 @@ from .wick import WickB, double_factorial_table, wick_b, wick_kernel
 #: safer constant and holds with a wide sampled margin.
 COMPARISON_DELTA = Fraction(1, 4)
 
+#: Default float tolerance of the triangle inequality d_ac <= d_ab + d_bc.
+TRIANGLE_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class AngleDistance:
@@ -272,7 +275,7 @@ def run_triple_suite(
     max_degree: int,
     count: int,
     seed: int,
-    triangle_slack_tol: float = 1e-12,
+    triangle_slack_tol: float = TRIANGLE_SLACK,
 ) -> tuple[list[TripleRow], TripleSuiteReport]:
     """Sample ``count`` triples and exercise every lattice invariant on them.
 

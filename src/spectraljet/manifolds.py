@@ -64,6 +64,9 @@ class TruncationPolicy:
             raise ValueError("fixed_cutoff mode needs a cutoff")
         if self.epsilon <= 0 or self.rho <= 0:
             raise ValueError("epsilon and rho must be positive")
+        cap = self.hard_cap
+        if cap is not None and (type(cap) is not int or cap < 1):  # bool is no cap
+            raise ValueError(f"hard_cap must be null/None or an integer >= 1, got {cap!r}")
 
     def doubled(self, chosen_cutoff: int) -> "TruncationPolicy":
         return replace(self, mode="fixed_cutoff", fixed_cutoff=2 * chosen_cutoff)
@@ -167,7 +170,7 @@ class SpectralModel:
         self._sums: dict = {}
 
     def _cap(self, policy: TruncationPolicy) -> int:
-        return policy.hard_cap if policy.hard_cap else self.default_hard_cap
+        return self.default_hard_cap if policy.hard_cap is None else policy.hard_cap
 
     def _sum(self, key, term, start: int, min_index: int,
              policy: TruncationPolicy) -> tuple[float, int]:
@@ -646,8 +649,9 @@ class JetGram:
 
 def jet_gram(model: SpectralModel, t: float, max_order: int,
              policy: TruncationPolicy = DEFAULT_POLICY) -> JetGram:
-    if max_order > 4:
-        raise ValueError("jet Gram is supported up to order 4")
+    # entry (alpha, beta) is a jet of order |alpha| + |beta| <= 2 max_order
+    if max_order > MAX_JET_ORDER // 2:
+        raise ValueError(f"jet Gram is supported up to order {MAX_JET_ORDER // 2}")
     from .multiindex import enumerate_multiindices
 
     basis = tuple(enumerate_multiindices(model.n, max_order))

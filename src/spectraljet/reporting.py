@@ -79,8 +79,6 @@ def json_dumps(obj) -> str:
 def _write_json(obj, out: list[str], depth: int) -> None:
     pad = "  " * depth
     inner = "  " * (depth + 1)
-    if type(obj).__module__ == "numpy":  # scalar arrays / numpy bools and floats
-        obj = obj.item()
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):

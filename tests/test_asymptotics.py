@@ -7,6 +7,7 @@ import pytest
 
 from spectraljet.asymptotics import (
     DEFAULT_GRID,
+    TOLERANCES,
     curvature_suite,
     fit_on_smallest,
     grid_condition,
@@ -356,7 +357,8 @@ class TestSuitePassFlags:
         assert scalar_ricci_suite(Sphere(3, 1.0), DEFAULT_GRID).passed
 
     def test_failure_is_reported_not_hidden(self):
-        r = scalar_suite(Sphere(3, 1.0), DEFAULT_GRID, rel_tol=1e-9)
+        r = scalar_suite(Sphere(3, 1.0), DEFAULT_GRID,
+                         tol={**TOLERANCES, "scalar_rel": 1e-9})
         assert not r.passed
         assert not r.summaries["scalar.slope"].passes
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectraljet
+from spectraljet.asymptotics import TOLERANCES
 from spectraljet.cli import main
 from spectraljet.lattice import run_triple_suite
 from spectraljet.reporting import csv_line, fmt_float, json_dumps, triple_rows_to_csv
@@ -300,6 +301,38 @@ class TestGoldenBytes:
             assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256(out_json.read_bytes()).hexdigest() == json_sha
 
+    # Every tolerance at 1e-15, so that the pass rule of each check decides
+    # some entries each way; the hashes pin those decisions.
+    @pytest.mark.parametrize("argv, csv_sha, json_sha", [
+        (["verify", "--model", "sphere3", "--max-degree", "4",
+          "--t-grid", "0.1:0.5:7"],
+         "8db63ed6aec1154b5bc9bab6d28dfb9a6a38dc3b24dccaa60edfdaf200661941",
+         "76c3a6c8b021bebffbdb4f7c519933a96819dcd431b5dd5dc5d96b9576954c78"),
+        (["verify", "--model", "torus", "--radii", "1.0,1.3", "--max-degree", "4",
+          "--t-grid", "0.04:0.5:5"],
+         "265dd289a83aec1f893558999786dc11c12e697b2a0389d7a26e80e0d613dbcd",
+         "e13bdfb6a83762af22569f7d7dcc7ebf9f4e568b5ac580eb52a4aac090862081"),
+        (["curvature", "--model", "sphere3"], None,
+         "77c12a4784b0e05c5d6e4555fbf809b523e3a65542d891a53e0bd14d048df9ce"),
+        (["curvature", "--model", "torus", "--radii", "1.0,1.3"], None,
+         "dc3d2808863db6a4ae8fec84acd43bdf7f9f1b5f611d06aad38b83afbadc39f8"),
+    ], ids=["verify-sphere3", "verify-torus", "curvature-sphere3", "curvature-torus"])
+    def test_failing_checks(self, tmp_path, capsys, argv, csv_sha, json_sha):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerances": dict.fromkeys(TOLERANCES, 1e-15)}))
+        out_csv = tmp_path / "out.csv"
+        out_json = tmp_path / "out.json"
+        extra = ["--out", str(out_csv)] if csv_sha else []
+        code, out, _ = run(capsys, *argv, "--config", str(cfg), *extra,
+                           "--out-json", str(out_json))
+        assert code == 1
+        assert "passed=False" in out
+        suites = json.loads(out_json.read_text())["suites"].values()
+        assert {c["pass"] for s in suites for c in s.values()} == {True, False}
+        if csv_sha:
+            assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(out_json.read_bytes()).hexdigest() == json_sha
+
 
 class TestConfigTypes:
     @pytest.mark.parametrize("argv, file_cfg, message", [
@@ -325,6 +358,28 @@ class TestConfigTypes:
          "config model.radii must be a list of numbers"),
         (["curvature", "--model", "sphere3"], {"tolerances": {"curvature_rel": "x"}},
          "config tolerances.curvature_rel must be a number"),
+        # a number that is not a cap: 0 read as the model default, 2.5 and -4
+        # as "hard cap 2.5 reached"
+        (["verify", "--model", "sphere2"], {"policy": {"hard_cap": 0}},
+         "hard_cap must be null/None or an integer >= 1, got 0"),
+        (["verify", "--model", "sphere2"], {"policy": {"hard_cap": 2.5}},
+         "hard_cap must be null/None or an integer >= 1, got 2.5"),
+        (["verify", "--model", "sphere2"], {"policy": {"hard_cap": -4}},
+         "hard_cap must be null/None or an integer >= 1, got -4"),
+        # a negative tolerance fails every check it judges: a usage error
+        (["verify", "--model", "sphere2"], {"tolerances": {"fit_rel": -1}},
+         "config tolerances.fit_rel must be >= 0, got -1"),
+        (["curvature", "--model", "sphere3"],
+         {"tolerances": {"umbilical_zero_abs": -0.5}},
+         "config tolerances.umbilical_zero_abs must be >= 0, got -0.5"),
+        (["lattice", "sample"], {"tolerances": {"triangle_slack": -1e-12}},
+         "config tolerances.triangle_slack must be >= 0, got -1e-12"),
+        # a misspelt key is refused, not echoed and ignored
+        (["verify", "--model", "sphere2"], {"tolerances": {"fit_rell": 0.5}},
+         "unknown config key tolerances.fit_rell"),
+        (["verify", "--model", "sphere2"], {"polcy": {}}, "unknown config key polcy"),
+        (["verify", "--model", "sphere2"], {"model": {"n": 2}},
+         "unknown config key model.n"),
     ])
     def test_wrong_type_is_config_error(self, tmp_path, capsys, argv, file_cfg,
                                         message):
@@ -360,6 +415,17 @@ class TestConfigTypes:
         assert err == f"error: {message}\n"
         assert out == ""
         assert not out_json.exists()
+
+    def test_top_level_n_needs_no_default(self, tmp_path, capsys):
+        # n, the lattice dimension, is the one config key without a default
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 2}))
+        out_json = tmp_path / "lat.json"
+        code, out, _ = run(capsys, "lattice", "sample", "--count", "50",
+                           "--config", str(cfg), "--out-json", str(out_json))
+        assert code == 0
+        assert out.startswith("lattice: n=2 ")
+        assert json.loads(out_json.read_text())["config"]["n"] == 2
 
     def test_numbers_of_either_kind_accepted(self, tmp_path, capsys):
         # an int where the default is a float, and a number where it is null
