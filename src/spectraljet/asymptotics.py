@@ -9,12 +9,12 @@ at the smallest grid time.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .multiindex import MultiIndex, enumerate_multiindices
 from .wick import wick_a, wick_b
@@ -31,7 +31,12 @@ from .manifolds import (
 )
 
 
-def time_grid(start: float = 0.1, ratio: float = 0.5, count: int = 7) -> tuple[float, ...]:
+#: The default heat-time grid, keyed like the config's ``t_grid``.
+TIME_GRID = MappingProxyType({"start": 0.1, "ratio": 0.5, "count": 7})
+
+
+def time_grid(start: float = TIME_GRID["start"], ratio: float = TIME_GRID["ratio"],
+              count: int = TIME_GRID["count"]) -> tuple[float, ...]:
     """Geometric grid t_m = start * ratio^m, m = 0..count-1, sorted ascending."""
     if start <= 0 or not 0 < ratio < 1 or count < 1:
         raise ValueError("need start > 0, 0 < ratio < 1, count >= 1")
@@ -47,8 +52,7 @@ def normalization_factor(n: int, t: float, alpha: MultiIndex, beta: MultiIndex) 
     return heat_power(t, 4.0 * math.pi, n / 2.0) * heat_power(t, 2.0, half)
 
 
-@dataclass(frozen=True)
-class ConvergenceRecord:
+class ConvergenceRecord(NamedTuple):
     """One (model, alpha, beta, t) measurement against its Wick target."""
 
     model: str
@@ -61,8 +65,7 @@ class ConvergenceRecord:
     abs_err: float
 
 
-@dataclass(frozen=True)
-class LimitFit:
+class LimitFit(NamedTuple):
     """Least-squares fit y ~ c0 + c1 t (+ c2 t^2); c0 is the reported limit."""
 
     c0: float
@@ -249,8 +252,7 @@ TOLERANCES = MappingProxyType({
 })
 
 
-@dataclass(frozen=True)
-class PairSummary:
+class PairSummary(NamedTuple):
     """Per-quantity verification summary, serialized into report JSON."""
 
     target: float
@@ -271,15 +273,14 @@ class PairSummary:
         }
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     """The named checks of one suite; the jet-relation suite also keeps
     every measurement behind them in ``records``."""
 
     name: str
     model: str
-    summaries: dict[str, PairSummary] = field(default_factory=dict)
-    records: list[ConvergenceRecord] = field(default_factory=list)
+    summaries: dict[str, PairSummary]
+    records: Sequence[ConvergenceRecord] = ()
 
     @property
     def passed(self) -> bool:
@@ -424,7 +425,7 @@ def scalar_suite(model: SpectralModel, ts=DEFAULT_GRID,
         for t in ts
     ]
     target = model.scalar_curvature / 6.0
-    result = SuiteResult("scalar", model.label)
+    result = SuiteResult("scalar", model.label, {})
     result.summaries["scalar.slope"] = _fitted(samples, target, lambda fit: _judge(
         fit.c1, target, tol["scalar_rel"], tol["scalar_flat_abs"]
     ))
@@ -441,7 +442,7 @@ def isometry_suite(model: SpectralModel, ts=DEFAULT_GRID,
     """
     ts = tuple(sorted(ts))
     n = model.n
-    result = SuiteResult("isometry", model.label)
+    result = SuiteResult("isometry", model.label, {})
     pulls = [(t, pullback_metric(model, t, policy)) for t in ts]
     for i in range(n):
         for j in range(i, n):
@@ -477,7 +478,7 @@ def mean_curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
     n = model.n
     target = math.sqrt((n + 2.0) / (2.0 * n))
     samples = [(t, mean_curvature_proxy(model, t, policy)) for t in ts]
-    result = SuiteResult("mean_curvature", model.label)
+    result = SuiteResult("mean_curvature", model.label, {})
     result.summaries["mean_curvature.length"] = _fitted(
         samples, target, lambda fit: _judge(fit.c0, target, tol["mean_curvature_rel"])
     )
@@ -498,7 +499,7 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
     ts = tuple(sorted(ts))
     n = model.n
     rel, zero_abs = tol["umbilical_rel"], tol["umbilical_zero_abs"]
-    result = SuiteResult("umbilical", model.label)
+    result = SuiteResult("umbilical", model.label, {})
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
@@ -537,7 +538,7 @@ def curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
     ts = tuple(sorted(ts))
     n = model.n
     flat_abs = tol["curvature_flat_abs"]
-    result = SuiteResult("curvature", model.label)
+    result = SuiteResult("curvature", model.label, {})
     report = curvature_symmetry_residuals(model, ts, policy)
     r = report.tensor
     K = model.sectional_curvature
@@ -577,7 +578,7 @@ def scalar_ricci_suite(model: SpectralModel, ts=DEFAULT_GRID,
     Its tolerances have no config key, so it reads nothing from ``tol``."""
     ts = tuple(sorted(ts))
     report = ricci_scalar_extract(model, ts, policy)
-    result = SuiteResult("scalar_ricci", model.label)
+    result = SuiteResult("scalar_ricci", model.label, {})
     target_s = model.scalar_curvature
     result.summaries["scalar_ricci.scalar"] = PairSummary(
         target_s, report.scalar_estimate, report.scalar_slope,

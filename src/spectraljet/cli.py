@@ -17,6 +17,7 @@ import sys
 
 from . import multiindex
 from .asymptotics import (
+    TIME_GRID,
     TOLERANCES,
     curvature_suite,
     isometry_suite,
@@ -41,7 +42,7 @@ from .wick import enumerate_admissible_graphs, gaussian_moment_oracle, wick_a, w
 DEFAULT_CONFIG = {
     "model": {"kind": None, "radius": 1.0, "radii": [1.0, 1.3]},
     "t": None,
-    "t_grid": {"start": 0.1, "ratio": 0.5, "count": 7},
+    "t_grid": dict(TIME_GRID),
     "max_degree": 4,
     "policy": {
         key: getattr(DEFAULT_POLICY, key) for key in ("epsilon", "rho", "hard_cap")
@@ -304,24 +305,10 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     )
     if args.out:
         write_text(args.out, triple_rows_to_csv(rows))
-    doc = {
-        "command": "lattice",
-        "config": cfg,
-        "passed": report.passed(),
-        "report": {
-            "n": report.n,
-            "max_degree": report.max_degree,
-            "count": report.count,
-            "seed": report.seed,
-            "triangle_violations": report.triangle_violations,
-            "identity_violations": report.identity_violations,
-            "orthogonality_violations": report.orthogonality_violations,
-            "comparison_violations": report.comparison_violations,
-            "stabilization_violations": report.stabilization_violations,
-            "max_triangle_slack": report.max_triangle_slack,
-            "min_comparison_margin": report.min_comparison_margin,
-        },
-    }
+    summary = report._asdict()
+    del summary["worst_triple"]  # the JSON report has never carried it
+    doc = {"command": "lattice", "config": cfg, "passed": report.passed(),
+           "report": summary}
     if args.out_json:
         write_text(args.out_json, json_dumps(doc))
     print(

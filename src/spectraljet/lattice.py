@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, NamedTuple
@@ -35,8 +34,7 @@ COMPARISON_DELTA = Fraction(1, 4)
 TRIANGLE_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class AngleDistance:
+class AngleDistance(NamedTuple):
     """d(alpha, beta) in radians, together with the exact cosine it came from."""
 
     radians: float
@@ -60,8 +58,7 @@ def coset_of(alpha: MultiIndex) -> tuple[int, ...]:
     return alpha.parity()
 
 
-@dataclass(frozen=True)
-class DistanceComparisonCheck:
+class DistanceComparisonCheck(NamedTuple):
     lhs: float   # |cos d(alpha, beta)|
     rhs: float   # 1 - delta * |alpha (sym diff) beta| / (|alpha| + |beta|)
     holds: bool  # decided on exact squares
@@ -82,8 +79,7 @@ def distance_comparison_check(
     return DistanceComparisonCheck(abs(b.value), float(rhs), holds)
 
 
-@dataclass(frozen=True)
-class LatticeStabilizationScan:
+class LatticeStabilizationScan(NamedTuple):
     """Angle sequences under repeated shifts along one coordinate axis.
 
     ``diagonal_limit`` is the limit of the achievable distances; since the
@@ -231,8 +227,7 @@ class TripleRow(NamedTuple):
     comparison_rhs: float
 
 
-@dataclass(frozen=True)
-class TripleSuiteReport:
+class TripleSuiteReport(NamedTuple):
     n: int
     max_degree: int
     count: int

@@ -19,9 +19,9 @@ at 1, which have one closed form for every n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .multiindex import MultiIndex, empty, from_indices
 from .jets import (
@@ -40,8 +40,15 @@ class TruncationError(RuntimeError):
     """Raised when a spectral sum hits its hard cap before the tail bound."""
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class _PolicyFields(NamedTuple):
+    mode: str = "relative_tail"
+    epsilon: float = 1e-14
+    rho: float = 0.5
+    hard_cap: int | None = None  # None: model default
+    fixed_cutoff: int | None = None
+
+
+class TruncationPolicy(_PolicyFields):
     """Eigenvalue cutoff policy for spectral sums.
 
     relative_tail: stop once terms are past their peak and the next term
@@ -49,15 +56,13 @@ class TruncationPolicy:
     drops below epsilon times the accumulated absolute sum.  rho is the
     exponent margin entering the estimated peak index.  fixed_cutoff: sum a
     prescribed number of modes, used for truncation-stability rechecks.
+    An immutable record, validated on construction and by ``_replace``.
     """
 
-    mode: str = "relative_tail"
-    epsilon: float = 1e-14
-    rho: float = 0.5
-    hard_cap: int | None = None  # None: model default
-    fixed_cutoff: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in ("relative_tail", "fixed_cutoff"):
             raise ValueError(f"unknown policy mode {self.mode!r}")
         if self.mode == "fixed_cutoff" and not self.fixed_cutoff:
@@ -67,9 +72,12 @@ class TruncationPolicy:
         cap = self.hard_cap
         if cap is not None and (type(cap) is not int or cap < 1):  # bool is no cap
             raise ValueError(f"hard_cap must be null/None or an integer >= 1, got {cap!r}")
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def doubled(self, chosen_cutoff: int) -> "TruncationPolicy":
-        return replace(self, mode="fixed_cutoff", fixed_cutoff=2 * chosen_cutoff)
+        return self._replace(mode="fixed_cutoff", fixed_cutoff=2 * chosen_cutoff)
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -440,7 +448,9 @@ class Sphere(SpectralModel):
     em[m] is D_u^alpha D_v^beta of w^m at the origin (memoized per degree,
     alpha and beta).  Many (alpha, beta) pairs share one em, so the zonal
     sum over l is memoized on (em, t, policy) and the diagonal sum on
-    (t, start, policy).
+    (t, start, policy).  The sums read two mode tables that grow only as
+    far as a sum reaches: the Taylor coefficients of Z_l per degree l, and
+    per heat time t the Gaussian weights exp(-lambda_l t).
     """
 
     is_flat = False
@@ -472,6 +482,8 @@ class Sphere(SpectralModel):
         self.ricci_coefficient = (dim - 1) / a2
         self.sectional_curvature = 1.0 / a2
         self._extract_cache: dict = {}
+        self._taylor_rows: list[tuple[float, ...]] = []  # [l][m], m <= MAX_JET_ORDER // 2
+        self._weights: dict[float, list[float]] = {}  # t -> [exp(-lambda_l t)]
 
     def describe(self) -> dict:
         return {"kind": self.label, "radius": self.radius}
@@ -492,6 +504,17 @@ class Sphere(SpectralModel):
         return float(
             (2 * l + n - 1) * math.comb(l + m + n - 2, l - m)
         ) / (n - 1) * self._rise[m]
+
+    def _grow_tables(self, weights: list[float], t: float, l: int) -> None:
+        """Extend the Taylor rows, and the weights of t, through degree l."""
+        rows = self._taylor_rows
+        while len(rows) <= l:
+            k = len(rows)
+            rows.append(tuple(
+                self._zonal_taylor(k, m) for m in range(len(self._rise))
+            ))
+        while len(weights) <= l:
+            weights.append(math.exp(-self.eigenvalue(len(weights)) * t))
 
     def _series_degree(self, total: int) -> int:
         return max(2, total + (total % 2))
@@ -514,9 +537,12 @@ class Sphere(SpectralModel):
     def _diagonal_sum(self, t: float, start: int,
                       policy: TruncationPolicy) -> tuple[float, int]:
         """sum_l mult(l) exp(-lambda_l t) from l = start, before 1/Vol."""
+        weights = self._weights.setdefault(t, [])
 
         def term(l):
-            return math.exp(-self.eigenvalue(l) * t) * self.multiplicity(l)
+            if l >= len(weights):
+                self._grow_tables(weights, t, l)
+            return weights[l] * self.multiplicity(l)
 
         min_index = self._min_index(self.radius, t, self.n - 1.0, policy)
         return self._sum(("diagonal", t), term, start, min_index, policy)
@@ -527,13 +553,18 @@ class Sphere(SpectralModel):
         zonal scale; (0.0, 0) when every em[m] vanishes."""
         if all(e == 0.0 for e in em):
             return 0.0, 0
+        nonzero = [(m, e) for m, e in enumerate(em) if e]
+        weights = self._weights.setdefault(t, [])
+        rows = self._taylor_rows
 
         def term(l):
+            if l >= len(weights):  # the rows are at least as long
+                self._grow_tables(weights, t, l)
+            row = rows[l]
             acc = 0.0
-            for m, e in enumerate(em):
-                if e:
-                    acc += self._zonal_taylor(l, m) * e
-            return math.exp(-self.eigenvalue(l) * t) * acc
+            for m, e in nonzero:
+                acc += row[m] * e
+            return weights[l] * acc
 
         min_index = self._min_index(
             self.radius, t, 2 * (len(em) - 1) + self.n - 1.0, policy
@@ -621,8 +652,7 @@ def make_model(kind: str, radius: float = 1.0, radii=None) -> SpectralModel:
 # Jet Gram matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JetGram:
+class JetGram(NamedTuple):
     """All normalized Gram entries G(alpha, beta) for |alpha|, |beta| <= order."""
 
     t: float
@@ -682,8 +712,7 @@ def pullback_metric(model: SpectralModel, t: float,
     return out
 
 
-@dataclass(frozen=True)
-class ScalarRicciReport:
+class ScalarRicciReport(NamedTuple):
     """Fitted scalar curvature and the n x n matrices (rows ``m[i][j]``) of
     the pullback fits and the Ricci estimate."""
 
@@ -770,8 +799,7 @@ def third_jet_umbilical(model: SpectralModel, t: float, i: int, j: int, k: int,
     )
 
 
-@dataclass(frozen=True)
-class CurvatureEstimate:
+class CurvatureEstimate(NamedTuple):
     value: float
     fit_c1: float
     stderr: float
@@ -833,8 +861,7 @@ def fitted_curvature_tensor(model: SpectralModel, ts,
     ]
 
 
-@dataclass(frozen=True)
-class SymmetryResidualReport:
+class SymmetryResidualReport(NamedTuple):
     tensor: list                # r[i][j][k][l]
     max_abs: float
     antisymmetry_first: float   # R_ijkl + R_jikl
@@ -893,8 +920,7 @@ def curvature_symmetry_residuals(model: SpectralModel, ts,
 # Levi-Civita connection read off the 2-jets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolynomialField:
+class PolynomialField(NamedTuple):
     """Vector field Y = f V_k with f polynomial (degree <= 2) in the chart.
 
     Only f and its gradient at the base point enter the connection there, so
@@ -907,8 +933,7 @@ class PolynomialField:
     quadratic: tuple = ()
 
 
-@dataclass(frozen=True)
-class LeviCivitaReport:
+class LeviCivitaReport(NamedTuple):
     limit_vector: tuple[float, ...]
     target_vector: tuple[float, ...]
     max_abs_error: float
@@ -1015,8 +1040,7 @@ def squared_distance_target(model: Sphere, alpha: MultiIndex,
 # Truncation stability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncationStability:
+class TruncationStability(NamedTuple):
     value: float
     doubled_value: float
     delta: float

@@ -8,21 +8,27 @@ point of the lattice Z_+^n.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """A point of Z_+^n: counts[j] = multiplicity of coordinate j+1."""
+class MultiIndex(NamedTuple("MultiIndex", [("counts", tuple[int, ...])])):
+    """A point of Z_+^n: counts[j] = multiplicity of coordinate j+1.
 
-    counts: tuple[int, ...]
+    An immutable record (a tuple subclass), validated on construction;
+    ``_replace`` validates too, since it builds through ``_make``.
+    """
 
-    def __post_init__(self):
-        if len(self.counts) == 0:
+    __slots__ = ()
+
+    def __new__(cls, counts: tuple[int, ...]):
+        if len(counts) == 0:
             raise ValueError("ambient dimension must be positive")
-        if any((not isinstance(c, int)) or c < 0 for c in self.counts):
-            raise ValueError(f"counts must be non-negative integers, got {self.counts}")
+        for c in counts:
+            if not isinstance(c, int) or c < 0:
+                raise ValueError(f"counts must be non-negative integers, got {counts}")
+        return tuple.__new__(cls, (counts,))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def n(self) -> int:
@@ -116,8 +122,7 @@ class ProfileEntry(NamedTuple):
     sigma2: int  # a + b, i.e. twice the average multiplicity
 
 
-@dataclass(frozen=True)
-class PairProfile:
+class PairProfile(NamedTuple):
     """Per-index multiplicity table of a pair (alpha, beta).
 
     Only indices with a + b > 0 appear.  sigma2 stores the doubled average

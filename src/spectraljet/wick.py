@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .multiindex import MultiIndex, check_same_dimension, pair_profile
 
@@ -39,42 +39,43 @@ def double_factorial(k: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class WickA:
+class WickA(NamedTuple("WickA", [("sign", int), ("magnitude", int)])):
     """Signed exact value of A: sign in {-1, 0, +1}, arbitrary-precision magnitude."""
 
-    sign: int
-    magnitude: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.sign == 0) != (self.magnitude == 0):
+    def __new__(cls, sign: int, magnitude: int):
+        if (sign == 0) != (magnitude == 0):
             raise ValueError("sign is zero exactly when magnitude is zero")
+        return tuple.__new__(cls, (sign, magnitude))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     @property
     def value(self) -> int:
         return self.sign * self.magnitude
 
 
-@dataclass(frozen=True)
-class WickB:
+class WickB(NamedTuple("WickB", [("sign", int), ("square", Fraction)])):
     """B as (sign, exact rational square); the float view is derived."""
 
-    sign: int
-    square: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.sign == 0) != (self.square == 0):
+    def __new__(cls, sign: int, square: Fraction):
+        if (sign == 0) != (square == 0):
             raise ValueError("sign is zero exactly when the square is zero")
-        if self.square < 0 or self.square > 1:
-            raise ValueError(f"square must lie in [0, 1], got {self.square}")
+        if square < 0 or square > 1:
+            raise ValueError(f"square must lie in [0, 1], got {square}")
+        return tuple.__new__(cls, (sign, square))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates
 
     @property
     def value(self) -> float:
         return self.sign * math.sqrt(self.square)
 
 
-@dataclass(frozen=True)
-class GraphCount:
+class GraphCount(NamedTuple):
     """Signed count of admissible graphs (same-color perfect matchings)."""
 
     count: int
@@ -239,8 +240,7 @@ def gaussian_moment_quadrature(
     return sign * math.ldexp(integral, total // 2)
 
 
-@dataclass(frozen=True)
-class InductiveRelationReport:
+class InductiveRelationReport(NamedTuple):
     """Exact checks of the defining recurrences at one (alpha, beta, j)."""
 
     alpha: MultiIndex
@@ -308,8 +308,7 @@ def check_inductive_relations(
     )
 
 
-@dataclass(frozen=True)
-class StabilizationScan:
+class StabilizationScan(NamedTuple):
     """B along repeated differentiation in one coordinate direction.
 
     ``diagonal[k]`` is B(alpha + k e_j, beta + k e_j).  Every diagonal step

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectraljet
-from spectraljet.asymptotics import TOLERANCES
-from spectraljet.cli import main
+from spectraljet.asymptotics import DEFAULT_GRID, TOLERANCES, time_grid
+from spectraljet.cli import DEFAULT_CONFIG, main
 from spectraljet.lattice import run_triple_suite
 from spectraljet.reporting import csv_line, fmt_float, json_dumps, triple_rows_to_csv
 
@@ -269,6 +269,30 @@ class TestLatticeCommand:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestImportCost:
+    def test_import_builds_no_dataclass(self):
+        # every op pays the import: record types are NamedTuples, whose
+        # classes cost no dataclasses or inspect import and no generated
+        # methods; -S keeps site hooks from importing either module first
+        code = textwrap.dedent("""\
+            import sys
+            from spectraljet import cli
+            for name in ("dataclasses", "inspect"):
+                assert name not in sys.modules, name + " imported"
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "spectraljet":
+                    for value in vars(module).values():
+                        assert not hasattr(value, "__dataclass_fields__"), value
+        """)
+        src = str(Path(spectraljet.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestGoldenBytes:
     # sha256 of verify and curvature output; any change to the order of the
     # float operations in the spectral mode sums or the fits moves them.
@@ -289,8 +313,16 @@ class TestGoldenBytes:
          "a37c7223af484be70aff4691fa824722564a0f3333ef462aba3323b0e1d0de57"),
         (["curvature", "--model", "torus", "--radii", "1.0,1.3"], None,
          "bd76e39a5b21b6c19877317e0ebb512fd37ca35f65a26cda49aa4590b9b8e9d4"),
+        # the deepest mode sums of the benchmark's verify and curvature ops
+        (["verify", "--model", "sphere3", "--radius", "1.75", "--max-degree", "6",
+          "--t-grid", "0.1:0.5:7"],
+         "93a7bcdf54053b2f8456ac0d862c68f6195ae0f8af298624dfe3a1d916af88a0",
+         "8197cb38bc1a1266dc17dad2251bdb01b0521d3a8848656ad0978c64f06d3a79"),
+        (["curvature", "--model", "sphere2", "--radius", "1.5"], None,
+         "87e9b45773eba243c33640a400e8438661e3e70dd3eb7de18b12f86ba31ed5e6"),
     ], ids=["verify-sphere3", "verify-sphere2", "verify-torus",
-            "curvature-sphere3", "curvature-torus"])
+            "curvature-sphere3", "curvature-torus", "verify-sphere3-r1.75",
+            "curvature-sphere2-r1.5"])
     def test_verify_and_curvature(self, tmp_path, capsys, argv, csv_sha, json_sha):
         out_csv = tmp_path / "out.csv"
         out_json = tmp_path / "out.json"
@@ -335,6 +367,9 @@ class TestGoldenBytes:
 
 
 class TestConfigTypes:
+    def test_default_grid_is_the_config_grid(self):
+        assert time_grid(**DEFAULT_CONFIG["t_grid"]) == DEFAULT_GRID
+
     @pytest.mark.parametrize("argv, file_cfg, message", [
         (["lattice", "sample"], {"seed": "abc"}, "config seed must be an integer"),
         (["lattice", "sample"], {"seed": 1.5}, "config seed must be an integer"),

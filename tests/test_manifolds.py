@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from spectraljet.asymptotics import jet_relation_suite, normalization_factor, time_grid
 from spectraljet.manifolds import (
+    DEFAULT_POLICY,
     Circle,
     FlatTorus,
     PolynomialField,
@@ -494,6 +496,121 @@ class TestModeSumMemo:
         full = model.diag_jet_with_cutoff(t, a, b)
         assert full == make().diag_jet_with_cutoff(t, a, b)
         assert full != short and full[1] > short[1]
+
+
+class TestPolicyRecord:
+    def test_record_semantics(self):
+        policy = TruncationPolicy(epsilon=1e-12)
+        assert repr(policy) == (
+            "TruncationPolicy(mode='relative_tail', epsilon=1e-12, rho=0.5, "
+            "hard_cap=None, fixed_cutoff=None)"
+        )
+        assert TruncationPolicy() == DEFAULT_POLICY
+        assert hash(TruncationPolicy()) == hash(DEFAULT_POLICY)
+        with pytest.raises(AttributeError):
+            policy.epsilon = 1e-10
+        assert policy.doubled(40) == TruncationPolicy(
+            mode="fixed_cutoff", epsilon=1e-12, fixed_cutoff=80
+        )
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"mode": "weird"}, "unknown policy mode 'weird'"),
+        ({"mode": "fixed_cutoff"}, "fixed_cutoff mode needs a cutoff"),
+        ({"mode": "fixed_cutoff", "fixed_cutoff": 0}, "fixed_cutoff mode needs a cutoff"),
+        ({"epsilon": 0.0}, "epsilon and rho must be positive"),
+        ({"rho": -1.0}, "epsilon and rho must be positive"),
+        ({"hard_cap": 0}, "hard_cap must be null/None or an integer >= 1, got 0"),
+        ({"hard_cap": True}, "hard_cap must be null/None or an integer >= 1, got True"),
+        ({"hard_cap": 2.5}, "hard_cap must be null/None or an integer >= 1, got 2.5"),
+    ])
+    def test_invalid_fields(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TruncationPolicy(**fields)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DEFAULT_POLICY._replace(**fields)
+
+    def test_doubled_of_a_zero_cutoff_raises(self):
+        with pytest.raises(ValueError, match="fixed_cutoff mode needs a cutoff"):
+            DEFAULT_POLICY.doubled(0)
+
+    def test_equal_policies_share_memo_entries(self):
+        s = Sphere(3, 1.0)
+        a = mi([1, 1], 3)
+        value = s.diag_jet_with_cutoff(0.05, a, a)
+        stored = len(s._sums)
+        assert s.diag_jet_with_cutoff(0.05, a, a, TruncationPolicy()) == value
+        assert len(s._sums) == stored
+        doubled = s.diag_jet_with_cutoff(0.05, a, a, DEFAULT_POLICY.doubled(value[1]))
+        assert len(s._sums) == stored + 1
+        again = TruncationPolicy().doubled(value[1])
+        assert s.diag_jet_with_cutoff(0.05, a, a, again) == doubled
+        assert len(s._sums) == stored + 1
+
+
+class TestSphereModeTables:
+    """The table-backed sphere sums equal a direct loop over the closed-form
+    coefficients, bit for bit and cutoff for cutoff, and the tables grow no
+    further than the sums reach."""
+
+    TS = (0.2, 0.05, 0.01, 0.003)
+    POLICIES = (DEFAULT_POLICY, TruncationPolicy(mode="fixed_cutoff", fixed_cutoff=37))
+
+    @staticmethod
+    def zonal_reference(s, em, t, policy):
+        if all(e == 0.0 for e in em):
+            return 0.0, 0
+
+        def term(l):
+            acc = 0.0
+            for m, e in enumerate(em):
+                if e:
+                    acc += s._zonal_taylor(l, m) * e
+            return math.exp(-s.eigenvalue(l) * t) * acc
+
+        min_index = s._min_index(s.radius, t, 2 * (len(em) - 1) + s.n - 1.0, policy)
+        return _tail_sum(term, 0, min_index, policy, s._cap(policy))
+
+    @staticmethod
+    def diagonal_reference(s, t, start, policy):
+        def term(l):
+            return math.exp(-s.eigenvalue(l) * t) * s.multiplicity(l)
+
+        min_index = s._min_index(s.radius, t, s.n - 1.0, policy)
+        return _tail_sum(term, start, min_index, policy, s._cap(policy))
+
+    @pytest.mark.parametrize("dim, radius", [(2, 1.5), (3, 1.0), (4, 1.2)])
+    def test_tables_equal_direct_loop(self, dim, radius):
+        s = Sphere(dim, radius)
+        basis = enumerate_multiindices(dim, 2)
+        pairs = [(a, b) for i, a in enumerate(basis) for b in basis[i:]]
+        ems = {s._extract_vector(a, b, 4) for a, b in pairs}
+        ems |= {(0.5, -1.25, 3.0), (0.0, 0.0, -2.0, 0.0, 7.5), (1.0,), (0.0, 0.0)}
+        reach: dict = {}  # t -> largest cutoff summed at t
+
+        def check(got, want, *where):
+            assert got == want, where
+            reach[t] = max(reach.get(t, 0), want[1])
+
+        for t in self.TS:
+            for policy in self.POLICIES:
+                for em in sorted(ems):
+                    check(s._zonal_sum(em, t, policy),
+                          self.zonal_reference(s, em, t, policy), t, policy, em)
+                for start in (0, 1):
+                    check(s._diagonal_sum(t, start, policy),
+                          self.diagonal_reference(s, t, start, policy), t, policy, start)
+            for (a1, b1), (a2, b2) in zip(pairs, pairs[1:]):
+                total = max(a1.degree + b1.degree, a2.degree + b2.degree)
+                degree = s._series_degree(total)
+                em1 = s._extract_vector(a1, b1, degree)
+                em2 = s._extract_vector(a2, b2, degree)
+                diff = tuple(x - y for x, y in zip(em1, em2))
+                value, cutoff = self.zonal_reference(s, diff, t, DEFAULT_POLICY)
+                got = s.gram_difference(t, (a1, b1), (a2, b2))
+                want = s.gram_prefactor(t) * value * s._zonal_scale
+                check((got, cutoff), (want, cutoff), t, a1, b1, a2, b2)
+        assert {t: len(w) - 1 for t, w in s._weights.items()} == reach
+        assert len(s._taylor_rows) - 1 == max(reach.values())
 
 
 class TestScalarDiagonal:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -59,6 +60,33 @@ def test_text_is_the_index_list():
     for m in points:
         assert m.text() == ",".join(map(str, m.indices()))
         assert multiindex.parse(m.text(), m.n) == m
+
+
+def test_record_semantics():
+    m = MultiIndex((1, 2))
+    assert repr(m) == "MultiIndex(counts=(1, 2))"
+    assert m == MultiIndex(counts=(1, 2)) and m != MultiIndex((2, 1))
+    assert hash(m) == hash(MultiIndex((1, 2))) == hash(((1, 2),))
+    with pytest.raises(AttributeError):
+        m.counts = (3, 4)
+    with pytest.raises(AttributeError):
+        m.extra = 1
+    assert m._replace(counts=(0, 5)) == MultiIndex((0, 5))
+    # isinstance(c, int) is the check, so a bool count passes as before
+    assert MultiIndex((True, 0)) == MultiIndex((1, 0))
+
+
+@pytest.mark.parametrize("counts, message", [
+    ((), "ambient dimension must be positive"),
+    ((1, -1), "counts must be non-negative integers, got (1, -1)"),
+    ((1, 2.0), "counts must be non-negative integers, got (1, 2.0)"),
+    ((None,), "counts must be non-negative integers, got (None,)"),
+])
+def test_invalid_counts(counts, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MultiIndex(counts)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MultiIndex((1,))._replace(counts=counts)
 
 
 def test_degree_and_indices():

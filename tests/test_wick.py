@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from spectraljet import wick
 from spectraljet.multiindex import MultiIndex, empty, enumerate_multiindices, from_indices
 from spectraljet.wick import (
+    WickA,
     WickB,
     b_stabilization_scan,
     check_inductive_relations,
@@ -113,6 +115,32 @@ class TestWickB:
                     assert a == b
                 # the lower bound is strict: B = -1 never occurs
                 assert not (w.sign == -1 and w.square == 1)
+
+    def test_record_semantics(self):
+        w = WickB(-1, Fraction(1, 3))
+        assert repr(w) == "WickB(sign=-1, square=Fraction(1, 3))"
+        assert w == WickB(sign=-1, square=Fraction(1, 3)) and w != WickB(1, w.square)
+        assert hash(w) == hash((-1, Fraction(1, 3)))
+        with pytest.raises(AttributeError):
+            w.sign = 1
+        assert WickA(1, 3) == WickA(sign=1, magnitude=3)
+        with pytest.raises(AttributeError):
+            WickA(1, 3).magnitude = 5
+
+    @pytest.mark.parametrize("sign, square, message", [
+        (1, Fraction(0), "sign is zero exactly when the square is zero"),
+        (0, Fraction(1, 2), "sign is zero exactly when the square is zero"),
+        (1, Fraction(3, 2), "square must lie in [0, 1], got 3/2"),
+        (-1, Fraction(-1, 2), "square must lie in [0, 1], got -1/2"),
+    ])
+    def test_invalid_fields(self, sign, square, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WickB(sign, square)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            WickB(1, Fraction(1, 3))._replace(sign=sign, square=square)
+        if sign == 0 or square == 0:
+            with pytest.raises(ValueError, match="sign is zero exactly when magnitude"):
+                WickA(sign, int(square * 2))
 
 
 class TestGraphEnumeration:
