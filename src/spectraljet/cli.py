@@ -229,8 +229,9 @@ def _b_text(b) -> str:
 def cmd_wick(args: argparse.Namespace) -> int:
     if args.n is None:
         raise ConfigError("wick needs --n")
-    alpha = multiindex.parse(args.alpha, args.n)
-    beta = multiindex.parse(args.beta, args.n)
+    n = _config_int("n", args.n, 1)
+    alpha = multiindex.parse(args.alpha, n)
+    beta = multiindex.parse(args.beta, n)
     a = wick_a(alpha, beta)
     b = wick_b(alpha, beta)
     print(f"A={_a_text(a)} B={_b_text(b)} ({fmt_float(b.value)})")
@@ -260,15 +261,16 @@ def _write_suites(args: argparse.Namespace, cfg: dict, model, suites) -> bool:
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     model = config_model(cfg)
+    max_degree = _config_int("max_degree", cfg["max_degree"], 0)
     result = jet_relation_suite(
-        model, cfg["max_degree"], config_grid(cfg), config_policy(cfg),
+        model, max_degree, config_grid(cfg), config_policy(cfg),
         cfg["tolerances"],
     )
     if args.out:
         write_text(args.out, records_to_csv(result.records))
     passed = _write_suites(args, cfg, model, [result])
     print(
-        f"verify: model={model.label} max_degree={cfg['max_degree']} "
+        f"verify: model={model.label} max_degree={max_degree} "
         f"checks={len(result.summaries)} passed={passed}"
     )
     return 0 if passed else 1
@@ -279,7 +281,10 @@ def cmd_curvature(args: argparse.Namespace) -> int:
     model = config_model(cfg)
     grid = config_grid(cfg)
     if len(grid) < 4:
-        raise ConfigError("curvature suites need a t-grid (use --t-grid)")
+        raise ConfigError(
+            "curvature suites need a t-grid of at least 4 times "
+            f"(--t-grid start:ratio:count), got {len(grid)}"
+        )
     policy = config_policy(cfg)
     runs = [scalar_suite, isometry_suite, mean_curvature_suite, umbilical_suite]
     if model.n >= 2:

@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple
 from .multiindex import (
     MultiIndex,
     check_same_dimension,
+    counts_text,
     pair_profile,
     symmetric_difference_size,
 )
@@ -214,11 +215,12 @@ def sample_multiindex(rng: random.Random, n: int, max_degree: int) -> MultiIndex
 
 
 class TripleRow(NamedTuple):
-    """One sampled triple, in the CSV column layout of the lattice suite."""
+    """One sampled triple, in the CSV column layout of the lattice suite;
+    the three points are count tuples (``MultiIndex.counts``)."""
 
-    alpha: MultiIndex
-    beta: MultiIndex
-    gamma: MultiIndex
+    alpha: tuple[int, ...]
+    beta: tuple[int, ...]
+    gamma: tuple[int, ...]
     d_ab: float
     d_bc: float
     d_ac: float
@@ -294,14 +296,6 @@ def run_triple_suite(
     max_slack = -math.inf
     worst: tuple[str, str, str] | None = None
     min_margin = math.inf
-    points: dict[tuple[int, ...], MultiIndex] = {}  # one per distinct point
-
-    def point(counts: tuple[int, ...]) -> MultiIndex:
-        m = points.get(counts)
-        if m is None:
-            m = points[counts] = MultiIndex(counts)
-        return m
-
     rng = random.Random()
     for i in range(count):
         rng.seed(_task_seed(seed, i))
@@ -318,10 +312,9 @@ def run_triple_suite(
         slack = max(d_ac - d_ab - d_bc, d_ab - d_ac - d_bc, d_bc - d_ab - d_ac)
         if slack > triangle_slack_tol:
             triangle_violations += 1
-        alpha, beta, gamma = point(a), point(b), point(c)
         if slack > max_slack:
             max_slack = slack
-            worst = (alpha.text(), beta.text(), gamma.text())
+            worst = (counts_text(a), counts_text(b), counts_text(c))
 
         sign, magnitude, diag_a, diag_b = ab
         num, den = magnitude * magnitude, diag_a * diag_b  # B(a, b)^2 = num / den
@@ -362,7 +355,7 @@ def run_triple_suite(
                     break
 
         rows.append(
-            TripleRow(alpha, beta, gamma, d_ab, d_bc, d_ac, slack, lhs, rhs)
+            TripleRow(a, b, c, d_ab, d_bc, d_ac, slack, lhs, rhs)
         )
 
     report = TripleSuiteReport(

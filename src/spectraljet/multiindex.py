@@ -8,7 +8,19 @@ point of the lattice Z_+^n.
 """
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, NamedTuple
+
+_UNITS = tuple(f"{j}," for j in range(1, 65))  # the text of one copy of j
+
+
+def counts_text(counts: tuple[int, ...]) -> str:
+    """Comma-separated index list of a count tuple, e.g. (2, 0, 1) -> '1,1,3';
+    all-zero counts give ''.  The one renderer of a lattice point's text."""
+    units = _UNITS
+    if len(counts) > len(units):
+        units = [f"{j}," for j in range(1, len(counts) + 1)]
+    return "".join(map(mul, units, counts))[:-1]
 
 
 class MultiIndex(NamedTuple("MultiIndex", [("counts", tuple[int, ...])])):
@@ -79,7 +91,7 @@ class MultiIndex(NamedTuple("MultiIndex", [("counts", tuple[int, ...])])):
 
     def text(self) -> str:
         """Comma-separated index list; the empty multi-index is ''."""
-        return "".join(f"{j}," * c for j, c in enumerate(self.counts, 1))[:-1]
+        return counts_text(self.counts)
 
     def _check_index(self, index: int) -> None:
         if not 1 <= index <= self.n:

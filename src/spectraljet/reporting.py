@@ -11,6 +11,8 @@ import json
 import math
 from collections.abc import Iterable, Iterator
 
+from .multiindex import counts_text
+
 CSV_HEADER = "model,alpha,beta,t,raw,normalized,target,abs_err"
 LATTICE_CSV_HEADER = (
     "alpha,beta,gamma,d_ab,d_bc,d_ac,triangle_slack,comparison_lhs,comparison_rhs"
@@ -36,36 +38,66 @@ def csv_line(values) -> str:
     return ",".join(_csv_field(v) for v in values)
 
 
+def _csv_memo():
+    """The field and point renderers of one CSV, each memoized per CSV.
+
+    ``field`` gives ``_csv_field``'s text and renders each distinct float
+    once.  Only ``float`` values reach the memo, since ``True == 1 == 1.0``
+    would share a key.  ``0.0 == -0.0`` would too, so zeros stay out of it
+    and are told apart by their sign.  ``point`` renders each distinct count
+    tuple once through ``counts_text``; digits and commas need quoting only
+    when there is a comma.
+    """
+    floats: dict[float, str] = {}
+    zeros = {1.0: fmt_float(0.0), -1.0: fmt_float(-0.0)}
+    points: dict[tuple[int, ...], str] = {}
+
+    def field(value) -> str:
+        if type(value) is not float:
+            return _csv_field(value)
+        text = floats.get(value)
+        if text is None:
+            if not value:
+                return zeros[math.copysign(1.0, value)]
+            text = floats[value] = fmt_float(value)
+        return text
+
+    def point(counts: tuple[int, ...]) -> str:
+        text = points.get(counts)
+        if text is None:
+            text = counts_text(counts)
+            if "," in text:
+                text = '"' + text + '"'
+            points[counts] = text
+        return text
+
+    return field, point
+
+
 def records_to_csv(records) -> Iterator[str]:
     """The jet-record CSV as newline-terminated lines, header first."""
     yield CSV_HEADER + "\n"
-    for r in records:
-        yield csv_line(
-            (r.model, r.alpha.text(), r.beta.text(), r.t,
-             r.raw_jet, r.normalized, r.target, r.abs_err)
-        ) + "\n"
+    field, point = _csv_memo()
+    line = ",".join(["%s"] * 8) + "\n"
+    for model, alpha, beta, t, raw, normalized, target, abs_err in records:
+        yield line % (
+            field(model), point(alpha.counts), point(beta.counts), field(t),
+            field(raw), field(normalized), field(target), field(abs_err),
+        )
 
 
 def triple_rows_to_csv(rows) -> Iterator[str]:
-    """The lattice-triple CSV as newline-terminated lines, header first."""
+    """The lattice-triple CSV as newline-terminated lines, header first.
+
+    The three points of a row are count tuples.
+    """
     yield LATTICE_CSV_HEADER + "\n"
-    fields: dict[tuple[int, ...], str] = {}  # counts -> quoted text, once per point
-
-    def point(m) -> str:
-        text = fields.get(m.counts)
-        if text is None:
-            text = fields[m.counts] = _csv_field(m.text())
-        return text
-
-    # "%.17g" is fmt_float's text for every finite float, and every float of
-    # a row is finite by construction: each d = acos B lies in [0, pi], the
-    # triangle slack is a difference of such d, |cos d| <= 1, and the
-    # comparison bound p/q lies in [3/4, 1] (1.0 for a degree-0 pair).
-    line = "%s,%s,%s," + ",".join(["%.17g"] * 6) + "\n"
+    field, point = _csv_memo()
+    line = ",".join(["%s"] * 9) + "\n"
     for alpha, beta, gamma, d_ab, d_bc, d_ac, slack, lhs, rhs in rows:
         yield line % (
-            point(alpha), point(beta), point(gamma),
-            d_ab, d_bc, d_ac, slack, lhs, rhs,
+            point(alpha), point(beta), point(gamma), field(d_ab), field(d_bc),
+            field(d_ac), field(slack), field(lhs), field(rhs),
         )
 
 

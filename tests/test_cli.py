@@ -15,10 +15,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spectraljet
-from spectraljet.asymptotics import DEFAULT_GRID, TOLERANCES, time_grid
+from spectraljet.asymptotics import (
+    DEFAULT_GRID,
+    TOLERANCES,
+    ConvergenceRecord,
+    jet_relation_suite,
+    time_grid,
+)
 from spectraljet.cli import DEFAULT_CONFIG, main
 from spectraljet.lattice import run_triple_suite
-from spectraljet.reporting import csv_line, fmt_float, json_dumps, triple_rows_to_csv
+from spectraljet.manifolds import Sphere
+from spectraljet.multiindex import MultiIndex
+from spectraljet.reporting import (
+    csv_line,
+    fmt_float,
+    json_dumps,
+    records_to_csv,
+    triple_rows_to_csv,
+)
 
 
 def run(capsys, *argv):
@@ -57,6 +71,17 @@ class TestWickCommand:
         code, _, err = run(capsys, "wick", "--alpha", "1")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--n", "0"], "n must be an integer >= 1, got 0"),
+        (["--n", "0", "--alpha", "1"], "n must be an integer >= 1, got 0"),
+        (["--n", "-2"], "n must be an integer >= 1, got -2"),
+    ])
+    def test_rejects_out_of_range_config(self, capsys, argv, message):
+        code, out, err = run(capsys, "wick", *argv)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
 
 
 class TestVerifyCommand:
@@ -106,6 +131,25 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--t", "0.01")
         assert code == 2
         assert "no model" in err
+
+    @pytest.mark.parametrize("argv, file_cfg, message", [
+        (["--max-degree", "-1"], None, "max_degree must be an integer >= 0, got -1"),
+        ([], {"max_degree": -3}, "max_degree must be an integer >= 0, got -3"),
+    ])
+    def test_rejects_out_of_range_config(self, tmp_path, capsys, argv, file_cfg,
+                                         message):
+        # a negative degree checks nothing, so it must not read as a pass
+        if file_cfg is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(file_cfg))
+            argv = [*argv, "--config", str(cfg)]
+        out_csv = tmp_path / "out.csv"
+        code, out, err = run(capsys, "verify", "--model", "sphere3", *argv,
+                             "--out", str(out_csv))
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize("model, radius", [
         ("sphere2", "1e300"),
@@ -492,6 +536,22 @@ class TestCurvatureCommand:
             else:
                 assert "curvature" in doc["suites"]
 
+    @pytest.mark.parametrize("times, got", [
+        (["--t-grid", "0.1:0.5:3"], 3),
+        (["--t", "0.1"], 1),
+    ])
+    def test_short_grid_is_config_error(self, tmp_path, capsys, times, got):
+        out_json = tmp_path / "out.json"
+        code, out, err = run(capsys, "curvature", "--model", "torus",
+                             "--radii", "1,1", *times, "--out-json", str(out_json))
+        assert code == 2
+        assert err == (
+            "error: curvature suites need a t-grid of at least 4 times "
+            f"(--t-grid start:ratio:count), got {got}\n"
+        )
+        assert out == ""
+        assert not out_json.exists()
+
 
 class TestReportCommand:
     def test_merge_and_propagate_failure(self, tmp_path, capsys):
@@ -538,8 +598,39 @@ class TestSerialization:
         lines = list(triple_rows_to_csv(rows))
         assert len(lines) == len(rows) + 1
         for row, line in zip(rows, lines[1:]):
-            fields = (row.alpha.text(), row.beta.text(), row.gamma.text(), *row[3:])
+            fields = (*(MultiIndex(p).text() for p in row[:3]), *row[3:])
             assert line == csv_line(fields) + "\n"
+
+    def test_records_match_fmt_float_route(self):
+        result = jet_relation_suite(Sphere(3, 1.0), 4, time_grid(0.1, 0.5, 7))
+        lines = list(records_to_csv(result.records))
+        assert len(lines) == len(result.records) + 1
+        for r, line in zip(result.records, lines[1:]):
+            fields = (r.model, r.alpha.text(), r.beta.text(), *r[3:])
+            assert line == csv_line(fields) + "\n"
+
+    def test_memo_keeps_signed_zeros_and_types_apart(self):
+        # 0.0 == -0.0 and True == 1 == 1.0 as dict keys, and nan != nan:
+        # a memo keyed on float equality would hand out the wrong text
+        a, b = MultiIndex((1, 0)), MultiIndex((0, 2))
+        values = [
+            (0.0, -0.0, 0.0, -0.0, 1.0),
+            (-0.0, 0.0, -0.0, 0.0, True),
+            (1.0, True, 1, 1.0, 0.0),
+            (math.nan, math.nan, math.inf, -math.inf, -0.0),
+            (float("nan"), math.inf, 2.5, "1.0", None),
+        ]
+        records = [ConvergenceRecord("m,x", a, b, *v) for v in values]
+        records.append(ConvergenceRecord("m", MultiIndex((0, 0)), a, *values[0]))
+        lines = list(records_to_csv(records))[1:]
+        assert lines == [csv_line((r.model, r.alpha.text(), r.beta.text(), *r[3:]))
+                         + "\n" for r in records]
+        assert lines[0] == '"m,x",1,"2,2",0,-0,0,-0,1\n'
+        assert lines[1] == '"m,x",1,"2,2",-0,0,-0,0,True\n'
+        assert lines[2] == '"m,x",1,"2,2",1,True,1,1,0\n'
+        assert lines[3] == '"m,x",1,"2,2","nan","nan","inf","-inf",-0\n'
+        assert lines[4] == '"m,x",1,"2,2","nan","inf",2.5,1.0,None\n'
+        assert lines[5] == 'm,,1,0,-0,0,-0,1\n'
 
     def test_json_sorted_and_stable(self):
         doc = {"b": [1.0, 0.5], "a": {"y": True, "x": None}}

@@ -278,10 +278,10 @@ class TestTripleSuiteExactDecisions:
         rows, report = run_triple_suite(n, max_degree, 2000, 11)
         comparison_failures = stabilization_failures = 0
         for r in rows:
-            a, b = r.alpha, r.beta
+            a, b, c = MultiIndex(r.alpha), MultiIndex(r.beta), MultiIndex(r.gamma)
             assert r.d_ab == angle_distance(a, b).radians
-            assert r.d_bc == angle_distance(b, r.gamma).radians
-            assert r.d_ac == angle_distance(a, r.gamma).radians
+            assert r.d_bc == angle_distance(b, c).radians
+            assert r.d_ac == angle_distance(a, c).radians
             if a.degree + b.degree >= 1:
                 check = distance_comparison_check(a, b, delta)
                 assert (r.comparison_lhs, r.comparison_rhs) == (check.lhs, check.rhs)

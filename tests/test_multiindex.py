@@ -56,7 +56,13 @@ def test_parse_round_trip():
 
 
 def test_text_is_the_index_list():
-    points = enumerate_multiindices(4, 7) + [MultiIndex((12, 0, 21, 7))]
+    # n = 64 and 65 sit on both sides of the precomputed per-index units
+    points = enumerate_multiindices(4, 7) + [
+        MultiIndex((12, 0, 21, 7)),
+        MultiIndex((2,) + (0,) * 62 + (3,)),
+        MultiIndex((1,) * 65),
+        MultiIndex((0,) * 99 + (2,)),
+    ]
     for m in points:
         assert m.text() == ",".join(map(str, m.indices()))
         assert multiindex.parse(m.text(), m.n) == m
