@@ -42,13 +42,9 @@ from .lattice import (
     stabilization_scan,
 )
 from .jets import (
-    COS,
-    EXP,
-    SIN,
     SQRT_COS,
     SQRT_SINC,
     SQUARED_GEODESIC,
-    TruncatedSeries,
     compose_univariate,
     extract_mixed_partial,
 )

@@ -1,163 +1,57 @@
-"""Truncated multivariate Taylor arithmetic for mixed-partial extraction.
+"""Exact sphere jets through three rotation invariants.
 
-A :class:`TruncatedSeries` is a polynomial in 2n variables (n base-point
-offsets ``u`` followed by n offsets ``v``) kept exactly up to a total degree.
-Composing closed-form bivariate kernels into such series and reading off one
-coefficient realizes D_v^beta D_u^alpha f(u, v) at u = v = 0 without any
-finite differencing.
+On a sphere of radius 1 the cosine of the angle between exp(u) and exp(v)
+depends on the chart offsets u, v in R^n only through x = |u|^2, y = |v|^2
+and z = <u, v>:
 
-Coefficients are doubles; products are accumulated with exact (fsum)
-compensation because downstream consumers subtract O(1/t) quantities where
-every digit matters.
+    cos Theta = c(x) c(y) + s(x) s(y) z,   c(x) = cos sqrt x,
+                                           s(x) = sin sqrt x / sqrt x,
+
+so every power of w = cos Theta - 1 is a polynomial in (x, y, z) with
+rational coefficients, whatever n is.  A series here is a dict
+{(a, b, c): Fraction or int} for the monomials x^a y^b z^c, truncated at a
+weighted degree a + b + c <= cap; a monomial has degree 2(a + b + c) in
+(u, v).  ``extract_mixed_partial`` reads D_u^alpha D_v^beta at u = v = 0
+off such a series exactly.  A radius a scales a jet of order k by a^-k.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 from .multiindex import MultiIndex
 
-Exponents = tuple[int, ...]
+Series = dict[tuple[int, int, int], "Fraction | int"]
+
+X: Series = {(1, 0, 0): 1}
+Y: Series = {(0, 1, 0): 1}
+Z: Series = {(0, 0, 1): 1}
 
 
-class TruncatedSeries:
-    """Sparse dense-degree-capped polynomial: {exponent tuple -> coefficient}."""
+def series_add(p: Series, q: Series) -> Series:
+    out = dict(p)
+    for key, value in q.items():
+        total = out.get(key, 0) + value
+        if total:
+            out[key] = total
+        else:
+            out.pop(key, None)
+    return out
 
-    __slots__ = ("num_vars", "max_degree", "coeffs")
 
-    def __init__(self, num_vars: int, max_degree: int,
-                 coeffs: dict[Exponents, float] | None = None):
-        if num_vars < 1 or max_degree < 0:
-            raise ValueError("need num_vars >= 1 and max_degree >= 0")
-        self.num_vars = num_vars
-        self.max_degree = max_degree
-        self.coeffs: dict[Exponents, float] = {}
-        if coeffs:
-            for exps, c in coeffs.items():
-                self._check_exponents(exps)
-                if c != 0.0:
-                    self.coeffs[exps] = float(c)
-
-    def _check_exponents(self, exps: Exponents) -> None:
-        if len(exps) != self.num_vars:
-            raise ValueError(f"exponent tuple {exps} has wrong arity")
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
-        if sum(exps) > self.max_degree:
-            raise ValueError(
-                f"degree {sum(exps)} exceeds truncation order {self.max_degree}"
-            )
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def constant(cls, value: float, num_vars: int, max_degree: int) -> "TruncatedSeries":
-        return cls(num_vars, max_degree, {(0,) * num_vars: value})
-
-    @classmethod
-    def variable(cls, i: int, num_vars: int, max_degree: int) -> "TruncatedSeries":
-        """The i-th coordinate (0-based) as a series."""
-        exps = [0] * num_vars
-        exps[i] = 1
-        return cls(num_vars, max_degree, {tuple(exps): 1.0})
-
-    # -- ring operations ----------------------------------------------------
-
-    def _compatible(self, other: "TruncatedSeries") -> None:
-        if self.num_vars != other.num_vars or self.max_degree != other.max_degree:
-            raise ValueError("incompatible series (num_vars or max_degree differ)")
-
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = TruncatedSeries.constant(float(other), self.num_vars, self.max_degree)
-        self._compatible(other)
-        out = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            s = out.get(exps, 0.0) + c
-            if s == 0.0:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return TruncatedSeries(self.num_vars, self.max_degree, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self + (-float(other))
-        return self + other.scale(-1.0)
-
-    def scale(self, factor: float) -> "TruncatedSeries":
-        if factor == 0.0:
-            return TruncatedSeries(self.num_vars, self.max_degree)
-        return TruncatedSeries(
-            self.num_vars, self.max_degree,
-            {e: c * factor for e, c in self.coeffs.items()},
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.scale(float(other))
-        self._compatible(other)
-        cap = self.max_degree
-        # Bucket the cross products per output monomial and fsum each bucket:
-        # exact compensated accumulation of the truncated convolution.
-        buckets: dict[Exponents, list[float]] = {}
-        right = list(other.coeffs.items())
-        right_deg = [sum(e) for e, _ in right]
-        for e1, c1 in self.coeffs.items():
-            d1 = sum(e1)
-            for (e2, c2), d2 in zip(right, right_deg):
-                if d1 + d2 > cap:
-                    continue
-                key = tuple(a + b for a, b in zip(e1, e2))
-                buckets.setdefault(key, []).append(c1 * c2)
-        out = {}
-        for key, vals in buckets.items():
-            s = math.fsum(vals)
-            if s != 0.0:
-                out[key] = s
-        return TruncatedSeries(self.num_vars, self.max_degree, out)
-
-    __rmul__ = __mul__
-
-    # -- queries ------------------------------------------------------------
-
-    @property
-    def constant_term(self) -> float:
-        return self.coeffs.get((0,) * self.num_vars, 0.0)
-
-    def coefficient(self, exps: Exponents) -> float:
-        self._check_exponents(tuple(exps))
-        return self.coeffs.get(tuple(exps), 0.0)
-
-    def valuation(self) -> int:
-        """Lowest total degree with a nonzero coefficient (max_degree+1 if zero)."""
-        if not self.coeffs:
-            return self.max_degree + 1
-        return min(sum(e) for e in self.coeffs)
-
-    def evaluate(self, point) -> float:
-        """Evaluate the truncated polynomial at a point (for oracle checks)."""
-        if len(point) != self.num_vars:
-            raise ValueError("point has wrong arity")
-        terms = []
-        for exps, c in self.coeffs.items():
-            val = c
-            for x, e in zip(point, exps):
-                if e:
-                    val *= x ** e
-            terms.append(val)
-        return math.fsum(terms)
-
-    def max_abs_coefficient(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def __repr__(self):
-        return (f"TruncatedSeries(num_vars={self.num_vars}, "
-                f"max_degree={self.max_degree}, terms={len(self.coeffs)})")
+def series_mul(p: Series, q: Series, cap: int) -> Series:
+    """p q without the monomials of weighted degree above cap."""
+    out: Series = {}
+    right = [(key, sum(key), value) for key, value in q.items()]
+    for (a1, b1, c1), value1 in p.items():
+        room = cap - a1 - b1 - c1
+        for (a2, b2, c2), degree2, value2 in right:
+            if degree2 <= room:
+                key = (a1 + a2, b1 + b2, c1 + c2)
+                out[key] = out.get(key, 0) + value1 * value2
+    return {key: value for key, value in out.items() if value}
 
 
 # ---------------------------------------------------------------------------
@@ -165,69 +59,18 @@ class TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 class AnalyticKernel:
-    """A univariate entire function with Taylor coefficients available at a
-    requested expansion point."""
+    """A univariate function analytic at 0: its exact Taylor coefficients
+    there from ``coefficient(k)``, and a float evaluation from ``__call__``."""
 
-    name = "kernel"
-
-    def coefficients(self, center: float, count: int) -> list[float]:
-        raise NotImplementedError
-
-    def __call__(self, x: float) -> float:
-        raise NotImplementedError
+    def coefficients(self, count: int) -> list[Fraction]:
+        return [self.coefficient(k) for k in range(count)]
 
 
-class ExpKernel(AnalyticKernel):
-    name = "exp"
-
-    def coefficients(self, center, count):
-        e = math.exp(center)
-        return [e / math.factorial(k) for k in range(count)]
-
-    def __call__(self, x):
-        return math.exp(x)
-
-
-class CosKernel(AnalyticKernel):
-    name = "cos"
-
-    def coefficients(self, center, count):
-        c, s = math.cos(center), math.sin(center)
-        cycle = (c, -s, -c, s)
-        return [cycle[k % 4] / math.factorial(k) for k in range(count)]
-
-    def __call__(self, x):
-        return math.cos(x)
-
-
-class SinKernel(AnalyticKernel):
-    name = "sin"
-
-    def coefficients(self, center, count):
-        c, s = math.cos(center), math.sin(center)
-        cycle = (s, c, -s, -c)
-        return [cycle[k % 4] / math.factorial(k) for k in range(count)]
-
-    def __call__(self, x):
-        return math.sin(x)
-
-
-class _OriginOnlyKernel(AnalyticKernel):
-    """Kernels used only with inner series whose constant term is zero."""
-
-    def _check_center(self, center: float) -> None:
-        if center != 0.0:
-            raise ValueError(f"{self.name} expands at 0 only, got center {center}")
-
-
-class SqrtCosKernel(_OriginOnlyKernel):
+class SqrtCosKernel(AnalyticKernel):
     """c(z) = cos(sqrt z), entire in z; c(|u|^2) = cos|u| smooths the norm."""
 
-    name = "cos_sqrt"
-
-    def coefficients(self, center, count):
-        self._check_center(center)
-        return [(-1.0) ** k / math.factorial(2 * k) for k in range(count)]
+    def coefficient(self, k):
+        return Fraction((-1) ** k, math.factorial(2 * k))
 
     def __call__(self, z):
         if z >= 0:
@@ -235,14 +78,11 @@ class SqrtCosKernel(_OriginOnlyKernel):
         return math.cosh(math.sqrt(-z))
 
 
-class SqrtSincKernel(_OriginOnlyKernel):
+class SqrtSincKernel(AnalyticKernel):
     """s(z) = sin(sqrt z)/sqrt z, entire in z; s(|u|^2) |u| = sin|u|."""
 
-    name = "sinc_sqrt"
-
-    def coefficients(self, center, count):
-        self._check_center(center)
-        return [(-1.0) ** k / math.factorial(2 * k + 1) for k in range(count)]
+    def coefficient(self, k):
+        return Fraction((-1) ** k, math.factorial(2 * k + 1))
 
     def __call__(self, z):
         if z == 0:
@@ -254,7 +94,7 @@ class SqrtSincKernel(_OriginOnlyKernel):
         return math.sinh(r) / r
 
 
-class SquaredGeodesicKernel(_OriginOnlyKernel):
+class SquaredGeodesicKernel(AnalyticKernel):
     """g(w) = (arccos(1 + w))^2 for w in (-2, 0].
 
     With w = cos r - 1 this recovers the squared geodesic distance r^2 on the
@@ -262,78 +102,96 @@ class SquaredGeodesicKernel(_OriginOnlyKernel):
     g_m = 2 (-2)^m / (m^2 C(2m, m)) for m >= 1 (from the arcsin^2 series).
     """
 
-    name = "squared_geodesic"
-
-    def coefficients(self, center, count):
-        self._check_center(center)
-        out = [0.0]
-        for m in range(1, count):
-            out.append(2.0 * (-2.0) ** m / (m * m * math.comb(2 * m, m)))
-        return out
+    def coefficient(self, m):
+        if m == 0:
+            return Fraction(0)
+        return Fraction(2 * (-2) ** m, m * m * math.comb(2 * m, m))
 
     def __call__(self, w):
         x = min(1.0, max(-1.0, 1.0 + w))
         return math.acos(x) ** 2
 
 
-EXP = ExpKernel()
-COS = CosKernel()
-SIN = SinKernel()
 SQRT_COS = SqrtCosKernel()
 SQRT_SINC = SqrtSincKernel()
 SQUARED_GEODESIC = SquaredGeodesicKernel()
 
 
-def compose_coefficients(coeffs: list[float], inner: TruncatedSeries,
-                         shift: float = 0.0) -> TruncatedSeries:
-    """sum_k coeffs[k] * (inner - shift)^k, truncated at inner.max_degree."""
-    delta = inner - shift if shift else inner
-    out = TruncatedSeries.constant(coeffs[0], inner.num_vars, inner.max_degree)
-    power = TruncatedSeries.constant(1.0, inner.num_vars, inner.max_degree)
-    for k in range(1, len(coeffs)):
-        power = power * delta
-        if not power.coeffs:
-            break
-        if coeffs[k] != 0.0:
-            out = out + power.scale(coeffs[k])
+def compose_univariate(kernel: AnalyticKernel, inner: Series, cap: int) -> Series:
+    """kernel(inner) truncated at weighted degree cap.
+
+    inner has no constant term, so its k-th power starts at degree k and
+    the kernel's Taylor series at 0 needs only cap + 1 terms.
+    """
+    if (0, 0, 0) in inner:
+        raise ValueError("the inner series of a composition must vanish at 0")
+    coeffs = kernel.coefficients(cap + 1)
+    out: Series = {(0, 0, 0): coeffs[0]} if coeffs[0] else {}
+    power: Series = {(0, 0, 0): 1}
+    for coeff in coeffs[1:]:
+        power = series_mul(power, inner, cap)
+        if coeff:
+            out = series_add(out, {key: coeff * v for key, v in power.items()})
     return out
 
 
-def compose_univariate(kernel: AnalyticKernel, inner: TruncatedSeries) -> TruncatedSeries:
-    """Compose kernel(inner), expanding the kernel about inner's constant term.
+def sphere_cosine_powers(cap: int) -> tuple[Series, ...]:
+    """[w^0, ..., w^cap] for w = cos Theta - 1 on the unit sphere."""
+    cos_theta = series_add(
+        series_mul(compose_univariate(SQRT_COS, X, cap),
+                   compose_univariate(SQRT_COS, Y, cap), cap),
+        series_mul(series_mul(compose_univariate(SQRT_SINC, X, cap),
+                              compose_univariate(SQRT_SINC, Y, cap), cap),
+                   Z, cap),
+    )
+    w = series_add(cos_theta, {(0, 0, 0): -1})
+    powers = [{(0, 0, 0): 1}]
+    for _ in range(cap):
+        powers.append(series_mul(powers[-1], w, cap))
+    return tuple(powers)
 
-    Re-centering is what lets e.g. cos(r) pass through the origin of the
-    exponential chart, where r itself is not smooth: only entire functions of
-    squared norms are ever composed.
+
+@lru_cache(maxsize=256)  # shared by the powers of w in one extraction vector
+def _monomial_weights(alpha: tuple[int, ...], beta: tuple[int, ...]):
+    """((a, b, c), alpha! beta! times the coefficient of u^alpha v^beta in
+    x^a y^b z^c) for each monomial where it is nonzero.
+
+    z^c contributes u^gamma v^gamma with multinomial weight c!/gamma!, and
+    x^a, y^b the even rest alpha - gamma = 2p, beta - gamma = 2q with
+    weights a!/p!, b!/q!; so gamma <= min(alpha, beta) with alpha - gamma
+    and beta - gamma even.
     """
-    center = inner.constant_term
-    count = inner.max_degree + 1
-    coeffs = kernel.coefficients(center, count)
-    return compose_coefficients(coeffs, inner, shift=center)
-
-
-def extract_mixed_partial(series: TruncatedSeries, alpha: MultiIndex,
-                          beta: MultiIndex) -> float:
-    """D_v^beta D_u^alpha of the represented function at u = v = 0.
-
-    The series lives in 2n variables (u then v); the mixed partial is the
-    coefficient at exponent (alpha, beta) times alpha! beta! (products of
-    factorials of the multiplicities).
-    """
-    if alpha.n != beta.n:
+    if len(alpha) != len(beta):
         raise ValueError("alpha and beta must share the ambient dimension")
-    if 2 * alpha.n != series.num_vars:
-        raise ValueError(
-            f"series has {series.num_vars} variables, expected {2 * alpha.n}"
-        )
-    total = alpha.degree + beta.degree
-    if total > series.max_degree:
-        raise ValueError(
-            f"jet order {total} exceeds series truncation {series.max_degree}"
-        )
-    exps = alpha.counts + beta.counts
-    coeff = series.coeffs.get(exps, 0.0)
-    factor = 1
-    for m in exps:
-        factor *= math.factorial(m)
-    return coeff * factor
+    if any((i - j) % 2 for i, j in zip(alpha, beta)):
+        return ()
+    fact = math.factorial
+    scale = math.prod(map(fact, alpha)) * math.prod(map(fact, beta))
+    weights: dict[tuple[int, int, int], int] = {}
+    ranges = [range(i % 2, min(i, j) + 1, 2) for i, j in zip(alpha, beta)]
+    for gamma in product(*ranges):
+        c = sum(gamma)
+        a = (sum(alpha) - c) // 2
+        b = (sum(beta) - c) // 2
+        denominator = 1
+        for g, i, j in zip(gamma, alpha, beta):
+            denominator *= fact(g) * fact((i - g) // 2) * fact((j - g) // 2)
+        term = scale * fact(c) * fact(a) * fact(b) // denominator
+        weights[a, b, c] = weights.get((a, b, c), 0) + term
+    return tuple(weights.items())
+
+
+def extract_mixed_partial(series: Series, alpha: MultiIndex,
+                          beta: MultiIndex) -> Fraction | int:
+    """D_v^beta D_u^alpha of the represented function at u = v = 0, exactly.
+
+    The caller keeps (|alpha| + |beta|) / 2 within the series truncation.
+    """
+    num, den = 0, 1  # the sum over one common denominator, reduced once
+    for key, weight in _monomial_weights(alpha.counts, beta.counts):
+        coeff = series.get(key)
+        if coeff is not None:
+            d = coeff.denominator
+            num = num * d + coeff.numerator * weight * den
+            den *= d
+    return Fraction(num, den) if num else 0

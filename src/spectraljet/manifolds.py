@@ -9,12 +9,12 @@ for spheres), together with the normalized embedding Gram entries
 which are the inner products of the jet vectors of the normalized embedding.
 
 Flat models use termwise-differentiated trigonometric series in closed form.
-A sphere S^n of any dimension n >= 2 writes the cosine of geodesic distance
-as a truncated Taylor series in the chart offsets, through the entire
-functions c(z) = cos(sqrt z), s(z) = sin(sqrt z)/sqrt z, then reads off
-mixed partials; the degree-l zonal function, a Gegenbauer polynomial with
-parameter (n-1)/2, enters only through its few leading Taylor coefficients
-at 1, which have one closed form for every n.
+A sphere S^n of any dimension n >= 2 reads its mixed partials exactly off
+the powers of cos Theta - 1 as polynomials in three rotation invariants of
+the chart offsets (``jets``), and rounds each one once; the degree-l zonal
+function, a Gegenbauer polynomial with parameter (n-1)/2, enters only
+through its few leading Taylor coefficients at 1, which have one closed
+form for every n.
 """
 from __future__ import annotations
 
@@ -28,8 +28,9 @@ from .jets import (
     SQRT_COS,
     SQRT_SINC,
     SQUARED_GEODESIC,
-    TruncatedSeries,
     compose_univariate,
+    extract_mixed_partial,
+    sphere_cosine_powers,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -396,41 +397,29 @@ class Circle(FlatTorus):
 
 
 @lru_cache(maxsize=32)
-def _sphere_series_tables(dim: int, radius: float, max_degree: int):
-    """Powers of w = cos(Theta) - 1 as truncated series in the chart offsets.
+def _sphere_series_tables(max_degree: int):
+    """[w^0, w^1, ..., w^(max_degree // 2)] for w = cos(Theta) - 1, exact
+    series in the rotation invariants of the unit sphere's chart offsets;
+    a jet of order k on the sphere of radius a is a^-k times its value
+    there, so the tables serve every dimension and radius."""
+    return sphere_cosine_powers(max_degree // 2)
 
-    Theta is the angle between exp(u) and exp(v) on the sphere of the given
-    radius: cos Theta = c(|u|^2/a^2) c(|v|^2/a^2) + s(|u|^2/a^2) s(|v|^2/a^2)
-    <u, v>/a^2, assembled from entire kernels so the norm never appears bare.
-    Returns [w^0, w^1, ..., w^(max_degree // 2)].
-    """
-    nv = 2 * dim
-    inv_a2 = 1.0 / (radius * radius)
-    u_sq = TruncatedSeries(nv, max_degree)
-    v_sq = TruncatedSeries(nv, max_degree)
-    dot = TruncatedSeries(nv, max_degree)
-    for i in range(dim):
-        eu = [0] * nv
-        eu[i] = 2
-        u_sq = u_sq + TruncatedSeries(nv, max_degree, {tuple(eu): inv_a2})
-        ev = [0] * nv
-        ev[dim + i] = 2
-        v_sq = v_sq + TruncatedSeries(nv, max_degree, {tuple(ev): inv_a2})
-        ed = [0] * nv
-        ed[i] = 1
-        ed[dim + i] = 1
-        dot = dot + TruncatedSeries(nv, max_degree, {tuple(ed): inv_a2})
-    cos_theta = (
-        compose_univariate(SQRT_COS, u_sq) * compose_univariate(SQRT_COS, v_sq)
-        + compose_univariate(SQRT_SINC, u_sq)
-        * compose_univariate(SQRT_SINC, v_sq)
-        * dot
-    )
-    w = cos_theta - 1.0
-    powers = [TruncatedSeries.constant(1.0, nv, max_degree)]
-    for _ in range(max_degree // 2):
-        powers.append(powers[-1] * w)
-    return tuple(powers)
+
+def _rounded_jet(exact, radius: float, power: int, order: int) -> float:
+    """exact * radius**power, rounded once to a float; past the float range
+    a ValueError naming the jet order and the radius."""
+    if not exact:
+        return 0.0
+    p, q = radius.as_integer_ratio()
+    if power < 0:
+        p, q, power = q, p, -power
+    try:
+        return exact.numerator * p**power / (exact.denominator * q**power)
+    except OverflowError:
+        raise ValueError(
+            f"jet of order {order} overflows for radius {radius!r}: "
+            "lower the max degree or raise the radius"
+        ) from None
 
 
 class Sphere(SpectralModel):
@@ -525,12 +514,14 @@ class Sphere(SpectralModel):
         cached = self._extract_cache.get(key)
         if cached is not None:
             return cached
-        powers = _sphere_series_tables(self.n, self.radius, degree)
-        exps = alpha.counts + beta.counts
-        factor = 1
-        for m in exps:
-            factor *= math.factorial(m)
-        vec = tuple(p.coeffs.get(exps, 0.0) * factor for p in powers)
+        order = alpha.degree + beta.degree
+        if order > degree:
+            raise ValueError(f"jet order {order} exceeds series degree {degree}")
+        vec = tuple(
+            _rounded_jet(extract_mixed_partial(p, alpha, beta), self.radius,
+                         -order, order)
+            for p in _sphere_series_tables(degree)
+        )
         self._extract_cache[key] = vec
         return vec
 
@@ -984,7 +975,9 @@ def squared_distance_jets(model: Sphere, alpha: MultiIndex,
     """Mixed partial D_v^beta D_u^alpha of r^2(exp u, exp v) at u = v = 0.
 
     r^2 = a^2 (arccos(cos Theta))^2 passes through the chart origin via the
-    analytic kernel g(w) = (arccos(1+w))^2 applied to w = cos Theta - 1.
+    analytic kernel g(w) = (arccos(1+w))^2 applied to w = cos Theta - 1;
+    the exact unit-sphere jet of order k is scaled by a^(2-k) and rounded
+    once.
     Closed-form targets on the sphere: first jets 0, D_ij r^2 = 2 delta_ij =
     -D_i Dbar_j r^2, all third jets 0, pure fourth jets 0, and the mixed
     fourth jets carry the curvature combination -(2/3)(R_ikjl + R_iljk).
@@ -994,18 +987,11 @@ def squared_distance_jets(model: Sphere, alpha: MultiIndex,
     total = alpha.degree + beta.degree
     if total > 4:
         raise ValueError("squared-distance jets are supported up to order 4")
-    degree = 4
-    powers = _sphere_series_tables(model.n, model.radius, degree)
-    gcoeffs = SQUARED_GEODESIC.coefficients(0.0, len(powers))
-    a2 = model.radius * model.radius
-    exps = alpha.counts + beta.counts
-    factor = 1
-    for m in exps:
-        factor *= math.factorial(m)
-    coeff = math.fsum(
-        gcoeffs[m] * powers[m].coeffs.get(exps, 0.0) for m in range(1, len(powers))
+    w = _sphere_series_tables(4)[1]
+    exact = extract_mixed_partial(
+        compose_univariate(SQUARED_GEODESIC, w, 2), alpha, beta
     )
-    return a2 * coeff * factor
+    return _rounded_jet(exact, model.radius, 2 - total, total)
 
 
 def squared_distance_target(model: Sphere, alpha: MultiIndex,

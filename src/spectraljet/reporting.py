@@ -20,9 +20,10 @@ LATTICE_CSV_HEADER = (
 
 
 def fmt_float(x: float) -> str:
-    if isinstance(x, float) and not math.isfinite(x):
+    x = float(x)  # a float subclass, such as numpy.float64, writes as a float
+    if not math.isfinite(x):
         return '"%s"' % repr(x)
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
 def _csv_field(value) -> str:

@@ -1,21 +1,25 @@
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from spectraljet.jets import (
-    COS,
-    EXP,
-    SIN,
     SQRT_COS,
     SQRT_SINC,
     SQUARED_GEODESIC,
-    TruncatedSeries,
+    X,
+    Y,
+    Z,
     compose_univariate,
     extract_mixed_partial,
+    series_add,
+    series_mul,
+    sphere_cosine_powers,
 )
-from spectraljet.multiindex import MultiIndex, from_indices
+from spectraljet.manifolds import Sphere, squared_distance_jets
+from spectraljet.multiindex import MultiIndex, enumerate_multiindices, from_indices
 
 # ---------------------------------------------------------------------------
 # finite-difference oracle (4th-order central stencils, composed per order)
@@ -51,270 +55,314 @@ def fd_mixed_partial(f, orders, h):
     return total / h ** sum(orders)
 
 
-def series_from_dict(coeffs, num_vars, max_degree):
-    return TruncatedSeries(num_vars, max_degree, coeffs)
-
-
-def random_series(rng, num_vars, max_degree, scale=1.0, density=0.5):
+def random_series(rng, cap, density=0.5, constant=True):
+    """Random rational coefficients on the monomials x^a y^b z^c, a+b+c <= cap."""
     coeffs = {}
+    for key in product(range(cap + 1), repeat=3):
+        if sum(key) > cap or (not constant and not any(key)):
+            continue
+        if rng.random() < density:
+            value = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            if value:
+                coeffs[key] = value
+    return coeffs
 
-    def fill(prefix, remaining):
-        if len(prefix) == num_vars - 1:
-            for last in range(remaining + 1):
-                if rng.random() < density:
-                    coeffs[tuple(prefix + [last])] = scale * rng.uniform(-1, 1)
-            return
-        for c in range(remaining + 1):
-            fill(prefix + [c], remaining - c)
 
-    fill([], max_degree)
-    return TruncatedSeries(num_vars, max_degree, coeffs)
+def evaluate(series, point):
+    """The series at a chart point (u then v), through x, y and z."""
+    n = len(point) // 2
+    u, v = point[:n], point[n:]
+    x = sum(a * a for a in u)
+    y = sum(b * b for b in v)
+    z = sum(a * b for a, b in zip(u, v))
+    return math.fsum(float(c) * x**a * y**b * z**k for (a, b, k), c in series.items())
+
+
+def sympy_w_powers(n, degree):
+    """[w^0, ..., w^(degree // 2)] for w = cos Theta - 1 on the unit S^n,
+    expanded by sympy in the 2n chart offsets and truncated at total degree
+    `degree`: the kernels from sympy's own series, and no invariants."""
+    import sympy
+    from sympy.polys.domains import QQ
+    from sympy.polys.rings import ring
+
+    names = [f"u{i}" for i in range(n)] + [f"v{i}" for i in range(n)]
+    R, *gens = ring(",".join(names), QQ)
+    u, v = gens[:n], gens[n:]
+    cap = degree // 2
+    t = sympy.Symbol("t")
+
+    def kernel(expr):
+        poly = sympy.series(expr, t, 0, cap + 1).removeO()
+        return [sympy.Rational(poly.coeff(t, k)) for k in range(cap + 1)]
+
+    def trunc(p):
+        return R({m: c for m, c in p.items() if sum(m) <= degree})
+
+    def compose(coeffs, q):
+        out, power = R(0), R(1)
+        for c in coeffs:
+            out += power * QQ(int(c.p), int(c.q))
+            power = trunc(power * q)
+        return out
+
+    c = kernel(sympy.cos(sympy.sqrt(t)))
+    s = kernel(sympy.sin(sympy.sqrt(t)) / sympy.sqrt(t))
+    x = sum(a**2 for a in u)
+    y = sum(b**2 for b in v)
+    z = sum(a * b for a, b in zip(u, v))
+    w = trunc(compose(c, x) * compose(c, y) + compose(s, x) * compose(s, y) * z) - 1
+    powers = [R(1)]
+    for _ in range(cap):
+        powers.append(trunc(powers[-1] * w))
+    return powers
+
+
+def sympy_jet(poly, alpha, beta):
+    """D_u^alpha D_v^beta at 0 of a sympy ring element, as a Fraction."""
+    exps = alpha.counts + beta.counts
+    c = dict(poly.items()).get(exps)
+    if c is None:
+        return Fraction(0)
+    return Fraction(int(c.numerator), int(c.denominator)) * math.prod(
+        math.factorial(e) for e in exps
+    )
+
+
+def ordered_pairs(n, degree):
+    basis = enumerate_multiindices(n, degree)
+    return [(a, b) for a in basis for b in basis if a.degree + b.degree <= degree]
 
 
 class TestSeriesOps:
     def test_mul_monomials(self):
-        u1 = TruncatedSeries.variable(0, 4, 4)
-        sq = u1 * u1
-        assert sq.coefficient((2, 0, 0, 0)) == 1.0
+        assert series_mul(X, X, 4) == {(2, 0, 0): 1}
+        assert series_mul(X, Z, 4) == {(1, 0, 1): 1}
 
     def test_truncation_drops_high_degree(self):
-        u1 = TruncatedSeries.variable(0, 2, 2)
-        cube = u1 * u1 * u1
-        assert cube.coeffs == {}
+        cube = series_mul(series_mul(X, Y, 2), Z, 2)
+        assert cube == {}
 
-    def test_compose_exp_of_zero(self):
-        zero = TruncatedSeries(2, 3)
-        one = compose_univariate(EXP, zero)
-        assert one.coefficient((0, 0)) == 1.0
-        assert len(one.coeffs) == 1
-
-    def test_incompatible_series(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries(2, 3) + TruncatedSeries(3, 3)
-        with pytest.raises(ValueError):
-            TruncatedSeries(2, 3) * TruncatedSeries(2, 4)
-
-    def test_exponent_validation(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries(2, 2, {(2, 1): 1.0})
-        with pytest.raises(ValueError):
-            TruncatedSeries(2, 2, {(1,): 1.0})
+    def test_compose_of_zero(self):
+        assert compose_univariate(SQRT_COS, {}, 3) == {(0, 0, 0): 1}
+        assert compose_univariate(SQUARED_GEODESIC, {}, 3) == {}
 
     def test_mul_matches_reference_convolution(self):
-        # independent naive convolution (no bucketing, no compensation)
+        # independent naive convolution, truncated after the fact
         rng = random.Random(31)
-        a = random_series(rng, 3, 5)
-        b = random_series(rng, 3, 5)
+        a = random_series(rng, 4)
+        b = random_series(rng, 4)
         ref = {}
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
-                if sum(e1) + sum(e2) > 5:
-                    continue
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 key = tuple(x + y for x, y in zip(e1, e2))
-                ref[key] = ref.get(key, 0.0) + c1 * c2
-        prod = a * b
-        for key in set(ref) | set(prod.coeffs):
-            assert abs(prod.coefficient(key) - ref.get(key, 0.0)) <= 1e-13
+                ref[key] = ref.get(key, 0) + c1 * c2
+        ref = {k: c for k, c in ref.items() if sum(k) <= 4 and c}
+        assert series_mul(a, b, 4) == ref
 
     def test_ring_axioms_random(self):
         rng = random.Random(5)
         for _ in range(12):
-            a = random_series(rng, 3, 4)
-            b = random_series(rng, 3, 4)
-            c = random_series(rng, 3, 4)
-            ab_c = (a * b) * c
-            a_bc = a * (b * c)
-            scale = max(ab_c.max_abs_coefficient(), 1.0)
-            for exps in set(ab_c.coeffs) | set(a_bc.coeffs):
-                assert abs(ab_c.coefficient(exps) - a_bc.coefficient(exps)) <= 1e-13 * scale
-            ab = a * b
-            ba = b * a
-            for exps in set(ab.coeffs) | set(ba.coeffs):
-                assert abs(ab.coefficient(exps) - ba.coefficient(exps)) == 0.0
-            lhs = a * (b + c)
-            rhs = a * b + a * c
-            scale = max(lhs.max_abs_coefficient(), 1.0)
-            for exps in set(lhs.coeffs) | set(rhs.coeffs):
-                assert abs(lhs.coefficient(exps) - rhs.coefficient(exps)) <= 1e-13 * scale
+            a, b, c = (random_series(rng, 3) for _ in range(3))
+            assert series_mul(series_mul(a, b, 3), c, 3) == series_mul(
+                a, series_mul(b, c, 3), 3)
+            assert series_mul(a, b, 3) == series_mul(b, a, 3)
+            assert series_mul(a, series_add(b, c), 3) == series_add(
+                series_mul(a, b, 3), series_mul(a, c, 3))
+            assert series_add(a, {k: -v for k, v in a.items()}) == {}
 
 
 class TestKernels:
-    def test_exp_cos_sin_coefficients_at_zero(self):
-        assert EXP.coefficients(0.0, 4) == [1.0, 1.0, 0.5, 1 / 6]
-        cos_c = COS.coefficients(0.0, 5)
-        assert cos_c == [1.0, 0.0, -0.5, 0.0, 1 / 24]
-        sin_c = SIN.coefficients(0.0, 4)
-        assert sin_c == [0.0, 1.0, 0.0, -1 / 6]
-
-    def test_recentred_cos_coefficients(self):
-        c = COS.coefficients(0.7, 3)
-        assert abs(c[0] - math.cos(0.7)) < 1e-15
-        assert abs(c[1] + math.sin(0.7)) < 1e-15
-        assert abs(c[2] + math.cos(0.7) / 2) < 1e-15
-
     def test_entire_sqrt_kernels_match_sympy(self):
         import sympy
 
         z = sympy.Symbol("z")
-        cos_series = sympy.series(sympy.cos(sympy.sqrt(z)), z, 0, 5).removeO()
+        cos_series = sympy.series(sympy.cos(sympy.sqrt(z)), z, 0, 6).removeO()
         sinc_series = sympy.series(
-            sympy.sin(sympy.sqrt(z)) / sympy.sqrt(z), z, 0, 5
+            sympy.sin(sympy.sqrt(z)) / sympy.sqrt(z), z, 0, 6
         ).removeO()
-        got_c = SQRT_COS.coefficients(0.0, 5)
-        got_s = SQRT_SINC.coefficients(0.0, 5)
-        for k in range(5):
-            want_c = float(cos_series.coeff(z, k))
-            want_s = float(sinc_series.coeff(z, k))
-            assert abs(got_c[k] - want_c) <= 1e-14 * max(1.0, abs(want_c))
-            assert abs(got_s[k] - want_s) <= 1e-14 * max(1.0, abs(want_s))
+        got_c = SQRT_COS.coefficients(6)
+        got_s = SQRT_SINC.coefficients(6)
+        for k in range(6):
+            assert sympy.Rational(got_c[k].numerator, got_c[k].denominator) \
+                == cos_series.coeff(z, k)
+            assert sympy.Rational(got_s[k].numerator, got_s[k].denominator) \
+                == sinc_series.coeff(z, k)
 
     def test_squared_geodesic_series_numeric(self):
-        coeffs = SQUARED_GEODESIC.coefficients(0.0, 9)
-        assert coeffs[1] == -2.0
-        assert abs(coeffs[2] - 1 / 3) < 1e-15
+        coeffs = SQUARED_GEODESIC.coefficients(9)
+        assert coeffs[:3] == [0, -2, Fraction(1, 3)]
         for w in (-0.02, -0.005, -0.001):
-            series_val = sum(c * w**k for k, c in enumerate(coeffs))
+            series_val = sum(float(c) * w**k for k, c in enumerate(coeffs))
             assert abs(series_val - SQUARED_GEODESIC(w)) < 1e-13
 
+    def test_squared_geodesic_matches_sympy(self):
+        # arccos(1 + w) = 2 arcsin(sqrt(-w/2)), and arcsin(sqrt s)^2 is
+        # analytic in s
+        import sympy
+
+        s, w = sympy.symbols("s w")
+        h = sympy.series(sympy.asin(sympy.sqrt(s)) ** 2, s, 0, 7).removeO()
+        g = sympy.expand(4 * h.subs(s, -w / 2))
+        for k, c in enumerate(SQUARED_GEODESIC.coefficients(7)):
+            assert sympy.Rational(c.numerator, c.denominator) == g.coeff(w, k)
+
     def test_origin_only_kernels_refuse_recentring(self):
+        # a kernel is expanded at 0 only, so its inner series must vanish there
         with pytest.raises(ValueError):
-            SQRT_COS.coefficients(1.0, 3)
+            compose_univariate(SQRT_COS, series_add(X, {(0, 0, 0): 1}), 3)
 
 
 class TestComposition:
     def test_sin_sq_plus_cos_sq(self):
+        # cos^2 sqrt(q) + sin^2 sqrt(q) = 1 for a random inner series q
         rng = random.Random(9)
-        inner = random_series(rng, 2, 4, scale=0.3)
-        s = compose_univariate(SIN, inner)
-        c = compose_univariate(COS, inner)
-        total = s * s + c * c
-        assert abs(total.coefficient((0, 0)) - 1.0) <= 1e-13
-        for exps in total.coeffs:
-            if sum(exps):
-                assert abs(total.coeffs[exps]) <= 1e-13
+        for _ in range(4):
+            q = random_series(rng, 4, constant=False)
+            c = compose_univariate(SQRT_COS, q, 4)
+            s = compose_univariate(SQRT_SINC, q, 4)
+            total = series_add(series_mul(c, c, 4),
+                               series_mul(series_mul(s, s, 4), q, 4))
+            assert total == {(0, 0, 0): 1}
 
     def test_pythagoras_for_sqrt_kernels(self):
-        z = TruncatedSeries.variable(0, 1, 6)
-        s = compose_univariate(SQRT_SINC, z)
-        c = compose_univariate(SQRT_COS, z)
-        total = s * s * z + c * c
-        assert abs(total.coefficient((0,)) - 1.0) <= 1e-13
-        for exps, val in total.coeffs.items():
-            if sum(exps):
-                assert abs(val) <= 1e-13
+        c = compose_univariate(SQRT_COS, X, 6)
+        s = compose_univariate(SQRT_SINC, X, 6)
+        total = series_add(series_mul(c, c, 6), series_mul(series_mul(s, s, 6), X, 6))
+        assert total == {(0, 0, 0): 1}
 
     def test_compose_matches_finite_differences(self):
-        # cos of a |u - v|-style quadratic, first derivative at 1e-6 step
-        nv, D = 4, 4
-        q = {}
-        for i in range(2):
-            eu = [0] * nv
-            eu[i] = 2
-            q[tuple(eu)] = 0.5
-            ev = [0] * nv
-            ev[2 + i] = 2
-            q[tuple(ev)] = 0.5
-            em = [0] * nv
-            em[i] = 1
-            em[2 + i] = 1
-            q[tuple(em)] = -1.0
-        inner = series_from_dict(q, nv, D)
-        composed = compose_univariate(COS, inner)
+        # cos|u - v| through |u - v|^2 = x + y - 2z, on R^2 x R^2
+        inner = {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): -2}
+        composed = compose_univariate(SQRT_COS, inner, 3)
 
         def f(point):
-            return math.cos(inner.evaluate(point))
-
-        h = 1e-6
-        for var in range(nv):
-            offsets = [0.0] * nv
-            plus = list(offsets)
-            plus[var] = h
-            minus = list(offsets)
-            minus[var] = -h
-            fd = (f(plus) - f(minus)) / (2 * h)
-            if var < 2:
-                alpha = MultiIndex(tuple(1 if v == var else 0 for v in range(2)))
-                got = extract_mixed_partial(composed, alpha, MultiIndex((0, 0)))
-            else:
-                beta = MultiIndex(tuple(1 if v == var - 2 else 0 for v in range(2)))
-                got = extract_mixed_partial(composed, MultiIndex((0, 0)), beta)
-            assert abs(got - fd) < 1e-6
-
-    def test_recentred_composition_value(self):
-        # inner with nonzero constant term: kernel expands about it
-        rng = random.Random(3)
-        inner = random_series(rng, 2, 4, scale=0.2) + 0.9
-        composed = compose_univariate(COS, inner)
-
-        def f(point):
-            return math.cos(inner.evaluate(point))
-
-        assert abs(composed.coefficient((0, 0)) - f([0, 0])) < 1e-14
-        fd = fd_mixed_partial(f, (1, 1), 0.02)
-        got = extract_mixed_partial(
-            composed, MultiIndex((1,)), MultiIndex((1,))
-        )
-        assert abs(got - fd) < 1e-6
-
-
-class TestExtraction:
-    def test_u1_v1(self):
-        s = series_from_dict({(1, 1): 1.0}, 2, 2)
-        got = extract_mixed_partial(s, MultiIndex((1,)), MultiIndex((1,)))
-        assert got == 1.0
-
-    def test_quarter_u1sq_v1sq(self):
-        s = series_from_dict({(2, 2): 0.25}, 2, 4)
-        got = extract_mixed_partial(
-            s, from_indices([1, 1], 1), from_indices([1, 1], 1)
-        )
-        assert got == 1.0
-
-    def test_degree_cap(self):
-        s = series_from_dict({(1, 1): 1.0}, 2, 2)
-        with pytest.raises(ValueError):
-            extract_mixed_partial(s, from_indices([1, 1], 1), from_indices([1], 1))
-
-    def test_against_sympy_polynomials(self):
-        import sympy
-
-        rng = random.Random(17)
-        xs = sympy.symbols("u1 u2 v1 v2")
-        for _ in range(6):
-            series = random_series(rng, 4, 6, density=0.25)
-            expr = sum(
-                c * math.prod(s**e for s, e in zip(xs, exps))
-                for exps, c in series.coeffs.items()
-            )
-            for alpha_idx, beta_idx in (
-                ([1], [1]), ([1, 2], [2]), ([1, 1], [1, 1]),
-                ([2, 2, 2], [1, 1, 2]), ([1, 1, 1, 2, 2], [2]),
-            ):
-                alpha = from_indices(alpha_idx, 2)
-                beta = from_indices(beta_idx, 2)
-                if alpha.degree + beta.degree > 6:
-                    continue
-                d = expr
-                for s, m in zip(xs, alpha.counts + beta.counts):
-                    if m:
-                        d = sympy.diff(d, s, m)
-                want = float(d.subs({s: 0 for s in xs}))
-                got = extract_mixed_partial(series, alpha, beta)
-                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-    def test_fd_oracle_through_degree_four(self):
-        rng = random.Random(23)
-        series = random_series(rng, 4, 6, density=0.4)
-
-        def f(point):
-            return series.evaluate(point)
+            return math.cos(math.dist(point[:2], point[2:]))
 
         cases = [
             ((1, 0), (1, 0)), ((2, 0), (0, 0)), ((1, 1), (1, 1)),
             ((2, 0), (0, 2)), ((0, 3), (0, 1)), ((4, 0), (0, 0)),
         ]
         for ac, bc in cases:
-            alpha, beta = MultiIndex(ac), MultiIndex(bc)
-            got = extract_mixed_partial(series, alpha, beta)
+            got = extract_mixed_partial(composed, MultiIndex(ac), MultiIndex(bc))
+            fd = fd_mixed_partial(f, ac + bc, h=0.02)
+            assert abs(float(got) - fd) <= 1e-5 * max(1.0, abs(fd))
+        assert extract_mixed_partial(composed, MultiIndex((1, 0)), MultiIndex((1, 0))) == 1
+
+
+class TestExtraction:
+    def test_u1_v1(self):
+        got = extract_mixed_partial(Z, MultiIndex((1,)), MultiIndex((1,)))
+        assert got == 1
+
+    def test_quarter_u1sq_v1sq(self):
+        s = {(1, 1, 0): Fraction(1, 4)}
+        got = extract_mixed_partial(s, from_indices([1, 1], 1), from_indices([1, 1], 1))
+        assert got == 1
+
+    def test_degree_cap(self):
+        # a jet past the degree of the sphere's tables is refused, not 0
+        with pytest.raises(ValueError):
+            Sphere(2)._extract_vector(from_indices([1, 1], 2), from_indices([1], 2), 2)
+        with pytest.raises(ValueError):
+            extract_mixed_partial(Z, MultiIndex((1,)), MultiIndex((1, 0)))
+
+    def test_against_sympy_polynomials(self):
+        import sympy
+
+        rng = random.Random(17)
+        u1, u2, v1, v2 = xs = sympy.symbols("u1 u2 v1 v2")
+        x, y, z = u1**2 + u2**2, v1**2 + v2**2, u1 * v1 + u2 * v2
+        for _ in range(6):
+            series = random_series(rng, 3, density=0.4)
+            expr = sum(
+                sympy.Rational(c.numerator, c.denominator) * x**a * y**b * z**k
+                for (a, b, k), c in series.items()
+            )
+            for alpha_idx, beta_idx in (
+                ([1], [1]), ([1, 2], [2]), ([1, 1], [1, 1]), ([1, 1, 2, 2], [2, 2]),
+                ([2, 2, 2], [1, 1, 2]), ([1, 1, 1, 2, 2], [2]), ([1, 2, 2], [1, 1, 1]),
+            ):
+                alpha = from_indices(alpha_idx, 2)
+                beta = from_indices(beta_idx, 2)
+                d = expr
+                for s, m in zip(xs, alpha.counts + beta.counts):
+                    if m:
+                        d = sympy.diff(d, s, m)
+                want = d.subs({s: 0 for s in xs})
+                got = extract_mixed_partial(series, alpha, beta)
+                assert sympy.Rational(got.numerator, got.denominator) == want
+
+    def test_fd_oracle_through_degree_four(self):
+        rng = random.Random(23)
+        series = {k: c / 4 for k, c in random_series(rng, 3, density=0.4).items()}
+
+        def f(point):
+            return evaluate(series, point)
+
+        cases = [
+            ((1, 0), (1, 0)), ((2, 0), (0, 0)), ((1, 1), (1, 1)),
+            ((2, 0), (0, 2)), ((0, 3), (0, 1)), ((4, 0), (0, 0)),
+        ]
+        for ac, bc in cases:
+            got = float(extract_mixed_partial(series, MultiIndex(ac), MultiIndex(bc)))
             fd = fd_mixed_partial(f, ac + bc, h=0.03)
             assert abs(got - fd) <= 1e-5 * max(1.0, abs(got))
+
+
+class TestSphereExtraction:
+    # the exact route against sympy's expansion in the 2n chart offsets
+    @pytest.mark.parametrize("n, degree", [(2, 6), (3, 6), (4, 4)])
+    def test_extraction_vectors_match_sympy(self, n, degree):
+        oracle = sympy_w_powers(n, degree)
+        tables = sphere_cosine_powers(degree // 2)
+        checked = 0
+        for alpha, beta in ordered_pairs(n, degree):
+            for power, table in zip(oracle, tables):
+                want = sympy_jet(power, alpha, beta)
+                assert extract_mixed_partial(table, alpha, beta) == want, (alpha, beta)
+                checked += want != 0
+        assert checked > 100
+
+    def test_radius_rounds_once(self):
+        # em(a) = em(1) a^-k, rounded once from the exact value
+        s = Sphere(3, 1.75)
+        oracle = sympy_w_powers(3, 6)
+        for alpha, beta in ordered_pairs(3, 6):
+            k = alpha.degree + beta.degree
+            if k == 0:
+                continue
+            got = s._extract_vector(alpha, beta, s._series_degree(k))
+            want = tuple(float(sympy_jet(p, alpha, beta) * Fraction(4, 7) ** k)
+                         for p in oracle[:len(got)])
+            assert got == want, (alpha, beta)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("radius", [1.0, 1.75])
+    def test_squared_distance_jets_match_sympy(self, n, radius):
+        import sympy
+
+        w = sympy.Symbol("w")
+        s = sympy.Symbol("s")
+        h = sympy.series(sympy.asin(sympy.sqrt(s)) ** 2, s, 0, 3).removeO()
+        g = sympy.expand(4 * h.subs(s, -w / 2))
+        powers = sympy_w_powers(n, 4)
+        model = Sphere(n, radius)
+        scale = Fraction(radius)
+        for alpha, beta in ordered_pairs(n, 4):
+            k = alpha.degree + beta.degree
+            exact = sum(
+                Fraction(int(g.coeff(w, m).p), int(g.coeff(w, m).q))
+                * sympy_jet(p, alpha, beta)
+                for m, p in enumerate(powers)
+            )
+            want = float(exact * scale ** (2 - k))
+            assert squared_distance_jets(model, alpha, beta) == want, (alpha, beta)
+
+    def test_overflow_names_order_and_radius(self):
+        s = Sphere(2, 1e-77)
+        a = from_indices([1, 1], 2)
+        with pytest.raises(ValueError, match=r"order 4 overflows for radius 1e-77"):
+            s._extract_vector(a, a, 4)
+        # the second jets stay in range
+        assert s._extract_vector(from_indices([1], 2), from_indices([1], 2), 2)[1] > 0
