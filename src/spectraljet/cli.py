@@ -14,6 +14,7 @@ import copy
 import json
 import math
 import sys
+from itertools import chain
 
 from . import multiindex
 from .asymptotics import (
@@ -31,10 +32,11 @@ from .asymptotics import (
 from .lattice import TRIANGLE_SLACK, run_triple_suite
 from .manifolds import DEFAULT_POLICY, TruncationError, TruncationPolicy, make_model
 from .reporting import (
+    LATTICE_CSV_HEADER,
     fmt_float,
     json_dumps,
     records_to_csv,
-    triple_rows_to_csv,
+    triple_csv_chunk,
     write_text,
 )
 from .wick import enumerate_admissible_graphs, gaussian_moment_oracle, wick_a, wick_b
@@ -296,20 +298,27 @@ def cmd_curvature(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
+def _keep_nothing(rows) -> None:
+    """A suite ``render`` that keeps no row; the suite checks them all."""
+
+
 def cmd_lattice(args: argparse.Namespace) -> int:
     if args.action != "sample":
         raise ConfigError(f"unknown lattice action {args.action!r}")
     cfg = build_config(args)
     n, max_degree, count = config_lattice(cfg)
-    rows, report = run_triple_suite(
+    # each index range of the suite renders its own CSV lines, so no list
+    # of rows is ever built
+    chunks, report = run_triple_suite(
         n=n,
         max_degree=max_degree,
         count=count,
         seed=cfg["seed"],
         triangle_slack_tol=cfg["tolerances"]["triangle_slack"],
+        render=triple_csv_chunk if args.out else _keep_nothing,
     )
     if args.out:
-        write_text(args.out, triple_rows_to_csv(rows))
+        write_text(args.out, chain([LATTICE_CSV_HEADER + "\n"], *chunks))
     summary = report._asdict()
     del summary["worst_triple"]  # the JSON report has never carried it
     doc = {"command": "lattice", "config": cfg, "passed": report.passed(),

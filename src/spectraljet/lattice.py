@@ -9,12 +9,14 @@ exact rational squares of B rather than on floats.
 """
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .multiindex import (
     MultiIndex,
@@ -267,13 +269,205 @@ def _cos(kernel: tuple[int, int, int, int]) -> float:
     return sign * math.sqrt(magnitude * magnitude / (diag_a * diag_b))
 
 
+#: Fewest triples in a range of the suite.  Forking a worker, piping its
+#: result back and reaping it took 2.2-2.6 ms from a CLI process on a 2-vCPU
+#: x86-64 VM (Python 3.11), the work of about 70-100 triples (25-34 us each
+#: at n = 3, max_degree = 8), so a range of 1000 triples spends under a
+#: tenth of its time on its worker.
+MIN_RANGE = 1000
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _range_bounds(count: int) -> list[int]:
+    """Bounds of the suite's contiguous index ranges: one range per CPU the
+    process may use, each of at least ``MIN_RANGE`` triples, and a single
+    range where the platform cannot fork or say which CPUs it may use."""
+    ranges = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        ranges = max(1, min(_cpu_count(), count // MIN_RANGE))
+    return [count * k // ranges for k in range(ranges + 1)]
+
+
+def _triple_range(n, df, sample, seed, triangle_slack_tol, lo, hi, render):
+    """Triples ``lo`` to ``hi - 1`` of the suite.
+
+    ``render`` gets an iterator over the rows, as plain tuples in
+    :class:`TripleRow` field order; rows it leaves unread are checked all the
+    same.  Returns ``render``'s result, the five violation counts, the
+    largest triangle slack with the first triple that reaches it, and the
+    smallest comparison margin.
+    """
+    delta_num, delta_den = COMPARISON_DELTA.numerator, COMPARISON_DELTA.denominator
+    summary = []
+
+    def triples():
+        triangle_violations = 0
+        identity_violations = 0
+        orthogonality_violations = 0
+        comparison_violations = 0
+        stabilization_violations = 0
+        max_slack = -math.inf
+        worst: tuple[str, str, str] | None = None
+        min_margin = math.inf
+        rng = random.Random()
+        for i in range(lo, hi):
+            rng.seed(_task_seed(seed, i))
+            a = sample(rng)
+            b = sample(rng)
+            c = sample(rng)
+
+            ab = wick_kernel(a, b, df)
+            cos_ab = _cos(ab)
+            d_ab = math.acos(cos_ab)
+            d_bc = math.acos(_cos(wick_kernel(b, c, df)))
+            d_ac = math.acos(_cos(wick_kernel(a, c, df)))
+
+            slack = max(d_ac - d_ab - d_bc, d_ab - d_ac - d_bc, d_bc - d_ab - d_ac)
+            if slack > triangle_slack_tol:
+                triangle_violations += 1
+            if slack > max_slack:
+                max_slack = slack
+                worst = (counts_text(a), counts_text(b), counts_text(c))
+
+            sign, magnitude, diag_a, diag_b = ab
+            num, den = magnitude * magnitude, diag_a * diag_b  # B(a, b)^2 = num / den
+            # d(a, b) = 0 <=> a = b, decided on B^2 = 1 exactly.
+            if (sign == 1 and num == den) != (a == b):
+                identity_violations += 1
+
+            if (sign == 0) != any((x - y) % 2 for x, y in zip(a, b)):
+                orthogonality_violations += 1
+
+            total = sum(a) + sum(b)
+            if total >= 1:
+                # rhs = 1 - delta d0 / total = p / q >= 1 - delta >= 0, so
+                # B^2 <= rhs^2 is num q^2 <= den p^2.
+                d0 = sum(abs(x - y) for x, y in zip(a, b))
+                q = delta_den * total
+                p = q - delta_num * d0
+                if num * q * q > den * p * p:
+                    comparison_violations += 1
+                lhs, rhs = abs(cos_ab), p / q
+                if d0:
+                    min_margin = min(min_margin, (1.0 - lhs) * total / d0)
+            else:
+                lhs, rhs = 1.0, 1.0
+
+            # One diagonal step along each axis must not shrink B^2; the
+            # shifted B^2 comes from the closed form, not from the step
+            # recurrence.  With B = 0 there is nothing to shrink.
+            if sign:
+                for j in range(n):
+                    _, s_mag, s_diag_a, s_diag_b = wick_kernel(
+                        a[:j] + (a[j] + 1,) + a[j + 1:],
+                        b[:j] + (b[j] + 1,) + b[j + 1:],
+                        df,
+                    )
+                    if s_mag * s_mag * den < num * s_diag_a * s_diag_b:
+                        stabilization_violations += 1
+                        break
+
+            yield (a, b, c, d_ab, d_bc, d_ac, slack, lhs, rhs)
+
+        summary.extend((
+            (triangle_violations, identity_violations, orthogonality_violations,
+             comparison_violations, stabilization_violations),
+            max_slack, worst, min_margin,
+        ))
+
+    rows = triples()
+    out = render(rows)
+    for _ in rows:
+        pass
+    return (out, *summary)
+
+
+def _fork(run, lo: int, hi: int):
+    """Start ``run(lo, hi)`` in a forked child.
+
+    Returns the child's pid and the read end of a pipe that carries
+    ``marshal.dumps((True, result))``, or ``(False, error text)`` if ``run``
+    raised.  The child leaves by ``os._exit``, so it never returns into the
+    caller, runs no exit handler and flushes no buffer it inherited.  The
+    caller forks from a single thread: the package starts no threads.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            try:
+                payload = marshal.dumps((True, run(lo, hi)))
+            except Exception as exc:  # the parent raises it, with the range
+                payload = marshal.dumps((False, f"{type(exc).__name__}: {exc}"))
+            with open(write_end, "wb") as pipe:
+                pipe.write(payload)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _fan_out(run, bounds: list[int]) -> list:
+    """``run(lo, hi)`` over consecutive ``bounds``, results in index order:
+    each range but the last in a forked worker, the last in this process.
+
+    Every worker is reaped before this returns or raises; if anything here
+    fails, the workers still running are killed first.
+    """
+    ranges = list(zip(bounds, bounds[1:]))
+    workers = []  # (pid, pipe) per forked range
+    try:
+        for lo, hi in ranges[:-1]:
+            workers.append(_fork(run, lo, hi))
+        last = run(*ranges[-1])
+        payloads = [pipe.read() for _, pipe in workers]
+    except BaseException:
+        if workers:
+            from signal import SIGKILL  # not imported on the path that succeeds
+
+            for pid, _ in workers:
+                os.kill(pid, SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, pipe in workers:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    parts = []
+    for (lo, hi), payload, status in zip(ranges, payloads, statuses):
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise RuntimeError(
+                f"the worker for triples {lo}..{hi - 1} exited with status {code}"
+            )
+        ok, result = marshal.loads(payload)
+        if not ok:
+            raise RuntimeError(f"the worker for triples {lo}..{hi - 1} failed: {result}")
+        parts.append(result)
+    parts.append(last)
+    return parts
+
+
 def run_triple_suite(
     n: int,
     max_degree: int,
     count: int,
     seed: int,
     triangle_slack_tol: float = TRIANGLE_SLACK,
-) -> tuple[list[TripleRow], TripleSuiteReport]:
+    render: Callable[[Iterator[tuple]], object] | None = None,
+) -> tuple[list, TripleSuiteReport]:
     """Sample ``count`` triples and exercise every lattice invariant on them.
 
     Per triple: all three triangle inequalities (float slack tolerance),
@@ -282,94 +476,39 @@ def run_triple_suite(
     stabilization step per coordinate.  Points stay count tuples and every
     B^2 decision is made on :func:`wick_kernel` integers by
     cross-multiplication.
+
+    The triples are split into contiguous index ranges, one per CPU the
+    process may use (:func:`_range_bounds`); forked workers run all but the
+    last, which runs here.  Each triple draws from its own seed, so neither
+    rows nor report depend on the split.
+
+    Returns the rows, as :class:`TripleRow` in index order, and the report.
+    Given ``render``, each range's rows go to ``render`` in the process that
+    computed them (see :func:`_triple_range`), and the first value returned
+    is the list of its results in index order instead; they must be values
+    that :mod:`marshal` can write.
     """
     # the shifted pairs reach multiplicity max_degree + 1
     df = double_factorial_table(max_degree + 2)
     sample = _counts_sampler(n, max_degree)
-    delta_num, delta_den = COMPARISON_DELTA.numerator, COMPARISON_DELTA.denominator
-    rows: list[TripleRow] = []
-    triangle_violations = 0
-    identity_violations = 0
-    orthogonality_violations = 0
-    comparison_violations = 0
-    stabilization_violations = 0
-    max_slack = -math.inf
-    worst: tuple[str, str, str] | None = None
-    min_margin = math.inf
-    rng = random.Random()
-    for i in range(count):
-        rng.seed(_task_seed(seed, i))
-        a = sample(rng)
-        b = sample(rng)
-        c = sample(rng)
 
-        ab = wick_kernel(a, b, df)
-        cos_ab = _cos(ab)
-        d_ab = math.acos(cos_ab)
-        d_bc = math.acos(_cos(wick_kernel(b, c, df)))
-        d_ac = math.acos(_cos(wick_kernel(a, c, df)))
-
-        slack = max(d_ac - d_ab - d_bc, d_ab - d_ac - d_bc, d_bc - d_ab - d_ac)
-        if slack > triangle_slack_tol:
-            triangle_violations += 1
-        if slack > max_slack:
-            max_slack = slack
-            worst = (counts_text(a), counts_text(b), counts_text(c))
-
-        sign, magnitude, diag_a, diag_b = ab
-        num, den = magnitude * magnitude, diag_a * diag_b  # B(a, b)^2 = num / den
-        # d(a, b) = 0 <=> a = b, decided on B^2 = 1 exactly.
-        if (sign == 1 and num == den) != (a == b):
-            identity_violations += 1
-
-        if (sign == 0) != any((x - y) % 2 for x, y in zip(a, b)):
-            orthogonality_violations += 1
-
-        total = sum(a) + sum(b)
-        if total >= 1:
-            # rhs = 1 - delta d0 / total = p / q >= 1 - delta >= 0, so
-            # B^2 <= rhs^2 is num q^2 <= den p^2.
-            d0 = sum(abs(x - y) for x, y in zip(a, b))
-            q = delta_den * total
-            p = q - delta_num * d0
-            if num * q * q > den * p * p:
-                comparison_violations += 1
-            lhs, rhs = abs(cos_ab), p / q
-            if d0:
-                min_margin = min(min_margin, (1.0 - lhs) * total / d0)
-        else:
-            lhs, rhs = 1.0, 1.0
-
-        # One diagonal step along each axis must not shrink B^2; the shifted
-        # B^2 comes from the closed form, not from the step recurrence.  With
-        # B = 0 there is nothing to shrink.
-        if sign:
-            for j in range(n):
-                _, s_mag, s_diag_a, s_diag_b = wick_kernel(
-                    a[:j] + (a[j] + 1,) + a[j + 1:],
-                    b[:j] + (b[j] + 1,) + b[j + 1:],
-                    df,
-                )
-                if s_mag * s_mag * den < num * s_diag_a * s_diag_b:
-                    stabilization_violations += 1
-                    break
-
-        rows.append(
-            TripleRow(a, b, c, d_ab, d_bc, d_ac, slack, lhs, rhs)
+    def run(lo: int, hi: int):
+        return _triple_range(
+            n, df, sample, seed, triangle_slack_tol, lo, hi, render or list
         )
 
+    outs = []
+    violations = (0, 0, 0, 0, 0)
+    max_slack, worst, min_margin = -math.inf, None, math.inf
+    for out, counts, slack, triple, margin in _fan_out(run, _range_bounds(count)):
+        outs.append(out)
+        violations = tuple(map(sum, zip(violations, counts)))
+        if slack > max_slack:  # strict, so the earliest triple wins a tie
+            max_slack, worst = slack, triple
+        min_margin = min(min_margin, margin)
     report = TripleSuiteReport(
-        n=n,
-        max_degree=max_degree,
-        count=count,
-        seed=seed,
-        triangle_violations=triangle_violations,
-        identity_violations=identity_violations,
-        orthogonality_violations=orthogonality_violations,
-        comparison_violations=comparison_violations,
-        stabilization_violations=stabilization_violations,
-        max_triangle_slack=max_slack,
-        worst_triple=worst,
-        min_comparison_margin=min_margin,
+        n, max_degree, count, seed, *violations, max_slack, worst, min_margin
     )
-    return rows, report
+    if render is None:
+        return [TripleRow._make(row) for out in outs for row in out], report
+    return outs, report

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable, Iterator
+from itertools import islice
 
 from .multiindex import counts_text
 
@@ -93,6 +94,24 @@ def triple_rows_to_csv(rows) -> Iterator[str]:
     The three points of a row are count tuples.
     """
     yield LATTICE_CSV_HEADER + "\n"
+    yield from _triple_lines(rows)
+
+
+def triple_csv_chunk(rows) -> list[str]:
+    """The lattice-triple CSV lines of ``rows``, without the header: the part
+    of the CSV that one index range of the suite renders.
+
+    The lines come joined in blocks of up to 1024, so that no list of every
+    line is ever held.
+    """
+    lines = _triple_lines(rows)
+    blocks = []
+    while block := "".join(islice(lines, 1024)):
+        blocks.append(block)
+    return blocks
+
+
+def _triple_lines(rows) -> Iterator[str]:
     field, point = _csv_memo()
     line = ",".join(["%s"] * 9) + "\n"
     for alpha, beta, gamma, d_ab, d_bc, d_ac, slack, lhs, rhs in rows:

@@ -23,6 +23,7 @@ from spectraljet.asymptotics import (
     time_grid,
 )
 from spectraljet.cli import DEFAULT_CONFIG, main
+from spectraljet import lattice
 from spectraljet.lattice import run_triple_suite
 from spectraljet.manifolds import Sphere
 from spectraljet.multiindex import MultiIndex
@@ -238,6 +239,26 @@ class TestLatticeCommand:
             assert code == 0
             paths.append((out_csv.read_bytes(), out_json.read_bytes()))
         assert paths[0] == paths[1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the suite forks workers")
+    def test_bytes_do_not_depend_on_range_count(self, tmp_path, capsys, monkeypatch):
+        outputs = {}
+        for ranges in (1, 2, 3):
+            monkeypatch.setattr(lattice, "_cpu_count", lambda: ranges)
+            out_csv = tmp_path / f"lat_{ranges}.csv"
+            out_json = tmp_path / f"lat_{ranges}.json"
+            code, out, err = run(
+                capsys, "lattice", "sample", "--n", "3", "--max-degree", "8",
+                "--count", "3001", "--seed", "42",
+                "--out", str(out_csv), "--out-json", str(out_json),
+            )
+            assert code == 0, err
+            outputs[ranges] = (out, out_csv.read_bytes(), out_json.read_bytes())
+        assert outputs[2] == outputs[1]
+        assert outputs[3] == outputs[1]
+        assert outputs[1][1].count(b"\n") == 3002
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     # sha256 of the CSV and JSON written by the Fraction-based suite that the
     # integer kernel replaced; a refactor of the lattice path must keep them.

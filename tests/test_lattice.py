@@ -1,5 +1,10 @@
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
+from pathlib import Path
 from fractions import Fraction
 from itertools import accumulate
 
@@ -220,6 +225,182 @@ class TestSampling:
         for r in rows[:25]:
             assert r.triangle_slack <= 1e-12
             assert r.comparison_lhs <= r.comparison_rhs + 1e-15
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that is still running after 60 s instead of letting it
+    hang, for instance on a pipe that no worker will ever close."""
+
+    def expire(signum, frame):
+        raise TimeoutError("test still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 60)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the suite forks workers")
+class TestRangeSplit:
+    """The suite splits its triples into one index range per CPU, and runs
+    every range but the last in a forked worker."""
+
+    # 3001 is divisible by none of 2 and 3, and in the dense 165-point ball
+    # of n = 3, max_degree = 8 the largest slack, 0.0, is tied in every range
+    COUNT = 3001
+
+    @staticmethod
+    def force_ranges(monkeypatch, ranges):
+        monkeypatch.setattr(lattice, "_cpu_count", lambda: ranges)
+        assert len(lattice._range_bounds(TestRangeSplit.COUNT)) == ranges + 1
+
+    def test_results_do_not_depend_on_range_count(self, monkeypatch, deadline):
+        results = {}
+        for ranges in (1, 2, 3):
+            self.force_ranges(monkeypatch, ranges)
+            results[ranges] = run_triple_suite(3, 8, self.COUNT, 42)
+            assert_no_child_left()
+        rows, report = results[1]
+        assert len(rows) == self.COUNT
+        assert all(type(r) is lattice.TripleRow for r in rows)
+        assert results[2] == results[1]
+        assert results[3] == results[1]
+        for ranges in (2, 3):
+            assert all(type(r) is lattice.TripleRow for r in results[ranges][0])
+            assert type(results[ranges][1].worst_triple) is tuple
+        # the earliest of the tied largest slacks names the worst triple
+        bounds = lattice._range_bounds(self.COUNT)
+        ties = [i for i, r in enumerate(rows)
+                if r.triangle_slack == report.max_triangle_slack]
+        assert all(any(lo <= i < hi for i in ties)
+                   for lo, hi in zip(bounds, bounds[1:]))
+        first = rows[ties[0]]
+        assert report.worst_triple == tuple(
+            MultiIndex(p).text() for p in (first.alpha, first.beta, first.gamma)
+        )
+
+    def test_render_runs_per_range(self, monkeypatch, deadline):
+        self.force_ranges(monkeypatch, 3)
+        parent = os.getpid()
+        renders, report = run_triple_suite(
+            3, 8, self.COUNT, 42,
+            render=lambda rows: (len(list(rows)), os.getpid() == parent),
+        )
+        assert_no_child_left()
+        assert renders == [(1000, False), (1000, False), (1001, True)]
+        assert report == run_triple_suite(3, 8, self.COUNT, 42)[1]
+
+    def test_rows_left_unread_are_checked(self, monkeypatch, deadline):
+        # delta = 1 fails the comparison on triples of every range; a render
+        # that reads no row must still see them counted, and summed
+        monkeypatch.setattr(lattice, "COMPARISON_DELTA", Fraction(1))
+        self.force_ranges(monkeypatch, 1)
+        rows, expected = run_triple_suite(3, 8, self.COUNT, 42)
+        self.force_ranges(monkeypatch, 3)
+        bounds = lattice._range_bounds(self.COUNT)
+        assert all(
+            any(r.comparison_lhs > r.comparison_rhs for r in rows[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])
+        )
+        _, report = run_triple_suite(3, 8, self.COUNT, 42, render=lambda rows: None)
+        assert_no_child_left()
+        assert report == expected
+
+    def test_failing_range_raises_and_reaps(self, monkeypatch, deadline):
+        triple_range = lattice._triple_range
+
+        def failing(n, df, sample, seed, tol, lo, hi, render):
+            if lo > 0:
+                raise ValueError("range failed")
+            return triple_range(n, df, sample, seed, tol, lo, hi, render)
+
+        monkeypatch.setattr(lattice, "_triple_range", failing)
+        for ranges in (2, 3):
+            self.force_ranges(monkeypatch, ranges)
+            with pytest.raises(ValueError, match="range failed"):
+                run_triple_suite(3, 8, self.COUNT, 42)
+            assert_no_child_left()
+
+    def test_failing_worker_is_named(self, monkeypatch, deadline):
+        triple_range = lattice._triple_range
+        parent = os.getpid()
+
+        def failing(n, df, sample, seed, tol, lo, hi, render):
+            if lo > 0 and os.getpid() != parent:
+                raise ValueError("worker failed")
+            return triple_range(n, df, sample, seed, tol, lo, hi, render)
+
+        monkeypatch.setattr(lattice, "_triple_range", failing)
+        self.force_ranges(monkeypatch, 3)
+        with pytest.raises(
+            RuntimeError,
+            match=r"worker for triples 1000\.\.1999 failed: ValueError: worker failed",
+        ):
+            run_triple_suite(3, 8, self.COUNT, 42)
+        assert_no_child_left()
+
+    def test_dead_worker_is_reported(self, monkeypatch, deadline):
+        triple_range = lattice._triple_range
+        parent = os.getpid()
+
+        def dying(n, df, sample, seed, tol, lo, hi, render):
+            if os.getpid() != parent:
+                os._exit(3)
+            return triple_range(n, df, sample, seed, tol, lo, hi, render)
+
+        monkeypatch.setattr(lattice, "_triple_range", dying)
+        self.force_ranges(monkeypatch, 2)
+        with pytest.raises(RuntimeError,
+                           match=r"worker for triples 0\.\.1499 exited with status 3"):
+            run_triple_suite(3, 8, self.COUNT, 42)
+        assert_no_child_left()
+
+    def test_worker_flushes_no_inherited_buffer(self):
+        # stdout to a pipe is block-buffered, so "before" is still in the
+        # buffer when the worker is forked
+        code = (
+            "import sys\n"
+            "from spectraljet import lattice\n"
+            "lattice._cpu_count = lambda: 2\n"
+            "print('before', end='')\n"
+            "lattice.run_triple_suite(3, 8, 3001, 42)\n"
+            "print('after')\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**env, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (proc.stdout, proc.stderr) == ("beforeafter\n", "")
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_one_range_without_fork_or_affinity(self, monkeypatch, missing):
+        monkeypatch.setattr(lattice, "_cpu_count", lambda: 4)
+        assert lattice._range_bounds(4500) == [0, 1125, 2250, 3375, 4500]
+        monkeypatch.delattr(os, missing)
+        assert lattice._range_bounds(4500) == [0, 4500]
+
+    @pytest.mark.parametrize("count, bounds", [
+        (1, [0, 1]),
+        (1999, [0, 1999]),
+        (2000, [0, 1000, 2000]),
+        (5001, [0, 1250, 2500, 3750, 5001]),
+    ])
+    def test_ranges_keep_the_minimum_size(self, monkeypatch, count, bounds):
+        monkeypatch.setattr(lattice, "_cpu_count", lambda: 4)
+        assert lattice.MIN_RANGE == 1000
+        assert lattice._range_bounds(count) == bounds
 
 
 class TestSamplerStream:

@@ -47,9 +47,13 @@ def test_every_traced_name_resolves():
 @pytest.mark.parametrize("argv, spans", [
     (["lattice", "sample", "--n", "3", "--max-degree", "4", "--count", "40",
       "--seed", "3"], ["lattice.run_triple_suite"]),
+    # enough triples for two index ranges, so forked workers run all but the
+    # last; on a machine with two or more CPUs they inherit the tracer
+    (["lattice", "sample", "--n", "3", "--max-degree", "8", "--count", "2500",
+      "--seed", "3"], ["lattice.run_triple_suite", "reporting.write_text"]),
     (["verify", "--model", "sphere2", "--max-degree", "2"],
      ["jets.compose_univariate", "jets.extract_mixed_partial"]),
-], ids=["lattice", "verify-sphere2"])
+], ids=["lattice", "lattice-forked", "verify-sphere2"])
 def test_traced_op_matches_untraced(tmp_path, argv, spans):
     outputs = ["--out", "out.csv", "--out-json", "out.json"]
 
