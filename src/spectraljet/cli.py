@@ -1,11 +1,16 @@
 """Command-line front end: wick / lattice / verify / curvature / report.
 
+--model takes every kind that ``manifolds.make_model`` accepts, the round
+sphere of every dimension included, and verify any --max-degree; the one
+degree limit of a command is that of ``wick --graphs``
+(``wick.ENUMERATION_MAX_DEGREE``).
+
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage or config
-error, including an unknown config key, a non-finite config number, a
-negative tolerance, a hard cap that is not an integer >= 1, and a spectral
-sum that hits its hard cap (TruncationError: raise t or raise
-policy.hard_cap).  All file
-output is deterministic for a fixed config and seed.
+error, including an unknown model kind, an unknown config key, a
+non-finite config number, a negative tolerance, a hard cap that is not an
+integer >= 1, and a spectral sum that hits its hard cap (TruncationError:
+raise t or raise policy.hard_cap).  All file output is deterministic for a
+fixed config and seed.
 """
 from __future__ import annotations
 
@@ -365,7 +370,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=["circle", "torus", "sphere2", "sphere3"])
+    parser.add_argument("--model")
     parser.add_argument("--radius", type=float)
     parser.add_argument("--radii", type=str, help="comma-separated torus radii")
     parser.add_argument("--t", type=float)

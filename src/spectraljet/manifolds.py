@@ -19,7 +19,6 @@ form for every n.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -34,7 +33,6 @@ from .jets import (
 )
 
 TWO_PI = 2.0 * math.pi
-MAX_JET_ORDER = 8  # |alpha| + |beta| of any diagonal jet
 
 
 class TruncationError(RuntimeError):
@@ -256,8 +254,6 @@ class SpectralModel:
                 f"multi-index dimension must be {self.n}, "
                 f"got {alpha.n} and {beta.n}"
             )
-        if alpha.degree + beta.degree > MAX_JET_ORDER:
-            raise ValueError(f"jet order above {MAX_JET_ORDER} is not supported")
 
 
 class FlatTorus(SpectralModel):
@@ -438,8 +434,9 @@ class Sphere(SpectralModel):
     alpha and beta).  Many (alpha, beta) pairs share one em, so the zonal
     sum over l is memoized on (em, t, policy) and the diagonal sum on
     (t, start, policy).  The sums read two mode tables that grow only as
-    far as a sum reaches: the Taylor coefficients of Z_l per degree l, and
-    per heat time t the Gaussian weights exp(-lambda_l t).
+    far as a sum reaches: the Taylor coefficients of Z_l per degree l, for
+    every m below the widest extraction vector summed, and per heat time t
+    the Gaussian weights exp(-lambda_l t).
     """
 
     is_flat = False
@@ -459,19 +456,16 @@ class Sphere(SpectralModel):
             area.append(TWO_PI * area[k - 2] / (k - 1))
         self.volume = _checked_volume((radius,), lambda: area[dim] * radius**dim)
         self._zonal_scale = 1.0 / self.volume
-        # 2^m (lam)_m / m! for every m a jet reaches; exact dyadics on S^2
-        # and S^3, so the coefficients there are single roundings
-        lam = Fraction(dim - 1, 2)
-        rise = [Fraction(1)]
-        for m in range(MAX_JET_ORDER // 2):
-            rise.append(rise[-1] * 2 * (lam + m) / (m + 1))
-        self._rise = tuple(float(r) for r in rise)
         a2 = radius * radius
         self.scalar_curvature = dim * (dim - 1) / a2
         self.ricci_coefficient = (dim - 1) / a2
         self.sectional_curvature = 1.0 / a2
         self._extract_cache: dict = {}
-        self._taylor_rows: list[tuple[float, ...]] = []  # [l][m], m <= MAX_JET_ORDER // 2
+        # 2^m (lam)_m / m! per m, rounded once from the exact rational
+        self._rise: list[float] = []
+        # [l][m] for m below the widest extraction vector summed so far
+        self._taylor_rows: list[tuple[float, ...]] = []
+        self._width = 0
         self._weights: dict[float, list[float]] = {}  # t -> [exp(-lambda_l t)]
 
     def describe(self) -> dict:
@@ -490,18 +484,29 @@ class Sphere(SpectralModel):
         if m > l:
             return 0.0
         n = self.n
+        rise = self._rise
+        while len(rise) <= m:  # 2^k (lam)_k = (n-1)(n+1)...(n+2k-3)
+            k = len(rise)
+            rise.append(math.prod(range(n - 1, n + 2 * k - 1, 2)) / math.factorial(k))
         return float(
             (2 * l + n - 1) * math.comb(l + m + n - 2, l - m)
-        ) / (n - 1) * self._rise[m]
+        ) / (n - 1) * rise[m]
+
+    def _widen_rows(self, width: int) -> None:
+        """Give every Taylor row the columns m < width."""
+        rows = self._taylor_rows
+        for l, row in enumerate(rows):
+            rows[l] = row + tuple(
+                self._zonal_taylor(l, m) for m in range(len(row), width)
+            )
+        self._width = width
 
     def _grow_tables(self, weights: list[float], t: float, l: int) -> None:
         """Extend the Taylor rows, and the weights of t, through degree l."""
         rows = self._taylor_rows
         while len(rows) <= l:
             k = len(rows)
-            rows.append(tuple(
-                self._zonal_taylor(k, m) for m in range(len(self._rise))
-            ))
+            rows.append(tuple(self._zonal_taylor(k, m) for m in range(self._width)))
         while len(weights) <= l:
             weights.append(math.exp(-self.eigenvalue(len(weights)) * t))
 
@@ -536,7 +541,10 @@ class Sphere(SpectralModel):
             return weights[l] * self.multiplicity(l)
 
         min_index = self._min_index(self.radius, t, self.n - 1.0, policy)
-        return self._sum(("diagonal", t), term, start, min_index, policy)
+        try:
+            return self._sum(("diagonal", t), term, start, min_index, policy)
+        except OverflowError:
+            raise self._out_of_range(t) from None
 
     def _zonal_sum(self, em, t: float,
                    policy: TruncationPolicy) -> tuple[float, int]:
@@ -560,7 +568,21 @@ class Sphere(SpectralModel):
         min_index = self._min_index(
             self.radius, t, 2 * (len(em) - 1) + self.n - 1.0, policy
         )
-        return self._sum((em, t), term, 0, min_index, policy)
+        try:
+            if len(em) > self._width:
+                self._widen_rows(len(em))
+            return self._sum((em, t), term, 0, min_index, policy)
+        except OverflowError:
+            raise self._out_of_range(t) from None
+
+    def _out_of_range(self, t: float) -> ValueError:
+        """The error of a mode sum whose terms pass the float range: the
+        multiplicities and Taylor coefficients grow like l^(n-1), and the
+        modes summed grow as t falls."""
+        return ValueError(
+            f"mode sums of sphere{self.n} pass the float range at t={t!r}: "
+            "raise t or lower the dimension"
+        )
 
     def diag_jet_with_cutoff(self, t, alpha, beta, policy=DEFAULT_POLICY,
                              include_constant_mode=True):
@@ -627,16 +649,20 @@ class Sphere(SpectralModel):
 
 
 def make_model(kind: str, radius: float = 1.0, radii=None) -> SpectralModel:
-    """Model factory used by the CLI specifiers."""
+    """Model factory used by the CLI specifiers: ``circle``, ``torus`` or
+    ``sphereN``, the round S^N for any N >= 2."""
     if kind == "circle":
         return Circle(radius)
     if kind == "torus":
         if not radii:
             raise ValueError("torus needs --radii")
         return FlatTorus(radii)
-    if kind in ("sphere2", "sphere3"):
-        return Sphere(int(kind[-1]), radius)
-    raise ValueError(f"unknown model kind {kind!r}")
+    digits = kind[6:] if isinstance(kind, str) and kind.startswith("sphere") else ""
+    if digits.isascii() and digits.isdigit():
+        return Sphere(int(digits), radius)
+    raise ValueError(
+        f"unknown model kind {kind!r}: use circle, torus or sphereN (N >= 2)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +696,6 @@ class JetGram(NamedTuple):
 
 def jet_gram(model: SpectralModel, t: float, max_order: int,
              policy: TruncationPolicy = DEFAULT_POLICY) -> JetGram:
-    # entry (alpha, beta) is a jet of order |alpha| + |beta| <= 2 max_order
-    if max_order > MAX_JET_ORDER // 2:
-        raise ValueError(f"jet Gram is supported up to order {MAX_JET_ORDER // 2}")
     from .multiindex import enumerate_multiindices
 
     basis = tuple(enumerate_multiindices(model.n, max_order))
@@ -970,6 +993,17 @@ def levi_civita_check(model: SpectralModel, ts, i: int, field: PolynomialField,
 # Squared-distance jets (spheres)
 # ---------------------------------------------------------------------------
 
+def _squared_distance_order(alpha: MultiIndex, beta: MultiIndex) -> int:
+    """|alpha| + |beta|, refused above 4: the closed form below stops at the
+    curvature term of order 4, and the exact jets have no target past it.
+    Order 6 is not 0: on the unit S^2 the jet of counts alpha = (0,2),
+    beta = (2,2) is -8/45."""
+    total = alpha.degree + beta.degree
+    if total > 4:
+        raise ValueError("squared-distance jets are supported up to order 4")
+    return total
+
+
 def squared_distance_jets(model: Sphere, alpha: MultiIndex,
                           beta: MultiIndex) -> float:
     """Mixed partial D_v^beta D_u^alpha of r^2(exp u, exp v) at u = v = 0.
@@ -984,9 +1018,7 @@ def squared_distance_jets(model: Sphere, alpha: MultiIndex,
     """
     if not isinstance(model, Sphere):
         raise ValueError("squared-distance jets use the closed-form sphere kernel")
-    total = alpha.degree + beta.degree
-    if total > 4:
-        raise ValueError("squared-distance jets are supported up to order 4")
+    total = _squared_distance_order(alpha, beta)
     w = _sphere_series_tables(4)[1]
     exact = extract_mixed_partial(
         compose_univariate(SQUARED_GEODESIC, w, 2), alpha, beta
@@ -1002,7 +1034,7 @@ def squared_distance_target(model: Sphere, alpha: MultiIndex,
     def riemann(a, b, c, d):
         return K * ((a == c) * (b == d) - (a == d) * (b == c))
 
-    total = alpha.degree + beta.degree
+    total = _squared_distance_order(alpha, beta)
     if total % 2 == 1 or total == 0:
         return 0.0
     if total == 2:

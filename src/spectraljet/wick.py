@@ -167,22 +167,27 @@ def _color_matchings(a: int, b: int) -> tuple[int, int]:
     return len(signs), common
 
 
-def enumerate_admissible_graphs(
-    alpha: MultiIndex, beta: MultiIndex, cap: int = 16
-) -> GraphCount:
+#: Highest total degree graph enumeration accepts.  One color class of
+#: degree 14 takes 0.22 s and of degree 16 3.7 s, and each further step
+#: multiplies the work by about 17; the closed form covers every degree.
+ENUMERATION_MAX_DEGREE = 16
+
+
+def enumerate_admissible_graphs(alpha: MultiIndex, beta: MultiIndex) -> GraphCount:
     """Signed count of admissible graphs by exhaustive matching enumeration.
 
     Edges may only join vertices of equal color (equal coordinate index), so
     matchings factor over color classes; each class is enumerated by
-    backtracking and memoized.  Refuses total degrees above ``cap`` - the
-    closed form in :func:`wick_a` covers large degrees, enumeration exists to
-    falsify it, not to scale.
+    backtracking and memoized.  Refuses total degrees above
+    ``ENUMERATION_MAX_DEGREE`` - the closed form in :func:`wick_a` covers
+    large degrees, enumeration exists to falsify it, not to scale.
     """
     check_same_dimension(alpha, beta)
     total = alpha.degree + beta.degree
-    if total > cap:
+    if total > ENUMERATION_MAX_DEGREE:
         raise ValueError(
-            f"total degree {total} exceeds enumeration cap {cap}; "
+            f"total degree {total} exceeds enumeration cap "
+            f"{ENUMERATION_MAX_DEGREE}; "
             "use the closed form wick_a for large degrees"
         )
     count = 1

@@ -128,6 +128,43 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--model", "banana")
         assert code == 2
 
+    @pytest.mark.parametrize("kind, message", [
+        ("sphere1", "sphere dimension must be at least 2"),
+        ("spherex", "unknown model kind 'spherex': use circle, torus or "
+                    "sphereN (N >= 2)"),
+    ])
+    def test_bad_sphere_kind(self, capsys, kind, message):
+        code, out, err = run(capsys, "verify", "--model", kind)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+
+    def test_sphere_mode_overflow_is_config_error(self, capsys):
+        # the multiplicities of S^300 pass the float range before the tail
+        # bound at the smallest time
+        code, out, err = run(capsys, "verify", "--model", "sphere300",
+                             "--max-degree", "0", "--t-grid", "1e-4:0.5:4")
+        assert code == 2
+        assert err == (
+            "error: mode sums of sphere300 pass the float range at "
+            "t=1.25e-05: raise t or lower the dimension\n"
+        )
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "sphere4"],
+        ["--model", "circle", "--max-degree", "8"],
+        ["--model", "torus", "--max-degree", "8"],
+        ["--model", "sphere2", "--radius", "2.0", "--max-degree", "8"],
+        ["--model", "sphere3", "--max-degree", "8"],
+        ["--model", "circle", "--t", "0.01", "--max-degree", "24"],
+    ], ids=["sphere4", "circle-d8", "torus-d8", "sphere2-r2-d8", "sphere3-d8",
+            "circle-d24"])
+    def test_any_sphere_and_degree(self, capsys, argv):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        assert out.endswith("passed=True\n")
+
     def test_missing_model(self, capsys):
         code, _, err = run(capsys, "verify", "--t", "0.01")
         assert code == 2
@@ -725,7 +762,7 @@ def _model_argv(draw, max_exp=300):
     """verify or curvature on one model, radii log-uniform in
     10^-max_exp..10^max_exp, and heat times R^2 u for the first radius R:
     the argv so far and a strategy for such times."""
-    kind = draw(st.sampled_from(["circle", "torus", "sphere2", "sphere3"]))
+    kind = draw(st.sampled_from(["circle", "torus", "sphere2", "sphere3", "sphere5"]))
     argv = [draw(st.sampled_from(["verify", "curvature"])), "--model", kind,
             "--max-degree", draw(st.sampled_from(["2", "4", "6"]))]
     radius = _log_uniform(-max_exp, max_exp)

@@ -30,7 +30,7 @@ from spectraljet.manifolds import (
     truncation_stability,
 )
 from spectraljet.multiindex import empty, enumerate_multiindices, from_indices
-from spectraljet.wick import wick_a
+from spectraljet.wick import wick_a, wick_b
 
 GRID = time_grid()
 
@@ -57,8 +57,6 @@ class TestModelBasics:
             s.diag_jet(-0.1, a, a)
         with pytest.raises(ValueError):
             s.diag_jet(0.1, mi([1], 2), mi([1], 2))
-        with pytest.raises(ValueError):
-            s.diag_jet(0.1, mi([1] * 5, 3), mi([1] * 5, 3))
         with pytest.raises(ValueError):
             Sphere(1, 1.0)
         with pytest.raises(ValueError):
@@ -154,7 +152,7 @@ class TestSphereJets:
             for l in range(13):
                 zonal = sympy.Rational(2 * l + n - 1, n - 1) * sympy.gegenbauer(l, lam, x)
                 assert s.multiplicity(l) == zonal.subs(x, 1), (n, l)
-                for m in range(5):
+                for m in range(9):
                     want = sympy.diff(zonal, x, m).subs(x, 1) / math.factorial(m)
                     assert s._zonal_taylor(l, m) == float(want), (n, l, m)
 
@@ -262,9 +260,14 @@ class TestJetGram:
         ]
         assert all(v == 0.0 for v in g)
 
-    def test_order_cap(self):
-        with pytest.raises(ValueError):
-            jet_gram(Circle(1.0), 0.05, 5)
+    def test_any_order(self):
+        # order 5 holds jets of order 10; the flat cosines are B up to
+        # exp(-pi^2 / t)
+        g = jet_gram(Circle(1.0), 0.05, 5)
+        for a in g.basis[1:]:
+            for b in g.basis[1:]:
+                cos = g.entry(a, b) / math.sqrt(g.entry(a, a) * g.entry(b, b))
+                assert cos == pytest.approx(wick_b(a, b).value, abs=1e-12), (a, b)
 
 
 class TestGeometryOps:
@@ -386,6 +389,9 @@ class TestSquaredDistanceJets:
         s = Sphere(2, 1.0)
         with pytest.raises(ValueError):
             squared_distance_jets(s, mi([1, 1, 2], 2), mi([1, 2], 2))
+        # the closed form stops at order 4; this order-6 jet is -8/45
+        with pytest.raises(ValueError, match="up to order 4"):
+            squared_distance_target(s, mi([2, 2], 2), mi([1, 1, 2, 2], 2))
 
 
 class TestTruncation:
@@ -584,7 +590,8 @@ class TestSphereModeTables:
         basis = enumerate_multiindices(dim, 2)
         pairs = [(a, b) for i, a in enumerate(basis) for b in basis[i:]]
         ems = {s._extract_vector(a, b, 4) for a, b in pairs}
-        ems |= {(0.5, -1.25, 3.0), (0.0, 0.0, -2.0, 0.0, 7.5), (1.0,), (0.0, 0.0)}
+        ems |= {(0.5, -1.25, 3.0), (0.0, 0.0, -2.0, 0.0, 7.5), (1.0,), (0.0, 0.0),
+                (0.0,) * 8 + (1.5,)}  # widens the rows once they exist
         reach: dict = {}  # t -> largest cutoff summed at t
 
         def check(got, want, *where):
@@ -611,6 +618,22 @@ class TestSphereModeTables:
                 check((got, cutoff), (want, cutoff), t, a1, b1, a2, b2)
         assert {t: len(w) - 1 for t, w in s._weights.items()} == reach
         assert len(s._taylor_rows) - 1 == max(reach.values())
+
+    def test_widened_rows_change_no_jet(self):
+        # the Taylor rows of a second-order jet are widened to 7 columns by
+        # a degree-12 jet; every jet reads the coefficients of a fresh
+        # instance
+        served = Sphere(3, 1.5)
+        served.diag_jet(0.01, mi([1], 3), mi([1], 3))
+        high = served.diag_jet(0.01, mi([1, 1, 2, 2, 3, 3], 3),
+                               mi([1, 1, 1, 1, 2, 2], 3))
+        assert high != 0.0 and math.isfinite(high)
+        assert {len(row) for row in served._taylor_rows} == {7}
+        basis = enumerate_multiindices(3, 3)
+        for t in (0.05, 0.01):
+            for a in basis:
+                for b in basis:
+                    assert served.diag_jet(t, a, b) == Sphere(3, 1.5).diag_jet(t, a, b)
 
 
 class TestScalarDiagonal:

@@ -16,7 +16,10 @@ pytest.importorskip("numpy")  # the tracer imports it before its first span
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACED_CHILD = ROOT / "bench" / "traced_child.py"
-ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0"}
+# stdout stays buffered, so a forked worker that re-flushes the parent's
+# buffer shows in the stdout comparison
+ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+       "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0"}
 
 
 def _load_tracer():

@@ -157,10 +157,9 @@ class TestGraphEnumeration:
         assert (g.count, g.common_sign) == (0, None)
 
     def test_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceeds enumeration cap 16"):
             enumerate_admissible_graphs(mi([1] * 9, 1), mi([1] * 9, 1))
-        # configurable
-        g = enumerate_admissible_graphs(mi([1] * 7, 1), mi([1] * 7, 1), cap=14)
+        g = enumerate_admissible_graphs(mi([1] * 7, 1), mi([1] * 7, 1))
         assert g.count == double_factorial(7)
 
     def test_sign_is_constant_within_color(self):
