@@ -480,6 +480,37 @@ class TestGoldenBytes:
             assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256(out_json.read_bytes()).hexdigest() == json_sha
 
+    # A policy other than the default moves measured values, not only the
+    # echoed config; these pin that the policy reaches every mode sum.
+    @pytest.mark.parametrize("argv, file_cfg, exit_code, csv_sha, json_sha", [
+        (["verify", "--model", "sphere3", "--max-degree", "4",
+          "--t-grid", "0.1:0.5:7", "--policy-eps", "1e-8"], None, 0,
+         "5b6a94c2a54209b3ba3e29d0e28a82875e509b6f1e39925a5ff8a3228942482c",
+         "1c83105054010b8bef239ea55f38db5df235bada7b506f645c4fa77442f19382"),
+        # the flat jets of a coarse epsilon miss their 1e-6 tolerance
+        (["verify", "--model", "torus", "--radii", "1.0,1.3", "--max-degree", "4",
+          "--t", "0.01", "--policy-eps", "1e-6"], None, 1,
+         "1ed942f500ebb14d5cd2aeb5351930336d56228313c42580e7abc78bd8a7bae9", None),
+        (["curvature", "--model", "sphere2", "--radius", "1.5"],
+         {"policy": {"rho": 3.0, "epsilon": 1e-9}}, 0, None,
+         "4a4d2bc279ac22515d5d9e286ce2d0d12631f768d8dba1b54359c2b0e8bd3258"),
+    ], ids=["verify-sphere3-eps", "verify-torus-eps", "curvature-sphere2-rho"])
+    def test_non_default_policy(self, tmp_path, capsys, argv, file_cfg, exit_code,
+                                csv_sha, json_sha):
+        if file_cfg is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(file_cfg))
+            argv = [*argv, "--config", str(cfg)]
+        out_csv = tmp_path / "out.csv"
+        out_json = tmp_path / "out.json"
+        code, _, _ = run(capsys, *argv, "--out", str(out_csv),
+                         "--out-json", str(out_json))
+        assert code == exit_code
+        if csv_sha:
+            assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == csv_sha
+        if json_sha:
+            assert hashlib.sha256(out_json.read_bytes()).hexdigest() == json_sha
+
 
 class TestConfigTypes:
     def test_default_grid_is_the_config_grid(self):
