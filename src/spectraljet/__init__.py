@@ -27,7 +27,6 @@ from .wick import (
     double_factorial,
     enumerate_admissible_graphs,
     gaussian_moment_oracle,
-    gaussian_moment_quadrature,
     wick_a,
     wick_b,
 )

@@ -19,9 +19,7 @@ from typing import NamedTuple
 from .multiindex import MultiIndex, enumerate_multiindices
 from .wick import wick_a, wick_b
 from .manifolds import (
-    DEFAULT_POLICY,
     SpectralModel,
-    TruncationPolicy,
     curvature_symmetry_residuals,
     heat_power,
     mean_curvature_proxy,
@@ -319,7 +317,6 @@ def jet_relation_suite(
     model: SpectralModel,
     max_degree: int,
     ts=DEFAULT_GRID,
-    policy: TruncationPolicy = DEFAULT_POLICY,
     tol: Mapping[str, float] = TOLERANCES,
 ) -> SuiteResult:
     """Normalized jets and angles against their exact Wick targets.
@@ -358,7 +355,7 @@ def jet_relation_suite(
         target = float(wick_a(a, b).value)
         samples = []
         for t in ts:
-            raw = model.diag_jet(t, a, b, policy)
+            raw = model.diag_jet(t, a, b)
             normalized = normalization_factor(n, t, a, b) * raw
             records.append(
                 ConvergenceRecord(
@@ -384,7 +381,7 @@ def jet_relation_suite(
     def gram(t, a, b):
         key = (t, a.counts, b.counts)
         if key not in gram_cache:
-            gram_cache[key] = model.gram_entry(t, a, b, policy)
+            gram_cache[key] = model.gram_entry(t, a, b)
         return gram_cache[key]
 
     side_cap = (max_degree + 1) // 2
@@ -412,13 +409,12 @@ def jet_relation_suite(
 # ---------------------------------------------------------------------------
 
 def scalar_suite(model: SpectralModel, ts=DEFAULT_GRID,
-                 policy: TruncationPolicy = DEFAULT_POLICY,
                  tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
     """Scalar curvature from the on-diagonal expansion slope, S/6."""
     ts = tuple(sorted(ts))
     n = model.n
     samples = [
-        (t, heat_power(t, 4.0 * math.pi, n / 2.0) * model.heat_diagonal(t, policy))
+        (t, heat_power(t, 4.0 * math.pi, n / 2.0) * model.heat_diagonal(t))
         for t in ts
     ]
     target = model.scalar_curvature / 6.0
@@ -430,7 +426,6 @@ def scalar_suite(model: SpectralModel, ts=DEFAULT_GRID,
 
 
 def isometry_suite(model: SpectralModel, ts=DEFAULT_GRID,
-                   policy: TruncationPolicy = DEFAULT_POLICY,
                    tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
     """Pullback metric: identity at leading order, curvature correction at O(t).
 
@@ -440,7 +435,7 @@ def isometry_suite(model: SpectralModel, ts=DEFAULT_GRID,
     ts = tuple(sorted(ts))
     n = model.n
     result = SuiteResult("isometry", model.label, {})
-    pulls = [(t, pullback_metric(model, t, policy)) for t in ts]
+    pulls = [(t, pullback_metric(model, t)) for t in ts]
     for i in range(n):
         for j in range(i, n):
             delta = 1.0 if i == j else 0.0
@@ -468,13 +463,12 @@ def isometry_suite(model: SpectralModel, ts=DEFAULT_GRID,
 
 
 def mean_curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
-                         policy: TruncationPolicy = DEFAULT_POLICY,
                          tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
     """sqrt(t) |H| -> sqrt((n+2)/(2n)), the universal mean-curvature length."""
     ts = tuple(sorted(ts))
     n = model.n
     target = math.sqrt((n + 2.0) / (2.0 * n))
-    samples = [(t, mean_curvature_proxy(model, t, policy)) for t in ts]
+    samples = [(t, mean_curvature_proxy(model, t)) for t in ts]
     result = SuiteResult("mean_curvature", model.label, {})
     result.summaries["mean_curvature.length"] = _fitted(
         samples, target, lambda fit: _judge(fit.c0, target, tol["mean_curvature_rel"])
@@ -483,7 +477,6 @@ def mean_curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
 
 
 def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
-                    policy: TruncationPolicy = DEFAULT_POLICY,
                     tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
     """Third-jet umbilical limits 2t <D_i D_k D_k psi, D_j psi>.
 
@@ -501,9 +494,7 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 target = -3.0 if i == j == k else -1.0 if i == j else 0.0
-                samples = [
-                    (t, third_jet_umbilical(model, t, i, j, k, policy)) for t in ts
-                ]
+                samples = [(t, third_jet_umbilical(model, t, i, j, k)) for t in ts]
                 result.summaries[f"umbilical.jet[{i},{j},{k}]"] = _fitted(
                     samples, target, lambda fit: _judge(fit.c0, target, rel, zero_abs)
                 )
@@ -511,7 +502,7 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
     # aggregate umbilical constant (no pass condition on the contested value)
     agg_samples = []
     for t in ts:
-        acc = sum(third_jet_umbilical(model, t, 1, 1, k, policy) for k in range(1, n + 1))
+        acc = sum(third_jet_umbilical(model, t, 1, 1, k) for k in range(1, n + 1))
         agg_samples.append((t, acc / n))
     agg_fit = fit_on_smallest(agg_samples)
     shape_constant = agg_fit.c0 / 2.0
@@ -527,7 +518,6 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
 
 
 def curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
-                    policy: TruncationPolicy = DEFAULT_POLICY,
                     tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
     """Riemann tensor from the asymptotic Gauss formula, plus its symmetries."""
     if model.n < 2:
@@ -536,7 +526,7 @@ def curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
     n = model.n
     flat_abs = tol["curvature_flat_abs"]
     result = SuiteResult("curvature", model.label, {})
-    report = curvature_symmetry_residuals(model, ts, policy)
+    report = curvature_symmetry_residuals(model, ts)
     r = report.tensor
     K = model.sectional_curvature
     for i in range(1, n + 1):
@@ -569,13 +559,12 @@ def curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
 
 
 def scalar_ricci_suite(model: SpectralModel, ts=DEFAULT_GRID,
-                       policy: TruncationPolicy = DEFAULT_POLICY,
                        tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
     """Scalar and Ricci recovery S = 6 c1(diagonal), Ric = (S/2) I - 3 c1(pullback).
 
     Its tolerances have no config key, so it reads nothing from ``tol``."""
     ts = tuple(sorted(ts))
-    report = ricci_scalar_extract(model, ts, policy)
+    report = ricci_scalar_extract(model, ts)
     result = SuiteResult("scalar_ricci", model.label, {})
     target_s = model.scalar_curvature
     result.summaries["scalar_ricci.scalar"] = PairSummary(

@@ -176,6 +176,7 @@ def build_config(args: argparse.Namespace) -> dict:
 
 
 def config_model(cfg: dict):
+    """The model of the config, built with the config's truncation policy."""
     kind = cfg["model"].get("kind")
     if not kind:
         raise ConfigError("no model specified (use --model)")
@@ -183,6 +184,7 @@ def config_model(cfg: dict):
         return make_model(
             kind, radius=cfg["model"].get("radius", 1.0),
             radii=cfg["model"].get("radii"),
+            policy=TruncationPolicy(**cfg["policy"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -194,10 +196,6 @@ def config_grid(cfg: dict) -> tuple[float, ...]:
             raise ConfigError("t must be positive")
         return (float(cfg["t"]),)
     return time_grid(**cfg["t_grid"])
-
-
-def config_policy(cfg: dict) -> TruncationPolicy:
-    return TruncationPolicy(**cfg["policy"])
 
 
 def _config_int(key: str, value, low: int) -> int:
@@ -269,10 +267,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     model = config_model(cfg)
     max_degree = _config_int("max_degree", cfg["max_degree"], 0)
-    result = jet_relation_suite(
-        model, max_degree, config_grid(cfg), config_policy(cfg),
-        cfg["tolerances"],
-    )
+    result = jet_relation_suite(model, max_degree, config_grid(cfg), cfg["tolerances"])
     if args.out:
         write_text(args.out, records_to_csv(result.records))
     passed = _write_suites(args, cfg, model, [result])
@@ -292,11 +287,10 @@ def cmd_curvature(args: argparse.Namespace) -> int:
             "curvature suites need a t-grid of at least 4 times "
             f"(--t-grid start:ratio:count), got {len(grid)}"
         )
-    policy = config_policy(cfg)
     runs = [scalar_suite, isometry_suite, mean_curvature_suite, umbilical_suite]
     if model.n >= 2:
         runs += [curvature_suite, scalar_ricci_suite]
-    suites = [run(model, grid, policy, cfg["tolerances"]) for run in runs]
+    suites = [run(model, grid, cfg["tolerances"]) for run in runs]
     passed = _write_suites(args, cfg, model, suites)
     for s in suites:
         print(f"curvature: suite={s.name} checks={len(s.summaries)} passed={s.passed}")

@@ -68,6 +68,8 @@ class TruncationPolicy(_PolicyFields):
             raise ValueError("fixed_cutoff mode needs a cutoff")
         if self.epsilon <= 0 or self.rho <= 0:
             raise ValueError("epsilon and rho must be positive")
+        if not (self.epsilon < math.inf and self.rho < math.inf):  # NaN too
+            raise ValueError("epsilon and rho must be finite")
         cap = self.hard_cap
         if cap is not None and (type(cap) is not int or cap < 1):  # bool is no cap
             raise ValueError(f"hard_cap must be null/None or an integer >= 1, got {cap!r}")
@@ -90,7 +92,8 @@ def _tail_sum(term, start: int, min_index: int, policy: TruncationPolicy,
     policy.fixed_cutoff terms.  relative_tail mode stops on the tail rule,
     which never fires while terms are still growing toward their peak, and
     raises TruncationError after hard_cap terms.  The models call it only
-    through SpectralModel._sum, which memoizes the result per instance.
+    through SpectralModel._sum, with their own policy, which memoizes the
+    result per instance.
     """
     fixed = policy.mode == "fixed_cutoff"
     limit = policy.fixed_cutoff if fixed else hard_cap
@@ -158,8 +161,9 @@ def _checked_volume(radii, volume) -> float:
 class SpectralModel:
     """Shared interface of the closed-spectrum models.
 
-    Every spectral sum goes through ``_sum``, which memoizes it for the
-    lifetime of the instance.
+    A model is built with its truncation policy, and every spectral sum
+    goes through ``_sum``, which applies that policy and memoizes the sum
+    for the lifetime of the instance.
     """
 
     n: int
@@ -173,56 +177,50 @@ class SpectralModel:
     sectional_curvature: float
     is_flat: bool
 
-    def __init__(self):
+    def __init__(self, policy: TruncationPolicy):
+        self.policy = policy
+        self._hard_cap = (
+            self.default_hard_cap if policy.hard_cap is None else policy.hard_cap
+        )
         self._sums: dict = {}
 
-    def _cap(self, policy: TruncationPolicy) -> int:
-        return self.default_hard_cap if policy.hard_cap is None else policy.hard_cap
-
-    def _sum(self, key, term, start: int, min_index: int,
-             policy: TruncationPolicy) -> tuple[float, int]:
-        """_tail_sum(term, start, ...), memoized on (key, start, policy).
+    def _sum(self, key, term, start: int, min_index: int) -> tuple[float, int]:
+        """_tail_sum(term, start, ...), memoized on (key, start).
 
         key must hold everything besides self that term and min_index
         depend on.  A hit returns the stored (sum, last index) of the same
         float operations; a capped sum raises before anything is stored.
         """
-        memo = (key, start, policy)
+        memo = (key, start)
         hit = self._sums.get(memo)
         if hit is None:
             hit = self._sums[memo] = _tail_sum(
-                term, start, min_index, policy, self._cap(policy)
+                term, start, min_index, self.policy, self._hard_cap
             )
         return hit
 
-    def _min_index(self, radius: float, t: float, power: float,
-                   policy: TruncationPolicy) -> int:
+    def _min_index(self, radius: float, t: float, power: float) -> int:
         """First index at which the tail rule may stop: 2 past the peak
         radius * sqrt((power + rho) / 2t) of the summand, and at least 8.
         A peak past the hard cap (inf for a subnormal t) is clamped to it;
         the sum then hits the cap all the same."""
-        peak = radius * math.sqrt((power + policy.rho) / (2.0 * t))
-        return max(8, int(math.ceil(min(peak, self._cap(policy)))) + 2)
+        peak = radius * math.sqrt((power + self.policy.rho) / (2.0 * t))
+        return max(8, int(math.ceil(min(peak, self._hard_cap))) + 2)
 
-    def diag_jet_with_cutoff(self, t, alpha, beta, policy=DEFAULT_POLICY,
-                             include_constant_mode=True):
+    def diag_jet_with_cutoff(self, t, alpha, beta, include_constant_mode=True):
         raise NotImplementedError
 
     def diag_jet(self, t: float, alpha: MultiIndex, beta: MultiIndex,
-                 policy: TruncationPolicy = DEFAULT_POLICY,
                  include_constant_mode: bool = True) -> float:
         """J(t, alpha, beta); the constant eigenfunction only matters for the
         order-(0,0) entry (the heat-kernel diagonal keeps it, the embedding
         drops it)."""
-        value, _ = self.diag_jet_with_cutoff(
-            t, alpha, beta, policy, include_constant_mode
-        )
+        value, _ = self.diag_jet_with_cutoff(t, alpha, beta, include_constant_mode)
         return value
 
-    def heat_diagonal(self, t: float, policy: TruncationPolicy = DEFAULT_POLICY,
-                      include_constant_mode: bool = True) -> float:
+    def heat_diagonal(self, t: float, include_constant_mode: bool = True) -> float:
         e = empty(self.n)
-        return self.diag_jet(t, e, e, policy, include_constant_mode)
+        return self.diag_jet(t, e, e, include_constant_mode)
 
     def gram_prefactor(self, t: float) -> float:
         return (
@@ -230,19 +228,17 @@ class SpectralModel:
             * heat_power(t, 1.0, (self.n + 2) / 2.0)
         )
 
-    def gram_entry(self, t: float, alpha: MultiIndex, beta: MultiIndex,
-                   policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+    def gram_entry(self, t: float, alpha: MultiIndex, beta: MultiIndex) -> float:
         """<D^alpha psi_t, D^beta psi_t> at the base point."""
-        j = self.diag_jet(t, alpha, beta, policy, include_constant_mode=False)
+        j = self.diag_jet(t, alpha, beta, include_constant_mode=False)
         return self.gram_prefactor(t) * j
 
-    def gram_difference(self, t, pair1, pair2,
-                        policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+    def gram_difference(self, t, pair1, pair2) -> float:
         """G(pair1) - G(pair2); models override where the leading parts must
         be cancelled mode by mode."""
         a1, b1 = pair1
         a2, b2 = pair2
-        return self.gram_entry(t, a1, b1, policy) - self.gram_entry(t, a2, b2, policy)
+        return self.gram_entry(t, a1, b1) - self.gram_entry(t, a2, b2)
 
     def _validate_time(self, t: float) -> None:
         if not t > 0:
@@ -270,8 +266,8 @@ class FlatTorus(SpectralModel):
     ricci_coefficient = 0.0
     sectional_curvature = 0.0
 
-    def __init__(self, radii):
-        super().__init__()
+    def __init__(self, radii, policy: TruncationPolicy = DEFAULT_POLICY):
+        super().__init__(policy)
         radii = tuple(float(r) for r in radii)
         if not radii:
             raise ValueError("a torus needs at least one radius")
@@ -284,8 +280,7 @@ class FlatTorus(SpectralModel):
     def describe(self) -> dict:
         return {"kind": self.label, "radii": list(self.radii)}
 
-    def _mode_sum(self, axis: int, m: int, t: float,
-                  policy: TruncationPolicy) -> tuple[float, int]:
+    def _mode_sum(self, axis: int, m: int, t: float) -> tuple[float, int]:
         R = self.radii[axis]
         scale = t / (R * R)
 
@@ -294,9 +289,9 @@ class FlatTorus(SpectralModel):
             w = math.exp(-k * k * scale)
             return w * (k / R) ** m if w else 0.0
 
-        min_index = self._min_index(R, t, m, policy)
+        min_index = self._min_index(R, t, m)
         try:
-            return self._sum((axis, m, t), term, 1, min_index, policy)
+            return self._sum((axis, m, t), term, 1, min_index)
         except OverflowError:
             # the jet itself, about R^-(m+1), is past the float range
             raise ValueError(
@@ -304,8 +299,7 @@ class FlatTorus(SpectralModel):
                 "lower the max degree or raise the radius"
             ) from None
 
-    def diag_jet_with_cutoff(self, t, alpha, beta, policy=DEFAULT_POLICY,
-                             include_constant_mode=True):
+    def diag_jet_with_cutoff(self, t, alpha, beta, include_constant_mode=True):
         self._validate_time(t)
         self._validate_pair(alpha, beta)
         orders = [a + b for a, b in zip(alpha.counts, beta.counts)]
@@ -315,7 +309,7 @@ class FlatTorus(SpectralModel):
         cutoff = 0
         for axis, m in enumerate(orders):
             R = self.radii[axis]
-            msum, used = self._mode_sum(axis, m, t, policy)
+            msum, used = self._mode_sum(axis, m, t)
             cutoff = max(cutoff, used)
             if m == 0:
                 value *= (1.0 + 2.0 * msum) / (TWO_PI * R)
@@ -326,8 +320,7 @@ class FlatTorus(SpectralModel):
             value -= 1.0 / self.volume
         return value, cutoff
 
-    def kernel_value(self, t: float, u, v,
-                     policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+    def kernel_value(self, t: float, u, v) -> float:
         """H(t, x, y) for chart offsets u, v (the chart is globally flat).
 
         The cutoff is chosen on the monotone Gaussian envelope; the cosine
@@ -338,7 +331,7 @@ class FlatTorus(SpectralModel):
         for axis in range(self.n):
             R = self.radii[axis]
             d = (u[axis] - v[axis]) / R
-            _, cutoff = self._mode_sum(axis, 0, t, policy)
+            _, cutoff = self._mode_sum(axis, 0, t)
             scale = t / (R * R)
             s = math.fsum(
                 math.exp(-k * k * scale) * math.cos(k * d)
@@ -347,7 +340,7 @@ class FlatTorus(SpectralModel):
             value *= (1.0 + 2.0 * s) / (TWO_PI * R)
         return value
 
-    def embedding_point(self, t: float, x, modes_per_axis: int) -> np.ndarray:
+    def embedding_point(self, t: float, x, modes_per_axis: int) -> tuple[float, ...]:
         """Finite-dimensional normalized embedding psi_t^q at the point x.
 
         Components are products over axes of the circle eigenfunctions
@@ -355,8 +348,6 @@ class FlatTorus(SpectralModel):
         exp(-lambda t / 2) and the psi normalization; the global constant
         mode is dropped.
         """
-        import numpy as np
-
         self._validate_time(t)
         axis_funcs: list[list[tuple[float, float]]] = []  # (lambda, value)
         for axis in range(self.n):
@@ -374,18 +365,17 @@ class FlatTorus(SpectralModel):
             lams = [l0 + l1 for l0 in lams for l1, _ in funcs]
             vals = [v0 * v1 for v0 in vals for _, v1 in funcs]
         norm = math.sqrt(2.0) * (4.0 * math.pi) ** (self.n / 4.0) * t ** ((self.n + 2) / 4.0)
-        comps = [
+        return tuple(  # without the constant eigenfunction
             norm * math.exp(-lam * t / 2.0) * val
-            for lam, val in zip(lams, vals)
-        ][1:]  # drop the constant eigenfunction
-        return np.array(comps)
+            for lam, val in zip(lams[1:], vals[1:])
+        )
 
 
 class Circle(FlatTorus):
     label = "circle"
 
-    def __init__(self, radius: float = 1.0):
-        super().__init__((radius,))
+    def __init__(self, radius: float = 1.0, policy: TruncationPolicy = DEFAULT_POLICY):
+        super().__init__((radius,), policy)
         self.radius = float(radius)
 
     def describe(self) -> dict:
@@ -418,6 +408,21 @@ def _rounded_jet(exact, radius: float, power: int, order: int) -> float:
         ) from None
 
 
+def _unit_sphere_area(dim: int) -> float:
+    """|S^dim| by |S^k| = 2 pi |S^(k-2)| / (k-1), from |S^0| = 2 and
+    |S^1| = 2 pi; past k = 454 it underflows to 0, and so does every later
+    area, so the dimension is refused there."""
+    prev, area = 2.0, TWO_PI
+    for k in range(2, dim + 1):
+        prev, area = area, TWO_PI * prev / (k - 1)
+        if not area:
+            raise ValueError(
+                f"sphere dimension {dim} out of range: the area of the unit "
+                f"S^{k} underflows to 0"
+            )
+    return area
+
+
 class Sphere(SpectralModel):
     """Round sphere S^n (n >= 2) of radius a.
 
@@ -432,29 +437,28 @@ class Sphere(SpectralModel):
     A jet pairs these coefficients with its extraction vector em, where
     em[m] is D_u^alpha D_v^beta of w^m at the origin (memoized per degree,
     alpha and beta).  Many (alpha, beta) pairs share one em, so the zonal
-    sum over l is memoized on (em, t, policy) and the diagonal sum on
-    (t, start, policy).  The sums read two mode tables that grow only as
-    far as a sum reaches: the Taylor coefficients of Z_l per degree l, for
-    every m below the widest extraction vector summed, and per heat time t
-    the Gaussian weights exp(-lambda_l t).
+    sum over l is memoized on (em, t) and the diagonal sum on (t, start).
+    The sums read two mode tables that grow only as far as a sum reaches:
+    the Taylor coefficients of Z_l per degree l, for every m below the
+    widest extraction vector summed, and per heat time t the Gaussian
+    weights exp(-lambda_l t).
     """
 
     is_flat = False
     default_hard_cap = 5_000
 
-    def __init__(self, dim: int, radius: float = 1.0):
+    def __init__(self, dim: int, radius: float = 1.0,
+                 policy: TruncationPolicy = DEFAULT_POLICY):
         if dim < 2:
             raise ValueError("sphere dimension must be at least 2")
-        super().__init__()
+        super().__init__(policy)
         radius = float(radius)
         self.n = dim
         self.radius = radius
         self.label = f"sphere{dim}"
-        # |S^k| = 2 pi |S^(k-2)| / (k-1), from |S^0| = 2 and |S^1| = 2 pi
-        area = [2.0, TWO_PI]
-        for k in range(2, dim + 1):
-            area.append(TWO_PI * area[k - 2] / (k - 1))
-        self.volume = _checked_volume((radius,), lambda: area[dim] * radius**dim)
+        self.volume = _checked_volume(
+            (radius,), lambda: _unit_sphere_area(dim) * radius**dim
+        )
         self._zonal_scale = 1.0 / self.volume
         a2 = radius * radius
         self.scalar_curvature = dim * (dim - 1) / a2
@@ -530,8 +534,7 @@ class Sphere(SpectralModel):
         self._extract_cache[key] = vec
         return vec
 
-    def _diagonal_sum(self, t: float, start: int,
-                      policy: TruncationPolicy) -> tuple[float, int]:
+    def _diagonal_sum(self, t: float, start: int) -> tuple[float, int]:
         """sum_l mult(l) exp(-lambda_l t) from l = start, before 1/Vol."""
         weights = self._weights.setdefault(t, [])
 
@@ -540,14 +543,13 @@ class Sphere(SpectralModel):
                 self._grow_tables(weights, t, l)
             return weights[l] * self.multiplicity(l)
 
-        min_index = self._min_index(self.radius, t, self.n - 1.0, policy)
+        min_index = self._min_index(self.radius, t, self.n - 1.0)
         try:
-            return self._sum(("diagonal", t), term, start, min_index, policy)
+            return self._sum(("diagonal", t), term, start, min_index)
         except OverflowError:
             raise self._out_of_range(t) from None
 
-    def _zonal_sum(self, em, t: float,
-                   policy: TruncationPolicy) -> tuple[float, int]:
+    def _zonal_sum(self, em, t: float) -> tuple[float, int]:
         """sum_l exp(-lambda_l t) sum_m zonal_taylor(l, m) em[m], before the
         zonal scale; (0.0, 0) when every em[m] vanishes."""
         if all(e == 0.0 for e in em):
@@ -565,13 +567,11 @@ class Sphere(SpectralModel):
                 acc += row[m] * e
             return weights[l] * acc
 
-        min_index = self._min_index(
-            self.radius, t, 2 * (len(em) - 1) + self.n - 1.0, policy
-        )
+        min_index = self._min_index(self.radius, t, 2 * (len(em) - 1) + self.n - 1.0)
         try:
             if len(em) > self._width:
                 self._widen_rows(len(em))
-            return self._sum((em, t), term, 0, min_index, policy)
+            return self._sum((em, t), term, 0, min_index)
         except OverflowError:
             raise self._out_of_range(t) from None
 
@@ -584,20 +584,18 @@ class Sphere(SpectralModel):
             "raise t or lower the dimension"
         )
 
-    def diag_jet_with_cutoff(self, t, alpha, beta, policy=DEFAULT_POLICY,
-                             include_constant_mode=True):
+    def diag_jet_with_cutoff(self, t, alpha, beta, include_constant_mode=True):
         self._validate_time(t)
         self._validate_pair(alpha, beta)
         total = alpha.degree + beta.degree
         if total == 0:
-            s, used = self._diagonal_sum(t, 0 if include_constant_mode else 1, policy)
+            s, used = self._diagonal_sum(t, 0 if include_constant_mode else 1)
             return s / self.volume, used
         em = self._extract_vector(alpha, beta, self._series_degree(total))
-        s, used = self._zonal_sum(em, t, policy)
+        s, used = self._zonal_sum(em, t)
         return s * self._zonal_scale, used
 
-    def gram_difference(self, t, pair1, pair2,
-                        policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+    def gram_difference(self, t, pair1, pair2) -> float:
         """G(pair1) - G(pair2) with the difference taken per eigenvalue term.
 
         Both entries carry the same O(1/t) leading part when their Wick
@@ -613,7 +611,7 @@ class Sphere(SpectralModel):
         degree = self._series_degree(total)
         em1 = self._extract_vector(a1, b1, degree)
         em2 = self._extract_vector(a2, b2, degree)
-        s, _ = self._zonal_sum(tuple(x - y for x, y in zip(em1, em2)), t, policy)
+        s, _ = self._zonal_sum(tuple(x - y for x, y in zip(em1, em2)), t)
         return self.gram_prefactor(t) * s * self._zonal_scale
 
     # -- closed-form kernel evaluation (finite-difference cross checks) ------
@@ -627,14 +625,13 @@ class Sphere(SpectralModel):
         z = SQRT_COS(zu) * SQRT_COS(zv) + SQRT_SINC(zu) * SQRT_SINC(zv) * dot
         return min(1.0, max(-1.0, z))
 
-    def kernel_value(self, t: float, u, v,
-                     policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+    def kernel_value(self, t: float, u, v) -> float:
         """H(t, exp(u), exp(v)) by direct zonal summation, the Gegenbauer
         polynomials from their three-term recurrence."""
         self._validate_time(t)
         z = self.chart_cosine(u, v)
         # cutoff: reuse the diagonal tail rule (|Z_l(z)| <= Z_l(1))
-        _, cutoff = self._diagonal_sum(t, 0, policy)
+        _, cutoff = self._diagonal_sum(t, 0)
         n = self.n
         lam = (n - 1) / 2.0
         prev, cur = 0.0, 1.0  # C_(l-1)^lam(z), C_l^lam(z)
@@ -648,18 +645,20 @@ class Sphere(SpectralModel):
         return math.fsum(terms) * self._zonal_scale
 
 
-def make_model(kind: str, radius: float = 1.0, radii=None) -> SpectralModel:
+def make_model(kind: str, radius: float = 1.0, radii=None,
+               policy: TruncationPolicy = DEFAULT_POLICY) -> SpectralModel:
     """Model factory used by the CLI specifiers: ``circle``, ``torus`` or
-    ``sphereN``, the round S^N for any N >= 2."""
+    ``sphereN``, the round S^N for any N >= 2; ``make_model(**m.describe(),
+    policy=...)`` rebuilds m under another policy."""
     if kind == "circle":
-        return Circle(radius)
+        return Circle(radius, policy)
     if kind == "torus":
         if not radii:
             raise ValueError("torus needs --radii")
-        return FlatTorus(radii)
+        return FlatTorus(radii, policy)
     digits = kind[6:] if isinstance(kind, str) and kind.startswith("sphere") else ""
     if digits.isascii() and digits.isdigit():
-        return Sphere(int(digits), radius)
+        return Sphere(int(digits), radius, policy)
     raise ValueError(
         f"unknown model kind {kind!r}: use circle, torus or sphereN (N >= 2)"
     )
@@ -683,26 +682,19 @@ class JetGram(NamedTuple):
             return self.entries[key]
         return self.entries[(beta.counts, alpha.counts)]
 
-    def matrix(self) -> np.ndarray:
-        import numpy as np
-
-        m = len(self.basis)
-        out = np.empty((m, m))
-        for i, a in enumerate(self.basis):
-            for j, b in enumerate(self.basis):
-                out[i, j] = self.entry(a, b)
-        return out
+    def matrix(self) -> list[list[float]]:
+        """The entries over the basis, as rows ``m[i][j]``."""
+        return [[self.entry(a, b) for b in self.basis] for a in self.basis]
 
 
-def jet_gram(model: SpectralModel, t: float, max_order: int,
-             policy: TruncationPolicy = DEFAULT_POLICY) -> JetGram:
+def jet_gram(model: SpectralModel, t: float, max_order: int) -> JetGram:
     from .multiindex import enumerate_multiindices
 
     basis = tuple(enumerate_multiindices(model.n, max_order))
     entries = {}
     for i, a in enumerate(basis):
         for b in basis[i:]:
-            entries[(a.counts, b.counts)] = model.gram_entry(t, a, b, policy)
+            entries[(a.counts, b.counts)] = model.gram_entry(t, a, b)
     return JetGram(t=t, order=max_order, basis=basis, entries=entries)
 
 
@@ -710,17 +702,14 @@ def jet_gram(model: SpectralModel, t: float, max_order: int,
 # Geometry read off the Gram entries
 # ---------------------------------------------------------------------------
 
-def pullback_metric(model: SpectralModel, t: float,
-                    policy: TruncationPolicy = DEFAULT_POLICY) -> list[list[float]]:
+def pullback_metric(model: SpectralModel, t: float) -> list[list[float]]:
     """Induced metric of the embedding: the first-derivative Gram matrix,
     as rows ``g[i][j]``."""
     n = model.n
     out = [[0.0] * n for _ in range(n)]
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            g = model.gram_entry(
-                t, from_indices([i], n), from_indices([j], n), policy
-            )
+            g = model.gram_entry(t, from_indices([i], n), from_indices([j], n))
             out[i - 1][j - 1] = g
             out[j - 1][i - 1] = g
     return out
@@ -739,8 +728,7 @@ class ScalarRicciReport(NamedTuple):
     condition_number: float
 
 
-def ricci_scalar_extract(model: SpectralModel, ts,
-                         policy: TruncationPolicy = DEFAULT_POLICY) -> ScalarRicciReport:
+def ricci_scalar_extract(model: SpectralModel, ts) -> ScalarRicciReport:
     """Scalar curvature from the diagonal slope, Ricci from the pullback slope.
 
     (4 pi t)^(n/2) H(t, x, x) = 1 + t S/6 + O(t^2) gives S; the pullback
@@ -754,14 +742,14 @@ def ricci_scalar_extract(model: SpectralModel, ts,
         raise ValueError("need at least 4 grid points for the quadratic fits")
     n = model.n
     diag = [
-        (t, heat_power(t, 4.0 * math.pi, n / 2.0) * model.heat_diagonal(t, policy))
+        (t, heat_power(t, 4.0 * math.pi, n / 2.0) * model.heat_diagonal(t))
         for t in ts
     ]
     cond = grid_condition(ts)
     if not math.isfinite(cond) or cond > 1e12:
         raise ValueError(f"ill-conditioned fit grid (condition number {cond:.3g})")
     scalar_fit = limit_fit(diag, order=2)
-    pulls = [(t, pullback_metric(model, t, policy)) for t in ts]
+    pulls = [(t, pullback_metric(model, t)) for t in ts]
     c0 = [[0.0] * n for _ in range(n)]
     c1 = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -785,8 +773,7 @@ def ricci_scalar_extract(model: SpectralModel, ts,
     )
 
 
-def mean_curvature_proxy(model: SpectralModel, t: float,
-                         policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+def mean_curvature_proxy(model: SpectralModel, t: float) -> float:
     """sqrt(t) * |mean of the pure second jets|, the mean-curvature length proxy.
 
     t |(1/n) sum_k D_kk psi|^2 = (t/n^2) sum_{k,l} G((k,k),(l,l)); the
@@ -796,21 +783,17 @@ def mean_curvature_proxy(model: SpectralModel, t: float,
     acc = 0.0
     for k in range(1, n + 1):
         for l in range(k, n + 1):
-            g = model.gram_entry(
-                t, from_indices([k, k], n), from_indices([l, l], n), policy
-            )
+            g = model.gram_entry(t, from_indices([k, k], n), from_indices([l, l], n))
             acc += g if k == l else 2.0 * g
     return math.sqrt(t * acc / (n * n))
 
 
-def third_jet_umbilical(model: SpectralModel, t: float, i: int, j: int, k: int,
-                        policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+def third_jet_umbilical(model: SpectralModel, t: float, i: int, j: int,
+                        k: int) -> float:
     """2t <D_i D_k D_k psi_t, D_j psi_t>; limits are -3, -1, 0 for
     i=j=k, i=j!=k, i!=j."""
     n = model.n
-    return 2.0 * t * model.gram_entry(
-        t, from_indices([i, k, k], n), from_indices([j], n), policy
-    )
+    return 2.0 * t * model.gram_entry(t, from_indices([i, k, k], n), from_indices([j], n))
 
 
 class CurvatureEstimate(NamedTuple):
@@ -820,33 +803,31 @@ class CurvatureEstimate(NamedTuple):
     cancellation_limited: bool
 
 
-def gauss_curvature_difference(model: SpectralModel, t: float, ijkl,
-                               policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+def gauss_curvature_difference(model: SpectralModel, t: float, ijkl) -> float:
     """G((i,l),(j,k)) - G((i,k),(j,l)) at one time; the t -> 0 limit is
     R(V_i, V_j, V_k, V_l)."""
     i, j, k, l = ijkl
     n = model.n
     pair1 = (from_indices([i, l], n), from_indices([j, k], n))
     pair2 = (from_indices([i, k], n), from_indices([j, l], n))
-    return model.gram_difference(t, pair1, pair2, policy)
+    return model.gram_difference(t, pair1, pair2)
 
 
-def gauss_curvature_estimate(model: SpectralModel, ts, ijkl,
-                             policy: TruncationPolicy = DEFAULT_POLICY) -> CurvatureEstimate:
+def gauss_curvature_estimate(model: SpectralModel, ts, ijkl) -> CurvatureEstimate:
     """Fitted t -> 0 limit of the Gram difference, i.e. R(V_i,V_j,V_k,V_l)."""
     from .asymptotics import limit_fit
 
     ts = sorted(ts)
     if len(ts) < 4:
         raise ValueError("need at least 4 grid points")
-    samples = [(t, gauss_curvature_difference(model, t, ijkl, policy)) for t in ts]
+    samples = [(t, gauss_curvature_difference(model, t, ijkl)) for t in ts]
     fit = limit_fit(samples, order=2)
     # cancellation diagnostic at the smallest time
     i, j, k, l = ijkl
     n = model.n
     t0 = ts[0]
-    g1 = model.gram_entry(t0, from_indices([i, l], n), from_indices([j, k], n), policy)
-    g2 = model.gram_entry(t0, from_indices([i, k], n), from_indices([j, l], n), policy)
+    g1 = model.gram_entry(t0, from_indices([i, l], n), from_indices([j, k], n))
+    g2 = model.gram_entry(t0, from_indices([i, k], n), from_indices([j, l], n))
     scale = max(abs(g1), abs(g2), 1.0)
     limited = abs(g1 - g2) <= 1e-12 * scale and samples[0][1] != 0.0
     return CurvatureEstimate(
@@ -854,8 +835,7 @@ def gauss_curvature_estimate(model: SpectralModel, ts, ijkl,
     )
 
 
-def fitted_curvature_tensor(model: SpectralModel, ts,
-                            policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+def fitted_curvature_tensor(model: SpectralModel, ts) -> list:
     """R(V_i, V_j, V_k, V_l) for all index quadruples, as fitted limits,
     nested as ``r[i][j][k][l]`` with 0-based indices."""
     if model.n < 2:
@@ -865,8 +845,7 @@ def fitted_curvature_tensor(model: SpectralModel, ts,
     return [
         [
             [
-                [gauss_curvature_estimate(model, ts, (i, j, k, l), policy).value
-                 for l in axes]
+                [gauss_curvature_estimate(model, ts, (i, j, k, l)).value for l in axes]
                 for k in axes
             ]
             for j in axes
@@ -903,10 +882,9 @@ def _max_abs(values) -> float:
     return out
 
 
-def curvature_symmetry_residuals(model: SpectralModel, ts,
-                                 policy: TruncationPolicy = DEFAULT_POLICY) -> SymmetryResidualReport:
+def curvature_symmetry_residuals(model: SpectralModel, ts) -> SymmetryResidualReport:
     """Residuals of the algebraic curvature symmetries on the fitted tensor."""
-    r = fitted_curvature_tensor(model, ts, policy)
+    r = fitted_curvature_tensor(model, ts)
     quads = [
         (i, j, k, l)
         for i in range(model.n) for j in range(model.n)
@@ -953,8 +931,8 @@ class LeviCivitaReport(NamedTuple):
     max_abs_error: float
 
 
-def levi_civita_check(model: SpectralModel, ts, i: int, field: PolynomialField,
-                      policy: TruncationPolicy = DEFAULT_POLICY) -> LeviCivitaReport:
+def levi_civita_check(model: SpectralModel, ts, i: int,
+                      field: PolynomialField) -> LeviCivitaReport:
     """Verify nabla_i Y at the base point from embedding 2-jets.
 
     With Y = f V_k, the product rule gives D_i D_Y psi = (d_i f) D_k psi +
@@ -978,10 +956,8 @@ def levi_civita_check(model: SpectralModel, ts, i: int, field: PolynomialField,
     for j in range(1, n + 1):
         samples = []
         for t in ts:
-            g_kj = model.gram_entry(t, from_indices([k], n), from_indices([j], n), policy)
-            g_ikj = model.gram_entry(
-                t, from_indices([i, k], n), from_indices([j], n), policy
-            )
+            g_kj = model.gram_entry(t, from_indices([k], n), from_indices([j], n))
+            g_ikj = model.gram_entry(t, from_indices([i, k], n), from_indices([j], n))
             samples.append((t, df_i * g_kj + f0 * g_ikj))
         limits.append(limit_fit(samples, order=2).c0)
     target = tuple(df_i if j == k else 0.0 for j in range(1, n + 1))
@@ -1066,13 +1042,13 @@ class TruncationStability(NamedTuple):
 
 
 def truncation_stability(model: SpectralModel, t: float, alpha: MultiIndex,
-                         beta: MultiIndex,
-                         policy: TruncationPolicy = DEFAULT_POLICY) -> TruncationStability:
-    """Re-evaluate a jet with the policy-chosen cutoff doubled."""
-    value, cutoff = model.diag_jet_with_cutoff(t, alpha, beta, policy)
+                         beta: MultiIndex) -> TruncationStability:
+    """Re-evaluate a jet with the policy-chosen cutoff doubled, on a fresh
+    twin of the model: a copy would share the sphere's Taylor rows, which
+    grow in place to the width of its own widest sum."""
+    value, cutoff = model.diag_jet_with_cutoff(t, alpha, beta)
     if cutoff == 0:  # structurally zero jet; doubling changes nothing
         return TruncationStability(value, value, 0.0, cutoff)
-    doubled, _ = model.diag_jet_with_cutoff(
-        t, alpha, beta, policy.doubled(cutoff)
-    )
+    twin = make_model(**model.describe(), policy=model.policy.doubled(cutoff))
+    doubled, _ = twin.diag_jet_with_cutoff(t, alpha, beta)
     return TruncationStability(value, doubled, abs(value - doubled), cutoff)

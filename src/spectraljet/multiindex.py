@@ -8,6 +8,7 @@ point of the lattice Z_+^n.
 """
 from __future__ import annotations
 
+from itertools import combinations
 from operator import mul
 from typing import Iterable, NamedTuple
 
@@ -182,18 +183,16 @@ def symmetric_difference_size(alpha: MultiIndex, beta: MultiIndex) -> int:
 
 
 def enumerate_multiindices(n: int, max_degree: int) -> list[MultiIndex]:
-    """All multi-indices of degree <= max_degree, ordered by (degree, counts)."""
+    """All multi-indices of degree <= max_degree, ordered by (degree, counts).
+
+    The counts of degree d are the gaps between n - 1 bars placed among
+    d + n - 1 slots; bar positions in lexicographic order give the counts
+    in ascending order."""
     out: list[MultiIndex] = []
-
-    def build(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(MultiIndex(tuple(prefix + [remaining])))
-            return
-        for c in range(remaining + 1):
-            build(prefix + [c], remaining - c, slots - 1)
-
     for d in range(max_degree + 1):
-        start = len(out)
-        build([], d, n)
-        out[start:] = sorted(out[start:], key=lambda m: m.counts)
+        end = (d + n - 1,)
+        for bars in combinations(range(d + n - 1), n - 1):
+            out.append(MultiIndex(tuple(
+                b - a - 1 for a, b in zip((-1,) + bars, bars + end)
+            )))
     return out

@@ -222,29 +222,6 @@ def gaussian_moment_oracle(alpha: MultiIndex, beta: MultiIndex) -> float:
     return sign * math.ldexp(integral, total // 2)
 
 
-def gaussian_moment_quadrature(
-    alpha: MultiIndex, beta: MultiIndex, extra_nodes: int = 4
-) -> float:
-    """Gauss-Hermite cross-check of :func:`gaussian_moment_oracle`.
-
-    Exact (up to rounding) once the node count exceeds half the polynomial
-    degree; ``extra_nodes`` adds margin.
-    """
-    from numpy.polynomial.hermite import hermgauss
-
-    prof = pair_profile(alpha, beta)
-    if not prof.even_total():
-        return 0.0
-    total = alpha.degree + beta.degree
-    nodes, weights = hermgauss(total // 2 + 1 + extra_nodes)
-    integral = 1.0
-    for e in prof.entries:
-        integral *= float(sum(weights * nodes ** e.sigma2)) / _SQRT_PI
-    half_gap = (alpha.degree - beta.degree) // 2
-    sign = -1.0 if half_gap % 2 else 1.0
-    return sign * math.ldexp(integral, total // 2)
-
-
 class InductiveRelationReport(NamedTuple):
     """Exact checks of the defining recurrences at one (alpha, beta, j)."""
 

@@ -1,5 +1,6 @@
 import math
 import re
+import signal
 from itertools import product
 
 import numpy as np
@@ -65,6 +66,28 @@ class TestModelBasics:
             TruncationPolicy(mode="fixed_cutoff")
         with pytest.raises(ValueError):
             TruncationPolicy(mode="weird")
+
+    def test_huge_dimension_refused_at_once(self):
+        # the unit-sphere area underflows to 0 at S^455, so a dimension past
+        # it is refused there, without a table of dim + 1 areas
+        def expire(signum, frame):
+            raise TimeoutError("Sphere(10**9) still running after 2 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 2)
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                "sphere dimension 1000000000 out of range: the area of the "
+                "unit S^455 underflows to 0"
+            )):
+                Sphere(10**9)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        # the last area above 0 (5e-324), scaled by a radius, still serves
+        assert Sphere(454, 2.0).volume > 0.0
+        with pytest.raises(ValueError, match="the area of the unit S.455 underflows"):
+            Sphere(455, 2.0)
 
     def test_heat_kernel_diagonal_positive_decreasing(self):
         for model in (Circle(1.0), FlatTorus((1.0, 1.3)), Sphere(2, 1.0), Sphere(3, 1.0)):
@@ -218,7 +241,7 @@ class TestJetGram:
     def test_symmetric_and_psd(self):
         for model in (FlatTorus((1.0, 1.3)), Sphere(3, 1.0)):
             g = jet_gram(model, 0.05, 2)
-            m = g.matrix()
+            m = np.asarray(g.matrix())
             assert np.allclose(m, m.T, rtol=0, atol=1e-12)
             eig = np.linalg.eigvalsh(m)
             assert eig.min() > -1e-9
@@ -226,7 +249,7 @@ class TestJetGram:
     def test_psd_higher_order_jet_sets(self):
         # Gram matrices of Hilbert-space vectors stay PSD at higher jet order
         for model, order in ((Sphere(2, 1.0), 3), (Circle(1.0), 4)):
-            m = jet_gram(model, 0.05, order).matrix()
+            m = np.asarray(jet_gram(model, 0.05, order).matrix())
             eig = np.linalg.eigvalsh(m)
             assert eig.min() > -1e-9, model.label
 
@@ -411,16 +434,15 @@ class TestTruncation:
         assert rep.cutoff < 40
 
     def test_hard_cap_raises(self):
-        policy = TruncationPolicy(hard_cap=5)
+        capped = Circle(1.0, TruncationPolicy(hard_cap=5))
         with pytest.raises(TruncationError):
-            Circle(1.0).diag_jet(0.001, mi([1, 1], 1), mi([1, 1], 1), policy)
+            capped.diag_jet(0.001, mi([1, 1], 1), mi([1, 1], 1))
 
     def test_fixed_cutoff_mode(self):
-        c = Circle(1.0)
         a = mi([1], 1)
         policy = TruncationPolicy(mode="fixed_cutoff", fixed_cutoff=200)
-        v1 = c.diag_jet(0.05, a, a, policy)
-        v2 = c.diag_jet(0.05, a, a)
+        v1 = Circle(1.0, policy).diag_jet(0.05, a, a)
+        v2 = Circle(1.0).diag_jet(0.05, a, a)
         assert abs(v1 - v2) < 1e-12
 
     def test_tail_sum_term_counts(self):
@@ -450,9 +472,9 @@ class TestModeSumMemo:
     what a fresh model computes for every value and cutoff."""
 
     MODELS = {
-        "sphere2": lambda: Sphere(2, 1.5),
-        "sphere3": lambda: Sphere(3, 1.0),
-        "torus": lambda: FlatTorus((1.0, 1.3)),
+        "sphere2": lambda policy=DEFAULT_POLICY: Sphere(2, 1.5, policy),
+        "sphere3": lambda policy=DEFAULT_POLICY: Sphere(3, 1.0, policy),
+        "torus": lambda policy=DEFAULT_POLICY: FlatTorus((1.0, 1.3), policy),
     }
     TS = time_grid(0.1, 0.5, 4)
 
@@ -479,11 +501,9 @@ class TestModeSumMemo:
                         t, a, b, include_constant_mode=constant
                     )
                     assert got == want, (t, a, b, constant)
-                    if got[1]:
-                        doubled = TruncationPolicy().doubled(got[1])
-                        assert warm.diag_jet_with_cutoff(t, a, b, doubled) == (
-                            make().diag_jet_with_cutoff(t, a, b, doubled)
-                        ), (t, a, b, "doubled")
+                assert truncation_stability(warm, t, a, b) == (
+                    truncation_stability(make(), t, a, b)
+                ), (t, a, b, "doubled")
             n = warm.n
             for ijkl in product(range(1, n + 1), repeat=4):
                 assert gauss_curvature_difference(warm, t, ijkl) == (
@@ -496,9 +516,8 @@ class TestModeSumMemo:
         model = make()
         a = b = mi([1, 1], model.n)
         t = 0.05
-        short = model.diag_jet_with_cutoff(
-            t, a, b, TruncationPolicy(mode="fixed_cutoff", fixed_cutoff=3)
-        )
+        fixed = make(TruncationPolicy(mode="fixed_cutoff", fixed_cutoff=3))
+        short = fixed.diag_jet_with_cutoff(t, a, b)
         full = model.diag_jet_with_cutoff(t, a, b)
         assert full == make().diag_jet_with_cutoff(t, a, b)
         assert full != short and full[1] > short[1]
@@ -528,6 +547,10 @@ class TestPolicyRecord:
         ({"hard_cap": 0}, "hard_cap must be null/None or an integer >= 1, got 0"),
         ({"hard_cap": True}, "hard_cap must be null/None or an integer >= 1, got True"),
         ({"hard_cap": 2.5}, "hard_cap must be null/None or an integer >= 1, got 2.5"),
+        # NaN never meets the tail rule, and an infinite rho puts the peak
+        # at the hard cap
+        ({"epsilon": math.nan}, "epsilon and rho must be finite"),
+        ({"rho": math.inf}, "epsilon and rho must be finite"),
     ])
     def test_invalid_fields(self, fields, message):
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -540,17 +563,24 @@ class TestPolicyRecord:
             DEFAULT_POLICY.doubled(0)
 
     def test_equal_policies_share_memo_entries(self):
+        # the memo is keyed without the policy: a model holds one, and
+        # models built with equal policies store equal entries
         s = Sphere(3, 1.0)
         a = mi([1, 1], 3)
         value = s.diag_jet_with_cutoff(0.05, a, a)
-        stored = len(s._sums)
-        assert s.diag_jet_with_cutoff(0.05, a, a, TruncationPolicy()) == value
-        assert len(s._sums) == stored
-        doubled = s.diag_jet_with_cutoff(0.05, a, a, DEFAULT_POLICY.doubled(value[1]))
-        assert len(s._sums) == stored + 1
-        again = TruncationPolicy().doubled(value[1])
-        assert s.diag_jet_with_cutoff(0.05, a, a, again) == doubled
-        assert len(s._sums) == stored + 1
+        stored = dict(s._sums)
+        assert s.diag_jet_with_cutoff(0.05, a, a) == value
+        assert s._sums == stored
+        equal = Sphere(3, 1.0, TruncationPolicy())
+        assert equal.diag_jet_with_cutoff(0.05, a, a) == value
+        assert equal._sums == stored
+        doubled = Sphere(3, 1.0, DEFAULT_POLICY.doubled(value[1]))
+        again = Sphere(3, 1.0, TruncationPolicy().doubled(value[1]))
+        assert doubled.diag_jet_with_cutoff(0.05, a, a) == (
+            again.diag_jet_with_cutoff(0.05, a, a)
+        )
+        assert doubled._sums == again._sums
+        assert doubled._sums.keys() == stored.keys()
 
 
 class TestSphereModeTables:
@@ -562,7 +592,7 @@ class TestSphereModeTables:
     POLICIES = (DEFAULT_POLICY, TruncationPolicy(mode="fixed_cutoff", fixed_cutoff=37))
 
     @staticmethod
-    def zonal_reference(s, em, t, policy):
+    def zonal_reference(s, em, t):
         if all(e == 0.0 for e in em):
             return 0.0, 0
 
@@ -573,51 +603,50 @@ class TestSphereModeTables:
                     acc += s._zonal_taylor(l, m) * e
             return math.exp(-s.eigenvalue(l) * t) * acc
 
-        min_index = s._min_index(s.radius, t, 2 * (len(em) - 1) + s.n - 1.0, policy)
-        return _tail_sum(term, 0, min_index, policy, s._cap(policy))
+        min_index = s._min_index(s.radius, t, 2 * (len(em) - 1) + s.n - 1.0)
+        return _tail_sum(term, 0, min_index, s.policy, s._hard_cap)
 
     @staticmethod
-    def diagonal_reference(s, t, start, policy):
+    def diagonal_reference(s, t, start):
         def term(l):
             return math.exp(-s.eigenvalue(l) * t) * s.multiplicity(l)
 
-        min_index = s._min_index(s.radius, t, s.n - 1.0, policy)
-        return _tail_sum(term, start, min_index, policy, s._cap(policy))
+        min_index = s._min_index(s.radius, t, s.n - 1.0)
+        return _tail_sum(term, start, min_index, s.policy, s._hard_cap)
 
     @pytest.mark.parametrize("dim, radius", [(2, 1.5), (3, 1.0), (4, 1.2)])
     def test_tables_equal_direct_loop(self, dim, radius):
-        s = Sphere(dim, radius)
         basis = enumerate_multiindices(dim, 2)
         pairs = [(a, b) for i, a in enumerate(basis) for b in basis[i:]]
-        ems = {s._extract_vector(a, b, 4) for a, b in pairs}
-        ems |= {(0.5, -1.25, 3.0), (0.0, 0.0, -2.0, 0.0, 7.5), (1.0,), (0.0, 0.0),
-                (0.0,) * 8 + (1.5,)}  # widens the rows once they exist
-        reach: dict = {}  # t -> largest cutoff summed at t
+        for policy in self.POLICIES:
+            s = Sphere(dim, radius, policy)
+            ems = {s._extract_vector(a, b, 4) for a, b in pairs}
+            ems |= {(0.5, -1.25, 3.0), (0.0, 0.0, -2.0, 0.0, 7.5), (1.0,), (0.0, 0.0),
+                    (0.0,) * 8 + (1.5,)}  # widens the rows once they exist
+            reach: dict = {}  # t -> largest cutoff summed at t
 
-        def check(got, want, *where):
-            assert got == want, where
-            reach[t] = max(reach.get(t, 0), want[1])
+            def check(got, want, *where):
+                assert got == want, (policy, *where)
+                reach[t] = max(reach.get(t, 0), want[1])
 
-        for t in self.TS:
-            for policy in self.POLICIES:
+            for t in self.TS:
                 for em in sorted(ems):
-                    check(s._zonal_sum(em, t, policy),
-                          self.zonal_reference(s, em, t, policy), t, policy, em)
+                    check(s._zonal_sum(em, t), self.zonal_reference(s, em, t), t, em)
                 for start in (0, 1):
-                    check(s._diagonal_sum(t, start, policy),
-                          self.diagonal_reference(s, t, start, policy), t, policy, start)
-            for (a1, b1), (a2, b2) in zip(pairs, pairs[1:]):
-                total = max(a1.degree + b1.degree, a2.degree + b2.degree)
-                degree = s._series_degree(total)
-                em1 = s._extract_vector(a1, b1, degree)
-                em2 = s._extract_vector(a2, b2, degree)
-                diff = tuple(x - y for x, y in zip(em1, em2))
-                value, cutoff = self.zonal_reference(s, diff, t, DEFAULT_POLICY)
-                got = s.gram_difference(t, (a1, b1), (a2, b2))
-                want = s.gram_prefactor(t) * value * s._zonal_scale
-                check((got, cutoff), (want, cutoff), t, a1, b1, a2, b2)
-        assert {t: len(w) - 1 for t, w in s._weights.items()} == reach
-        assert len(s._taylor_rows) - 1 == max(reach.values())
+                    check(s._diagonal_sum(t, start),
+                          self.diagonal_reference(s, t, start), t, start)
+                for (a1, b1), (a2, b2) in zip(pairs, pairs[1:]):
+                    total = max(a1.degree + b1.degree, a2.degree + b2.degree)
+                    degree = s._series_degree(total)
+                    em1 = s._extract_vector(a1, b1, degree)
+                    em2 = s._extract_vector(a2, b2, degree)
+                    diff = tuple(x - y for x, y in zip(em1, em2))
+                    value, cutoff = self.zonal_reference(s, diff, t)
+                    got = s.gram_difference(t, (a1, b1), (a2, b2))
+                    want = s.gram_prefactor(t) * value * s._zonal_scale
+                    check((got, cutoff), (want, cutoff), t, a1, b1, a2, b2)
+            assert {t: len(w) - 1 for t, w in s._weights.items()} == reach
+            assert len(s._taylor_rows) - 1 == max(reach.values())
 
     def test_widened_rows_change_no_jet(self):
         # the Taylor rows of a second-order jet are widened to 7 columns by

@@ -2,6 +2,7 @@ import math
 import random
 import re
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -192,3 +193,13 @@ def test_enumerate_multiindices_counts():
             assert all(m.degree <= d for m in got)
             degrees = [m.degree for m in got]
             assert degrees == sorted(degrees)
+
+
+def test_enumerate_multiindices_order():
+    # against a brute-force filter of the box [0, d]^n, in the documented
+    # (degree, counts) order
+    for n in range(1, 6):
+        for d in range(9):
+            box = [c for c in product(range(d + 1), repeat=n) if sum(c) <= d]
+            want = sorted(box, key=lambda c: (sum(c), c))
+            assert [m.counts for m in enumerate_multiindices(n, d)] == want, (n, d)

@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from spectraljet import wick
-from spectraljet.multiindex import MultiIndex, empty, enumerate_multiindices, from_indices
+from spectraljet.multiindex import (
+    MultiIndex,
+    empty,
+    enumerate_multiindices,
+    from_indices,
+    pair_profile,
+)
 from spectraljet.wick import (
     WickA,
     WickB,
@@ -15,7 +21,6 @@ from spectraljet.wick import (
     double_factorial,
     enumerate_admissible_graphs,
     gaussian_moment_oracle,
-    gaussian_moment_quadrature,
     wick_a,
     wick_b,
 )
@@ -23,6 +28,24 @@ from spectraljet.wick import (
 
 def mi(indices, n):
     return from_indices(indices, n)
+
+
+def gaussian_moment_quadrature(alpha, beta, extra_nodes=4):
+    """Gauss-Hermite cross-check of ``gaussian_moment_oracle``, exact (up to
+    rounding) once the node count exceeds half the polynomial degree;
+    ``extra_nodes`` adds margin."""
+    from numpy.polynomial.hermite import hermgauss
+
+    prof = pair_profile(alpha, beta)
+    if not prof.even_total():
+        return 0.0
+    total = alpha.degree + beta.degree
+    nodes, weights = hermgauss(total // 2 + 1 + extra_nodes)
+    integral = 1.0
+    for e in prof.entries:
+        integral *= float(sum(weights * nodes ** e.sigma2)) / math.sqrt(math.pi)
+    sign = -1.0 if (alpha.degree - beta.degree) // 2 % 2 else 1.0
+    return sign * math.ldexp(integral, total // 2)
 
 
 def test_double_factorial():
