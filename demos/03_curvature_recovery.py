@@ -12,8 +12,6 @@ carry curvature.  This script recovers, from heat-kernel jets alone:
 
 Run:  python demos/03_curvature_recovery.py
 """
-import numpy as np
-
 from spectraljet import (
     FlatTorus,
     Sphere,
@@ -28,6 +26,13 @@ from spectraljet import (
 
 GRID = time_grid()
 
+
+def print_matrix(rows):
+    """One bracketed line per row, to 4 decimals; a rounded -0 prints as 0."""
+    for row in rows:
+        print("  [" + "  ".join(f"{round(x, 4) or 0.0:7.4f}" for x in row) + "]")
+
+
 print("=== scalar curvature from the diagonal slope (target S/6) ===")
 for model in (FlatTorus((1.0, 1.3)), Sphere(2, 2.0), Sphere(3, 1.0)):
     fit = scalar_suite(model, GRID).summaries["scalar.slope"]
@@ -39,11 +44,9 @@ print("=== pullback metric and Ricci on unit S3 ===")
 report = ricci_scalar_extract(Sphere(3, 1.0), GRID)
 print(f"scalar estimate  : {report.scalar_estimate:.4f}   (target 6)")
 print("pullback t-slope :")
-print(np.array_str(np.array(report.pullback_c1), precision=4,
-                   suppress_small=True))
+print_matrix(report.pullback_c1)
 print("Ricci estimate   :")
-print(np.array_str(np.array(report.ricci_estimate), precision=4,
-                   suppress_small=True))
+print_matrix(report.ricci_estimate)
 
 print()
 print("=== mean curvature length sqrt((n+2)/2n) ===")

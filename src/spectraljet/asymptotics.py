@@ -348,60 +348,68 @@ def jet_relation_suite(
             return PairSummary(target, None, None, None, observed, ok)
         return _fitted(samples, target, lambda fit: ok)
 
+    # Pairs with one model.jet_key have bit-identical jets and equal exact
+    # targets, so each key is measured, fitted and judged once, and its
+    # records and summary are repeated for every pair it names.
+    key_of = model.jet_key
+    label = model.label
     records: list[ConvergenceRecord] = []
     summaries: dict[str, PairSummary] = {}
-
+    measured: dict = {}  # A key -> (rows (t, raw, normalized, abs_err), summary)
     for a, b in pairs:
-        target = float(wick_a(a, b).value)
-        samples = []
-        for t in ts:
-            raw = model.diag_jet(t, a, b)
-            normalized = normalization_factor(n, t, a, b) * raw
-            records.append(
-                ConvergenceRecord(
-                    model=model.label,
-                    alpha=a,
-                    beta=b,
-                    t=t,
-                    raw_jet=raw,
-                    normalized=normalized,
-                    target=target,
-                    abs_err=abs(normalized - target),
-                )
-            )
-            samples.append((t, normalized))
-        summaries[f"A[{a.text()}|{b.text()}]"] = judge(samples, target)
+        key = key_of(a, b)
+        hit = measured.get(key)
+        if hit is None:
+            target = float(wick_a(a, b).value)
+            rows = []
+            for t in ts:
+                raw = model.diag_jet(t, a, b)
+                normalized = normalization_factor(n, t, a, b) * raw
+                rows.append((t, raw, normalized, abs(normalized - target)))
+            summary = judge([(t, y) for t, _, y, _ in rows], target)
+            hit = measured[key] = rows, summary
+        rows, summary = hit
+        target = summary.target
+        records.extend(
+            ConvergenceRecord(label, a, b, t, raw, normalized, target, err)
+            for t, raw, normalized, err in rows
+        )
+        summaries[f"A[{a.text()}|{b.text()}]"] = summary
 
     # Angles: Gram cosines against B, for pairs of at most ceil(max_degree / 2)
     # per side.  No jet order is refused; this cap decides which B checks a
     # report holds, so it stays, and the norms G(alpha, alpha) it needs
     # reach order max_degree + 1 at most.
+    side_cap = (max_degree + 1) // 2
     gram_cache: dict = {}
 
     def gram(t, a, b):
-        key = (t, a.counts, b.counts)
+        key = (t, key_of(a, b))
         if key not in gram_cache:
             gram_cache[key] = model.gram_entry(t, a, b)
         return gram_cache[key]
 
-    side_cap = (max_degree + 1) // 2
+    judged: dict = {}  # B key -> summary
     for a, b in pairs:
         if a.degree == 0 or b.degree == 0:
             continue
         if a.degree > side_cap or b.degree > side_cap:
             continue
-        samples = []
-        for t in ts:
-            denom = math.sqrt(gram(t, a, a) * gram(t, b, b))
-            if denom == 0.0:
-                raise ValueError(
-                    f"Gram norms of {a.text()} and {b.text()} underflow at "
-                    f"t={t}: lower t"
-                )
-            samples.append((t, gram(t, a, b) / denom))
-        summaries[f"B[{a.text()}|{b.text()}]"] = judge(samples, wick_b(a, b).value)
+        key = key_of(a, b)
+        if key not in judged:
+            samples = []
+            for t in ts:
+                denom = math.sqrt(gram(t, a, a) * gram(t, b, b))
+                if denom == 0.0:
+                    raise ValueError(
+                        f"Gram norms of {a.text()} and {b.text()} underflow at "
+                        f"t={t}: lower t"
+                    )
+                samples.append((t, gram(t, a, b) / denom))
+            judged[key] = judge(samples, wick_b(a, b).value)
+        summaries[f"B[{a.text()}|{b.text()}]"] = judged[key]
 
-    return SuiteResult("jet_relation", model.label, summaries, records)
+    return SuiteResult("jet_relation", label, summaries, records)
 
 
 # ---------------------------------------------------------------------------

@@ -132,11 +132,12 @@ def heat_power(t: float, factor: float, p: float) -> float:
         ) from None
 
 
-def _checked_volume(radii, volume) -> float:
+def _checked_volume(name: str, radii, volume) -> float:
     """volume(), after checking that every radius has a finite, nonzero
     square and inverse square and that the volume and its inverse are
     finite and nonzero; otherwise the mode sums would divide by zero or
-    overflow."""
+    overflow.  A volume out of range is reported as the model ``name`` and
+    which way a radius must move."""
     for r in radii:
         if not r > 0:
             raise ValueError("radius must be positive")
@@ -151,9 +152,12 @@ def _checked_volume(radii, volume) -> float:
     except OverflowError:
         v = math.inf
     if not (0.0 < v < math.inf and 1.0 / v < math.inf):
+        if v < 1.0:
+            problem, fix = f"its volume {v!r} has no finite inverse", "larger"
+        else:
+            problem, fix = "its volume overflows", "smaller"
         raise ValueError(
-            f"radii {list(radii)!r} out of range: the volume or its inverse "
-            "is zero or not finite"
+            f"{name} out of range: {problem}; a {fix} radius makes it valid"
         )
     return v
 
@@ -222,6 +226,12 @@ class SpectralModel:
         e = empty(self.n)
         return self.diag_jet(t, e, e, include_constant_mode)
 
+    def jet_key(self, alpha: MultiIndex, beta: MultiIndex):
+        """A hashable name of the pair (alpha, beta) under which the model's
+        jets are cached: pairs with one key have bit-identical jets at every
+        t.  Here every pair is its own key; isotropic models merge more."""
+        return alpha.counts, beta.counts
+
     def gram_prefactor(self, t: float) -> float:
         return (
             2.0 * (4.0 * math.pi) ** (self.n / 2.0)
@@ -274,7 +284,8 @@ class FlatTorus(SpectralModel):
         self.radii = radii
         self.n = len(radii)
         self.volume = _checked_volume(
-            radii, lambda: math.prod(TWO_PI * r for r in radii)
+            f"{self.label} with radii {list(radii)!r}", radii,
+            lambda: math.prod(TWO_PI * r for r in radii),
         )
 
     def describe(self) -> dict:
@@ -435,9 +446,12 @@ class Sphere(SpectralModel):
         Z_l^(m)(1) / m! = (2l+n-1)/(n-1) C(l+m+n-2, l-m) 2^m (lam)_m / m!.
 
     A jet pairs these coefficients with its extraction vector em, where
-    em[m] is D_u^alpha D_v^beta of w^m at the origin (memoized per degree,
-    alpha and beta).  Many (alpha, beta) pairs share one em, so the zonal
-    sum over l is memoized on (em, t) and the diagonal sum on (t, start).
+    em[m] is D_u^alpha D_v^beta of w^m at the origin.  w^m is a series in
+    |u|^2, |v|^2 and <u, v>, so a coordinate permutation applied to both
+    alpha and beta fixes em exactly: the extraction vectors are memoized per
+    degree and orbit, keyed by ``jet_key``.  Pairs of different orbits still
+    share one em, so the zonal sum over l is memoized on (em, t) and the
+    diagonal sum on (t, start).
     The sums read two mode tables that grow only as far as a sum reaches:
     the Taylor coefficients of Z_l per degree l, for every m below the
     widest extraction vector summed, and per heat time t the Gaussian
@@ -457,7 +471,8 @@ class Sphere(SpectralModel):
         self.radius = radius
         self.label = f"sphere{dim}"
         self.volume = _checked_volume(
-            (radius,), lambda: _unit_sphere_area(dim) * radius**dim
+            f"S^{dim} at radius {radius!r}", (radius,),
+            lambda: _unit_sphere_area(dim) * radius**dim,
         )
         self._zonal_scale = 1.0 / self.volume
         a2 = radius * radius
@@ -517,9 +532,14 @@ class Sphere(SpectralModel):
     def _series_degree(self, total: int) -> int:
         return max(2, total + (total % 2))
 
+    def jet_key(self, alpha: MultiIndex, beta: MultiIndex):
+        """The multiset of column pairs (alpha_r, beta_r): a coordinate
+        permutation applied to both indices fixes the jet exactly."""
+        return tuple(sorted(zip(alpha.counts, beta.counts)))
+
     def _extract_vector(self, alpha: MultiIndex, beta: MultiIndex,
                         degree: int) -> tuple[float, ...]:
-        key = (degree, alpha.counts, beta.counts)
+        key = (degree, self.jet_key(alpha, beta))
         cached = self._extract_cache.get(key)
         if cached is not None:
             return cached

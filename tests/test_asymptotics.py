@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from spectraljet import asymptotics
 from spectraljet.asymptotics import (
     DEFAULT_GRID,
     TOLERANCES,
@@ -273,6 +274,27 @@ class TestJetRelationSuite:
     def test_curved_needs_grid(self):
         with pytest.raises(ValueError):
             jet_relation_suite(Sphere(2, 1.0), 2, ts=(0.01,))
+
+    def test_one_fit_per_jet_key(self, monkeypatch):
+        # pairs with one jet_key share their fit: S^3 at degree 6 fits each
+        # A key and each B key once, not each of its 662 checks
+        fits = []
+
+        def counted(samples, *args, **kwargs):
+            fits.append(samples)
+            return fit_on_smallest(samples, *args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "fit_on_smallest", counted)
+        model = Sphere(3, 1.0)
+        result = jet_relation_suite(model, 6)
+        pairs = asymptotics._canonical_pairs(3, 6)
+        a_keys = {model.jet_key(a, b) for a, b in pairs}
+        b_keys = {model.jet_key(a, b) for a, b in pairs
+                  if 0 < a.degree <= 3 and 0 < b.degree <= 3}
+        assert len(result.summaries) == 662
+        assert (len(a_keys), len(b_keys)) == (113, 51)
+        assert len(fits) == 113 + 51
+        assert len(result.records) == len(pairs) * len(DEFAULT_GRID)
 
 
 class TestUniversalLimits:

@@ -202,6 +202,22 @@ class TestVerifyCommand:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("model, volume", [
+        ("sphere438", "3.798832395464523e-309"),
+        ("sphere454", "5e-324"),
+    ])
+    def test_subnormal_sphere_volume_names_dimension(self, capsys, model, volume):
+        # the unit area of S^438..S^454 is subnormal: its inverse overflows
+        # at radius 1, and a larger radius makes the sphere valid
+        code, out, err = run(capsys, "verify", "--model", model)
+        assert code == 2
+        assert err == (
+            f"error: S^{model[6:]} at radius 1.0 out of range: its volume "
+            f"{volume} has no finite inverse; a larger radius makes it valid\n"
+        )
+        assert out == ""
+        assert Sphere(int(model[6:]), 2.0).volume > 0.0
+
     @pytest.mark.parametrize("radius, t, degree", [
         ("1e-60", "1e-122", "6"),
         ("1e-80", "1e-158", "4"),

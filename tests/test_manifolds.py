@@ -6,7 +6,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from spectraljet.asymptotics import jet_relation_suite, normalization_factor, time_grid
+from spectraljet.asymptotics import (
+    _canonical_pairs,
+    jet_relation_suite,
+    normalization_factor,
+    time_grid,
+)
 from spectraljet.manifolds import (
     DEFAULT_POLICY,
     Circle,
@@ -88,6 +93,18 @@ class TestModelBasics:
         assert Sphere(454, 2.0).volume > 0.0
         with pytest.raises(ValueError, match="the area of the unit S.455 underflows"):
             Sphere(455, 2.0)
+
+    def test_volume_out_of_range_says_which_way(self):
+        with pytest.raises(ValueError, match=re.escape(
+            "S^3 at radius 1e+120 out of range: its volume overflows; "
+            "a smaller radius makes it valid"
+        )):
+            Sphere(3, 1e120)
+        with pytest.raises(ValueError, match=re.escape(
+            "torus with radii [1e-150, 1e-150, 1e-150] out of range: its volume "
+            "0.0 has no finite inverse; a larger radius makes it valid"
+        )):
+            FlatTorus((1e-150,) * 3)
 
     def test_heat_kernel_diagonal_positive_decreasing(self):
         for model in (Circle(1.0), FlatTorus((1.0, 1.3)), Sphere(2, 1.0), Sphere(3, 1.0)):
@@ -521,6 +538,35 @@ class TestModeSumMemo:
         full = model.diag_jet_with_cutoff(t, a, b)
         assert full == make().diag_jet_with_cutoff(t, a, b)
         assert full != short and full[1] > short[1]
+
+
+class TestJetKey:
+    """A sphere caches its extraction vectors per orbit, ``jet_key``: every
+    pair must read, bit for bit, what a model whose caches only that pair
+    has filled computes for it."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_shared_cache_equals_fresh_model(self, dim):
+        pairs = _canonical_pairs(dim, 4)
+        shared = Sphere(dim, 1.3)
+        keys = {shared.jet_key(a, b) for a, b in pairs}
+        assert len(keys) < len(pairs)  # some pair reads another's entry
+        for a, b in pairs:
+            fresh = Sphere(dim, 1.3)
+            for t in (0.05, 0.0125):
+                assert shared.diag_jet(t, a, b) == fresh.diag_jet(t, a, b), (t, a, b)
+                assert shared.gram_entry(t, a, b) == fresh.gram_entry(t, a, b), (t, a, b)
+
+    def test_sphere_merges_permuted_pairs(self):
+        s = Sphere(3)
+        assert s.jet_key(mi([1, 1], 3), mi([2], 3)) == s.jet_key(mi([3, 3], 3), mi([1], 3))
+        assert s.jet_key(mi([1, 1], 3), mi([2], 3)) != s.jet_key(mi([1, 1], 3), mi([1], 3))
+
+    def test_unequal_torus_merges_nothing(self):
+        torus = FlatTorus((1.0, 1.3))
+        e1, e2 = mi([1], 2), mi([2], 2)
+        assert torus.jet_key(e1, e1) != torus.jet_key(e2, e2)
+        assert torus.diag_jet(0.01, e1, e1) != torus.diag_jet(0.01, e2, e2)
 
 
 class TestPolicyRecord:
