@@ -5,8 +5,13 @@ sphere of every dimension included, and verify any --max-degree; the one
 degree limit of a command is that of ``wick --graphs``
 (``wick.ENUMERATION_MAX_DEGREE``).
 
+lattice, verify and curvature take --config, --out-json, --out if they
+write a CSV, and exactly the settings flags they read (``COMMAND_SETTINGS``);
+each settings flag sets the config path that is its argparse dest.
+
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage or config
-error, including an unknown model kind, an unknown config key, a
+error, including a flag the command does not take or an abbreviated
+flag, an unknown model kind, an unknown config key, a
 non-finite config number, a negative tolerance, a hard cap that is not an
 integer >= 1, and a spectral sum that hits its hard cap (TruncationError:
 raise t or raise policy.hard_cap).  All file output is deterministic for a
@@ -122,10 +127,50 @@ def _check_finite(value, name: str = "") -> None:
         raise ConfigError(f"config {name} must be finite, got {value!r}")
 
 
+def _radii(text: str) -> list[float]:
+    try:
+        return [float(r) for r in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not comma-separated numbers: {text!r}") from None
+
+
+def _t_grid(text: str) -> dict:
+    try:
+        start, ratio, count = text.split(":")
+        return {"start": float(start), "ratio": float(ratio), "count": int(count)}
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not start:ratio:count: {text!r}") from None
+
+
+# Each settings flag: the config path it sets, which is its argparse dest,
+# its type and its help.
+SETTINGS = {
+    "--model": ("model.kind", str, "circle, torus or sphereN"),
+    "--radius": ("model.radius", float, "circle or sphere radius"),
+    "--radii": ("model.radii", _radii, "comma-separated torus radii"),
+    "--t": ("t", float, "one heat time"),
+    "--t-grid": ("t_grid", _t_grid, "geometric grid start:ratio:count; overrides --t"),
+    "--policy-eps": ("policy.epsilon", float, "tail-rule epsilon"),
+    "--max-degree": ("max_degree", int, "largest multi-index degree"),
+    "--n": ("n", int, "lattice dimension"),
+    "--count": ("count", int, "number of sampled triples"),
+    "--seed": ("seed", int, "sampling seed"),
+}
+_MODEL_FLAGS = ("--model", "--radius", "--radii", "--t", "--t-grid", "--policy-eps")
+# The settings flags each command reads, in the order build_config applies
+# them; a command refuses every other flag.
+COMMAND_SETTINGS = {
+    "lattice": ("--n", "--count", "--max-degree", "--seed"),
+    "verify": (*_MODEL_FLAGS, "--max-degree"),
+    "curvature": _MODEL_FLAGS,
+}
+
+
 def build_config(args: argparse.Namespace) -> dict:
-    """defaults <- config file <- explicit CLI flags."""
+    """defaults <- config file <- the settings flags of the command."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 file_cfg = json.load(fh)
@@ -134,40 +179,14 @@ def build_config(args: argparse.Namespace) -> dict:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         _deep_update(cfg, file_cfg)
-    if getattr(args, "model", None):
-        cfg["model"]["kind"] = args.model
-    if getattr(args, "radius", None) is not None:
-        cfg["model"]["radius"] = args.radius
-    if getattr(args, "radii", None):
-        try:
-            cfg["model"]["radii"] = [float(r) for r in args.radii.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad --radii {args.radii!r}") from exc
-    if getattr(args, "t", None) is not None:
-        cfg["t"] = args.t
-    if getattr(args, "t_grid", None):
-        parts = args.t_grid.split(":")
-        if len(parts) != 3:
-            raise ConfigError("--t-grid must look like start:ratio:count")
-        try:
-            cfg["t_grid"] = {
-                "start": float(parts[0]),
-                "ratio": float(parts[1]),
-                "count": int(parts[2]),
-            }
-        except ValueError as exc:
-            raise ConfigError(f"bad --t-grid {args.t_grid!r}") from exc
-        cfg["t"] = None
-    if getattr(args, "max_degree", None) is not None:
-        cfg["max_degree"] = args.max_degree
-    if getattr(args, "policy_eps", None) is not None:
-        cfg["policy"]["epsilon"] = args.policy_eps
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "count", None) is not None:
-        cfg["count"] = args.count
-    if getattr(args, "n", None) is not None:
-        cfg["n"] = args.n
+    for flag in COMMAND_SETTINGS[args.command]:
+        path = SETTINGS[flag][0]
+        value = getattr(args, path)
+        if value is not None:
+            section, _, key = path.rpartition(".")
+            (cfg[section] if section else cfg)[key] = value
+            if path == "t_grid":
+                cfg["t"] = None
     _check_finite(cfg)
     for key, value in cfg["tolerances"].items():
         if value < 0:
@@ -302,8 +321,6 @@ def _keep_nothing(rows) -> None:
 
 
 def cmd_lattice(args: argparse.Namespace) -> int:
-    if args.action != "sample":
-        raise ConfigError(f"unknown lattice action {args.action!r}")
     cfg = build_config(args)
     n, max_degree, count = config_lattice(cfg)
     # each index range of the suite renders its own CSV lines, so no list
@@ -363,19 +380,16 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0 if doc["passed"] else 1
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model")
-    parser.add_argument("--radius", type=float)
-    parser.add_argument("--radii", type=str, help="comma-separated torus radii")
-    parser.add_argument("--t", type=float)
-    parser.add_argument("--t-grid", dest="t_grid", type=str,
-                        help="geometric grid start:ratio:count")
-    parser.add_argument("--max-degree", dest="max_degree", type=int)
-    parser.add_argument("--policy-eps", dest="policy_eps", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--config", type=str, help="JSON config file")
-    parser.add_argument("--out", type=str, help="CSV output path")
-    parser.add_argument("--out-json", dest="out_json", type=str,
+def _add_settings(parser: argparse.ArgumentParser, command: str,
+                  csv_out: bool) -> None:
+    """The settings flags of ``command``, --config and the output flags."""
+    for flag in COMMAND_SETTINGS[command]:
+        path, kind, help_text = SETTINGS[flag]
+        parser.add_argument(flag, dest=path, type=kind, help=help_text)
+    parser.add_argument("--config", help="JSON config file")
+    if csv_out:
+        parser.add_argument("--out", help="CSV output path")
+    parser.add_argument("--out-json", dest="out_json",
                         help="JSON summary output path")
 
 
@@ -384,10 +398,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spectraljet",
         description="Wick constants, heat-kernel embedding jets, and the "
                     "angle metric on the multi-index lattice",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_wick = sub.add_parser("wick", help="print A and B for one pair")
+    def command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p_wick = command("wick", cmd_wick, "print A and B for one pair")
     p_wick.add_argument("--alpha", default="")
     p_wick.add_argument("--beta", default="")
     p_wick.add_argument("--n", type=int)
@@ -395,27 +415,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also enumerate admissible graphs")
     p_wick.add_argument("--oracle", action="store_true",
                         help="also print the Gaussian-moment value")
-    p_wick.set_defaults(func=cmd_wick)
 
-    p_lat = sub.add_parser("lattice", help="angle-metric sampling suites")
+    p_lat = command("lattice", cmd_lattice, "angle-metric sampling suites")
     p_lat.add_argument("action", choices=["sample"])
-    p_lat.add_argument("--n", type=int)
-    p_lat.add_argument("--count", type=int)
-    _add_common(p_lat)
-    p_lat.set_defaults(func=cmd_lattice)
+    _add_settings(p_lat, "lattice", csv_out=True)
+    p_ver = command("verify", cmd_verify, "jet relations against Wick targets")
+    _add_settings(p_ver, "verify", csv_out=True)
+    p_cur = command("curvature", cmd_curvature, "curvature and isometry suites")
+    _add_settings(p_cur, "curvature", csv_out=False)
 
-    p_ver = sub.add_parser("verify", help="jet relations against Wick targets")
-    _add_common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_cur = sub.add_parser("curvature", help="curvature and isometry suites")
-    _add_common(p_cur)
-    p_cur.set_defaults(func=cmd_curvature)
-
-    p_rep = sub.add_parser("report", help="merge JSON summaries")
+    p_rep = command("report", cmd_report, "merge JSON summaries")
     p_rep.add_argument("--inputs", nargs="+", required=True)
     p_rep.add_argument("--out", type=str)
-    p_rep.set_defaults(func=cmd_report)
 
     return parser
 

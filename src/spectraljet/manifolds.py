@@ -40,7 +40,6 @@ class TruncationError(RuntimeError):
 
 
 class _PolicyFields(NamedTuple):
-    mode: str = "relative_tail"
     epsilon: float = 1e-14
     rho: float = 0.5
     hard_cap: int | None = None  # None: model default
@@ -50,11 +49,12 @@ class _PolicyFields(NamedTuple):
 class TruncationPolicy(_PolicyFields):
     """Eigenvalue cutoff policy for spectral sums.
 
-    relative_tail: stop once terms are past their peak and the next term
-    (derivative growth factors included, since the actual summand is tested)
-    drops below epsilon times the accumulated absolute sum.  rho is the
-    exponent margin entering the estimated peak index.  fixed_cutoff: sum a
-    prescribed number of modes, used for truncation-stability rechecks.
+    By default the relative tail rule: stop once terms are past their peak
+    and the next term (derivative growth factors included, since the actual
+    summand is tested) drops below epsilon times the accumulated absolute
+    sum.  rho is the exponent margin entering the estimated peak index.  A
+    fixed_cutoff instead sums that many modes, for truncation-stability
+    rechecks.
     An immutable record, validated on construction and by ``_replace``.
     """
 
@@ -62,23 +62,21 @@ class TruncationPolicy(_PolicyFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.mode not in ("relative_tail", "fixed_cutoff"):
-            raise ValueError(f"unknown policy mode {self.mode!r}")
-        if self.mode == "fixed_cutoff" and not self.fixed_cutoff:
-            raise ValueError("fixed_cutoff mode needs a cutoff")
         if self.epsilon <= 0 or self.rho <= 0:
             raise ValueError("epsilon and rho must be positive")
         if not (self.epsilon < math.inf and self.rho < math.inf):  # NaN too
             raise ValueError("epsilon and rho must be finite")
-        cap = self.hard_cap
-        if cap is not None and (type(cap) is not int or cap < 1):  # bool is no cap
-            raise ValueError(f"hard_cap must be null/None or an integer >= 1, got {cap!r}")
+        for name in ("hard_cap", "fixed_cutoff"):
+            cap = getattr(self, name)
+            if cap is not None and (type(cap) is not int or cap < 1):  # bool is no cap
+                raise ValueError(
+                    f"{name} must be null/None or an integer >= 1, got {cap!r}")
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def doubled(self, chosen_cutoff: int) -> "TruncationPolicy":
-        return self._replace(mode="fixed_cutoff", fixed_cutoff=2 * chosen_cutoff)
+        return self._replace(fixed_cutoff=2 * chosen_cutoff)
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -88,14 +86,14 @@ def _tail_sum(term, start: int, min_index: int, policy: TruncationPolicy,
               hard_cap: int) -> tuple[float, int]:
     """Kahan-compensated sum of term(k), k = start, start+1, ...
 
-    Returns (sum, last index summed).  fixed_cutoff mode sums exactly
-    policy.fixed_cutoff terms.  relative_tail mode stops on the tail rule,
+    Returns (sum, last index summed).  A policy with a fixed_cutoff sums
+    exactly that many terms; otherwise the sum stops on the tail rule,
     which never fires while terms are still growing toward their peak, and
     raises TruncationError after hard_cap terms.  The models call it only
     through SpectralModel._sum, with their own policy, which memoizes the
     result per instance.
     """
-    fixed = policy.mode == "fixed_cutoff"
+    fixed = policy.fixed_cutoff is not None
     limit = policy.fixed_cutoff if fixed else hard_cap
     s = c = abs_acc = 0.0
     prev = math.inf
@@ -450,8 +448,8 @@ class Sphere(SpectralModel):
     |u|^2, |v|^2 and <u, v>, so a coordinate permutation applied to both
     alpha and beta fixes em exactly: the extraction vectors are memoized per
     degree and orbit, keyed by ``jet_key``.  Pairs of different orbits still
-    share one em, so the zonal sum over l is memoized on (em, t) and the
-    diagonal sum on (t, start).
+    share one em, so the zonal sum over l is memoized on (em, t, start);
+    the heat diagonal is the zonal sum of em = (1.0,).
     The sums read two mode tables that grow only as far as a sum reaches:
     the Taylor coefficients of Z_l per degree l, for every m below the
     widest extraction vector summed, and per heat time t the Gaussian
@@ -554,24 +552,10 @@ class Sphere(SpectralModel):
         self._extract_cache[key] = vec
         return vec
 
-    def _diagonal_sum(self, t: float, start: int) -> tuple[float, int]:
-        """sum_l mult(l) exp(-lambda_l t) from l = start, before 1/Vol."""
-        weights = self._weights.setdefault(t, [])
-
-        def term(l):
-            if l >= len(weights):
-                self._grow_tables(weights, t, l)
-            return weights[l] * self.multiplicity(l)
-
-        min_index = self._min_index(self.radius, t, self.n - 1.0)
-        try:
-            return self._sum(("diagonal", t), term, start, min_index)
-        except OverflowError:
-            raise self._out_of_range(t) from None
-
-    def _zonal_sum(self, em, t: float) -> tuple[float, int]:
-        """sum_l exp(-lambda_l t) sum_m zonal_taylor(l, m) em[m], before the
-        zonal scale; (0.0, 0) when every em[m] vanishes."""
+    def _zonal_sum(self, em, t: float, start: int = 0) -> tuple[float, int]:
+        """sum_l exp(-lambda_l t) sum_m zonal_taylor(l, m) em[m] from
+        l = start, before the zonal scale; (0.0, 0) when every em[m]
+        vanishes.  em = (1.0,) sums the multiplicities, the heat diagonal."""
         if all(e == 0.0 for e in em):
             return 0.0, 0
         nonzero = [(m, e) for m, e in enumerate(em) if e]
@@ -591,7 +575,7 @@ class Sphere(SpectralModel):
         try:
             if len(em) > self._width:
                 self._widen_rows(len(em))
-            return self._sum((em, t), term, 0, min_index)
+            return self._sum((em, t), term, start, min_index)
         except OverflowError:
             raise self._out_of_range(t) from None
 
@@ -609,7 +593,7 @@ class Sphere(SpectralModel):
         self._validate_pair(alpha, beta)
         total = alpha.degree + beta.degree
         if total == 0:
-            s, used = self._diagonal_sum(t, 0 if include_constant_mode else 1)
+            s, used = self._zonal_sum((1.0,), t, 0 if include_constant_mode else 1)
             return s / self.volume, used
         em = self._extract_vector(alpha, beta, self._series_degree(total))
         s, used = self._zonal_sum(em, t)
@@ -651,7 +635,7 @@ class Sphere(SpectralModel):
         self._validate_time(t)
         z = self.chart_cosine(u, v)
         # cutoff: reuse the diagonal tail rule (|Z_l(z)| <= Z_l(1))
-        _, cutoff = self._diagonal_sum(t, 0)
+        _, cutoff = self._zonal_sum((1.0,), t)
         n = self.n
         lam = (n - 1) / 2.0
         prev, cur = 0.0, 1.0  # C_(l-1)^lam(z), C_l^lam(z)

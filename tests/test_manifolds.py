@@ -68,9 +68,7 @@ class TestModelBasics:
         with pytest.raises(ValueError):
             FlatTorus(())
         with pytest.raises(ValueError):
-            TruncationPolicy(mode="fixed_cutoff")
-        with pytest.raises(ValueError):
-            TruncationPolicy(mode="weird")
+            TruncationPolicy(fixed_cutoff=0)
 
     def test_huge_dimension_refused_at_once(self):
         # the unit-sphere area underflows to 0 at S^455, so a dimension past
@@ -457,7 +455,7 @@ class TestTruncation:
 
     def test_fixed_cutoff_mode(self):
         a = mi([1], 1)
-        policy = TruncationPolicy(mode="fixed_cutoff", fixed_cutoff=200)
+        policy = TruncationPolicy(fixed_cutoff=200)
         v1 = Circle(1.0, policy).diag_jet(0.05, a, a)
         v2 = Circle(1.0).diag_jet(0.05, a, a)
         assert abs(v1 - v2) < 1e-12
@@ -470,7 +468,7 @@ class TestTruncation:
             return 1.0
 
         # fixed mode sums exactly fixed_cutoff terms, whatever the cap
-        fixed = TruncationPolicy(mode="fixed_cutoff", fixed_cutoff=7)
+        fixed = TruncationPolicy(fixed_cutoff=7)
         assert _tail_sum(term, 1, 8, fixed, hard_cap=3) == (7.0, 7)
         assert calls == list(range(1, 8))
         # tail mode raises after exactly hard_cap terms of a flat series
@@ -533,7 +531,7 @@ class TestModeSumMemo:
         model = make()
         a = b = mi([1, 1], model.n)
         t = 0.05
-        fixed = make(TruncationPolicy(mode="fixed_cutoff", fixed_cutoff=3))
+        fixed = make(TruncationPolicy(fixed_cutoff=3))
         short = fixed.diag_jet_with_cutoff(t, a, b)
         full = model.diag_jet_with_cutoff(t, a, b)
         assert full == make().diag_jet_with_cutoff(t, a, b)
@@ -573,21 +571,21 @@ class TestPolicyRecord:
     def test_record_semantics(self):
         policy = TruncationPolicy(epsilon=1e-12)
         assert repr(policy) == (
-            "TruncationPolicy(mode='relative_tail', epsilon=1e-12, rho=0.5, "
-            "hard_cap=None, fixed_cutoff=None)"
+            "TruncationPolicy(epsilon=1e-12, rho=0.5, hard_cap=None, "
+            "fixed_cutoff=None)"
         )
         assert TruncationPolicy() == DEFAULT_POLICY
         assert hash(TruncationPolicy()) == hash(DEFAULT_POLICY)
         with pytest.raises(AttributeError):
             policy.epsilon = 1e-10
-        assert policy.doubled(40) == TruncationPolicy(
-            mode="fixed_cutoff", epsilon=1e-12, fixed_cutoff=80
-        )
+        assert policy.doubled(40) == TruncationPolicy(epsilon=1e-12, fixed_cutoff=80)
 
     @pytest.mark.parametrize("fields, message", [
-        ({"mode": "weird"}, "unknown policy mode 'weird'"),
-        ({"mode": "fixed_cutoff"}, "fixed_cutoff mode needs a cutoff"),
-        ({"mode": "fixed_cutoff", "fixed_cutoff": 0}, "fixed_cutoff mode needs a cutoff"),
+        ({"fixed_cutoff": 0}, "fixed_cutoff must be null/None or an integer >= 1, got 0"),
+        ({"fixed_cutoff": True},
+         "fixed_cutoff must be null/None or an integer >= 1, got True"),
+        ({"fixed_cutoff": 2.5},
+         "fixed_cutoff must be null/None or an integer >= 1, got 2.5"),
         ({"epsilon": 0.0}, "epsilon and rho must be positive"),
         ({"rho": -1.0}, "epsilon and rho must be positive"),
         ({"hard_cap": 0}, "hard_cap must be null/None or an integer >= 1, got 0"),
@@ -605,7 +603,8 @@ class TestPolicyRecord:
             DEFAULT_POLICY._replace(**fields)
 
     def test_doubled_of_a_zero_cutoff_raises(self):
-        with pytest.raises(ValueError, match="fixed_cutoff mode needs a cutoff"):
+        with pytest.raises(ValueError, match="fixed_cutoff must be null/None or an "
+                                             "integer >= 1, got 0"):
             DEFAULT_POLICY.doubled(0)
 
     def test_equal_policies_share_memo_entries(self):
@@ -635,7 +634,7 @@ class TestSphereModeTables:
     further than the sums reach."""
 
     TS = (0.2, 0.05, 0.01, 0.003)
-    POLICIES = (DEFAULT_POLICY, TruncationPolicy(mode="fixed_cutoff", fixed_cutoff=37))
+    POLICIES = (DEFAULT_POLICY, TruncationPolicy(fixed_cutoff=37))
 
     @staticmethod
     def zonal_reference(s, em, t):
@@ -679,7 +678,7 @@ class TestSphereModeTables:
                 for em in sorted(ems):
                     check(s._zonal_sum(em, t), self.zonal_reference(s, em, t), t, em)
                 for start in (0, 1):
-                    check(s._diagonal_sum(t, start),
+                    check(s._zonal_sum((1.0,), t, start),
                           self.diagonal_reference(s, t, start), t, start)
                 for (a1, b1), (a2, b2) in zip(pairs, pairs[1:]):
                     total = max(a1.degree + b1.degree, a2.degree + b2.degree)
