@@ -175,6 +175,10 @@ def _counts_sampler(
         ) from None
     k = n - 1  # bars
     setsize = 21 + (4 ** math.ceil(math.log(3 * k, 4)) if k > 5 else 0)
+    # Each pool is a prefix of ``ints``, and no range drawn from is longer
+    # than max_degree + k, so both tables are O(max_degree + n).
+    ints = list(range(max_degree + k))
+    bit_length = [m.bit_length() for m in range(max_degree + k + 1)]
 
     def sample(rng: random.Random) -> tuple[int, ...]:
         d = bisect_right(cum_weights, rng.random() * total, 0, max_degree)
@@ -183,26 +187,28 @@ def _counts_sampler(
         getrandbits = rng.getrandbits
         size = d + k
         if size <= setsize:
-            pool = list(range(size))
+            pool = ints[:size]
             bars = []
             for m in range(size, d, -1):
-                bits = m.bit_length()
+                bits = bit_length[m]
                 j = getrandbits(bits)
                 while j >= m:
                     j = getrandbits(bits)
                 bars.append(pool[j])
                 pool[j] = pool[m - 1]
+            bars.sort()
         else:
-            bits = size.bit_length()
-            bars = set()
+            bits = bit_length[size]
+            picked = set()
             for _ in range(k):
                 j = getrandbits(bits)
-                while j >= size or j in bars:
+                while j >= size or j in picked:
                     j = getrandbits(bits)
-                bars.add(j)
+                picked.add(j)
+            bars = sorted(picked)
         counts = []
         prev = -1
-        for bar in sorted(bars):
+        for bar in bars:
             counts.append(bar - prev - 1)
             prev = bar
         counts.append(size - 1 - prev)
@@ -270,10 +276,11 @@ def _cos(kernel: tuple[int, int, int, int]) -> float:
 
 
 #: Fewest triples in a range of the suite.  Forking a worker, piping its
-#: result back and reaping it took 2.2-2.6 ms from a CLI process on a 2-vCPU
-#: x86-64 VM (Python 3.11), the work of about 70-100 triples (25-34 us each
-#: at n = 3, max_degree = 8), so a range of 1000 triples spends under a
-#: tenth of its time on its worker.
+#: result back and reaping it took 1.9-2.9 ms from a CLI process on a 2-vCPU
+#: x86-64 VM (Python 3.11), the work of about 70-125 triples (23-27 us each
+#: at n = 3, max_degree = 8, CSV line included, of which about 7 us reseed
+#: the generator), so a range of 1000 triples spends about a tenth of its
+#: time on its worker.
 MIN_RANGE = 1000
 
 
@@ -313,18 +320,23 @@ def _triple_range(n, df, sample, seed, triangle_slack_tol, lo, hi, render):
         max_slack = -math.inf
         worst: tuple[str, str, str] | None = None
         min_margin = math.inf
+        kernel = wick_kernel
+        acos = math.acos
         rng = random.Random()
+        # An int seed makes random.Random.seed type-check it, call this base
+        # method and clear the Gaussian spare, which no sampler reads.
+        reseed = super(random.Random, rng).seed
         for i in range(lo, hi):
-            rng.seed(_task_seed(seed, i))
+            reseed(_task_seed(seed, i))
             a = sample(rng)
             b = sample(rng)
             c = sample(rng)
 
-            ab = wick_kernel(a, b, df)
+            ab = kernel(a, b, df)
             cos_ab = _cos(ab)
-            d_ab = math.acos(cos_ab)
-            d_bc = math.acos(_cos(wick_kernel(b, c, df)))
-            d_ac = math.acos(_cos(wick_kernel(a, c, df)))
+            d_ab = acos(cos_ab)
+            d_bc = acos(_cos(kernel(b, c, df)))
+            d_ac = acos(_cos(kernel(a, c, df)))
 
             slack = max(d_ac - d_ab - d_bc, d_ab - d_ac - d_bc, d_bc - d_ab - d_ac)
             if slack > triangle_slack_tol:
@@ -339,21 +351,28 @@ def _triple_range(n, df, sample, seed, triangle_slack_tol, lo, hi, render):
             if (sign == 1 and num == den) != (a == b):
                 identity_violations += 1
 
-            if (sign == 0) != any((x - y) % 2 for x, y in zip(a, b)):
+            # One pass: the parity mismatch (low bit of the OR of x ^ y),
+            # the L1 distance d0 and the total degree.
+            odd = d0 = total = 0
+            for x, y in zip(a, b):
+                odd |= x ^ y
+                d0 += x - y if x > y else y - x
+                total += x + y
+            if (sign == 0) != (odd & 1):
                 orthogonality_violations += 1
 
-            total = sum(a) + sum(b)
-            if total >= 1:
+            if total:
                 # rhs = 1 - delta d0 / total = p / q >= 1 - delta >= 0, so
                 # B^2 <= rhs^2 is num q^2 <= den p^2.
-                d0 = sum(abs(x - y) for x, y in zip(a, b))
                 q = delta_den * total
                 p = q - delta_num * d0
                 if num * q * q > den * p * p:
                     comparison_violations += 1
                 lhs, rhs = abs(cos_ab), p / q
                 if d0:
-                    min_margin = min(min_margin, (1.0 - lhs) * total / d0)
+                    margin = (1.0 - lhs) * total / d0
+                    if margin < min_margin:
+                        min_margin = margin
             else:
                 lhs, rhs = 1.0, 1.0
 
@@ -362,7 +381,7 @@ def _triple_range(n, df, sample, seed, triangle_slack_tol, lo, hi, render):
             # recurrence.  With B = 0 there is nothing to shrink.
             if sign:
                 for j in range(n):
-                    _, s_mag, s_diag_a, s_diag_b = wick_kernel(
+                    _, s_mag, s_diag_a, s_diag_b = kernel(
                         a[:j] + (a[j] + 1,) + a[j + 1:],
                         b[:j] + (b[j] + 1,) + b[j + 1:],
                         df,

@@ -810,11 +810,16 @@ class CurvatureEstimate(NamedTuple):
 def gauss_curvature_difference(model: SpectralModel, t: float, ijkl) -> float:
     """G((i,l),(j,k)) - G((i,k),(j,l)) at one time; the t -> 0 limit is
     R(V_i, V_j, V_k, V_l)."""
+    return model.gram_difference(t, *_curvature_pairs(model.n, ijkl))
+
+
+def _curvature_pairs(n: int, ijkl):
+    """The two Gram pairs ((i,l),(j,k)) and ((i,k),(j,l)) of R(V_i,V_j,V_k,V_l)."""
     i, j, k, l = ijkl
-    n = model.n
-    pair1 = (from_indices([i, l], n), from_indices([j, k], n))
-    pair2 = (from_indices([i, k], n), from_indices([j, l], n))
-    return model.gram_difference(t, pair1, pair2)
+    return (
+        (from_indices([i, l], n), from_indices([j, k], n)),
+        (from_indices([i, k], n), from_indices([j, l], n)),
+    )
 
 
 def gauss_curvature_estimate(model: SpectralModel, ts, ijkl) -> CurvatureEstimate:
@@ -827,11 +832,9 @@ def gauss_curvature_estimate(model: SpectralModel, ts, ijkl) -> CurvatureEstimat
     samples = [(t, gauss_curvature_difference(model, t, ijkl)) for t in ts]
     fit = limit_fit(samples, order=2)
     # cancellation diagnostic at the smallest time
-    i, j, k, l = ijkl
-    n = model.n
-    t0 = ts[0]
-    g1 = model.gram_entry(t0, from_indices([i, l], n), from_indices([j, k], n))
-    g2 = model.gram_entry(t0, from_indices([i, k], n), from_indices([j, l], n))
+    pair1, pair2 = _curvature_pairs(model.n, ijkl)
+    g1 = model.gram_entry(ts[0], *pair1)
+    g2 = model.gram_entry(ts[0], *pair2)
     scale = max(abs(g1), abs(g2), 1.0)
     limited = abs(g1 - g2) <= 1e-12 * scale and samples[0][1] != 0.0
     return CurvatureEstimate(
@@ -841,15 +844,29 @@ def gauss_curvature_estimate(model: SpectralModel, ts, ijkl) -> CurvatureEstimat
 
 def fitted_curvature_tensor(model: SpectralModel, ts) -> list:
     """R(V_i, V_j, V_k, V_l) for all index quadruples, as fitted limits,
-    nested as ``r[i][j][k][l]`` with 0-based indices."""
+    nested as ``r[i][j][k][l]`` with 0-based indices.
+
+    Quadruples whose two Gram pairs have the same jet keys
+    (:meth:`SpectralModel.jet_key`) have bit-identical Gram entries and
+    differences, so they share one estimate.
+    """
     if model.n < 2:
         raise ValueError("curvature needs dimension at least 2")
     n = model.n
     axes = range(1, n + 1)
+    estimates = {}
+
+    def entry(ijkl) -> float:
+        pair1, pair2 = _curvature_pairs(n, ijkl)
+        key = (model.jet_key(*pair1), model.jet_key(*pair2))
+        if key not in estimates:
+            estimates[key] = gauss_curvature_estimate(model, ts, ijkl).value
+        return estimates[key]
+
     return [
         [
             [
-                [gauss_curvature_estimate(model, ts, (i, j, k, l)).value for l in axes]
+                [entry((i, j, k, l)) for l in axes]
                 for k in axes
             ]
             for j in axes

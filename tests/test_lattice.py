@@ -436,10 +436,44 @@ class TestSamplerStream:
 
     def test_reseeding_equals_fresh_rng(self):
         rng = random.Random()
-        for seed in range(500):
-            for i in (0, 1, 9999):
-                rng.seed(_task_seed(seed, i))
-                assert rng.getstate() == _task_rng(seed, i).getstate()
+        # the suite reseeds through the base generator's method, as
+        # random.Random.seed does for an int seed
+        base = random.Random()
+        reseed = super(random.Random, base).seed
+        # task seeds of one 32-bit word (0, 2^32 - 1) and of two (2^32,
+        # 2^64 - 1): _task_seed(0, i) is i below 2^64
+        tasks = [(seed, i) for seed in range(500) for i in (0, 1, 9999)]
+        tasks += [(0, s) for s in (0, 2**32 - 1, 2**32, 2**64 - 1)]
+        for seed, i in tasks:
+            fresh = _task_rng(seed, i).getstate()
+            rng.seed(_task_seed(seed, i))
+            assert rng.getstate() == fresh
+            reseed(_task_seed(seed, i))
+            assert base.getstate() == fresh
+
+
+class TestTripleKernelCalls:
+    """The suite evaluates the closed form on all three pairs of a triple,
+    and on the n shifted pairs of (a, b) when a and b share a parity coset."""
+
+    @pytest.mark.parametrize("n, max_degree", [(3, 8), (1, 12), (8, 40)])
+    def test_calls_per_triple(self, monkeypatch, n, max_degree):
+        calls = []
+        kernel = lattice.wick_kernel
+
+        def counting(a, b, df):
+            calls.append((a, b))
+            return kernel(a, b, df)
+
+        monkeypatch.setattr(lattice, "wick_kernel", counting)
+        count = 300  # below MIN_RANGE: one range, in this process
+        rows, report = run_triple_suite(n, max_degree, count, 5)
+        assert report.passed()
+        same_coset = sum(
+            coset_of(MultiIndex(r.alpha)) == coset_of(MultiIndex(r.beta)) for r in rows
+        )
+        assert 0 < same_coset < count
+        assert len(calls) == 3 * count + n * same_coset
 
 
 class TestTripleSuiteExactDecisions:

@@ -22,6 +22,7 @@ from spectraljet.manifolds import (
     TruncationPolicy,
     _tail_sum,
     curvature_symmetry_residuals,
+    fitted_curvature_tensor,
     gauss_curvature_difference,
     gauss_curvature_estimate,
     jet_gram,
@@ -35,6 +36,7 @@ from spectraljet.manifolds import (
     third_jet_umbilical,
     truncation_stability,
 )
+from spectraljet import manifolds
 from spectraljet.multiindex import empty, enumerate_multiindices, from_indices
 from spectraljet.wick import wick_a, wick_b
 
@@ -565,6 +567,43 @@ class TestJetKey:
         e1, e2 = mi([1], 2), mi([2], 2)
         assert torus.jet_key(e1, e1) != torus.jet_key(e2, e2)
         assert torus.diag_jet(0.01, e1, e1) != torus.diag_jet(0.01, e2, e2)
+
+
+class TestCurvatureOrbitMemo:
+    """``fitted_curvature_tensor`` fits one estimate per pair of jet keys;
+    every entry must read what its own estimate gives, bit for bit."""
+
+    MODELS = {
+        "sphere2": lambda: Sphere(2, 1.0),
+        "sphere3": lambda: Sphere(3, 1.0),
+        "unequal-torus": lambda: FlatTorus((1.5, 1.2)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_tensor_equals_every_estimate(self, name):
+        tensor = fitted_curvature_tensor(self.MODELS[name](), GRID)
+        reference = self.MODELS[name]()
+        axes = range(reference.n)
+        for i, j, k, l in product(axes, repeat=4):
+            expected = gauss_curvature_estimate(
+                reference, GRID, (i + 1, j + 1, k + 1, l + 1)
+            ).value
+            assert tensor[i][j][k][l] == expected, (name, i, j, k, l)
+
+    @pytest.mark.parametrize("name, estimates", [
+        ("sphere2", 8), ("sphere3", 13), ("unequal-torus", 15),
+    ])
+    def test_one_estimate_per_key_pair(self, monkeypatch, name, estimates):
+        calls = []
+        estimate = manifolds.gauss_curvature_estimate
+
+        def counting(model, ts, ijkl):
+            calls.append(ijkl)
+            return estimate(model, ts, ijkl)
+
+        monkeypatch.setattr(manifolds, "gauss_curvature_estimate", counting)
+        fitted_curvature_tensor(self.MODELS[name](), GRID)
+        assert len(calls) == estimates
 
 
 class TestPolicyRecord:
