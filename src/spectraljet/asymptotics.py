@@ -498,20 +498,20 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
     n = model.n
     rel, zero_abs = tol["umbilical_rel"], tol["umbilical_zero_abs"]
     result = SuiteResult("umbilical", model.label, {})
+    first = []  # the (1, 1, k) samples, k = 1..n
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
                 target = -3.0 if i == j == k else -1.0 if i == j else 0.0
                 samples = [(t, third_jet_umbilical(model, t, i, j, k)) for t in ts]
+                if i == j == 1:
+                    first.append(samples)
                 result.summaries[f"umbilical.jet[{i},{j},{k}]"] = _fitted(
                     samples, target, lambda fit: _judge(fit.c0, target, rel, zero_abs)
                 )
 
     # aggregate umbilical constant (no pass condition on the contested value)
-    agg_samples = []
-    for t in ts:
-        acc = sum(third_jet_umbilical(model, t, 1, 1, k) for k in range(1, n + 1))
-        agg_samples.append((t, acc / n))
+    agg_samples = [(t, sum(s[m][1] for s in first) / n) for m, t in enumerate(ts)]
     agg_fit = fit_on_smallest(agg_samples)
     shape_constant = agg_fit.c0 / 2.0
     formula = -(n + 2.0) / (2.0 * n)

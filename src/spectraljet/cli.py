@@ -11,11 +11,11 @@ each settings flag sets the config path that is its argparse dest.
 
 Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage or config
 error, including a flag the command does not take or an abbreviated
-flag, an unknown model kind, an unknown config key, a
-non-finite config number, a negative tolerance, a hard cap that is not an
-integer >= 1, and a spectral sum that hits its hard cap (TruncationError:
-raise t or raise policy.hard_cap).  All file output is deterministic for a
-fixed config and seed.
+flag, an unknown model kind, a config key that is unknown or that the
+command does not read, a non-finite config number, a negative tolerance,
+a hard cap that is not an integer >= 1, and a spectral sum that hits its
+hard cap (TruncationError: raise t or raise policy.hard_cap).  All file
+output is deterministic for a fixed config and seed.
 """
 from __future__ import annotations
 
@@ -179,6 +179,12 @@ def build_config(args: argparse.Namespace) -> dict:
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         _deep_update(cfg, file_cfg)
+        # the keys of the command's settings flags, and the shared tolerances
+        read = {"tolerances", *(SETTINGS[flag][0].partition(".")[0]
+                                for flag in COMMAND_SETTINGS[args.command])}
+        for key in file_cfg:
+            if key not in read:
+                raise ConfigError(f"config key {key} is not read by {args.command}")
     for flag in COMMAND_SETTINGS[args.command]:
         path = SETTINGS[flag][0]
         value = getattr(args, path)

@@ -417,19 +417,24 @@ def _rounded_jet(exact, radius: float, power: int, order: int) -> float:
         ) from None
 
 
-def _unit_sphere_area(dim: int) -> float:
-    """|S^dim| by |S^k| = 2 pi |S^(k-2)| / (k-1), from |S^0| = 2 and
-    |S^1| = 2 pi; past k = 454 it underflows to 0, and so does every later
-    area, so the dimension is refused there."""
-    prev, area = 2.0, TWO_PI
+def _sphere_volume(dim: int, radius: float) -> float:
+    """|S^dim| radius^dim by |S^k| = 2 pi |S^(k-2)| / (k-1) from |S^0| = 2 and
+    |S^1| = 2 pi, carried times 2**shift so that no unit area (subnormal from
+    S^438) loses bits before the product; past k = 454 the unit area
+    underflows to 0, and so does every later one: the dimension is refused."""
+    prev, area, shift = 2.0, TWO_PI, 0
     for k in range(2, dim + 1):
-        prev, area = area, TWO_PI * prev / (k - 1)
-        if not area:
+        nxt = TWO_PI * prev / (k - 1)
+        if nxt < 2.0**-1022:  # below the smallest normal float
+            prev, area, shift = prev * 2.0**64, area * 2.0**64, shift + 64
+            nxt = TWO_PI * prev / (k - 1)
+        prev, area = area, nxt
+        if not math.ldexp(area, -shift):
             raise ValueError(
                 f"sphere dimension {dim} out of range: the area of the unit "
                 f"S^{k} underflows to 0"
             )
-    return area
+    return math.ldexp(area * radius**dim, -shift)
 
 
 class Sphere(SpectralModel):
@@ -470,7 +475,7 @@ class Sphere(SpectralModel):
         self.label = f"sphere{dim}"
         self.volume = _checked_volume(
             f"S^{dim} at radius {radius!r}", (radius,),
-            lambda: _unit_sphere_area(dim) * radius**dim,
+            lambda: _sphere_volume(dim, radius),
         )
         self._zonal_scale = 1.0 / self.volume
         a2 = radius * radius
@@ -737,30 +742,28 @@ def ricci_scalar_extract(model: SpectralModel, ts) -> ScalarRicciReport:
 
     (4 pi t)^(n/2) H(t, x, x) = 1 + t S/6 + O(t^2) gives S; the pullback
     expands as  delta_ij + t c1_ij + O(t^2)  with  c1 = (1/3)((S/2) delta - Ric),
-    so Ric_ij = (S/2) delta_ij - 3 c1_ij.
+    so Ric_ij = (S/2) delta_ij - 3 c1_ij.  The pullback is symmetric sample
+    for sample, so each entry i <= j is fitted once and mirrored.
     """
-    from .asymptotics import grid_condition, limit_fit
+    from .asymptotics import fit_on_smallest, grid_condition
 
-    ts = sorted(ts)
-    if len(ts) < 4:
-        raise ValueError("need at least 4 grid points for the quadratic fits")
     n = model.n
     diag = [
         (t, heat_power(t, 4.0 * math.pi, n / 2.0) * model.heat_diagonal(t))
         for t in ts
     ]
+    scalar_fit = fit_on_smallest(diag)
     cond = grid_condition(ts)
     if not math.isfinite(cond) or cond > 1e12:
         raise ValueError(f"ill-conditioned fit grid (condition number {cond:.3g})")
-    scalar_fit = limit_fit(diag, order=2)
     pulls = [(t, pullback_metric(model, t)) for t in ts]
     c0 = [[0.0] * n for _ in range(n)]
     c1 = [[0.0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            fit = limit_fit([(t, p[i][j]) for t, p in pulls], order=2)
-            c0[i][j] = fit.c0
-            c1[i][j] = fit.c1
+        for j in range(i, n):
+            fit = fit_on_smallest([(t, p[i][j]) for t, p in pulls])
+            c0[i][j] = c0[j][i] = fit.c0
+            c1[i][j] = c1[j][i] = fit.c1
     scalar = 6.0 * scalar_fit.c1
     ricci = [
         [(scalar / 2.0 if i == j else 0.0) - 3.0 * c1[i][j] for j in range(n)]
@@ -824,19 +827,17 @@ def _curvature_pairs(n: int, ijkl):
 
 def gauss_curvature_estimate(model: SpectralModel, ts, ijkl) -> CurvatureEstimate:
     """Fitted t -> 0 limit of the Gram difference, i.e. R(V_i,V_j,V_k,V_l)."""
-    from .asymptotics import limit_fit
+    from .asymptotics import fit_on_smallest
 
-    ts = sorted(ts)
-    if len(ts) < 4:
-        raise ValueError("need at least 4 grid points")
     samples = [(t, gauss_curvature_difference(model, t, ijkl)) for t in ts]
-    fit = limit_fit(samples, order=2)
+    fit = fit_on_smallest(samples)
     # cancellation diagnostic at the smallest time
+    t0, difference = min(samples)
     pair1, pair2 = _curvature_pairs(model.n, ijkl)
-    g1 = model.gram_entry(ts[0], *pair1)
-    g2 = model.gram_entry(ts[0], *pair2)
+    g1 = model.gram_entry(t0, *pair1)
+    g2 = model.gram_entry(t0, *pair2)
     scale = max(abs(g1), abs(g2), 1.0)
-    limited = abs(g1 - g2) <= 1e-12 * scale and samples[0][1] != 0.0
+    limited = abs(g1 - g2) <= 1e-12 * scale and difference != 0.0
     return CurvatureEstimate(
         value=fit.c0, fit_c1=fit.c1, stderr=fit.stderr, cancellation_limited=limited
     )
@@ -961,7 +962,7 @@ def levi_civita_check(model: SpectralModel, ts, i: int,
     combination of Gram entries; its limit must be (d_i f)(p) V_k since
     chart coordinate fields are parallel at the base point.
     """
-    from .asymptotics import limit_fit
+    from .asymptotics import fit_on_smallest
 
     n = model.n
     k = field.direction
@@ -972,7 +973,6 @@ def levi_civita_check(model: SpectralModel, ts, i: int,
         raise ValueError("linear coefficient tuple has wrong length")
     f0 = field.constant
     df_i = linear[i - 1]
-    ts = sorted(ts)
     limits = []
     for j in range(1, n + 1):
         samples = []
@@ -980,7 +980,7 @@ def levi_civita_check(model: SpectralModel, ts, i: int,
             g_kj = model.gram_entry(t, from_indices([k], n), from_indices([j], n))
             g_ikj = model.gram_entry(t, from_indices([i, k], n), from_indices([j], n))
             samples.append((t, df_i * g_kj + f0 * g_ikj))
-        limits.append(limit_fit(samples, order=2).c0)
+        limits.append(fit_on_smallest(samples).c0)
     target = tuple(df_i if j == k else 0.0 for j in range(1, n + 1))
     err = max(abs(a - b) for a, b in zip(limits, target))
     return LeviCivitaReport(tuple(limits), target, err)

@@ -152,12 +152,6 @@ class PairProfile(NamedTuple):
         """True iff every index has even total multiplicity a + b."""
         return all(e.sigma2 % 2 == 0 for e in self.entries)
 
-    def half_gaps(self) -> tuple[int, ...]:
-        """The integers l_r = |a_r - b_r| / 2; requires even_total()."""
-        if not self.even_total():
-            raise ValueError("half gaps are defined only for even totals")
-        return tuple(abs(e.a - e.b) // 2 for e in self.entries)
-
 
 def check_same_dimension(alpha: MultiIndex, beta: MultiIndex) -> None:
     if alpha.n != beta.n:

@@ -394,3 +394,65 @@ class TestSuitePassFlags:
         r = scalar_suite(Sphere(3, 1.0), DEFAULT_GRID)
         d = r.summary_dict()["scalar.slope"]
         assert set(d) == {"target", "fitted_c0", "fitted_c1", "stderr", "observed", "pass"}
+
+
+class TestOneFitRule:
+    """Every t -> 0 limit is a quadratic fit on the five smallest times, and
+    each series is measured and fitted once."""
+
+    def test_every_curvature_fit_takes_five_smallest(self, monkeypatch):
+        grids = []
+
+        def counted(samples, *args, **kwargs):
+            fit = limit_fit(samples, *args, **kwargs)
+            grids.append(fit.grid)
+            return fit
+
+        monkeypatch.setattr(asymptotics, "limit_fit", counted)
+        model = Sphere(3, 1.0)
+        for suite in (scalar_suite, isometry_suite, mean_curvature_suite,
+                      umbilical_suite, curvature_suite, scalar_ricci_suite):
+            suite(model, DEFAULT_GRID[::-1])
+        assert grids
+        assert set(grids) == {DEFAULT_GRID[:5]}
+
+    @pytest.mark.parametrize("model", [
+        Sphere(3, 1.0), Sphere(4, 1.3), FlatTorus((1.0, 1.3)),
+    ], ids=lambda m: m.label)
+    def test_ricci_fits_each_pullback_entry_once(self, monkeypatch, model):
+        # the pullback is symmetric sample for sample, so the n(n+1)/2 upper
+        # entries are fitted and mirrored, plus one fit of the diagonal
+        fits = []
+
+        def counted(samples, *args, **kwargs):
+            fits.append(samples)
+            return fit_on_smallest(samples, *args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "fit_on_smallest", counted)
+        report = ricci_scalar_extract(model, DEFAULT_GRID)
+        n = model.n
+        assert len(fits) == n * (n + 1) // 2 + 1
+        for name in ("pullback_c0", "pullback_c1", "ricci_estimate"):
+            m = getattr(report, name)
+            for i in range(n):
+                for j in range(n):
+                    assert m[i][j].hex() == m[j][i].hex(), (name, i, j)
+
+    def test_umbilical_measures_each_jet_once(self, monkeypatch):
+        # the aggregate sums the (1, 1, k) samples the jet checks hold
+        calls = []
+        measure = asymptotics.third_jet_umbilical
+
+        def counted(model, t, i, j, k):
+            calls.append((t, i, j, k))
+            return measure(model, t, i, j, k)
+
+        monkeypatch.setattr(asymptotics, "third_jet_umbilical", counted)
+        result = umbilical_suite(Sphere(3, 1.0), DEFAULT_GRID)
+        assert len(calls) == len(set(calls)) == 27 * len(DEFAULT_GRID)
+        samples = [
+            (t, sum(measure(Sphere(3, 1.0), t, 1, 1, k) for k in (1, 2, 3)) / 3)
+            for t in DEFAULT_GRID
+        ]
+        shape = result.summaries["umbilical.shape_constant"]
+        assert shape.fitted_c0 == fit_on_smallest(samples).c0 / 2.0

@@ -442,16 +442,16 @@ class TestGoldenBytes:
          "431aeae0b1207fc199bca4f96d6ef24de16487a98857c9e6fe8cf40b73f80794",
          "dc0cd8ff720b2eea9f42fbf134f15b0d849c7774a4c4b60b3727ced2e5daff00"),
         (["curvature", "--model", "sphere3"], None,
-         "a37c7223af484be70aff4691fa824722564a0f3333ef462aba3323b0e1d0de57"),
+         "e0348489589d69d24fc4053d0314cee7e7bf2f72f3da68b2fa39aa772e007484"),
         (["curvature", "--model", "torus", "--radii", "1.0,1.3"], None,
-         "bd76e39a5b21b6c19877317e0ebb512fd37ca35f65a26cda49aa4590b9b8e9d4"),
+         "c418cd4a61648adf67e5f3d327e2dad260523a35ff44640548d03c9ae37bc8ac"),
         # the deepest mode sums of the benchmark's verify and curvature ops
         (["verify", "--model", "sphere3", "--radius", "1.75", "--max-degree", "6",
           "--t-grid", "0.1:0.5:7"],
          "8211e216514eb0bc56df053108048f9d5473660404f3bc8e5103c19490987dc8",
          "39186ba534ca7980125fe451994c4ade45612ae408bb622edf3f58c72d61c1b1"),
         (["curvature", "--model", "sphere2", "--radius", "1.5"], None,
-         "87e9b45773eba243c33640a400e8438661e3e70dd3eb7de18b12f86ba31ed5e6"),
+         "bc6bfb991cc5ce185701f0340eab7f2016ca82f7d3321bd4fd45cc49f9d4fc4d"),
     ], ids=["verify-sphere3", "verify-sphere2", "verify-torus",
             "curvature-sphere3", "curvature-torus", "verify-sphere3-r1.75",
             "curvature-sphere2-r1.5"])
@@ -477,9 +477,9 @@ class TestGoldenBytes:
          "265dd289a83aec1f893558999786dc11c12e697b2a0389d7a26e80e0d613dbcd",
          "e13bdfb6a83762af22569f7d7dcc7ebf9f4e568b5ac580eb52a4aac090862081"),
         (["curvature", "--model", "sphere3"], None,
-         "77c12a4784b0e05c5d6e4555fbf809b523e3a65542d891a53e0bd14d048df9ce"),
+         "6e626e7b40d0a88fbd8e38f14e14256549ac24c816aa4c4c0f90b8baef7c0f6b"),
         (["curvature", "--model", "torus", "--radii", "1.0,1.3"], None,
-         "dc3d2808863db6a4ae8fec84acd43bdf7f9f1b5f611d06aad38b83afbadc39f8"),
+         "910a7b1f94dfcfbecfc88984a064a1038454de57812996e726879d7291e228ff"),
     ], ids=["verify-sphere3", "verify-torus", "curvature-sphere3", "curvature-torus"])
     def test_failing_checks(self, tmp_path, capsys, argv, csv_sha, json_sha):
         cfg = tmp_path / "cfg.json"
@@ -510,7 +510,7 @@ class TestGoldenBytes:
          "1ed942f500ebb14d5cd2aeb5351930336d56228313c42580e7abc78bd8a7bae9", None),
         (["curvature", "--model", "sphere2", "--radius", "1.5"],
          {"policy": {"rho": 3.0, "epsilon": 1e-9}}, 0, None,
-         "4a4d2bc279ac22515d5d9e286ce2d0d12631f768d8dba1b54359c2b0e8bd3258"),
+         "f98666fe74fb392ea779b14ce392056262dc753f33c1e03a1038276918079be8"),
     ], ids=["verify-sphere3-eps", "verify-torus-eps", "curvature-sphere2-rho"])
     def test_non_default_policy(self, tmp_path, capsys, argv, file_cfg, exit_code,
                                 csv_sha, json_sha):
@@ -578,6 +578,24 @@ class TestConfigTypes:
         (["verify", "--model", "sphere2"], {"polcy": {}}, "unknown config key polcy"),
         (["verify", "--model", "sphere2"], {"model": {"n": 2}},
          "unknown config key model.n"),
+        # a key the command never reads is refused, not echoed and ignored;
+        # tolerances is one table that every command reads
+        (["lattice", "sample", "--count", "20"],
+         {"t": 5, "model": {"kind": "sphere3"}}, "config key t is not read by lattice"),
+        (["lattice", "sample", "--count", "20"], {"model": {"kind": "sphere3"}},
+         "config key model is not read by lattice"),
+        (["lattice", "sample", "--count", "20"], {"policy": {"rho": 1.0}},
+         "config key policy is not read by lattice"),
+        (["verify", "--model", "circle", "--t", "0.01"], {"seed": 3},
+         "config key seed is not read by verify"),
+        (["verify", "--model", "circle", "--t", "0.01"], {"count": 5},
+         "config key count is not read by verify"),
+        (["verify", "--model", "circle", "--t", "0.01"], {"n": 2},
+         "config key n is not read by verify"),
+        (["curvature", "--model", "sphere3"], {"max_degree": 2},
+         "config key max_degree is not read by curvature"),
+        (["curvature", "--model", "sphere3"], {"seed": 1},
+         "config key seed is not read by curvature"),
     ])
     def test_wrong_type_is_config_error(self, tmp_path, capsys, argv, file_cfg,
                                         message):
@@ -733,6 +751,20 @@ class TestCurvatureCommand:
                 assert "curvature" not in doc["suites"]
             else:
                 assert "curvature" in doc["suites"]
+
+    @pytest.mark.parametrize("model", ["sphere6", "sphere8"])
+    def test_higher_spheres_pass_on_default_grid(self, tmp_path, capsys, model):
+        # every readout fits the five smallest times; a quadratic fit over
+        # the whole grid put the S^6 Ricci diagonal at 4.69 against 5
+        out_json = tmp_path / "out.json"
+        code, out, _ = run(capsys, "curvature", "--model", model,
+                           "--out-json", str(out_json))
+        assert code == 0
+        assert out.count("passed=True") == 6
+        doc = json.loads(out_json.read_text())
+        assert doc["passed"] is True
+        checks = [c for suite in doc["suites"].values() for c in suite.values()]
+        assert all(c["pass"] for c in checks)
 
     @pytest.mark.parametrize("times, got", [
         (["--t-grid", "0.1:0.5:3"], 3),

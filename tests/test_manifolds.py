@@ -94,6 +94,15 @@ class TestModelBasics:
         with pytest.raises(ValueError, match="the area of the unit S.455 underflows"):
             Sphere(455, 2.0)
 
+    def test_volume_past_a_subnormal_unit_area(self):
+        # |S^438|..|S^454| are subnormal; the recurrence carries them scaled,
+        # so the volume at radius 2 keeps full precision
+        for n in range(438, 455):
+            log_volume = (math.log(2.0) + (n + 1) / 2 * math.log(math.pi)
+                          - math.lgamma((n + 1) / 2) + n * math.log(2.0))
+            want = math.exp(log_volume)
+            assert abs(Sphere(n, 2.0).volume / want - 1.0) < 1e-12, n
+
     def test_volume_out_of_range_says_which_way(self):
         with pytest.raises(ValueError, match=re.escape(
             "S^3 at radius 1e+120 out of range: its volume overflows; "

@@ -56,17 +56,23 @@ def test_every_traced_name_resolves():
       "--seed", "3"], ["lattice.run_triple_suite", "reporting.write_text"]),
     (["verify", "--model", "sphere2", "--max-degree", "2"],
      ["jets.compose_univariate", "jets.extract_mixed_partial"]),
-], ids=["lattice", "lattice-forked", "verify-sphere2"])
+    # curvature writes no CSV, so its stdout and JSON are compared
+    (["curvature", "--model", "sphere3"],
+     ["asymptotics.fit_on_smallest", "manifolds.ricci_scalar_extract"]),
+], ids=["lattice", "lattice-forked", "verify-sphere2", "curvature-sphere3"])
 def test_traced_op_matches_untraced(tmp_path, argv, spans):
-    outputs = ["--out", "out.csv", "--out-json", "out.json"]
+    outputs = ["--out-json", "out.json"]
+    if argv[0] != "curvature":
+        outputs += ["--out", "out.csv"]
+    names = outputs[1::2]
 
     def run(*prefix):
-        for name in ("out.csv", "out.json"):
+        for name in names:
             (tmp_path / name).unlink(missing_ok=True)
         proc = subprocess.run([sys.executable, *prefix, *argv, *outputs],
                               cwd=tmp_path, env=ENV, capture_output=True,
                               timeout=120)
-        files = [(tmp_path / name).read_bytes() for name in ("out.csv", "out.json")]
+        files = [(tmp_path / name).read_bytes() for name in names]
         return proc.returncode, proc.stdout, proc.stderr, files
 
     plain = run("-m", "spectraljet.cli")
