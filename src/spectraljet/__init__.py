@@ -8,79 +8,60 @@ defects, mean curvature, the asymptotic Gauss formula for the Riemann tensor,
 and the angle metric on Z_+^n.
 """
 
-from .multiindex import (
-    MultiIndex,
-    PairProfile,
-    empty,
-    enumerate_multiindices,
-    from_indices,
-    pair_profile,
-    parse,
-    symmetric_difference_size,
-)
-from .wick import (
-    GraphCount,
-    WickA,
-    WickB,
-    b_stabilization_scan,
-    check_inductive_relations,
-    double_factorial,
-    enumerate_admissible_graphs,
-    gaussian_moment_oracle,
-    wick_a,
-    wick_b,
-)
-from .lattice import (
-    AngleDistance,
-    angle_distance,
-    coset_of,
-    distance_comparison_check,
-    is_orthogonal,
-    run_triple_suite,
-    sample_multiindex,
-    stabilization_scan,
-)
-from .jets import (
-    SQRT_COS,
-    SQRT_SINC,
-    SQUARED_GEODESIC,
-    compose_univariate,
-    extract_mixed_partial,
-)
-from .manifolds import (
-    Circle,
-    FlatTorus,
-    Sphere,
-    TruncationError,
-    TruncationPolicy,
-    gauss_curvature_difference,
-    gauss_curvature_estimate,
-    curvature_symmetry_residuals,
-    jet_gram,
-    levi_civita_check,
-    make_model,
-    mean_curvature_proxy,
-    pullback_metric,
-    ricci_scalar_extract,
-    squared_distance_jets,
-    squared_distance_target,
-    third_jet_umbilical,
-    truncation_stability,
-    PolynomialField,
-)
-from .asymptotics import (
-    ConvergenceRecord,
-    LimitFit,
-    curvature_suite,
-    isometry_suite,
-    jet_relation_suite,
-    limit_fit,
-    mean_curvature_suite,
-    normalization_factor,
-    scalar_ricci_suite,
-    scalar_suite,
-    time_grid,
-    umbilical_suite,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# The public names of each layer, re-exported here.  A name is imported from
+# its layer on first access (PEP 562), so that ``import spectraljet`` loads
+# no layer and each command loads only the layers it runs.
+_EXPORTS = {
+    "multiindex": (
+        "MultiIndex", "PairProfile", "empty", "enumerate_multiindices",
+        "from_indices", "pair_profile", "parse", "symmetric_difference_size",
+    ),
+    "wick": (
+        "GraphCount", "WickA", "WickB", "b_stabilization_scan",
+        "check_inductive_relations", "double_factorial",
+        "enumerate_admissible_graphs", "gaussian_moment_oracle", "wick_a",
+        "wick_b",
+    ),
+    "lattice": (
+        "AngleDistance", "angle_distance", "coset_of",
+        "distance_comparison_check", "is_orthogonal", "run_triple_suite",
+        "sample_multiindex", "stabilization_scan",
+    ),
+    "jets": (
+        "SQRT_COS", "SQRT_SINC", "SQUARED_GEODESIC", "compose_univariate",
+        "extract_mixed_partial",
+    ),
+    "manifolds": (
+        "Circle", "FlatTorus", "Sphere", "TruncationError", "TruncationPolicy",
+        "gauss_curvature_difference", "gauss_curvature_estimate",
+        "curvature_symmetry_residuals", "jet_gram", "make_model",
+        "mean_curvature_proxy", "pullback_metric", "ricci_scalar_extract",
+        "squared_distance_jets", "squared_distance_target",
+        "third_jet_umbilical", "truncation_stability",
+    ),
+    "asymptotics": (
+        "ConvergenceRecord", "LimitFit", "curvature_suite", "isometry_suite",
+        "jet_relation_suite", "limit_fit", "mean_curvature_suite",
+        "normalization_factor", "scalar_ricci_suite", "scalar_suite",
+        "time_grid", "umbilical_suite",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+__all__ = list(_LAYER_OF)
+
+
+def __getattr__(name: str):
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{layer}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAYER_OF})

@@ -13,9 +13,9 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from types import MappingProxyType
 from typing import NamedTuple
 
+from .defaults import TIME_GRID, TOLERANCES
 from .multiindex import MultiIndex, enumerate_multiindices
 from .wick import wick_a, wick_b
 from .manifolds import (
@@ -27,10 +27,6 @@ from .manifolds import (
     ricci_scalar_extract,
     third_jet_umbilical,
 )
-
-
-#: The default heat-time grid, keyed like the config's ``t_grid``.
-TIME_GRID = MappingProxyType({"start": 0.1, "ratio": 0.5, "count": 7})
 
 
 def time_grid(start: float = TIME_GRID["start"], ratio: float = TIME_GRID["ratio"],
@@ -230,24 +226,6 @@ def fit_on_smallest(samples, order: int = 2, points: int = 5) -> LimitFit:
     """Fit on the ``points`` smallest-t samples (the asymptotic regime)."""
     samples = sorted(samples)[:points]
     return limit_fit(samples, order=order)
-
-
-#: Default tolerance of each verify and curvature check that has a config key,
-#: keyed as the ``tolerances`` object of the CLI config.
-TOLERANCES = MappingProxyType({
-    "flat_jet_abs": 1e-6,
-    "fit_rel": 0.01,
-    "scalar_rel": 0.02,
-    "scalar_flat_abs": 1e-6,
-    "isometry_c1_rel": 0.05,
-    "isometry_flat_abs": 1e-8,
-    "mean_curvature_rel": 0.02,
-    "umbilical_rel": 0.03,
-    "umbilical_zero_abs": 0.05,
-    "curvature_rel": 0.05,
-    "curvature_flat_abs": 1e-6,
-    "residual_rel": 1e-3,
-})
 
 
 class PairSummary(NamedTuple):

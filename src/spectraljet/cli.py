@@ -27,20 +27,8 @@ import sys
 from itertools import chain
 
 from . import multiindex
-from .asymptotics import (
-    TIME_GRID,
-    TOLERANCES,
-    curvature_suite,
-    isometry_suite,
-    jet_relation_suite,
-    mean_curvature_suite,
-    scalar_ricci_suite,
-    scalar_suite,
-    time_grid,
-    umbilical_suite,
-)
+from .defaults import POLICY, TIME_GRID, TOLERANCES, TruncationError
 from .lattice import TRIANGLE_SLACK, run_triple_suite
-from .manifolds import DEFAULT_POLICY, TruncationError, TruncationPolicy, make_model
 from .reporting import (
     LATTICE_CSV_HEADER,
     fmt_float,
@@ -51,14 +39,17 @@ from .reporting import (
 )
 from .wick import enumerate_admissible_graphs, gaussian_moment_oracle, wick_a, wick_b
 
+# The model layers (manifolds, jets, asymptotics) are imported inside the
+# functions of verify and curvature: lattice, wick and report never run
+# them, and a process that caches no bytecode compiles every module it
+# imports.
+
 DEFAULT_CONFIG = {
     "model": {"kind": None, "radius": 1.0, "radii": [1.0, 1.3]},
     "t": None,
     "t_grid": dict(TIME_GRID),
     "max_degree": 4,
-    "policy": {
-        key: getattr(DEFAULT_POLICY, key) for key in ("epsilon", "rho", "hard_cap")
-    },
+    "policy": dict(POLICY),
     "seed": 42,
     "count": 10000,
     "tolerances": {**TOLERANCES, "triangle_slack": TRIANGLE_SLACK},
@@ -202,6 +193,8 @@ def build_config(args: argparse.Namespace) -> dict:
 
 def config_model(cfg: dict):
     """The model of the config, built with the config's truncation policy."""
+    from .manifolds import TruncationPolicy, make_model  # not loaded by lattice, wick or report
+
     kind = cfg["model"].get("kind")
     if not kind:
         raise ConfigError("no model specified (use --model)")
@@ -216,6 +209,8 @@ def config_model(cfg: dict):
 
 
 def config_grid(cfg: dict) -> tuple[float, ...]:
+    from .asymptotics import time_grid  # not loaded by lattice, wick or report
+
     if cfg.get("t") is not None:
         if cfg["t"] <= 0:
             raise ConfigError("t must be positive")
@@ -289,6 +284,8 @@ def _write_suites(args: argparse.Namespace, cfg: dict, model, suites) -> bool:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .asymptotics import jet_relation_suite  # not loaded by lattice, wick or report
+
     cfg = build_config(args)
     model = config_model(cfg)
     max_degree = _config_int("max_degree", cfg["max_degree"], 0)
@@ -304,6 +301,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_curvature(args: argparse.Namespace) -> int:
+    from .asymptotics import (  # not loaded by lattice, wick or report
+        curvature_suite,
+        isometry_suite,
+        mean_curvature_suite,
+        scalar_ricci_suite,
+        scalar_suite,
+        umbilical_suite,
+    )
+
     cfg = build_config(args)
     model = config_model(cfg)
     grid = config_grid(cfg)

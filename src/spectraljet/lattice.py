@@ -25,7 +25,13 @@ from .multiindex import (
     pair_profile,
     symmetric_difference_size,
 )
-from .wick import WickB, double_factorial_table, wick_b, wick_kernel
+from .wick import (
+    WickB,
+    b_stabilization_scan,
+    double_factorial_table,
+    wick_b,
+    wick_kernel,
+)
 
 #: Constant tested in the distance-comparison inequality.  The bound chain
 #: prod (1 - x/(2s))^s <= exp(-x/2) <= 1 - (1 - e^(-1/2)) x on [0,1] justifies
@@ -109,8 +115,6 @@ def stabilization_scan(
     multiplicities agree); |d - pi/2| >= |d' - pi/2| is equivalent to
     B^2 >= B'^2, which is checked on exact squares.
     """
-    from .wick import b_stabilization_scan
-
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     check_same_dimension(alpha, beta)

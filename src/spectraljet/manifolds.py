@@ -22,7 +22,8 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .multiindex import MultiIndex, empty, from_indices
+from .defaults import POLICY, TruncationError
+from .multiindex import MultiIndex, empty, enumerate_multiindices, from_indices
 from .jets import (
     SQRT_COS,
     SQRT_SINC,
@@ -35,14 +36,10 @@ from .jets import (
 TWO_PI = 2.0 * math.pi
 
 
-class TruncationError(RuntimeError):
-    """Raised when a spectral sum hits its hard cap before the tail bound."""
-
-
 class _PolicyFields(NamedTuple):
-    epsilon: float = 1e-14
-    rho: float = 0.5
-    hard_cap: int | None = None  # None: model default
+    epsilon: float = POLICY["epsilon"]
+    rho: float = POLICY["rho"]
+    hard_cap: int | None = POLICY["hard_cap"]  # None: model default
     fixed_cutoff: int | None = None
 
 
@@ -697,8 +694,6 @@ class JetGram(NamedTuple):
 
 
 def jet_gram(model: SpectralModel, t: float, max_order: int) -> JetGram:
-    from .multiindex import enumerate_multiindices
-
     basis = tuple(enumerate_multiindices(model.n, max_order))
     entries = {}
     for i, a in enumerate(basis):
@@ -734,7 +729,7 @@ class ScalarRicciReport(NamedTuple):
     pullback_c0: list[list[float]]
     pullback_c1: list[list[float]]
     ricci_estimate: list[list[float]]
-    condition_number: float
+    condition_number: float  # of the fit design [1, t, t^2] on the whole grid
 
 
 def ricci_scalar_extract(model: SpectralModel, ts) -> ScalarRicciReport:
@@ -745,23 +740,26 @@ def ricci_scalar_extract(model: SpectralModel, ts) -> ScalarRicciReport:
     so Ric_ij = (S/2) delta_ij - 3 c1_ij.  The pullback is symmetric sample
     for sample, so each entry i <= j is fitted once and mirrored.
     """
-    from .asymptotics import fit_on_smallest, grid_condition
-
     n = model.n
     diag = [
         (t, heat_power(t, 4.0 * math.pi, n / 2.0) * model.heat_diagonal(t))
         for t in ts
     ]
-    scalar_fit = fit_on_smallest(diag)
-    cond = grid_condition(ts)
+    scalar_fit = asymptotics.fit_on_smallest(diag)
+    # every fit here takes the same smallest times, so their conditioning
+    # decides; the report keeps that of the whole grid
+    cond = asymptotics.grid_condition(scalar_fit.grid)
     if not math.isfinite(cond) or cond > 1e12:
-        raise ValueError(f"ill-conditioned fit grid (condition number {cond:.3g})")
+        raise ValueError(
+            f"ill-conditioned fit grid (condition number {cond:.3g} on its "
+            f"{len(scalar_fit.grid)} smallest times)"
+        )
     pulls = [(t, pullback_metric(model, t)) for t in ts]
     c0 = [[0.0] * n for _ in range(n)]
     c1 = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            fit = fit_on_smallest([(t, p[i][j]) for t, p in pulls])
+            fit = asymptotics.fit_on_smallest([(t, p[i][j]) for t, p in pulls])
             c0[i][j] = c0[j][i] = fit.c0
             c1[i][j] = c1[j][i] = fit.c1
     scalar = 6.0 * scalar_fit.c1
@@ -776,7 +774,7 @@ def ricci_scalar_extract(model: SpectralModel, ts) -> ScalarRicciReport:
         pullback_c0=c0,
         pullback_c1=c1,
         ricci_estimate=ricci,
-        condition_number=cond,
+        condition_number=asymptotics.grid_condition(ts),
     )
 
 
@@ -827,10 +825,8 @@ def _curvature_pairs(n: int, ijkl):
 
 def gauss_curvature_estimate(model: SpectralModel, ts, ijkl) -> CurvatureEstimate:
     """Fitted t -> 0 limit of the Gram difference, i.e. R(V_i,V_j,V_k,V_l)."""
-    from .asymptotics import fit_on_smallest
-
     samples = [(t, gauss_curvature_difference(model, t, ijkl)) for t in ts]
-    fit = fit_on_smallest(samples)
+    fit = asymptotics.fit_on_smallest(samples)
     # cancellation diagnostic at the smallest time
     t0, difference = min(samples)
     pair1, pair2 = _curvature_pairs(model.n, ijkl)
@@ -931,62 +927,6 @@ def curvature_symmetry_residuals(model: SpectralModel, ts) -> SymmetryResidualRe
 
 
 # ---------------------------------------------------------------------------
-# Levi-Civita connection read off the 2-jets
-# ---------------------------------------------------------------------------
-
-class PolynomialField(NamedTuple):
-    """Vector field Y = f V_k with f polynomial (degree <= 2) in the chart.
-
-    Only f and its gradient at the base point enter the connection there, so
-    the quadratic part never contributes (it and its gradient vanish at 0).
-    """
-
-    direction: int
-    constant: float = 0.0
-    linear: tuple[float, ...] = ()
-    quadratic: tuple = ()
-
-
-class LeviCivitaReport(NamedTuple):
-    limit_vector: tuple[float, ...]
-    target_vector: tuple[float, ...]
-    max_abs_error: float
-
-
-def levi_civita_check(model: SpectralModel, ts, i: int,
-                      field: PolynomialField) -> LeviCivitaReport:
-    """Verify nabla_i Y at the base point from embedding 2-jets.
-
-    With Y = f V_k, the product rule gives D_i D_Y psi = (d_i f) D_k psi +
-    f D_i D_k psi at the point, so sum_j <D_i D_Y psi, D_j psi> V_j is a
-    combination of Gram entries; its limit must be (d_i f)(p) V_k since
-    chart coordinate fields are parallel at the base point.
-    """
-    from .asymptotics import fit_on_smallest
-
-    n = model.n
-    k = field.direction
-    if not 1 <= k <= n or not 1 <= i <= n:
-        raise ValueError("field direction and i must be coordinate indices")
-    linear = tuple(field.linear) if field.linear else (0.0,) * n
-    if len(linear) != n:
-        raise ValueError("linear coefficient tuple has wrong length")
-    f0 = field.constant
-    df_i = linear[i - 1]
-    limits = []
-    for j in range(1, n + 1):
-        samples = []
-        for t in ts:
-            g_kj = model.gram_entry(t, from_indices([k], n), from_indices([j], n))
-            g_ikj = model.gram_entry(t, from_indices([i, k], n), from_indices([j], n))
-            samples.append((t, df_i * g_kj + f0 * g_ikj))
-        limits.append(fit_on_smallest(samples).c0)
-    target = tuple(df_i if j == k else 0.0 for j in range(1, n + 1))
-    err = max(abs(a - b) for a, b in zip(limits, target))
-    return LeviCivitaReport(tuple(limits), target, err)
-
-
-# ---------------------------------------------------------------------------
 # Squared-distance jets (spheres)
 # ---------------------------------------------------------------------------
 
@@ -1073,3 +1013,9 @@ def truncation_stability(model: SpectralModel, t: float, alpha: MultiIndex,
     twin = make_model(**model.describe(), policy=model.policy.doubled(cutoff))
     doubled, _ = twin.diag_jet_with_cutoff(t, alpha, beta)
     return TruncationStability(value, doubled, abs(value - doubled), cutoff)
+
+
+# Last, once every name that asymptotics imports from this module is bound:
+# asymptotics imports this module, and the fits above look its functions up
+# at call time, so that a rebinding of them applies here too.
+from . import asymptotics  # noqa: E402

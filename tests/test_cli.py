@@ -407,8 +407,11 @@ class TestImportCost:
         # classes cost no dataclasses or inspect import and no generated
         # methods; -S keeps site hooks from importing either module first
         code = textwrap.dedent("""\
-            import sys
-            from spectraljet import cli
+            import importlib, os, sys
+            import spectraljet
+            for file in sorted(os.listdir(spectraljet.__path__[0])):
+                if file.endswith(".py") and file != "__init__.py":
+                    importlib.import_module("spectraljet." + file[:-3])
             for name in ("dataclasses", "inspect"):
                 assert name not in sys.modules, name + " imported"
             for name, module in list(sys.modules.items()):
@@ -419,6 +422,80 @@ class TestImportCost:
         src = str(Path(spectraljet.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    # every name the package re-exports, by the layer that defines it
+    EXPORTS = {
+        "multiindex": ("MultiIndex", "PairProfile", "empty", "enumerate_multiindices",
+                       "from_indices", "pair_profile", "parse",
+                       "symmetric_difference_size"),
+        "wick": ("GraphCount", "WickA", "WickB", "b_stabilization_scan",
+                 "check_inductive_relations", "double_factorial",
+                 "enumerate_admissible_graphs", "gaussian_moment_oracle",
+                 "wick_a", "wick_b"),
+        "lattice": ("AngleDistance", "angle_distance", "coset_of",
+                    "distance_comparison_check", "is_orthogonal",
+                    "run_triple_suite", "sample_multiindex", "stabilization_scan"),
+        "jets": ("SQRT_COS", "SQRT_SINC", "SQUARED_GEODESIC", "compose_univariate",
+                 "extract_mixed_partial"),
+        "manifolds": ("Circle", "FlatTorus", "Sphere", "TruncationError",
+                      "TruncationPolicy", "gauss_curvature_difference",
+                      "gauss_curvature_estimate", "curvature_symmetry_residuals",
+                      "jet_gram", "make_model", "mean_curvature_proxy",
+                      "pullback_metric", "ricci_scalar_extract",
+                      "squared_distance_jets", "squared_distance_target",
+                      "third_jet_umbilical", "truncation_stability"),
+        "asymptotics": ("ConvergenceRecord", "LimitFit", "curvature_suite",
+                        "isometry_suite", "jet_relation_suite", "limit_fit",
+                        "mean_curvature_suite", "normalization_factor",
+                        "scalar_ricci_suite", "scalar_suite", "time_grid",
+                        "umbilical_suite"),
+    }
+
+    def test_each_command_loads_only_its_layers(self, tmp_path):
+        # a process that caches no bytecode compiles every module it
+        # imports, so lattice and wick must not import the model layers,
+        # and the package re-exports each name from its layer on first use
+        code = textwrap.dedent("""\
+            import importlib, json, sys
+            out, exports = sys.argv[1], json.loads(sys.argv[2])
+
+            def layers():
+                return {name for name in sys.modules if name.startswith("spectraljet.")}
+
+            import spectraljet
+            assert layers() == set(), layers()
+            from spectraljet import cli
+            for argv in (
+                ["lattice", "sample", "--n", "3", "--max-degree", "8",
+                 "--count", "300", "--out", out + "/lat.csv",
+                 "--out-json", out + "/lat.json"],
+                ["wick", "--alpha", "1,1", "--beta", "2,2", "--n", "2",
+                 "--graphs", "--oracle"],
+            ):
+                assert cli.main(argv) == 0, argv
+            model = {"spectraljet.asymptotics", "spectraljet.manifolds",
+                     "spectraljet.jets"}
+            assert not layers() & model, layers() & model
+            listed = dir(spectraljet)
+            for layer, names in exports.items():
+                module = importlib.import_module("spectraljet." + layer)
+                for name in names:
+                    assert name in listed, name
+                    assert getattr(spectraljet, name) is getattr(module, name), name
+            try:
+                spectraljet.no_such_name
+            except AttributeError:
+                pass
+            else:
+                raise AssertionError("an unknown name resolved")
+        """)
+        src = str(Path(spectraljet.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, str(tmp_path), json.dumps(self.EXPORTS)],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
             text=True, timeout=120,
         )
@@ -780,6 +857,16 @@ class TestCurvatureCommand:
             f"(--t-grid start:ratio:count), got {got}\n"
         )
         assert out == ""
+        assert not out_json.exists()
+
+    def test_ill_conditioned_fitted_times_exit_2(self, tmp_path, capsys):
+        # cond_2 of the quadratic fit is 5.89e11 on the whole grid but
+        # 1.22e12 on the five smallest times, which every fit takes
+        out_json = tmp_path / "out.json"
+        code, out, err = run(capsys, "curvature", "--model", "sphere3",
+                             "--t-grid", "0.01:0.99993:7", "--out-json", str(out_json))
+        assert code == 2
+        assert err.startswith("error: ill-conditioned fit grid (condition number 1.22e+12")
         assert not out_json.exists()
 
 

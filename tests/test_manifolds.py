@@ -8,6 +8,7 @@ import pytest
 
 from spectraljet.asymptotics import (
     _canonical_pairs,
+    grid_condition,
     jet_relation_suite,
     normalization_factor,
     time_grid,
@@ -16,7 +17,6 @@ from spectraljet.manifolds import (
     DEFAULT_POLICY,
     Circle,
     FlatTorus,
-    PolynomialField,
     Sphere,
     TruncationError,
     TruncationPolicy,
@@ -26,7 +26,6 @@ from spectraljet.manifolds import (
     gauss_curvature_difference,
     gauss_curvature_estimate,
     jet_gram,
-    levi_civita_check,
     make_model,
     mean_curvature_proxy,
     pullback_metric,
@@ -331,6 +330,14 @@ class TestGeometryOps:
         assert np.allclose(report.ricci_estimate, 2.0 * np.eye(3), atol=0.1)
         assert report.condition_number < 1e12
 
+    def test_scalar_ricci_judges_the_fitted_times(self):
+        # every fit takes the five smallest times: their cond_2 is 1.22e12,
+        # while the whole grid's is 5.89e11
+        ts = time_grid(0.01, 0.99993, 7)
+        assert grid_condition(ts) < 1e12 < grid_condition(ts[:5])
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            ricci_scalar_extract(Sphere(3, 1.0), ts)
+
     def test_scalar_ricci_torus(self):
         report = ricci_scalar_extract(FlatTorus((1.0, 1.3)), GRID)
         assert abs(report.scalar_estimate) < 1e-6
@@ -373,26 +380,6 @@ class TestGeometryOps:
         assert report.max_relative_residual() < 1e-3
         # the forced-zero entries R(1,1,k,l) vanish through antisymmetry
         assert abs(report.tensor[0][0][1][2]) < 1e-3
-
-    def test_levi_civita_parallel_field(self):
-        s = Sphere(2, 1.0)
-        rep = levi_civita_check(s, GRID, 1, PolynomialField(direction=2))
-        assert rep.max_abs_error < 1e-6
-
-    def test_levi_civita_linear_field(self):
-        s = Sphere(2, 1.0)
-        # f = x^1, so nabla_1 (f V_2) = V_2 at the base point
-        field = PolynomialField(direction=2, linear=(1.0, 0.0))
-        rep = levi_civita_check(s, GRID, 1, field)
-        assert abs(rep.limit_vector[1] - 1.0) < 0.03
-        assert abs(rep.limit_vector[0]) < 0.03
-
-    def test_levi_civita_transverse_gradient(self):
-        s = Sphere(2, 1.0)
-        # f = x^2 has zero 1-derivative at the base point
-        field = PolynomialField(direction=2, linear=(0.0, 1.0))
-        rep = levi_civita_check(s, GRID, 1, field)
-        assert rep.max_abs_error < 0.05
 
 
 class TestSquaredDistanceJets:
