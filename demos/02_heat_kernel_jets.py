@@ -46,7 +46,7 @@ for label, ia, ib in cases:
     for t in grid:
         raw = sphere.diag_jet(t, a, b)
         samples.append((t, normalization_factor(3, t, a, b) * raw))
-    fit = fit_on_smallest(samples, order=2)
+    fit = fit_on_smallest(samples)
     values = "  ".join(f"{y:<11.6f}" for _, y in samples)
     print(f"{label:26s}{values}{wick_a(a, b).value:+d}   {fit.c0:+.6f}")
 

@@ -68,7 +68,7 @@ print("=== Riemann tensor from the asymptotic Gauss formula ===")
 for model, target in ((Sphere(3, 1.0), 1.0), (Sphere(2, 2.0), 0.25),
                       (FlatTorus((1.0, 1.3)), 0.0)):
     est = gauss_curvature_estimate(model, GRID, (1, 2, 2, 1))
-    print(f"{model.label:8s} R(1,2,2,1) = {est.value:+.6f}   target {target:+.2f}")
+    print(f"{model.label:8s} R(1,2,2,1) = {est.c0:+.6f}   target {target:+.2f}")
 
 rep = curvature_symmetry_residuals(Sphere(3, 1.0), GRID)
 print(f"S3 symmetry residuals (relative): antisym {rep.antisymmetry_first:.2e} /"

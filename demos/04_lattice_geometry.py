@@ -12,12 +12,11 @@ import math
 
 from spectraljet import (
     angle_distance,
-    coset_of,
+    b_stabilization_scan,
     distance_comparison_check,
     enumerate_multiindices,
     from_indices,
     run_triple_suite,
-    stabilization_scan,
 )
 
 print("=== a few distances (n = 2) ===")
@@ -32,8 +31,8 @@ print(f"arccos(1/3) = {math.acos(1/3):.6f}: second jets along different axes")
 print()
 print("=== parity cosets ===")
 points = enumerate_multiindices(2, 2)
-for coset in sorted({coset_of(m) for m in points}):
-    members = [m.text() or "empty" for m in points if coset_of(m) == coset]
+for coset in sorted({m.parity() for m in points}):
+    members = [m.text() or "empty" for m in points if m.parity() == coset]
     print(f"coset {coset}: {', '.join(members)}")
 print("points in different cosets sit at right angles; 2^n cosets in all")
 
@@ -58,8 +57,8 @@ print(f"comparison inequality margin on the sample:"
 print()
 print("=== stabilization along an axis ===")
 a, b = from_indices([1, 1], 2), from_indices([2, 2], 2)
-scan = stabilization_scan(a, b, 1, 10)
-angles = "  ".join(f"{d.radians:.4f}" for d in scan.diagonal)
+scan = b_stabilization_scan(a, b, 1, 10)
+angles = "  ".join(f"{math.acos(c.value):.4f}" for c in scan.diagonal)
 print(f"d(a + k e_1, b + k e_1): {angles}")
-print(f"limit {scan.diagonal_limit:.6f} rad; one-sided shifts instead tend to"
-      f" pi/2 = {scan.one_sided_limit:.6f}")
+print(f"limit {math.acos(scan.diagonal_limit.value):.6f} rad; one-sided shifts"
+      f" instead tend to pi/2 = {math.acos(scan.one_sided_limit.value):.6f}")

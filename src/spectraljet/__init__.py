@@ -27,9 +27,8 @@ _EXPORTS = {
         "wick_b",
     ),
     "lattice": (
-        "AngleDistance", "angle_distance", "coset_of",
-        "distance_comparison_check", "is_orthogonal", "run_triple_suite",
-        "sample_multiindex", "stabilization_scan",
+        "AngleDistance", "angle_distance", "distance_comparison_check",
+        "is_orthogonal", "run_triple_suite", "sample_multiindex",
     ),
     "jets": (
         "SQRT_COS", "SQRT_SINC", "SQUARED_GEODESIC", "compose_univariate",

@@ -183,49 +183,39 @@ def limit_fit(samples, order: int = 2) -> LimitFit:
     return LimitFit(coeffs[0], coeffs[1], c2, stderr, ts)
 
 
-_JACOBI_SWEEPS = 30
-_JACOBI_TOL = 1e-15
+# c0 = sum_i w_i y_i, with w row 0 of the exact pseudo-inverse of the fit, so
+# a relative error eps in every sample moves c0 by at most
+# eps * sum_i |w_i| * max_i |y_i|.  Scaling every t by lambda leaves w as it
+# is, so this noise gain depends on the shape of the grid, not its scale: 1.9
+# on five times of ratio 1/2 at any t, 1.2e8 on time_grid(0.01, 0.99993, 7).
+# At the limit a one-ulp (2^-53) error in every sample moves c0 by at most
+# 1.1e-10 of the largest sample, which leaves room inside the 1e-2 fit
+# tolerance for the larger rounding error of a mode sum.
+NOISE_GAIN_LIMIT = 1e6
 
 
-def grid_condition(ts) -> float:
-    """2-norm condition number of the quadratic fit design [1, t, t^2] on ts.
+@lru_cache(maxsize=32)
+def _noise_gain(ts: tuple[float, ...]) -> float:
+    """sum_i |w_i| for the c0 weights w of the quadratic fit on the grid ts."""
+    rows, denom, _, _ = _fit_operator(ts, 2)
+    return _quotient(sum(map(abs, rows[0])), denom)
 
-    One-sided Jacobi: rotate column pairs until they are orthogonal; the
-    column norms are then the singular values.  NaN if a power of t is not
-    finite, inf if the design is singular.
+
+def fit_on_smallest(samples) -> LimitFit:
+    """The one fit rule of every t -> 0 limit: the exact quadratic fit on the
+    five smallest-t samples (the asymptotic regime).
+
+    Refuses a grid whose noise gain exceeds NOISE_GAIN_LIMIT.
     """
-    cols = [[1.0] * len(ts), list(ts), [t * t for t in ts]]
-    for _ in range(_JACOBI_SWEEPS):
-        rotated = False
-        for p in range(len(cols)):
-            for q in range(p + 1, len(cols)):
-                a, b = cols[p], cols[q]
-                alpha = sum(x * x for x in a)
-                beta = sum(y * y for y in b)
-                gamma = sum(x * y for x, y in zip(a, b))
-                # false on NaN too, so non-finite input cannot loop
-                if not abs(gamma) > _JACOBI_TOL * math.sqrt(alpha * beta):
-                    continue
-                rotated = True
-                zeta = (beta - alpha) / (2.0 * gamma)
-                tan = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                cos = 1.0 / math.hypot(1.0, tan)
-                sin = cos * tan
-                cols[p] = [cos * x - sin * y for x, y in zip(a, b)]
-                cols[q] = [sin * x + cos * y for x, y in zip(a, b)]
-        if not rotated:
-            break
-    sigma = [math.sqrt(sum(x * x for x in c)) for c in cols]
-    if not all(math.isfinite(s) for s in sigma):
-        return math.nan
-    low = min(sigma)
-    return max(sigma) / low if low > 0.0 else math.inf
-
-
-def fit_on_smallest(samples, order: int = 2, points: int = 5) -> LimitFit:
-    """Fit on the ``points`` smallest-t samples (the asymptotic regime)."""
-    samples = sorted(samples)[:points]
-    return limit_fit(samples, order=order)
+    fit = limit_fit(sorted(samples)[:5])
+    gain = _noise_gain(fit.grid)
+    if gain > NOISE_GAIN_LIMIT:
+        raise ValueError(
+            f"ill-conditioned fit grid: noise gain {gain:.3g} of the fitted "
+            f"limit on its {len(fit.grid)} smallest times (limit "
+            f"{NOISE_GAIN_LIMIT:.0e}); spread the times further apart"
+        )
+    return fit
 
 
 class PairSummary(NamedTuple):
@@ -284,6 +274,25 @@ def _fitted(samples, target: float, passes) -> PairSummary:
     return PairSummary(target, fit.c0, fit.c1, fit.stderr, samples[0][1], passes(fit))
 
 
+# A run costs about 3 KB of memory and 650 bytes of report per pair (at
+# degree 8, S^5 has 21942 pairs: 82 MB peak, 14.4 MB of reports; S^6 has
+# 63090: 199 MB, 40.7 MB), and the pairs grow like n^max_degree: S^10 at
+# degree 8 has 1.55e6, S^400 at degree 4 8.6e9.  The limit keeps a run
+# below about 0.6 GB.
+MAX_JET_PAIRS = 200_000
+
+
+def _pair_count(n: int, max_degree: int) -> int:
+    """len(_canonical_pairs(n, max_degree)) in closed form, from the
+    C(d + n - 1, n - 1) multi-indices of each degree d."""
+    per_degree = [math.comb(d + n - 1, n - 1) for d in range(max_degree + 1)]
+    total = 0
+    for p in range(max_degree // 2 + 1):
+        total += per_degree[p] * (per_degree[p] + 1) // 2
+        total += per_degree[p] * sum(per_degree[p + 1:max_degree + 1 - p])
+    return total
+
+
 def _canonical_pairs(n: int, max_degree: int):
     basis = enumerate_multiindices(n, max_degree)  # by ascending degree
     end = {a.degree: i + 1 for i, a in enumerate(basis)}  # past each degree
@@ -304,10 +313,17 @@ def jet_relation_suite(
     beta); for pairs of positive degrees the Gram cosine must converge to
     B(alpha, beta).  Flat models are compared directly at the smallest time,
     curved ones through the fitted limit; both within their tolerance times
-    max(|target|, 1), since |A| grows fast with the degree.
+    max(|target|, 1), since |A| grows fast with the degree.  More than
+    MAX_JET_PAIRS pairs are refused before any is enumerated.
     """
     ts = tuple(sorted(ts))
     n = model.n
+    count = _pair_count(n, max_degree)
+    if count > MAX_JET_PAIRS:
+        raise ValueError(
+            f"{count} jet pairs on {model.label} at max degree {max_degree}, "
+            f"above the limit of {MAX_JET_PAIRS}; lower --max-degree"
+        )
     pairs = _canonical_pairs(n, max_degree)
     use_fit = not model.is_flat
     if use_fit and len(ts) < 4:

@@ -13,8 +13,10 @@ Exit codes: 0 all checks passed, 1 a tolerance failed, 2 usage or config
 error, including a flag the command does not take or an abbreviated
 flag, an unknown model kind, a config key that is unknown or that the
 command does not read, a non-finite config number, a negative tolerance,
-a hard cap that is not an integer >= 1, and a spectral sum that hits its
-hard cap (TruncationError: raise t or raise policy.hard_cap).  All file
+a hard cap that is not an integer >= 1, a spectral sum that hits its
+hard cap (TruncationError: raise t or raise policy.hard_cap), a t-grid
+whose fitted limit is ill-conditioned, and a verify run of more than
+``asymptotics.MAX_JET_PAIRS`` jet pairs.  All file
 output is deterministic for a fixed config and seed.
 """
 from __future__ import annotations

@@ -27,7 +27,6 @@ from .multiindex import (
 )
 from .wick import (
     WickB,
-    b_stabilization_scan,
     double_factorial_table,
     wick_b,
     wick_kernel,
@@ -61,12 +60,6 @@ def is_orthogonal(alpha: MultiIndex, beta: MultiIndex) -> bool:
     return not pair_profile(alpha, beta).even_total()
 
 
-def coset_of(alpha: MultiIndex) -> tuple[int, ...]:
-    """Parity coset of alpha in Z_+^n / (2Z_+)^n; two points in different
-    cosets are orthogonal."""
-    return alpha.parity()
-
-
 class DistanceComparisonCheck(NamedTuple):
     lhs: float   # |cos d(alpha, beta)|
     rhs: float   # 1 - delta * |alpha (sym diff) beta| / (|alpha| + |beta|)
@@ -86,54 +79,6 @@ def distance_comparison_check(
     rhs = 1 - delta * Fraction(d0, total)
     holds = b.square <= rhs * rhs  # rhs >= 1 - delta >= 0, so squaring is safe
     return DistanceComparisonCheck(abs(b.value), float(rhs), holds)
-
-
-class LatticeStabilizationScan(NamedTuple):
-    """Angle sequences under repeated shifts along one coordinate axis.
-
-    ``diagonal_limit`` is the limit of the achievable distances; since the
-    cosine sequence keeps the sign of B(alpha, beta) while its magnitude
-    tends to |B(alpha*, beta*)|, the limit is arccos of the signed magnitude
-    and may equal pi even though every single distance stays below it.
-    ``stabilized_pair`` is d(alpha*, beta*) itself (j-th components zeroed).
-    """
-
-    diagonal: tuple[AngleDistance, ...]       # d(alpha + k e_j, beta + k e_j)
-    diagonal_limit: float                     # limit of the sequence, in [0, pi]
-    stabilized_pair: AngleDistance            # d with j-th components zeroed
-    one_sided: tuple[AngleDistance, ...]      # d(alpha, beta + k e_j)
-    one_sided_limit: float                    # pi/2
-    monotone_ok: bool                         # |d - pi/2| nondecreasing, exact
-
-
-def stabilization_scan(
-    alpha: MultiIndex, beta: MultiIndex, j: int, k_max: int
-) -> LatticeStabilizationScan:
-    """Shift both or one endpoint k times along e_j and track the angle.
-
-    Distance to pi/2 can only grow per diagonal step (equality iff the j-th
-    multiplicities agree); |d - pi/2| >= |d' - pi/2| is equivalent to
-    B^2 >= B'^2, which is checked on exact squares.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    check_same_dimension(alpha, beta)
-    scan = b_stabilization_scan(alpha, beta, j, k_max)
-    diagonal = tuple(
-        AngleDistance(math.acos(b.value), b) for b in scan.diagonal
-    )
-    one_sided = tuple(
-        AngleDistance(math.acos(b.value), b) for b in scan.one_sided
-    )
-    monotone_ok = scan.monotone_ok()
-    return LatticeStabilizationScan(
-        diagonal=diagonal,
-        diagonal_limit=math.acos(scan.diagonal_limit.value),
-        stabilized_pair=angle_distance(alpha.without(j), beta.without(j)),
-        one_sided=one_sided,
-        one_sided_limit=math.pi / 2,
-        monotone_ok=monotone_ok,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -729,7 +729,6 @@ class ScalarRicciReport(NamedTuple):
     pullback_c0: list[list[float]]
     pullback_c1: list[list[float]]
     ricci_estimate: list[list[float]]
-    condition_number: float  # of the fit design [1, t, t^2] on the whole grid
 
 
 def ricci_scalar_extract(model: SpectralModel, ts) -> ScalarRicciReport:
@@ -746,14 +745,6 @@ def ricci_scalar_extract(model: SpectralModel, ts) -> ScalarRicciReport:
         for t in ts
     ]
     scalar_fit = asymptotics.fit_on_smallest(diag)
-    # every fit here takes the same smallest times, so their conditioning
-    # decides; the report keeps that of the whole grid
-    cond = asymptotics.grid_condition(scalar_fit.grid)
-    if not math.isfinite(cond) or cond > 1e12:
-        raise ValueError(
-            f"ill-conditioned fit grid (condition number {cond:.3g} on its "
-            f"{len(scalar_fit.grid)} smallest times)"
-        )
     pulls = [(t, pullback_metric(model, t)) for t in ts]
     c0 = [[0.0] * n for _ in range(n)]
     c1 = [[0.0] * n for _ in range(n)]
@@ -774,7 +765,6 @@ def ricci_scalar_extract(model: SpectralModel, ts) -> ScalarRicciReport:
         pullback_c0=c0,
         pullback_c1=c1,
         ricci_estimate=ricci,
-        condition_number=asymptotics.grid_condition(ts),
     )
 
 
@@ -801,13 +791,6 @@ def third_jet_umbilical(model: SpectralModel, t: float, i: int, j: int,
     return 2.0 * t * model.gram_entry(t, from_indices([i, k, k], n), from_indices([j], n))
 
 
-class CurvatureEstimate(NamedTuple):
-    value: float
-    fit_c1: float
-    stderr: float
-    cancellation_limited: bool
-
-
 def gauss_curvature_difference(model: SpectralModel, t: float, ijkl) -> float:
     """G((i,l),(j,k)) - G((i,k),(j,l)) at one time; the t -> 0 limit is
     R(V_i, V_j, V_k, V_l)."""
@@ -823,20 +806,10 @@ def _curvature_pairs(n: int, ijkl):
     )
 
 
-def gauss_curvature_estimate(model: SpectralModel, ts, ijkl) -> CurvatureEstimate:
-    """Fitted t -> 0 limit of the Gram difference, i.e. R(V_i,V_j,V_k,V_l)."""
+def gauss_curvature_estimate(model: SpectralModel, ts, ijkl) -> asymptotics.LimitFit:
+    """The fit of the Gram difference; its c0 is R(V_i,V_j,V_k,V_l)."""
     samples = [(t, gauss_curvature_difference(model, t, ijkl)) for t in ts]
-    fit = asymptotics.fit_on_smallest(samples)
-    # cancellation diagnostic at the smallest time
-    t0, difference = min(samples)
-    pair1, pair2 = _curvature_pairs(model.n, ijkl)
-    g1 = model.gram_entry(t0, *pair1)
-    g2 = model.gram_entry(t0, *pair2)
-    scale = max(abs(g1), abs(g2), 1.0)
-    limited = abs(g1 - g2) <= 1e-12 * scale and difference != 0.0
-    return CurvatureEstimate(
-        value=fit.c0, fit_c1=fit.c1, stderr=fit.stderr, cancellation_limited=limited
-    )
+    return asymptotics.fit_on_smallest(samples)
 
 
 def fitted_curvature_tensor(model: SpectralModel, ts) -> list:
@@ -857,7 +830,7 @@ def fitted_curvature_tensor(model: SpectralModel, ts) -> list:
         pair1, pair2 = _curvature_pairs(n, ijkl)
         key = (model.jet_key(*pair1), model.jet_key(*pair2))
         if key not in estimates:
-            estimates[key] = gauss_curvature_estimate(model, ts, ijkl).value
+            estimates[key] = gauss_curvature_estimate(model, ts, ijkl).c0
         return estimates[key]
 
     return [

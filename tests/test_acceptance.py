@@ -194,14 +194,14 @@ def test_criterion_09_umbilical_third_jets():
 
 def test_criterion_10_curvature_recovery():
     est3 = gauss_curvature_estimate(MODELS["sphere3"], DEFAULT_GRID, (1, 2, 2, 1))
-    assert abs(est3.value - 1.0) <= 0.05
+    assert abs(est3.c0 - 1.0) <= 0.05
     est2 = gauss_curvature_estimate(MODELS["sphere2"], DEFAULT_GRID, (1, 2, 2, 1))
-    assert abs(est2.value - 0.25) <= 0.05 * 0.25
+    assert abs(est2.c0 - 0.25) <= 0.05 * 0.25
     torus_rep = curvature_symmetry_residuals(MODELS["torus"], DEFAULT_GRID)
     assert torus_rep.max_abs < 1e-6
     sphere_rep = curvature_symmetry_residuals(MODELS["sphere3"], DEFAULT_GRID)
     assert sphere_rep.max_relative_residual() < 1e-3
-    _report(10, f"sectional: S3 {est3.value:.4f}, S2(a=2) {est2.value:.5f}; "
+    _report(10, f"sectional: S3 {est3.c0:.4f}, S2(a=2) {est2.c0:.5f}; "
                 f"torus |R| < 1e-6; residuals < 1e-3")
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,6 @@ from spectraljet.asymptotics import (
     TOLERANCES,
     curvature_suite,
     fit_on_smallest,
-    grid_condition,
     isometry_suite,
     jet_relation_suite,
     limit_fit,
@@ -87,9 +87,10 @@ class TestLimitFit:
 
     def test_fit_on_smallest(self):
         samples = [(t, 1.0 + t) for t in time_grid()]
-        fit = fit_on_smallest(samples, order=1, points=4)
-        assert len(fit.grid) == 4
-        assert max(fit.grid) == sorted(s[0] for s in samples)[3]
+        fit = fit_on_smallest(samples)
+        assert len(fit.grid) == 5
+        assert max(fit.grid) == sorted(s[0] for s in samples)[4]
+        assert fit == limit_fit(sorted(samples)[:5], order=2)
 
 
 def _det(m):
@@ -182,28 +183,43 @@ class TestExactFit:
             assert fit.c0 == _cramer_fit(samples, 1)[0]
             assert 0.0 < fit.stderr / scale < 2.0
 
-    # cond_2 of [1, t, t^2] from 1e3 to 3e13, no grid within rounding of
-    # the 1e12 limit; the two routes agree to about eps * cond.
+    # The condition of a grid is the noise gain sum_i |w_i| of the fitted
+    # c0 = sum_i w_i y_i on its five smallest times: from 1.9 to 5.7e9 here,
+    # no grid within a factor of 2 of the limit.  numpy's pseudo-inverse
+    # agrees to about eps * cond_2 of the design.
     @pytest.mark.parametrize("start, ratio, count", [
-        (0.1, 0.5, 7), (0.01, 0.9, 4), (0.1, 0.999, 7), (0.01, 0.999, 4),
-        (0.001, 0.999, 7), (0.01, 0.99995, 7), (0.001, 0.9995, 4),
+        (0.1, 0.5, 7), (0.01, 0.9, 4), (0.1, 0.99, 7), (0.01, 0.998, 7),
+        (0.001, 0.9998, 7), (0.01, 0.99995, 7), (0.001, 0.9995, 4),
         (0.01, 0.99999, 7),
     ])
     def test_grid_condition_matches_numpy(self, start, ratio, count):
-        ts = time_grid(start, ratio, count)
-        want = np.linalg.cond(np.vander(np.array(ts), 3, increasing=True))
-        got = grid_condition(ts)
-        assert abs(got - want) <= max(1e-15, 2.3e-16 * want) * want
+        ts = time_grid(start, ratio, count)[:5]
+        design = np.vander(np.array(ts), 3, increasing=True)
+        want = np.abs(np.linalg.pinv(design)[0]).sum()
+        got = asymptotics._noise_gain(ts)
+        assert abs(got - want) <= max(1e-15, 2.3e-16 * np.linalg.cond(design)) * want
+        assert not 0.5 < got / asymptotics.NOISE_GAIN_LIMIT < 2.0
+        samples = [(t, 1.0 + t) for t in ts]
         model = FlatTorus((1.0, 1.3))
-        if want > 1e12:
+        if got > asymptotics.NOISE_GAIN_LIMIT:
+            with pytest.raises(ValueError, match=re.escape(f"noise gain {got:.3g} ")):
+                fit_on_smallest(samples)
             with pytest.raises(ValueError, match="ill-conditioned"):
                 ricci_scalar_extract(model, ts)
         else:
-            assert ricci_scalar_extract(model, ts).condition_number == got
+            assert fit_on_smallest(samples).grid == ts
+            ricci_scalar_extract(model, ts)
 
     def test_grid_condition_non_finite(self):
-        assert math.isnan(grid_condition([1e200, 2e200, 3e200]))
-        assert grid_condition([1.0, 1.0, 1.0]) == math.inf
+        # cond_2 of [1, t, t^2] overflows on huge times; the gain stays finite
+        huge = (1e200, 2e200, 3e200, 4e200, 5e200)
+        assert asymptotics._noise_gain(huge) == pytest.approx(
+            asymptotics._noise_gain((1.0, 2.0, 3.0, 4.0, 5.0)), rel=1e-12)
+        assert fit_on_smallest([(t, 1.0) for t in huge]).c0 == 1.0
+        # a singular or non-finite grid is refused before its gain is taken
+        for ts in ((1.0,) * 5, (1.0, 2.0, 3.0, 4.0, math.inf)):
+            with pytest.raises(ValueError, match="distinct and positive"):
+                fit_on_smallest([(t, 1.0) for t in ts])
 
 
 class TestJetRelationSuite:
@@ -275,6 +291,25 @@ class TestJetRelationSuite:
         with pytest.raises(ValueError):
             jet_relation_suite(Sphere(2, 1.0), 2, ts=(0.01,))
 
+    def test_pair_count_closed_form(self):
+        for n in range(1, 7):
+            for max_degree in range(9):
+                assert (asymptotics._pair_count(n, max_degree)
+                        == len(asymptotics._canonical_pairs(n, max_degree)))
+        # S^5 at degree 8 is the largest pinned run
+        assert asymptotics._pair_count(5, 8) == 21942
+        assert asymptotics._pair_count(10, 8) == 1554553
+
+    def test_too_many_pairs_refused_before_enumeration(self, monkeypatch):
+        def enumerate_nothing(n, max_degree):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(asymptotics, "_canonical_pairs", enumerate_nothing)
+        with pytest.raises(ValueError, match="^8640507801 jet pairs on sphere400 "):
+            jet_relation_suite(Sphere(400, 1.0), 4)
+        with pytest.raises(ValueError, match="lower --max-degree"):
+            jet_relation_suite(Sphere(10, 1.0), 8)
+
     def test_one_fit_per_jet_key(self, monkeypatch):
         # pairs with one jet_key share their fit: S^3 at degree 6 fits each
         # A key and each B key once, not each of its 662 checks
@@ -322,7 +357,7 @@ class TestResidualShrinkage:
             (t, normalization_factor(3, t, a, a) * s.diag_jet(t, a, a))
             for t in DEFAULT_GRID
         ]
-        fit = fit_on_smallest(samples, order=1, points=5)
+        fit = limit_fit(sorted(samples)[:5], order=1)
         resid = {t: y - (fit.c0 + fit.c1 * t) for t, y in samples}
         ts = sorted(resid)
         r_big, r_mid = abs(resid[ts[-1]]), abs(resid[ts[-2]])

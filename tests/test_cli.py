@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spectraljet
+from spectraljet import asymptotics
 from spectraljet.asymptotics import (
     DEFAULT_GRID,
     TOLERANCES,
@@ -128,6 +129,28 @@ class TestVerifyCommand:
     def test_usage_error(self, capsys):
         code, _, _ = run(capsys, "verify", "--model", "banana")
         assert code == 2
+
+    def test_too_many_pairs_exit_2(self, tmp_path, capsys):
+        # the pair count is known in closed form, so the refusal is at once
+        out_json = tmp_path / "out.json"
+        code, out, err = run(capsys, "verify", "--model", "sphere400",
+                             "--out-json", str(out_json))
+        assert code == 2
+        assert err == (
+            "error: 8640507801 jet pairs on sphere400 at max degree 4, above "
+            "the limit of 200000; lower --max-degree\n"
+        )
+        assert out == ""
+        assert not out_json.exists()
+
+    def test_noise_gain_once_per_grid(self, tmp_path, capsys):
+        # S^3 at degree 6 runs 164 fits on one grid and judges it once
+        asymptotics._noise_gain.cache_clear()
+        code, _, _ = run(capsys, "verify", "--model", "sphere3", "--max-degree", "6",
+                         "--out-json", str(tmp_path / "out.json"))
+        info = asymptotics._noise_gain.cache_info()
+        assert code == 0
+        assert (info.misses, info.hits) == (1, 163)
 
     @pytest.mark.parametrize("kind, message", [
         ("sphere1", "sphere dimension must be at least 2"),
@@ -436,9 +459,8 @@ class TestImportCost:
                  "check_inductive_relations", "double_factorial",
                  "enumerate_admissible_graphs", "gaussian_moment_oracle",
                  "wick_a", "wick_b"),
-        "lattice": ("AngleDistance", "angle_distance", "coset_of",
-                    "distance_comparison_check", "is_orthogonal",
-                    "run_triple_suite", "sample_multiindex", "stabilization_scan"),
+        "lattice": ("AngleDistance", "angle_distance", "distance_comparison_check",
+                    "is_orthogonal", "run_triple_suite", "sample_multiindex"),
         "jets": ("SQRT_COS", "SQRT_SINC", "SQUARED_GEODESIC", "compose_univariate",
                  "extract_mixed_partial"),
         "manifolds": ("Circle", "FlatTorus", "Sphere", "TruncationError",
@@ -860,14 +882,35 @@ class TestCurvatureCommand:
         assert not out_json.exists()
 
     def test_ill_conditioned_fitted_times_exit_2(self, tmp_path, capsys):
-        # cond_2 of the quadratic fit is 5.89e11 on the whole grid but
-        # 1.22e12 on the five smallest times, which every fit takes
+        # every fit judges the five smallest times it takes; their c0 noise
+        # gain is 1.17e8 here, so each command that fits refuses the grid
+        # with the same message before it writes anything
         out_json = tmp_path / "out.json"
-        code, out, err = run(capsys, "curvature", "--model", "sphere3",
-                             "--t-grid", "0.01:0.99993:7", "--out-json", str(out_json))
-        assert code == 2
-        assert err.startswith("error: ill-conditioned fit grid (condition number 1.22e+12")
-        assert not out_json.exists()
+        for argv in (["verify", "--model", "sphere3"],
+                     ["verify", "--model", "torus"],
+                     ["curvature", "--model", "circle"],
+                     ["curvature", "--model", "sphere3"]):
+            code, out, err = run(capsys, *argv, "--t-grid", "0.01:0.99993:7",
+                                 "--out-json", str(out_json))
+            assert code == 2, argv
+            assert err == (
+                "error: ill-conditioned fit grid: noise gain 1.17e+08 of the "
+                "fitted limit on its 5 smallest times (limit 1e+06); spread "
+                "the times further apart\n"
+            ), argv
+            assert out == ""
+            assert not out_json.exists()
+
+    @pytest.mark.parametrize("radius", [1.0, 0.1, 0.01, 0.003])
+    def test_rescaled_sphere_passes_at_any_radius(self, tmp_path, capsys, radius):
+        # J_R(t) = R^-(n+|a|+|b|) J_1(t/R^2): the default problem rescaled
+        # to radius R has the same fits, and the same trust in them
+        grid = f"{0.1 * radius**2!r}:0.5:7"
+        for command in ("verify", "curvature"):
+            code, _, err = run(capsys, command, "--model", "sphere3", "--radius",
+                               str(radius), "--t-grid", grid,
+                               "--out-json", str(tmp_path / f"{command}.json"))
+            assert (code, err) == (0, ""), command
 
 
 class TestReportCommand:

@@ -12,12 +12,10 @@ import pytest
 
 from spectraljet.lattice import (
     angle_distance,
-    coset_of,
     distance_comparison_check,
     is_orthogonal,
     run_triple_suite,
     sample_multiindex,
-    stabilization_scan,
 )
 from spectraljet import lattice
 from spectraljet.lattice import _counts_sampler, _task_rng, _task_seed
@@ -63,7 +61,7 @@ class TestOrthogonalityAndCosets:
     def test_same_coset_not_orthogonal(self):
         a = mi([1, 1, 2], 2)
         b = mi([2], 2)
-        assert coset_of(a) == (0, 1) == coset_of(b)
+        assert a.parity() == (0, 1) == b.parity()
         assert not is_orthogonal(a, b)
 
     def test_odd_pair_orthogonal(self):
@@ -71,14 +69,14 @@ class TestOrthogonalityAndCosets:
 
     def test_coset_count(self):
         for n in (1, 2, 3):
-            cosets = {coset_of(m) for m in enumerate_multiindices(n, 3)}
+            cosets = {m.parity() for m in enumerate_multiindices(n, 3)}
             assert len(cosets) == 2**n
 
     def test_orthogonality_iff_different_coset(self):
         basis = enumerate_multiindices(2, 4)
         for a in basis:
             for b in basis:
-                assert is_orthogonal(a, b) == (coset_of(a) != coset_of(b))
+                assert is_orthogonal(a, b) == (a.parity() != b.parity())
                 # pi/2 iff B = 0, on the exact representation
                 assert is_orthogonal(a, b) == (wick_b(a, b).sign == 0)
 
@@ -150,35 +148,6 @@ class TestComparisonMarginExact:
         assert worst_pair in ((2, 0), (0, 2))
         assert abs(worst - (1 - 1 / math.sqrt(3))) < 1e-12
         assert worst > 0.25
-
-
-class TestStabilizationScan:
-    def test_diagonal_limit_and_monotonicity(self):
-        scan = stabilization_scan(mi([1, 1], 2), mi([2, 2], 2), 1, 30)
-        assert scan.monotone_ok
-        # limit keeps the sign of the starting cosine: arccos(+1/sqrt 3)
-        assert abs(scan.diagonal_limit - math.acos(1 / math.sqrt(3))) < 1e-12
-        # the stabilized pair itself sits at arccos(-1/sqrt 3)
-        assert abs(
-            scan.stabilized_pair.radians - math.acos(-1 / math.sqrt(3))
-        ) < 1e-12
-        assert abs(scan.diagonal[-1].radians - scan.diagonal_limit) < 0.02
-
-    def test_equal_pair_constant_zero(self):
-        a = mi([1, 2], 2)
-        scan = stabilization_scan(a, a, 2, 5)
-        assert all(d.radians == 0.0 for d in scan.diagonal)
-        assert scan.diagonal_limit == 0.0
-
-    def test_one_sided_limit_is_right_angle(self):
-        scan = stabilization_scan(mi([1, 1], 2), mi([2, 2], 2), 1, 50)
-        assert scan.one_sided_limit == math.pi / 2
-        assert abs(scan.one_sided[-1].radians - math.pi / 2) < 0.02
-
-    def test_per_step_distance_from_right_angle_grows(self):
-        scan = stabilization_scan(mi([1], 2), mi([1, 2, 2], 2), 2, 20)
-        gaps = [abs(d.radians - math.pi / 2) for d in scan.diagonal]
-        assert all(g1 >= g0 - 1e-15 for g0, g1 in zip(gaps, gaps[1:]))
 
 
 class TestMetricAxioms:
@@ -470,7 +439,7 @@ class TestTripleKernelCalls:
         rows, report = run_triple_suite(n, max_degree, count, 5)
         assert report.passed()
         same_coset = sum(
-            coset_of(MultiIndex(r.alpha)) == coset_of(MultiIndex(r.beta)) for r in rows
+            MultiIndex(r.alpha).parity() == MultiIndex(r.beta).parity() for r in rows
         )
         assert 0 < same_coset < count
         assert len(calls) == 3 * count + n * same_coset

@@ -303,6 +303,9 @@ class TestStabilization:
         # alpha = {1}, beta = {1,2,2}: B < 0, so the diagonal limit is -1,
         # not B((1),(1)) = +1
         scan = b_stabilization_scan(mi([1], 2), mi([1, 2, 2], 2), 2, 60)
+        # |B| never shrinks along the diagonal: each step moves the angle
+        # away from pi/2
+        assert scan.monotone_ok()
         assert scan.stabilized_pair.value == 1.0
         assert scan.diagonal_limit.sign == -1
         assert scan.diagonal_limit.square == Fraction(1)
