@@ -150,6 +150,14 @@ class TestComparisonMarginExact:
         assert worst > 0.25
 
 
+class TestStabilizationScan:
+    def test_per_step_distance_from_right_angle_grows(self):
+        a, b = mi([1], 2), mi([1, 2, 2], 2)
+        diagonal = [angle_distance(a.add(2, k), b.add(2, k)) for k in range(21)]
+        gaps = [abs(d.radians - math.pi / 2) for d in diagonal]
+        assert all(g1 >= g0 - 1e-15 for g0, g1 in zip(gaps, gaps[1:]))
+
+
 class TestMetricAxioms:
     def test_small_run_clean(self):
         _, report = run_triple_suite(2, 6, 1500, 42)
