@@ -36,7 +36,6 @@ _EXPORTS = {
     ),
     "manifolds": (
         "Circle", "FlatTorus", "Sphere", "TruncationError", "TruncationPolicy",
-        "gauss_curvature_difference", "gauss_curvature_estimate",
         "curvature_symmetry_residuals", "jet_gram", "make_model",
         "mean_curvature_proxy", "pullback_metric", "ricci_scalar_extract",
         "squared_distance_jets", "squared_distance_target",

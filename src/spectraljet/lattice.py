@@ -90,10 +90,6 @@ def _task_seed(seed: int, task_index: int) -> int:
     return (seed * 1_000_003 + task_index) & 0xFFFFFFFFFFFFFFFF
 
 
-def _task_rng(seed: int, task_index: int) -> random.Random:
-    return random.Random(_task_seed(seed, task_index))
-
-
 def _counts_sampler(
     n: int, max_degree: int
 ) -> Callable[[random.Random], tuple[int, ...]]:

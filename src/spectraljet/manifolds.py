@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 from .defaults import POLICY, TruncationError
@@ -217,9 +218,9 @@ class SpectralModel:
         value, _ = self.diag_jet_with_cutoff(t, alpha, beta, include_constant_mode)
         return value
 
-    def heat_diagonal(self, t: float, include_constant_mode: bool = True) -> float:
+    def heat_diagonal(self, t: float) -> float:
         e = empty(self.n)
-        return self.diag_jet(t, e, e, include_constant_mode)
+        return self.diag_jet(t, e, e)
 
     def jet_key(self, alpha: MultiIndex, beta: MultiIndex):
         """A hashable name of the pair (alpha, beta) under which the model's
@@ -791,60 +792,6 @@ def third_jet_umbilical(model: SpectralModel, t: float, i: int, j: int,
     return 2.0 * t * model.gram_entry(t, from_indices([i, k, k], n), from_indices([j], n))
 
 
-def gauss_curvature_difference(model: SpectralModel, t: float, ijkl) -> float:
-    """G((i,l),(j,k)) - G((i,k),(j,l)) at one time; the t -> 0 limit is
-    R(V_i, V_j, V_k, V_l)."""
-    return model.gram_difference(t, *_curvature_pairs(model.n, ijkl))
-
-
-def _curvature_pairs(n: int, ijkl):
-    """The two Gram pairs ((i,l),(j,k)) and ((i,k),(j,l)) of R(V_i,V_j,V_k,V_l)."""
-    i, j, k, l = ijkl
-    return (
-        (from_indices([i, l], n), from_indices([j, k], n)),
-        (from_indices([i, k], n), from_indices([j, l], n)),
-    )
-
-
-def gauss_curvature_estimate(model: SpectralModel, ts, ijkl) -> asymptotics.LimitFit:
-    """The fit of the Gram difference; its c0 is R(V_i,V_j,V_k,V_l)."""
-    samples = [(t, gauss_curvature_difference(model, t, ijkl)) for t in ts]
-    return asymptotics.fit_on_smallest(samples)
-
-
-def fitted_curvature_tensor(model: SpectralModel, ts) -> list:
-    """R(V_i, V_j, V_k, V_l) for all index quadruples, as fitted limits,
-    nested as ``r[i][j][k][l]`` with 0-based indices.
-
-    Quadruples whose two Gram pairs have the same jet keys
-    (:meth:`SpectralModel.jet_key`) have bit-identical Gram entries and
-    differences, so they share one estimate.
-    """
-    if model.n < 2:
-        raise ValueError("curvature needs dimension at least 2")
-    n = model.n
-    axes = range(1, n + 1)
-    estimates = {}
-
-    def entry(ijkl) -> float:
-        pair1, pair2 = _curvature_pairs(n, ijkl)
-        key = (model.jet_key(*pair1), model.jet_key(*pair2))
-        if key not in estimates:
-            estimates[key] = gauss_curvature_estimate(model, ts, ijkl).c0
-        return estimates[key]
-
-    return [
-        [
-            [
-                [entry((i, j, k, l)) for l in axes]
-                for k in axes
-            ]
-            for j in axes
-        ]
-        for i in axes
-    ]
-
-
 class SymmetryResidualReport(NamedTuple):
     tensor: list                # r[i][j][k][l]
     max_abs: float
@@ -852,13 +799,6 @@ class SymmetryResidualReport(NamedTuple):
     antisymmetry_last: float    # R_ijkl + R_ijlk
     pair_symmetry: float        # R_ijkl - R_klij
     first_bianchi: float        # R_ijkl + R_kijl + R_jkil
-
-    def max_relative_residual(self) -> float:
-        scale = max(self.max_abs, 1e-30)
-        return max(
-            self.antisymmetry_first, self.antisymmetry_last,
-            self.pair_symmetry, self.first_bianchi,
-        ) / scale
 
 
 def _max_abs(values) -> float:
@@ -874,13 +814,30 @@ def _max_abs(values) -> float:
 
 
 def curvature_symmetry_residuals(model: SpectralModel, ts) -> SymmetryResidualReport:
-    """Residuals of the algebraic curvature symmetries on the fitted tensor."""
-    r = fitted_curvature_tensor(model, ts)
-    quads = [
-        (i, j, k, l)
-        for i in range(model.n) for j in range(model.n)
-        for k in range(model.n) for l in range(model.n)
-    ]
+    """R(V_i, V_j, V_k, V_l) for all index quadruples, nested as
+    ``tensor[i][j][k][l]`` with 0-based indices, and the residuals of its
+    algebraic symmetries.
+
+    Each entry is the fitted t -> 0 limit of the Gram difference
+    G((i,l),(j,k)) - G((i,k),(j,l)).  Quadruples whose two Gram pairs have
+    the same jet keys (:meth:`SpectralModel.jet_key`) have bit-identical
+    differences, so they share one fit.
+    """
+    if model.n < 2:
+        raise ValueError("curvature needs dimension at least 2")
+    n = model.n
+    fits = {}
+    r = [[[[0.0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    quads = list(product(range(n), repeat=4))
+    for i, j, k, l in quads:
+        pair1 = (from_indices([i + 1, l + 1], n), from_indices([j + 1, k + 1], n))
+        pair2 = (from_indices([i + 1, k + 1], n), from_indices([j + 1, l + 1], n))
+        key = (model.jet_key(*pair1), model.jet_key(*pair2))
+        if key not in fits:
+            fits[key] = asymptotics.fit_on_smallest(
+                [(t, model.gram_difference(t, pair1, pair2)) for t in ts]
+            ).c0
+        r[i][j][k][l] = fits[key]
     return SymmetryResidualReport(
         tensor=r,
         max_abs=_max_abs(r[i][j][k][l] for i, j, k, l in quads),

@@ -13,6 +13,7 @@ import numpy as np
 
 from spectraljet.asymptotics import (
     DEFAULT_GRID,
+    curvature_suite,
     isometry_suite,
     jet_relation_suite,
     mean_curvature_suite,
@@ -27,7 +28,6 @@ from spectraljet.manifolds import (
     FlatTorus,
     Sphere,
     curvature_symmetry_residuals,
-    gauss_curvature_estimate,
     pullback_metric,
     squared_distance_jets,
     squared_distance_target,
@@ -193,15 +193,23 @@ def test_criterion_09_umbilical_third_jets():
 
 
 def test_criterion_10_curvature_recovery():
-    est3 = gauss_curvature_estimate(MODELS["sphere3"], DEFAULT_GRID, (1, 2, 2, 1))
-    assert abs(est3.c0 - 1.0) <= 0.05
-    est2 = gauss_curvature_estimate(MODELS["sphere2"], DEFAULT_GRID, (1, 2, 2, 1))
-    assert abs(est2.c0 - 0.25) <= 0.05 * 0.25
+    def sectional(label):
+        r = curvature_symmetry_residuals(MODELS[label], DEFAULT_GRID).tensor
+        return r[0][1][1][0]
+
+    k3 = sectional("sphere3")
+    assert abs(k3 - 1.0) <= 0.05
+    k2 = sectional("sphere2")
+    assert abs(k2 - 0.25) <= 0.05 * 0.25
     torus_rep = curvature_symmetry_residuals(MODELS["torus"], DEFAULT_GRID)
     assert torus_rep.max_abs < 1e-6
-    sphere_rep = curvature_symmetry_residuals(MODELS["sphere3"], DEFAULT_GRID)
-    assert sphere_rep.max_relative_residual() < 1e-3
-    _report(10, f"sectional: S3 {est3.c0:.4f}, S2(a=2) {est2.c0:.5f}; "
+    summaries = curvature_suite(MODELS["sphere3"], DEFAULT_GRID).summaries
+    residuals = [
+        v for k, v in summaries.items() if k.startswith("curvature.residual.")
+    ]
+    assert len(residuals) == 4
+    assert all(s.passes and s.observed < 1e-3 for s in residuals)
+    _report(10, f"sectional: S3 {k3:.4f}, S2(a=2) {k2:.5f}; "
                 f"torus |R| < 1e-6; residuals < 1e-3")
 
 

@@ -432,8 +432,9 @@ class TestSuitePassFlags:
 
 
 class TestOneFitRule:
-    """Every t -> 0 limit is a quadratic fit on the five smallest times, and
-    each series is measured and fitted once."""
+    """Every curvature suite fits its t -> 0 limits on the five smallest
+    times; ``ricci_scalar_extract`` fits each upper pullback entry once and
+    mirrors it, and ``umbilical_suite`` measures each third jet once."""
 
     def test_every_curvature_fit_takes_five_smallest(self, monkeypatch):
         grids = []

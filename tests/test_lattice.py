@@ -18,7 +18,7 @@ from spectraljet.lattice import (
     sample_multiindex,
 )
 from spectraljet import lattice
-from spectraljet.lattice import _counts_sampler, _task_rng, _task_seed
+from spectraljet.lattice import _counts_sampler, _task_seed
 from spectraljet.multiindex import (
     MultiIndex,
     empty,
@@ -175,7 +175,7 @@ class TestMetricAxioms:
 
 class TestSampling:
     def test_uniform_over_ball(self):
-        rng = _task_rng(7, 0)
+        rng = random.Random(_task_seed(7, 0))
         n, d = 2, 3
         counts = {}
         for _ in range(6000):
@@ -405,7 +405,7 @@ class TestSamplerStream:
         sample = _counts_sampler(n, max_degree)
         rng = random.Random()
         for seed in range(500):
-            ref = _task_rng(seed, 0)
+            ref = random.Random(_task_seed(seed, 0))
             rng.seed(_task_seed(seed, 0))
             for _ in range(3):
                 assert sample(rng) == self.reference_sample(ref, n, max_degree)
@@ -422,7 +422,7 @@ class TestSamplerStream:
         tasks = [(seed, i) for seed in range(500) for i in (0, 1, 9999)]
         tasks += [(0, s) for s in (0, 2**32 - 1, 2**32, 2**64 - 1)]
         for seed, i in tasks:
-            fresh = _task_rng(seed, i).getstate()
+            fresh = random.Random(_task_seed(seed, i)).getstate()
             rng.seed(_task_seed(seed, i))
             assert rng.getstate() == fresh
             reseed(_task_seed(seed, i))

@@ -10,6 +10,8 @@ from spectraljet.asymptotics import (
     NOISE_GAIN_LIMIT,
     _canonical_pairs,
     _noise_gain,
+    curvature_suite,
+    fit_on_smallest,
     jet_relation_suite,
     normalization_factor,
     time_grid,
@@ -23,9 +25,6 @@ from spectraljet.manifolds import (
     TruncationPolicy,
     _tail_sum,
     curvature_symmetry_residuals,
-    fitted_curvature_tensor,
-    gauss_curvature_difference,
-    gauss_curvature_estimate,
     jet_gram,
     make_model,
     mean_curvature_proxy,
@@ -36,7 +35,6 @@ from spectraljet.manifolds import (
     third_jet_umbilical,
     truncation_stability,
 )
-from spectraljet import manifolds
 from spectraljet.multiindex import empty, enumerate_multiindices, from_indices
 from spectraljet.wick import wick_a, wick_b
 
@@ -45,6 +43,12 @@ GRID = time_grid()
 
 def mi(indices, n):
     return from_indices(indices, n)
+
+
+def gauss_pairs(n, i, j, k, l):
+    """The Gram pairs ((i,l),(j,k)) and ((i,k),(j,l)), 1-based, whose
+    difference has the t -> 0 limit R(V_i, V_j, V_k, V_l)."""
+    return (mi([i, l], n), mi([j, k], n)), (mi([i, k], n), mi([j, l], n))
 
 
 class TestModelBasics:
@@ -363,21 +367,26 @@ class TestGeometryOps:
     def test_gauss_curvature_flat_exact_zero(self):
         T = FlatTorus((1.0, 1.3))
         for idx in product((1, 2), repeat=4):
-            assert gauss_curvature_difference(T, 0.05, idx) == pytest.approx(0.0, abs=1e-12)
+            difference = T.gram_difference(0.05, *gauss_pairs(2, *idx))
+            assert difference == pytest.approx(0.0, abs=1e-12)
 
     def test_gauss_curvature_sphere3(self):
-        est = gauss_curvature_estimate(Sphere(3, 1.0), GRID, (1, 2, 2, 1))
-        assert abs(est.c0 - 1.0) < 0.05
-        assert est.grid == GRID[:5]
+        r = curvature_symmetry_residuals(Sphere(3, 1.0), GRID).tensor
+        assert abs(r[0][1][1][0] - 1.0) < 0.05
 
     def test_gauss_curvature_sphere2_radius2(self):
-        est = gauss_curvature_estimate(Sphere(2, 2.0), GRID, (1, 2, 2, 1))
-        assert abs(est.c0 - 0.25) < 0.0125
+        r = curvature_symmetry_residuals(Sphere(2, 2.0), GRID).tensor
+        assert abs(r[0][1][1][0] - 0.25) < 0.0125
 
     def test_symmetry_residuals_sphere3(self):
         report = curvature_symmetry_residuals(Sphere(3, 1.0), GRID)
         assert report.max_abs > 0.9
-        assert report.max_relative_residual() < 1e-3
+        summaries = curvature_suite(Sphere(3, 1.0), GRID).summaries
+        residuals = [
+            v for k, v in summaries.items() if k.startswith("curvature.residual.")
+        ]
+        assert len(residuals) == 4
+        assert all(s.passes and s.observed < 1e-3 for s in residuals)
         # the forced-zero entries R(1,1,k,l) vanish through antisymmetry
         assert abs(report.tensor[0][0][1][2]) < 1e-3
 
@@ -519,8 +528,9 @@ class TestModeSumMemo:
                 ), (t, a, b, "doubled")
             n = warm.n
             for ijkl in product(range(1, n + 1), repeat=4):
-                assert gauss_curvature_difference(warm, t, ijkl) == (
-                    gauss_curvature_difference(make(), t, ijkl)
+                pairs = gauss_pairs(n, *ijkl)
+                assert warm.gram_difference(t, *pairs) == (
+                    make().gram_difference(t, *pairs)
                 ), (t, ijkl)
 
     @pytest.mark.parametrize("kind", MODELS)
@@ -566,8 +576,8 @@ class TestJetKey:
 
 
 class TestCurvatureOrbitMemo:
-    """``fitted_curvature_tensor`` fits one estimate per pair of jet keys;
-    every entry must read what its own estimate gives, bit for bit."""
+    """``curvature_symmetry_residuals`` fits one Gram difference per pair of
+    jet keys; every entry must read what its own fit gives, bit for bit."""
 
     MODELS = {
         "sphere2": lambda: Sphere(2, 1.0),
@@ -577,29 +587,31 @@ class TestCurvatureOrbitMemo:
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_tensor_equals_every_estimate(self, name):
-        tensor = fitted_curvature_tensor(self.MODELS[name](), GRID)
+        tensor = curvature_symmetry_residuals(self.MODELS[name](), GRID).tensor
         reference = self.MODELS[name]()
-        axes = range(reference.n)
-        for i, j, k, l in product(axes, repeat=4):
-            expected = gauss_curvature_estimate(
-                reference, GRID, (i + 1, j + 1, k + 1, l + 1)
+        n = reference.n
+        for i, j, k, l in product(range(1, n + 1), repeat=4):
+            pairs = gauss_pairs(n, i, j, k, l)
+            expected = fit_on_smallest(
+                [(t, reference.gram_difference(t, *pairs)) for t in GRID]
             ).c0
-            assert tensor[i][j][k][l] == expected, (name, i, j, k, l)
+            assert tensor[i - 1][j - 1][k - 1][l - 1] == expected, (name, i, j, k, l)
 
     @pytest.mark.parametrize("name, estimates", [
         ("sphere2", 8), ("sphere3", 13), ("unequal-torus", 15),
     ])
     def test_one_estimate_per_key_pair(self, monkeypatch, name, estimates):
+        model = self.MODELS[name]()
         calls = []
-        estimate = manifolds.gauss_curvature_estimate
+        difference = model.gram_difference
 
-        def counting(model, ts, ijkl):
-            calls.append(ijkl)
-            return estimate(model, ts, ijkl)
+        def counting(t, pair1, pair2):
+            calls.append(t)
+            return difference(t, pair1, pair2)
 
-        monkeypatch.setattr(manifolds, "gauss_curvature_estimate", counting)
-        fitted_curvature_tensor(self.MODELS[name](), GRID)
-        assert len(calls) == estimates
+        monkeypatch.setattr(model, "gram_difference", counting)
+        curvature_symmetry_residuals(model, GRID)
+        assert len(calls) == estimates * len(GRID)
 
 
 class TestPolicyRecord:
