@@ -60,7 +60,7 @@ class ConvergenceRecord(NamedTuple):
 
 
 class LimitFit(NamedTuple):
-    """Least-squares fit y ~ c0 + c1 t (+ c2 t^2); c0 is the reported limit."""
+    """Least-squares fit y ~ c0 + c1 t + c2 t^2; c0 is the reported limit."""
 
     c0: float
     c1: float
@@ -102,16 +102,15 @@ def _root_mean_square(sq: int, count: int, shift: int) -> float:
 
 
 @lru_cache(maxsize=32)
-def _fit_operator(ts: tuple[float, ...], order: int):
-    """The exact least-squares operator of the order-``order`` polynomial
-    fit on the grid ts.
+def _fit_operator(ts: tuple[float, ...]):
+    """The exact least-squares operator of the quadratic fit on the grid ts.
 
     Returns (rows, denom, powers, shift): the pseudo-inverse (V^T V)^-1 V^T
     of the Vandermonde V_ij = t_i^j is rows / denom with integer rows and
     one positive integer denom, and t_i^j == powers[i][j] / 2**(j * shift).
     """
-    vander = [[Fraction(t) ** j for j in range(order + 1)] for t in ts]
-    size = order + 1
+    size = 3
+    vander = [[Fraction(t) ** j for j in range(size)] for t in ts]
     # Gauss-Jordan on [V^T V | V^T] in exact rationals; V^T V is positive
     # definite for distinct times, so every pivot is nonzero.
     aug = [
@@ -136,8 +135,8 @@ def _fit_operator(ts: tuple[float, ...], order: int):
     return rows, denom, powers, shift
 
 
-def limit_fit(samples, order: int = 2) -> LimitFit:
-    """Polynomial-in-t least squares on (t, y) samples, solved exactly.
+def limit_fit(samples) -> LimitFit:
+    """Quadratic-in-t least squares on (t, y) samples, solved exactly.
 
     Each coefficient is the correctly rounded value of the exact rational
     least-squares solution: one integer dot product of the memoized exact
@@ -145,22 +144,20 @@ def limit_fit(samples, order: int = 2) -> LimitFit:
     stderr is the root mean square of the exact residuals of the rounded
     coefficients.  A NaN or infinite sample gives a NaN fit.
 
-    Refuses grids with fewer than order + 2 points or non-distinct,
-    non-positive or non-finite times.
+    Refuses grids with fewer than 4 points or non-distinct, non-positive or
+    non-finite times.
     """
-    if order not in (1, 2):
-        raise ValueError("fit order must be 1 or 2")
     samples = sorted(samples)
     ts = tuple(float(t) for t, _ in samples)
     ys = [float(y) for _, y in samples]
-    if len(ts) < order + 2:
-        raise ValueError(f"need at least {order + 2} samples for order {order}")
+    if len(ts) < 4:
+        raise ValueError("need at least 4 samples for a quadratic fit")
     if not all(0.0 < t < math.inf for t in ts) or len(set(ts)) != len(ts):
         raise ValueError("times must be distinct and positive")
     if not all(math.isfinite(y) for y in ys):
         nan = math.nan
-        return LimitFit(nan, nan, nan if order == 2 else 0.0, nan, ts)
-    rows, denom, powers, t_shift = _fit_operator(ts, order)
+        return LimitFit(nan, nan, nan, nan, ts)
+    rows, denom, powers, t_shift = _fit_operator(ts)
     ints, y_shift = _dyadic(ys)
     scale = denom << y_shift
     coeffs = [_quotient(sum(map(mul, row, ints)), scale) for row in rows]
@@ -179,8 +176,7 @@ def limit_fit(samples, order: int = 2) -> LimitFit:
         stderr = _root_mean_square(sq, len(ys), shift)
     else:
         stderr = math.inf
-    c2 = coeffs[2] if order == 2 else 0.0
-    return LimitFit(coeffs[0], coeffs[1], c2, stderr, ts)
+    return LimitFit(*coeffs, stderr, ts)
 
 
 # c0 = sum_i w_i y_i, with w row 0 of the exact pseudo-inverse of the fit, so
@@ -197,7 +193,7 @@ NOISE_GAIN_LIMIT = 1e6
 @lru_cache(maxsize=32)
 def _noise_gain(ts: tuple[float, ...]) -> float:
     """sum_i |w_i| for the c0 weights w of the quadratic fit on the grid ts."""
-    rows, denom, _, _ = _fit_operator(ts, 2)
+    rows, denom, _, _ = _fit_operator(ts)
     return _quotient(sum(map(abs, rows[0])), denom)
 
 
@@ -421,9 +417,11 @@ def scalar_suite(model: SpectralModel, ts=DEFAULT_GRID,
     ]
     target = model.scalar_curvature / 6.0
     result = SuiteResult("scalar", model.label, {})
-    result.summaries["scalar.slope"] = _fitted(samples, target, lambda fit: _judge(
+    slope = _fitted(samples, target, lambda fit: _judge(
         fit.c1, target, tol["scalar_rel"], tol["scalar_flat_abs"]
     ))
+    # the check judges the fitted slope, so that is what it observed
+    result.summaries["scalar.slope"] = slope._replace(observed=slope.fitted_c1)
     return result
 
 
@@ -522,8 +520,6 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
 def curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
                     tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
     """Riemann tensor from the asymptotic Gauss formula, plus its symmetries."""
-    if model.n < 2:
-        raise ValueError("curvature suite needs dimension at least 2")
     ts = tuple(sorted(ts))
     n = model.n
     flat_abs = tol["curvature_flat_abs"]

@@ -59,8 +59,8 @@ def series_mul(p: Series, q: Series, cap: int) -> Series:
 # ---------------------------------------------------------------------------
 
 class AnalyticKernel:
-    """A univariate function analytic at 0: its exact Taylor coefficients
-    there from ``coefficient(k)``, and a float evaluation from ``__call__``."""
+    """A univariate function analytic at 0, given by its exact Taylor
+    coefficients there, ``coefficient(k)``."""
 
     def coefficients(self, count: int) -> list[Fraction]:
         return [self.coefficient(k) for k in range(count)]
@@ -72,26 +72,12 @@ class SqrtCosKernel(AnalyticKernel):
     def coefficient(self, k):
         return Fraction((-1) ** k, math.factorial(2 * k))
 
-    def __call__(self, z):
-        if z >= 0:
-            return math.cos(math.sqrt(z))
-        return math.cosh(math.sqrt(-z))
-
 
 class SqrtSincKernel(AnalyticKernel):
     """s(z) = sin(sqrt z)/sqrt z, entire in z; s(|u|^2) |u| = sin|u|."""
 
     def coefficient(self, k):
         return Fraction((-1) ** k, math.factorial(2 * k + 1))
-
-    def __call__(self, z):
-        if z == 0:
-            return 1.0
-        if z > 0:
-            r = math.sqrt(z)
-            return math.sin(r) / r
-        r = math.sqrt(-z)
-        return math.sinh(r) / r
 
 
 class SquaredGeodesicKernel(AnalyticKernel):
@@ -106,10 +92,6 @@ class SquaredGeodesicKernel(AnalyticKernel):
         if m == 0:
             return Fraction(0)
         return Fraction(2 * (-2) ** m, m * m * math.comb(2 * m, m))
-
-    def __call__(self, w):
-        x = min(1.0, max(-1.0, 1.0 + w))
-        return math.acos(x) ** 2
 
 
 SQRT_COS = SqrtCosKernel()

@@ -26,8 +26,6 @@ from typing import NamedTuple
 from .defaults import POLICY, TruncationError
 from .multiindex import MultiIndex, empty, enumerate_multiindices, from_indices
 from .jets import (
-    SQRT_COS,
-    SQRT_SINC,
     SQUARED_GEODESIC,
     compose_univariate,
     extract_mixed_partial,
@@ -185,16 +183,16 @@ class SpectralModel:
         self._sums: dict = {}
 
     def _sum(self, key, term, start: int, min_index: int) -> tuple[float, int]:
-        """_tail_sum(term, start, ...), memoized on (key, start).
+        """_tail_sum(term, start, ...), memoized on key.
 
         key must hold everything besides self that term and min_index
-        depend on.  A hit returns the stored (sum, last index) of the same
-        float operations; a capped sum raises before anything is stored.
+        depend on; each model sums from one first index.  A hit returns the
+        stored (sum, last index) of the same float operations; a capped sum
+        raises before anything is stored.
         """
-        memo = (key, start)
-        hit = self._sums.get(memo)
+        hit = self._sums.get(key)
         if hit is None:
-            hit = self._sums[memo] = _tail_sum(
+            hit = self._sums[key] = _tail_sum(
                 term, start, min_index, self.policy, self._hard_cap
             )
         return hit
@@ -207,15 +205,12 @@ class SpectralModel:
         peak = radius * math.sqrt((power + self.policy.rho) / (2.0 * t))
         return max(8, int(math.ceil(min(peak, self._hard_cap))) + 2)
 
-    def diag_jet_with_cutoff(self, t, alpha, beta, include_constant_mode=True):
+    def diag_jet_with_cutoff(self, t, alpha, beta):
         raise NotImplementedError
 
-    def diag_jet(self, t: float, alpha: MultiIndex, beta: MultiIndex,
-                 include_constant_mode: bool = True) -> float:
-        """J(t, alpha, beta); the constant eigenfunction only matters for the
-        order-(0,0) entry (the heat-kernel diagonal keeps it, the embedding
-        drops it)."""
-        value, _ = self.diag_jet_with_cutoff(t, alpha, beta, include_constant_mode)
+    def diag_jet(self, t: float, alpha: MultiIndex, beta: MultiIndex) -> float:
+        """J(t, alpha, beta), every eigenfunction included."""
+        value, _ = self.diag_jet_with_cutoff(t, alpha, beta)
         return value
 
     def heat_diagonal(self, t: float) -> float:
@@ -235,8 +230,12 @@ class SpectralModel:
         )
 
     def gram_entry(self, t: float, alpha: MultiIndex, beta: MultiIndex) -> float:
-        """<D^alpha psi_t, D^beta psi_t> at the base point."""
-        j = self.diag_jet(t, alpha, beta, include_constant_mode=False)
+        """<D^alpha psi_t, D^beta psi_t> at the base point.  The embedding
+        leaves out the constant eigenfunction, which enters only the
+        order-(0,0) entry, as 1/volume."""
+        j = self.diag_jet(t, alpha, beta)
+        if alpha.degree == 0 and beta.degree == 0:
+            j -= 1.0 / self.volume
         return self.gram_prefactor(t) * j
 
     def gram_difference(self, t, pair1, pair2) -> float:
@@ -306,7 +305,7 @@ class FlatTorus(SpectralModel):
                 "lower the max degree or raise the radius"
             ) from None
 
-    def diag_jet_with_cutoff(self, t, alpha, beta, include_constant_mode=True):
+    def diag_jet_with_cutoff(self, t, alpha, beta):
         self._validate_time(t)
         self._validate_pair(alpha, beta)
         orders = [a + b for a, b in zip(alpha.counts, beta.counts)]
@@ -323,59 +322,7 @@ class FlatTorus(SpectralModel):
             else:
                 sign = -1.0 if (beta.counts[axis] + m // 2) % 2 else 1.0
                 value *= sign * 2.0 * msum / (TWO_PI * R)
-        if alpha.degree == 0 and beta.degree == 0 and not include_constant_mode:
-            value -= 1.0 / self.volume
         return value, cutoff
-
-    def kernel_value(self, t: float, u, v) -> float:
-        """H(t, x, y) for chart offsets u, v (the chart is globally flat).
-
-        The cutoff is chosen on the monotone Gaussian envelope; the cosine
-        factors oscillate and would trip the tail rule early.
-        """
-        self._validate_time(t)
-        value = 1.0
-        for axis in range(self.n):
-            R = self.radii[axis]
-            d = (u[axis] - v[axis]) / R
-            _, cutoff = self._mode_sum(axis, 0, t)
-            scale = t / (R * R)
-            s = math.fsum(
-                math.exp(-k * k * scale) * math.cos(k * d)
-                for k in range(1, cutoff + 1)
-            )
-            value *= (1.0 + 2.0 * s) / (TWO_PI * R)
-        return value
-
-    def embedding_point(self, t: float, x, modes_per_axis: int) -> tuple[float, ...]:
-        """Finite-dimensional normalized embedding psi_t^q at the point x.
-
-        Components are products over axes of the circle eigenfunctions
-        (constant, cos, sin up to ``modes_per_axis``), weighted by
-        exp(-lambda t / 2) and the psi normalization; the global constant
-        mode is dropped.
-        """
-        self._validate_time(t)
-        axis_funcs: list[list[tuple[float, float]]] = []  # (lambda, value)
-        for axis in range(self.n):
-            R = self.radii[axis]
-            funcs = [(0.0, 1.0 / math.sqrt(TWO_PI * R))]
-            for k in range(1, modes_per_axis + 1):
-                lam = (k / R) ** 2
-                funcs.append((lam, math.cos(k * x[axis] / R) / math.sqrt(math.pi * R)))
-                funcs.append((lam, math.sin(k * x[axis] / R) / math.sqrt(math.pi * R)))
-            axis_funcs.append(funcs)
-        # all products of per-axis modes, skipping the global constant
-        lams = [0.0]
-        vals = [1.0]
-        for funcs in axis_funcs:
-            lams = [l0 + l1 for l0 in lams for l1, _ in funcs]
-            vals = [v0 * v1 for v0 in vals for _, v1 in funcs]
-        norm = math.sqrt(2.0) * (4.0 * math.pi) ** (self.n / 4.0) * t ** ((self.n + 2) / 4.0)
-        return tuple(  # without the constant eigenfunction
-            norm * math.exp(-lam * t / 2.0) * val
-            for lam, val in zip(lams[1:], vals[1:])
-        )
 
 
 class Circle(FlatTorus):
@@ -451,7 +398,7 @@ class Sphere(SpectralModel):
     |u|^2, |v|^2 and <u, v>, so a coordinate permutation applied to both
     alpha and beta fixes em exactly: the extraction vectors are memoized per
     degree and orbit, keyed by ``jet_key``.  Pairs of different orbits still
-    share one em, so the zonal sum over l is memoized on (em, t, start);
+    share one em, so the zonal sum over l is memoized on (em, t);
     the heat diagonal is the zonal sum of em = (1.0,).
     The sums read two mode tables that grow only as far as a sum reaches:
     the Taylor coefficients of Z_l per degree l, for every m below the
@@ -555,10 +502,10 @@ class Sphere(SpectralModel):
         self._extract_cache[key] = vec
         return vec
 
-    def _zonal_sum(self, em, t: float, start: int = 0) -> tuple[float, int]:
-        """sum_l exp(-lambda_l t) sum_m zonal_taylor(l, m) em[m] from
-        l = start, before the zonal scale; (0.0, 0) when every em[m]
-        vanishes.  em = (1.0,) sums the multiplicities, the heat diagonal."""
+    def _zonal_sum(self, em, t: float) -> tuple[float, int]:
+        """sum_l exp(-lambda_l t) sum_m zonal_taylor(l, m) em[m] from l = 0,
+        before the zonal scale; (0.0, 0) when every em[m] vanishes.
+        em = (1.0,) sums the multiplicities, the heat diagonal."""
         if all(e == 0.0 for e in em):
             return 0.0, 0
         nonzero = [(m, e) for m, e in enumerate(em) if e]
@@ -578,7 +525,7 @@ class Sphere(SpectralModel):
         try:
             if len(em) > self._width:
                 self._widen_rows(len(em))
-            return self._sum((em, t), term, start, min_index)
+            return self._sum((em, t), term, 0, min_index)
         except OverflowError:
             raise self._out_of_range(t) from None
 
@@ -591,12 +538,12 @@ class Sphere(SpectralModel):
             "raise t or lower the dimension"
         )
 
-    def diag_jet_with_cutoff(self, t, alpha, beta, include_constant_mode=True):
+    def diag_jet_with_cutoff(self, t, alpha, beta):
         self._validate_time(t)
         self._validate_pair(alpha, beta)
         total = alpha.degree + beta.degree
         if total == 0:
-            s, used = self._zonal_sum((1.0,), t, 0 if include_constant_mode else 1)
+            s, used = self._zonal_sum((1.0,), t)
             return s / self.volume, used
         em = self._extract_vector(alpha, beta, self._series_degree(total))
         s, used = self._zonal_sum(em, t)
@@ -620,36 +567,6 @@ class Sphere(SpectralModel):
         em2 = self._extract_vector(a2, b2, degree)
         s, _ = self._zonal_sum(tuple(x - y for x, y in zip(em1, em2)), t)
         return self.gram_prefactor(t) * s * self._zonal_scale
-
-    # -- closed-form kernel evaluation (finite-difference cross checks) ------
-
-    def chart_cosine(self, u, v) -> float:
-        """cos Theta between exp(u) and exp(v), from the entire kernels."""
-        a2 = self.radius * self.radius
-        zu = sum(x * x for x in u) / a2
-        zv = sum(x * x for x in v) / a2
-        dot = sum(x * y for x, y in zip(u, v)) / a2
-        z = SQRT_COS(zu) * SQRT_COS(zv) + SQRT_SINC(zu) * SQRT_SINC(zv) * dot
-        return min(1.0, max(-1.0, z))
-
-    def kernel_value(self, t: float, u, v) -> float:
-        """H(t, exp(u), exp(v)) by direct zonal summation, the Gegenbauer
-        polynomials from their three-term recurrence."""
-        self._validate_time(t)
-        z = self.chart_cosine(u, v)
-        # cutoff: reuse the diagonal tail rule (|Z_l(z)| <= Z_l(1))
-        _, cutoff = self._zonal_sum((1.0,), t)
-        n = self.n
-        lam = (n - 1) / 2.0
-        prev, cur = 0.0, 1.0  # C_(l-1)^lam(z), C_l^lam(z)
-        terms = []
-        for l in range(cutoff + 1):
-            terms.append(
-                math.exp(-self.eigenvalue(l) * t) * (2 * l + n - 1) / (n - 1) * cur
-            )
-            # (l+1) C_(l+1) = 2 (l+lam) z C_l - (l+2lam-1) C_(l-1)
-            prev, cur = cur, (2.0 * (l + lam) * z * cur - (l + n - 2) * prev) / (l + 1)
-        return math.fsum(terms) * self._zonal_scale
 
 
 def make_model(kind: str, radius: float = 1.0, radii=None,

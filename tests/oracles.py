@@ -1,0 +1,127 @@
+"""Second evaluation routes of the heat kernel, for the tests to compare the
+library's jets against.
+
+The library reads every jet off exact series or differentiated mode sums;
+these oracles evaluate the kernel itself at chart points instead: the flat
+torus by its cosine series, the sphere by its zonal functions from the
+Gegenbauer three-term recurrence, and the finite normalized embedding of a
+torus mode by mode.  They also hold the float values of the analytic kernels
+whose exact Taylor coefficients ``spectraljet.jets`` composes.
+"""
+import math
+
+from spectraljet.manifolds import TWO_PI, Sphere
+
+
+def sqrt_cos(z):
+    """cos(sqrt z), entire in z."""
+    if z >= 0:
+        return math.cos(math.sqrt(z))
+    return math.cosh(math.sqrt(-z))
+
+
+def sqrt_sinc(z):
+    """sin(sqrt z) / sqrt z, entire in z."""
+    if z == 0:
+        return 1.0
+    if z > 0:
+        r = math.sqrt(z)
+        return math.sin(r) / r
+    r = math.sqrt(-z)
+    return math.sinh(r) / r
+
+
+def squared_geodesic(w):
+    """(arccos(1 + w))^2 for w in [-2, 0]."""
+    x = min(1.0, max(-1.0, 1.0 + w))
+    return math.acos(x) ** 2
+
+
+def chart_cosine(sphere: Sphere, u, v) -> float:
+    """cos Theta between exp(u) and exp(v) on the sphere, from the entire
+    kernels."""
+    a2 = sphere.radius * sphere.radius
+    zu = sum(x * x for x in u) / a2
+    zv = sum(x * x for x in v) / a2
+    dot = sum(x * y for x, y in zip(u, v)) / a2
+    z = sqrt_cos(zu) * sqrt_cos(zv) + sqrt_sinc(zu) * sqrt_sinc(zv) * dot
+    return min(1.0, max(-1.0, z))
+
+
+def kernel_value(model, t: float, u, v) -> float:
+    """H(t, exp(u), exp(v)) on a sphere, H(t, u, v) on a flat torus (whose
+    chart is globally flat)."""
+    model._validate_time(t)
+    if isinstance(model, Sphere):
+        return _sphere_kernel_value(model, t, u, v)
+    return _torus_kernel_value(model, t, u, v)
+
+
+def _torus_kernel_value(torus, t, u, v):
+    """The product over axes of the circle kernels' cosine series.  The
+    cutoff is chosen on the monotone Gaussian envelope; the cosine factors
+    oscillate and would trip the tail rule early."""
+    value = 1.0
+    for axis in range(torus.n):
+        R = torus.radii[axis]
+        d = (u[axis] - v[axis]) / R
+        _, cutoff = torus._mode_sum(axis, 0, t)
+        scale = t / (R * R)
+        s = math.fsum(
+            math.exp(-k * k * scale) * math.cos(k * d)
+            for k in range(1, cutoff + 1)
+        )
+        value *= (1.0 + 2.0 * s) / (TWO_PI * R)
+    return value
+
+
+def _sphere_kernel_value(sphere, t, u, v):
+    """Direct zonal summation, the Gegenbauer polynomials from their
+    three-term recurrence."""
+    z = chart_cosine(sphere, u, v)
+    # cutoff: reuse the diagonal tail rule (|Z_l(z)| <= Z_l(1))
+    _, cutoff = sphere._zonal_sum((1.0,), t)
+    n = sphere.n
+    lam = (n - 1) / 2.0
+    prev, cur = 0.0, 1.0  # C_(l-1)^lam(z), C_l^lam(z)
+    terms = []
+    for l in range(cutoff + 1):
+        terms.append(
+            math.exp(-sphere.eigenvalue(l) * t) * (2 * l + n - 1) / (n - 1) * cur
+        )
+        # (l+1) C_(l+1) = 2 (l+lam) z C_l - (l+2lam-1) C_(l-1)
+        prev, cur = cur, (2.0 * (l + lam) * z * cur - (l + n - 2) * prev) / (l + 1)
+    return math.fsum(terms) * sphere._zonal_scale
+
+
+def embedding_point(torus, t: float, x, modes_per_axis: int) -> tuple[float, ...]:
+    """Finite-dimensional normalized embedding psi_t^q of a flat torus at
+    the point x.
+
+    Components are products over axes of the circle eigenfunctions
+    (constant, cos, sin up to ``modes_per_axis``), weighted by
+    exp(-lambda t / 2) and the psi normalization; the global constant
+    mode is dropped.
+    """
+    torus._validate_time(t)
+    axis_funcs: list[list[tuple[float, float]]] = []  # (lambda, value)
+    for axis in range(torus.n):
+        R = torus.radii[axis]
+        funcs = [(0.0, 1.0 / math.sqrt(TWO_PI * R))]
+        for k in range(1, modes_per_axis + 1):
+            lam = (k / R) ** 2
+            funcs.append((lam, math.cos(k * x[axis] / R) / math.sqrt(math.pi * R)))
+            funcs.append((lam, math.sin(k * x[axis] / R) / math.sqrt(math.pi * R)))
+        axis_funcs.append(funcs)
+    # all products of per-axis modes, skipping the global constant
+    lams = [0.0]
+    vals = [1.0]
+    for funcs in axis_funcs:
+        lams = [l0 + l1 for l0 in lams for l1, _ in funcs]
+        vals = [v0 * v1 for v0 in vals for _, v1 in funcs]
+    n = torus.n
+    norm = math.sqrt(2.0) * (4.0 * math.pi) ** (n / 4.0) * t ** ((n + 2) / 4.0)
+    return tuple(  # without the constant eigenfunction
+        norm * math.exp(-lam * t / 2.0) * val
+        for lam, val in zip(lams[1:], vals[1:])
+    )

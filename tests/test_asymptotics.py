@@ -45,34 +45,34 @@ class TestTimeGrid:
 class TestLimitFit:
     def test_exact_line(self):
         samples = [(t, 2.0 + 5.0 * t) for t in (0.1, 0.2, 0.3, 0.4, 0.5)]
-        fit = limit_fit(samples, order=1)
+        fit = limit_fit(samples)
         assert abs(fit.c0 - 2.0) < 1e-12
         assert abs(fit.c1 - 5.0) < 1e-12
         assert fit.stderr < 1e-12
 
     def test_constant_data(self):
         samples = [(t, 7.25) for t in (0.1, 0.2, 0.4, 0.8)]
-        fit = limit_fit(samples, order=1)
+        fit = limit_fit(samples)
         assert abs(fit.c0 - 7.25) < 1e-12
         assert abs(fit.c1) < 1e-10
 
     def test_exact_quadratic(self):
         A, B, C = -1.5, 0.75, 4.0
         samples = [(t, A + B * t + C * t * t) for t in time_grid()]
-        fit = limit_fit(samples, order=2)
+        fit = limit_fit(samples)
         assert abs(fit.c0 - A) < 1e-10
         assert abs(fit.c1 - B) < 1e-8
         assert abs(fit.c2 - C) < 1e-6
 
     def test_refuses_degenerate_grids(self):
         with pytest.raises(ValueError):
-            limit_fit([(0.1, 1.0), (0.2, 2.0)], order=1)
+            limit_fit([(0.1, 1.0), (0.2, 2.0)])
         with pytest.raises(ValueError):
-            limit_fit([(0.1, 1.0), (0.1, 1.0), (0.2, 2.0), (0.3, 1.0)], order=1)
+            limit_fit([(0.1, 1.0), (0.2, 2.0), (0.3, 1.0)])
         with pytest.raises(ValueError):
-            limit_fit([(-0.1, 1.0), (0.1, 1.0), (0.2, 2.0), (0.3, 1.0)], order=1)
+            limit_fit([(0.1, 1.0), (0.1, 1.0), (0.2, 2.0), (0.3, 1.0)])
         with pytest.raises(ValueError):
-            limit_fit([(0.1, 1.0)] * 5, order=3)
+            limit_fit([(-0.1, 1.0), (0.1, 1.0), (0.2, 2.0), (0.3, 1.0)])
 
     def test_grid_stability_on_polynomial_data(self):
         # fitted limit invariant under halving the largest grid element
@@ -81,8 +81,8 @@ class TestLimitFit:
 
         g1 = time_grid(start=0.1)
         g2 = time_grid(start=0.05)
-        f1 = limit_fit([(t, y(t)) for t in g1], order=2)
-        f2 = limit_fit([(t, y(t)) for t in g2], order=2)
+        f1 = limit_fit([(t, y(t)) for t in g1])
+        f2 = limit_fit([(t, y(t)) for t in g2])
         assert abs(f1.c0 - f2.c0) < 1e-9
 
     def test_fit_on_smallest(self):
@@ -90,7 +90,7 @@ class TestLimitFit:
         fit = fit_on_smallest(samples)
         assert len(fit.grid) == 5
         assert max(fit.grid) == sorted(s[0] for s in samples)[4]
-        assert fit == limit_fit(sorted(samples)[:5], order=2)
+        assert fit == limit_fit(sorted(samples)[:5])
 
 
 def _det(m):
@@ -102,10 +102,10 @@ def _det(m):
     )
 
 
-def _cramer_fit(samples, order):
-    """Independent exact oracle: Cramer's rule on the normal equations in
-    Fractions, each coefficient rounded once."""
-    size = order + 1
+def _cramer_fit(samples):
+    """Independent exact oracle: Cramer's rule on the quadratic fit's normal
+    equations in Fractions, each coefficient rounded once."""
+    size = 3
     ts = [Fraction(t) for t, _ in samples]
     ys = [Fraction(y) for _, y in samples]
     gram = [[sum(t ** (p + q) for t in ts) for q in range(size)]
@@ -118,28 +118,31 @@ def _cramer_fit(samples, order):
     ]
 
 
-def _random_fit_case(rng, order):
-    """A geometric grid like the tool's and smooth data plus noise."""
-    count = rng.randint(order + 2, 7)
+def _random_fit_case(rng, degree):
+    """A geometric grid like the tool's and a random polynomial of the given
+    degree in t plus noise."""
+    count = rng.randint(4, 7)
     ts = time_grid(rng.uniform(0.02, 0.2), rng.uniform(0.4, 0.6), count)
-    c = [rng.uniform(-10, 10) for _ in range(3)]
+    c = [rng.uniform(-10, 10) for _ in range(degree + 1)]
     noise = 10 ** rng.uniform(-12, 0)
-    return [(t, c[0] + c[1] * t + c[2] * t * t + rng.gauss(0, noise)) for t in ts]
+    return [(t, sum(ck * t**k for k, ck in enumerate(c)) + rng.gauss(0, noise))
+            for t in ts]
 
 
 class TestExactFit:
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_bit_equal_to_fraction_normal_equations(self, order):
-        rng = random.Random(order)
+    # the quadratic fit on data from lines and from parabolas
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_bit_equal_to_fraction_normal_equations(self, degree):
+        rng = random.Random(degree)
         for _ in range(150):
             if rng.random() < 0.5:
-                samples = _random_fit_case(rng, order)
+                samples = _random_fit_case(rng, degree)
             else:  # arbitrary distinct times and data over many scales
-                ts = {10 ** rng.uniform(-6, 2) for _ in range(rng.randint(order + 2, 7))}
+                ts = {10 ** rng.uniform(-6, 2) for _ in range(rng.randint(4, 7))}
                 samples = [(t, rng.gauss(0, 1) * 10 ** rng.uniform(-8, 8)) for t in ts]
-            fit = limit_fit(samples, order=order)
-            got = [fit.c0, fit.c1, fit.c2][: order + 1]
-            assert got == _cramer_fit(samples, order), samples
+            fit = limit_fit(samples)
+            got = [fit.c0, fit.c1, fit.c2]
+            assert got == _cramer_fit(samples), samples
             # stderr: the exact residuals of the rounded coefficients
             coeffs = [Fraction(c) for c in got]
             sq = sum(
@@ -148,13 +151,13 @@ class TestExactFit:
             )
             assert fit.stderr == math.sqrt(float(sq / len(samples)))
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_within_rounding_of_lstsq(self, order):
-        rng = random.Random(10 + order)
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_within_rounding_of_lstsq(self, degree):
+        rng = random.Random(10 + degree)
         for _ in range(150):
-            samples = sorted(_random_fit_case(rng, order))
-            fit = limit_fit(samples, order=order)
-            design = np.vander([t for t, _ in samples], order + 1, increasing=True)
+            samples = sorted(_random_fit_case(rng, degree))
+            fit = limit_fit(samples)
+            design = np.vander([t for t, _ in samples], 3, increasing=True)
             ref, _, _, _ = np.linalg.lstsq(
                 design, np.array([y for _, y in samples]), rcond=None
             )
@@ -166,21 +169,20 @@ class TestExactFit:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_gives_nan_fit(self, bad):
-        for order in (1, 2):
-            for pos in range(5):
-                ys = [1.0, 2.0, 0.5, 3.0, 1.5]
-                ys[pos] = bad
-                fit = limit_fit(list(zip((0.1, 0.2, 0.3, 0.4, 0.5), ys)), order)
-                assert math.isnan(fit.c0) and math.isnan(fit.c1)
-                assert math.isnan(fit.stderr)
-                assert math.isnan(fit.c2) if order == 2 else fit.c2 == 0.0
+        for pos in range(5):
+            ys = [1.0, 2.0, 0.5, 3.0, 1.5]
+            ys[pos] = bad
+            fit = limit_fit(list(zip((0.1, 0.2, 0.3, 0.4, 0.5), ys)))
+            assert math.isnan(fit.c0) and math.isnan(fit.c1)
+            assert math.isnan(fit.stderr)
+            assert math.isnan(fit.c2)
 
     def test_huge_and_tiny_data_stay_finite(self):
         for scale in (1e300, 1e-300):
             samples = [(t, scale * y) for t, y in
                        ((1.0, 1.0), (2.0, -1.0), (3.0, 1.0), (4.0, 0.5))]
-            fit = limit_fit(samples, order=1)
-            assert fit.c0 == _cramer_fit(samples, 1)[0]
+            fit = limit_fit(samples)
+            assert fit.c0 == _cramer_fit(samples)[0]
             assert 0.0 < fit.stderr / scale < 2.0
 
     # The condition of a grid is the noise gain sum_i |w_i| of the fitted
@@ -357,8 +359,8 @@ class TestResidualShrinkage:
             (t, normalization_factor(3, t, a, a) * s.diag_jet(t, a, a))
             for t in DEFAULT_GRID
         ]
-        fit = limit_fit(sorted(samples)[:5], order=1)
-        resid = {t: y - (fit.c0 + fit.c1 * t) for t, y in samples}
+        c1, c0 = np.polyfit(*zip(*sorted(samples)[:5]), 1)
+        resid = {t: y - (c0 + c1 * t) for t, y in samples}
         ts = sorted(resid)
         r_big, r_mid = abs(resid[ts[-1]]), abs(resid[ts[-2]])
         assert r_big > r_mid
@@ -380,6 +382,22 @@ class TestSuitePassFlags:
         c1 = r.summaries["isometry.c1[1,1]"]
         assert c1.target == pytest.approx(1 / 3)
         assert abs(c1.fitted_c0 - 1 / 3) < 0.05 / 3
+
+    def test_c1_summaries_observe_the_fitted_slope(self):
+        # a check of an O(t) coefficient observes the fitted slope, not the
+        # sample at the smallest time; isometry.c1[i,j] observes the slope
+        # of the isometry.g[i,j] fit
+        for model, count in ((Sphere(3, 1.0), 6), (Sphere(2, 2.0), 3),
+                             (FlatTorus((1.0, 1.3)), 0)):
+            slope = scalar_suite(model).summaries["scalar.slope"]
+            assert slope.observed == slope.fitted_c1, model.label
+            summaries = isometry_suite(model).summaries
+            c1 = [(name, s) for name, s in summaries.items()
+                  if name.startswith("isometry.c1")]
+            assert len(c1) == count, model.label
+            for name, s in c1:
+                g = summaries[name.replace("c1", "g")]
+                assert s.observed == g.fitted_c1, (model.label, name)
 
     def test_mean_curvature_suite(self):
         for model, target in (

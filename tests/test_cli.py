@@ -408,8 +408,7 @@ class TestLatticeCommand:
                 assert cli.main(argv) == 0, argv
             from spectraljet.manifolds import FlatTorus, Sphere
             for model in (Sphere(2), Sphere(3), Sphere(4), FlatTorus((1.0, 1.3))):
-                u, v = (0.1,) * model.n, (0.0,) * model.n
-                assert model.kernel_value(0.1, u, v) > 0, model.label
+                assert model.heat_diagonal(0.1) > 0, model.label
             assert sys.modules["numpy"] is None, "numpy imported"
         """)
         src = str(Path(spectraljet.__file__).resolve().parents[1])
@@ -540,16 +539,16 @@ class TestGoldenBytes:
          "431aeae0b1207fc199bca4f96d6ef24de16487a98857c9e6fe8cf40b73f80794",
          "dc0cd8ff720b2eea9f42fbf134f15b0d849c7774a4c4b60b3727ced2e5daff00"),
         (["curvature", "--model", "sphere3"], None,
-         "e0348489589d69d24fc4053d0314cee7e7bf2f72f3da68b2fa39aa772e007484"),
+         "5b35c082e9ffd634feafaa274ecc6300829498da486bfd90df240c5dc01c74ac"),
         (["curvature", "--model", "torus", "--radii", "1.0,1.3"], None,
-         "c418cd4a61648adf67e5f3d327e2dad260523a35ff44640548d03c9ae37bc8ac"),
+         "ba4437dfe166b713e2b79ec6bfd5e08b46f0af809ae99a2be6d872f663093889"),
         # the deepest mode sums of the benchmark's verify and curvature ops
         (["verify", "--model", "sphere3", "--radius", "1.75", "--max-degree", "6",
           "--t-grid", "0.1:0.5:7"],
          "8211e216514eb0bc56df053108048f9d5473660404f3bc8e5103c19490987dc8",
          "39186ba534ca7980125fe451994c4ade45612ae408bb622edf3f58c72d61c1b1"),
         (["curvature", "--model", "sphere2", "--radius", "1.5"], None,
-         "bc6bfb991cc5ce185701f0340eab7f2016ca82f7d3321bd4fd45cc49f9d4fc4d"),
+         "a9886ea09a3cc06215bd8503420b9bffee9e312e322803376be4eba8fb849b98"),
     ], ids=["verify-sphere3", "verify-sphere2", "verify-torus",
             "curvature-sphere3", "curvature-torus", "verify-sphere3-r1.75",
             "curvature-sphere2-r1.5"])
@@ -575,9 +574,9 @@ class TestGoldenBytes:
          "265dd289a83aec1f893558999786dc11c12e697b2a0389d7a26e80e0d613dbcd",
          "e13bdfb6a83762af22569f7d7dcc7ebf9f4e568b5ac580eb52a4aac090862081"),
         (["curvature", "--model", "sphere3"], None,
-         "6e626e7b40d0a88fbd8e38f14e14256549ac24c816aa4c4c0f90b8baef7c0f6b"),
+         "30f89638c8dc37e5981d462d4c99f808a9a6fb383d7492074e28a03f0f20350a"),
         (["curvature", "--model", "torus", "--radii", "1.0,1.3"], None,
-         "910a7b1f94dfcfbecfc88984a064a1038454de57812996e726879d7291e228ff"),
+         "5423ff0860a2c4f3026a613cfa7b51e1a1c91e49968179dca974d693833373ec"),
     ], ids=["verify-sphere3", "verify-torus", "curvature-sphere3", "curvature-torus"])
     def test_failing_checks(self, tmp_path, capsys, argv, csv_sha, json_sha):
         cfg = tmp_path / "cfg.json"
@@ -608,7 +607,7 @@ class TestGoldenBytes:
          "1ed942f500ebb14d5cd2aeb5351930336d56228313c42580e7abc78bd8a7bae9", None),
         (["curvature", "--model", "sphere2", "--radius", "1.5"],
          {"policy": {"rho": 3.0, "epsilon": 1e-9}}, 0, None,
-         "f98666fe74fb392ea779b14ce392056262dc753f33c1e03a1038276918079be8"),
+         "162c637f4f05e7617c875bff21d1604853dff856eab3c77d5b43d2603dfc9016"),
     ], ids=["verify-sphere3-eps", "verify-torus-eps", "curvature-sphere2-rho"])
     def test_non_default_policy(self, tmp_path, capsys, argv, file_cfg, exit_code,
                                 csv_sha, json_sha):

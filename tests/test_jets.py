@@ -20,6 +20,7 @@ from spectraljet.jets import (
 )
 from spectraljet.manifolds import Sphere, squared_distance_jets
 from spectraljet.multiindex import MultiIndex, enumerate_multiindices, from_indices
+from tests.oracles import squared_geodesic
 
 # ---------------------------------------------------------------------------
 # finite-difference oracle (4th-order central stencils, composed per order)
@@ -194,7 +195,7 @@ class TestKernels:
         assert coeffs[:3] == [0, -2, Fraction(1, 3)]
         for w in (-0.02, -0.005, -0.001):
             series_val = sum(float(c) * w**k for k, c in enumerate(coeffs))
-            assert abs(series_val - SQUARED_GEODESIC(w)) < 1e-13
+            assert abs(series_val - squared_geodesic(w)) < 1e-13
 
     def test_squared_geodesic_matches_sympy(self):
         # arccos(1 + w) = 2 arcsin(sqrt(-w/2)), and arcsin(sqrt s)^2 is

@@ -37,6 +37,7 @@ from spectraljet.manifolds import (
 )
 from spectraljet.multiindex import empty, enumerate_multiindices, from_indices
 from spectraljet.wick import wick_a, wick_b
+from tests.oracles import chart_cosine, embedding_point, kernel_value
 
 GRID = time_grid()
 
@@ -157,8 +158,8 @@ class TestFlatJets:
         target = c.diag_jet(t, mi([1], 1), mi([1], 1))
         for x0 in (0.3, 1.1):
             def gram(dx, dy):
-                px = c.embedding_point(t, (x0 + dx,), 40)
-                py = c.embedding_point(t, (x0 + dy,), 40)
+                px = embedding_point(c, t, (x0 + dx,), 40)
+                py = embedding_point(c, t, (x0 + dy,), 40)
                 return float(np.dot(px, py)) / c.gram_prefactor(t)
 
             fd = (
@@ -172,10 +173,10 @@ class TestFlatJets:
         t = 0.05
         x = (0.2, -0.4)
         y = (0.1, 0.3)
-        px = T.embedding_point(t, x, 30)
-        py = T.embedding_point(t, y, 30)
+        px = embedding_point(T, t, x, 30)
+        py = embedding_point(T, t, y, 30)
         lhs = float(np.dot(px, py))
-        rhs = T.gram_prefactor(t) * (T.kernel_value(t, x, y) - 1.0 / T.volume)
+        rhs = T.gram_prefactor(t) * (kernel_value(T, t, x, y) - 1.0 / T.volume)
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -237,7 +238,7 @@ class TestSphereJets:
                 want = model.diag_jet(t, a, b)
 
                 def f(point):
-                    return model.kernel_value(t, point[:n], point[n:])
+                    return kernel_value(model, t, point[:n], point[n:])
 
                 fd = fd_mixed_partial(f, a.counts + b.counts, h=0.02)
                 scale = max(1.0, abs(want))
@@ -261,9 +262,9 @@ class TestSphere3ImageSum:
             for t in (0.05, 0.2):
                 for u, v in (((0.3, 0.0, 0.0), (0.0, 0.2, 0.1)),
                              ((0.5, -0.2, 0.1), (-0.1, 0.4, 0.0))):
-                    theta = math.acos(s.chart_cosine(u, v))
+                    theta = math.acos(chart_cosine(s, u, v))
                     want = image_sum(t / radius**2, theta) / radius**3
-                    got = s.kernel_value(t, u, v)
+                    got = kernel_value(s, t, u, v)
                     assert abs(got - want) <= 1e-12 * abs(want), (radius, t)
 
 
@@ -515,14 +516,8 @@ class TestModeSumMemo:
                 truncation_stability(warm, t, a, b)
         for t in self.TS:
             for a, b in self.pairs(warm.n):
-                for constant in (True, False):
-                    got = warm.diag_jet_with_cutoff(
-                        t, a, b, include_constant_mode=constant
-                    )
-                    want = make().diag_jet_with_cutoff(
-                        t, a, b, include_constant_mode=constant
-                    )
-                    assert got == want, (t, a, b, constant)
+                got = warm.diag_jet_with_cutoff(t, a, b)
+                assert got == make().diag_jet_with_cutoff(t, a, b), (t, a, b)
                 assert truncation_stability(warm, t, a, b) == (
                     truncation_stability(make(), t, a, b)
                 ), (t, a, b, "doubled")
@@ -699,12 +694,12 @@ class TestSphereModeTables:
         return _tail_sum(term, 0, min_index, s.policy, s._hard_cap)
 
     @staticmethod
-    def diagonal_reference(s, t, start):
+    def diagonal_reference(s, t):
         def term(l):
             return math.exp(-s.eigenvalue(l) * t) * s.multiplicity(l)
 
         min_index = s._min_index(s.radius, t, s.n - 1.0)
-        return _tail_sum(term, start, min_index, s.policy, s._hard_cap)
+        return _tail_sum(term, 0, min_index, s.policy, s._hard_cap)
 
     @pytest.mark.parametrize("dim, radius", [(2, 1.5), (3, 1.0), (4, 1.2)])
     def test_tables_equal_direct_loop(self, dim, radius):
@@ -724,9 +719,7 @@ class TestSphereModeTables:
             for t in self.TS:
                 for em in sorted(ems):
                     check(s._zonal_sum(em, t), self.zonal_reference(s, em, t), t, em)
-                for start in (0, 1):
-                    check(s._zonal_sum((1.0,), t, start),
-                          self.diagonal_reference(s, t, start), t, start)
+                check(s._zonal_sum((1.0,), t), self.diagonal_reference(s, t), t)
                 for (a1, b1), (a2, b2) in zip(pairs, pairs[1:]):
                     total = max(a1.degree + b1.degree, a2.degree + b2.degree)
                     degree = s._series_degree(total)
@@ -771,19 +764,21 @@ class TestScalarDiagonal:
             lhs = (4 * math.pi * t) ** (model.n / 2.0) * model.heat_diagonal(t)
             assert abs(lhs - 1.0) < 1e-6
 
-    def test_constant_mode_only_affects_order_zero(self):
-        T = FlatTorus((1.0, 1.3))
-        t = 0.05
-        e = empty(2)
-        with_c = T.diag_jet(t, e, e, include_constant_mode=True)
-        without_c = T.diag_jet(t, e, e, include_constant_mode=False)
-        assert abs((with_c - without_c) - 1.0 / T.volume) < 1e-15
-        a = mi([1], 2)
-        assert T.diag_jet(t, a, a, include_constant_mode=True) == T.diag_jet(
-            t, a, a, include_constant_mode=False
-        )
-        for S in (Sphere(2, 1.5), Sphere(3, 1.0)):
-            e = empty(S.n)
-            with_c = S.diag_jet(t, e, e, include_constant_mode=True)
-            without_c = S.diag_jet(t, e, e, include_constant_mode=False)
-            assert abs((with_c - without_c) - 1.0 / S.volume) < 1e-13
+    def test_gram_entry_drops_constant_mode(self):
+        # the embedding leaves out the constant eigenfunction: G(0, 0) is
+        # the heat diagonal less 1/volume, bit for bit on the flat models,
+        # whose diagonal sums from the first nonconstant mode, and up to
+        # rounding on spheres, whose sums start at the constant mode
+        for model, rel in ((Circle(1.0), 0.0), (FlatTorus((1.0, 1.3)), 0.0),
+                           (Sphere(2, 1.5), 1e-13), (Sphere(3, 1.0), 1e-13)):
+            e = empty(model.n)
+            for t in (0.1, 0.05, 0.01):
+                want = model.gram_prefactor(t) * (
+                    model.heat_diagonal(t) - 1.0 / model.volume
+                )
+                got = model.gram_entry(t, e, e)
+                assert abs(got - want) <= rel * abs(want), (model.label, t)
+                a = mi([1], model.n)
+                assert model.gram_entry(t, a, a) == (
+                    model.gram_prefactor(t) * model.diag_jet(t, a, a)
+                ), (model.label, t)
