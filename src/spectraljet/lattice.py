@@ -85,9 +85,17 @@ def distance_comparison_check(
 # Random sampling of lattice points and the triple suite
 # ---------------------------------------------------------------------------
 
-def _task_seed(seed: int, task_index: int) -> int:
-    # Deterministic per-task stream: mixing keeps tasks independent of order.
-    return (seed * 1_000_003 + task_index) & 0xFFFFFFFFFFFFFFFF
+#: Triples per seeded block of the suite.  Triple i belongs to block
+#: i // TRIPLE_BLOCK; each block reseeds the generator once and its triples
+#: take the next draws, so a reseed (about 5 us) costs under 0.5% of a block.
+TRIPLE_BLOCK = 100
+
+
+def _task_seed(seed: int, block: int) -> int:
+    """The seed of one block of the suite's triples: mixing the suite seed
+    with the block index keeps each block's stream independent of which
+    process draws it, and of the order the blocks run in."""
+    return (seed * 1_000_003 + block) & 0xFFFFFFFFFFFFFFFF
 
 
 def _counts_sampler(
@@ -220,12 +228,13 @@ def _cos(kernel: tuple[int, int, int, int]) -> float:
     return sign * math.sqrt(magnitude * magnitude / (diag_a * diag_b))
 
 
-#: Fewest triples in a range of the suite.  Forking a worker, piping its
-#: result back and reaping it took 1.9-2.9 ms from a CLI process on a 2-vCPU
-#: x86-64 VM (Python 3.11), the work of about 70-125 triples (23-27 us each
-#: at n = 3, max_degree = 8, CSV line included, of which about 7 us reseed
-#: the generator), so a range of 1000 triples spends about a tenth of its
-#: time on its worker.
+#: Fewest triples in a range of the suite, give or take half a block (see
+#: :func:`_range_bounds`).  Forking a worker, piping a small result back and
+#: reaping it took 1.6-1.8 ms from a CLI process on a 2-vCPU x86-64 VM
+#: (Python 3.11), the work of about 130-180 triples (10-13 us each at n = 3,
+#: max_degree = 8, CSV line included, with one reseed per block), so a range
+#: of 1000 triples spends about an eighth of its time on its worker, and a
+#: split in two already pays from a few hundred triples.
 MIN_RANGE = 1000
 
 
@@ -236,22 +245,34 @@ def _cpu_count() -> int:
 
 def _range_bounds(count: int) -> list[int]:
     """Bounds of the suite's contiguous index ranges: one range per CPU the
-    process may use, each of at least ``MIN_RANGE`` triples, and a single
-    range where the platform cannot fork or say which CPUs it may use."""
+    process may use, each of about ``MIN_RANGE`` triples or more, and a
+    single range where the platform cannot fork or say which CPUs it may use.
+
+    Each interior bound is the block boundary nearest the balanced split
+    (rounding half up), so no block of :data:`TRIPLE_BLOCK` triples spans two
+    ranges.  That moves a bound by at most half a block, so a range may fall
+    short of ``MIN_RANGE`` by that much.
+    """
     ranges = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         ranges = max(1, min(_cpu_count(), count // MIN_RANGE))
-    return [count * k // ranges for k in range(ranges + 1)]
+    step = 2 * ranges * TRIPLE_BLOCK
+    inner = [(2 * count * k + step // 2) // step * TRIPLE_BLOCK
+             for k in range(1, ranges)]
+    return [0, *inner, count]
 
 
 def _triple_range(n, df, sample, seed, triangle_slack_tol, lo, hi, render):
-    """Triples ``lo`` to ``hi - 1`` of the suite.
+    """Triples ``lo`` to ``hi - 1`` of the suite; ``lo`` is a multiple of
+    :data:`TRIPLE_BLOCK`.
 
-    ``render`` gets an iterator over the rows, as plain tuples in
-    :class:`TripleRow` field order; rows it leaves unread are checked all the
-    same.  Returns ``render``'s result, the five violation counts, the
-    largest triangle slack with the first triple that reaches it, and the
-    smallest comparison margin.
+    The generator is reseeded with ``_task_seed(seed, b)`` at the first
+    triple of each block b, and each triple draws its three points next
+    from that stream.  ``render`` gets an iterator over the rows, as plain
+    tuples in :class:`TripleRow` field order; rows it leaves unread are
+    checked all the same.  Returns ``render``'s result, the five violation
+    counts, the largest triangle slack with the first triple that reaches
+    it, and the smallest comparison margin.
     """
     delta_num, delta_den = COMPARISON_DELTA.numerator, COMPARISON_DELTA.denominator
     summary = []
@@ -272,7 +293,8 @@ def _triple_range(n, df, sample, seed, triangle_slack_tol, lo, hi, render):
         # method and clear the Gaussian spare, which no sampler reads.
         reseed = super(random.Random, rng).seed
         for i in range(lo, hi):
-            reseed(_task_seed(seed, i))
+            if not i % TRIPLE_BLOCK:
+                reseed(_task_seed(seed, i // TRIPLE_BLOCK))
             a = sample(rng)
             b = sample(rng)
             c = sample(rng)
@@ -443,8 +465,9 @@ def run_triple_suite(
 
     The triples are split into contiguous index ranges, one per CPU the
     process may use (:func:`_range_bounds`); forked workers run all but the
-    last, which runs here.  Each triple draws from its own seed, so neither
-    rows nor report depend on the split.
+    last, which runs here.  Each block of :data:`TRIPLE_BLOCK` consecutive
+    triples draws from its own seed, and every range bound is a block
+    boundary, so neither rows nor report depend on the split.
 
     Returns the rows, as :class:`TripleRow` in index order, and the report.
     Given ``render``, each range's rows go to ``render`` in the process that

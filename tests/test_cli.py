@@ -337,22 +337,33 @@ class TestLatticeCommand:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    # sha256 of the CSV and JSON written by the Fraction-based suite that the
-    # integer kernel replaced; a refactor of the lattice path must keep them.
+    # sha256 of the CSV and JSON of each config, drawn from one seeded stream
+    # per block of 100 triples; a refactor of the lattice path must keep
+    # them.  That the integer kernel agrees with the Fraction route it
+    # replaced is checked row by row by test_lattice.py's
+    # TestTripleSuiteExactDecisions::test_agrees_with_fraction_route.
     @pytest.mark.parametrize("n, max_degree, count, csv_sha, json_sha", [
-        (3, 8, 300,
-         "9ebc373c706e337cfc6a148d295a56e2af5d2e466eb0abbeb3dc619788412931",
-         "48765e1bac3a78f65525898b1b4ea3672dec07698752038bb6aa336e1fb26bc9"),
-        (8, 40, 200,
-         "e92691bea14dcf5be267acebad351944c6e67feb65ff787f4d1e10d27d4f9e82",
-         "fa05a10374dad6fb2c65608e6358065928e1da722ea9322d4507f1f978bdcf28"),
-        (1, 12, 300,
-         "80450f345106fc82188ba0edfc0a622767ed67c877ad6781c97856410e450187",
-         "d4f4fca683899f6d1091ad143e2c95db06afc25368c1134aab3229730fc5c423"),
+        pytest.param(
+            3, 8, 300,
+            "af49ce212bafd87aecf9e93310b18943f12305afe7ed30c68e102e1850a08bda",
+            "480b654a73f9e008260b8f94c9625e3d0f0aba542c014c93ecd3798db738b5b6",
+            id="3-8-300"),
+        pytest.param(
+            8, 40, 200,
+            "aba1e54588843706e674514b72ddd3ad3a54fc788985f9b5d1355f67ddede2d4",
+            "ace94a9bacf99112ed07a31695f573d346d8ff8da2d1b62a419af386ad80bbd0",
+            id="8-40-200"),
+        pytest.param(
+            1, 12, 300,
+            "06358f880652c3288528e22ceb0851f527615c009994553a6350ca7173ad863e",
+            "d4f4fca683899f6d1091ad143e2c95db06afc25368c1134aab3229730fc5c423",
+            id="1-12-300"),
         # ranges longer than 21 make the bar draw take random.sample's set branch
-        (2, 40, 300,
-         "181fa88b038729c802c3ff1cfa541ebbe2f81124acba2cfa60b4caca52d21de3",
-         "ac15b3cf5ad79c58ade404655407a3b914cafab166a42c63aaa147d64858732e"),
+        pytest.param(
+            2, 40, 300,
+            "8c083be4c19b55fb3b99ef079bee75dc4a736b210a92e0e7886b3494b49f7370",
+            "8e22c460a0f53038d992bcbad0ff2aba7b0e3f16b0d39159b4902f158d7e3721",
+            id="2-40-300"),
     ])
     def test_golden_bytes(self, tmp_path, capsys, n, max_degree, count,
                           csv_sha, json_sha):

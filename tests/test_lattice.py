@@ -364,26 +364,52 @@ class TestRangeSplit:
     @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
     def test_one_range_without_fork_or_affinity(self, monkeypatch, missing):
         monkeypatch.setattr(lattice, "_cpu_count", lambda: 4)
-        assert lattice._range_bounds(4500) == [0, 1125, 2250, 3375, 4500]
+        assert lattice._range_bounds(4500) == [0, 1100, 2300, 3400, 4500]
         monkeypatch.delattr(os, missing)
         assert lattice._range_bounds(4500) == [0, 4500]
 
+    # interior bounds are the block boundaries nearest the balanced split
+    # (1250.25 -> 1300, 3750.75 -> 3800); 3090 in three ranges splits at
+    # 1030 -> 1000 and 2060 -> 2100, which leaves its last range 10 short
     @pytest.mark.parametrize("count, bounds", [
         (1, [0, 1]),
         (1999, [0, 1999]),
         (2000, [0, 1000, 2000]),
-        (5001, [0, 1250, 2500, 3750, 5001]),
+        (5001, [0, 1300, 2500, 3800, 5001]),
+        (3090, [0, 1000, 2100, 3090]),
     ])
     def test_ranges_keep_the_minimum_size(self, monkeypatch, count, bounds):
         monkeypatch.setattr(lattice, "_cpu_count", lambda: 4)
-        assert lattice.MIN_RANGE == 1000
+        assert (lattice.MIN_RANGE, lattice.TRIPLE_BLOCK) == (1000, 100)
         assert lattice._range_bounds(count) == bounds
+
+    @pytest.mark.parametrize("count", [10000, 5000])
+    def test_two_cpus_split_in_half(self, monkeypatch, count):
+        monkeypatch.setattr(lattice, "_cpu_count", lambda: 2)
+        assert lattice._range_bounds(count) == [0, count // 2, count]
+
+    def test_bounds_lie_on_block_boundaries(self, monkeypatch):
+        block = lattice.TRIPLE_BLOCK
+        for cpus in range(1, 9):
+            monkeypatch.setattr(lattice, "_cpu_count", lambda: cpus)
+            for count in range(1, 20000, 37):
+                bounds = lattice._range_bounds(count)
+                ranges = len(bounds) - 1
+                assert ranges == max(1, min(cpus, count // lattice.MIN_RANGE))
+                assert bounds[0] == 0 and bounds[-1] == count
+                for k, bound in enumerate(bounds[1:-1], 1):
+                    assert bound % block == 0
+                    assert abs(bound - count * k / ranges) <= block / 2
+                if ranges > 1:
+                    assert min(hi - lo for lo, hi in zip(bounds, bounds[1:])) >= (
+                        lattice.MIN_RANGE - block // 2
+                    )
 
 
 class TestSamplerStream:
     """The suite's sampler and its one reseeded RNG draw the stream of a
-    fresh ``random.Random`` per task sampled through ``choices`` and
-    ``sample``."""
+    fresh ``random.Random`` per block of triples, sampled through
+    ``choices`` and ``sample``."""
 
     @staticmethod
     def reference_sample(rng, n, max_degree):
@@ -410,6 +436,25 @@ class TestSamplerStream:
             for _ in range(3):
                 assert sample(rng) == self.reference_sample(ref, n, max_degree)
             assert rng.random() == ref.random()
+
+    # 3050 ends mid-block, and splits into ranges of whole blocks
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the suite forks workers")
+    @pytest.mark.parametrize("ranges", [1, 2, 3])
+    def test_suite_draws_one_stream_per_block(self, monkeypatch, ranges):
+        n, max_degree, count, seed = 3, 8, 3050, 42
+        monkeypatch.setattr(lattice, "_cpu_count", lambda: ranges)
+        assert len(lattice._range_bounds(count)) == ranges + 1
+        rows, _ = run_triple_suite(n, max_degree, count, seed)
+        assert_no_child_left()
+        block = lattice.TRIPLE_BLOCK
+        expected = []
+        for b in range(-(-count // block)):
+            ref = random.Random(_task_seed(seed, b))
+            for _ in range(min(block, count - b * block)):
+                expected.append(tuple(
+                    self.reference_sample(ref, n, max_degree) for _ in range(3)
+                ))
+        assert [(r.alpha, r.beta, r.gamma) for r in rows] == expected
 
     def test_reseeding_equals_fresh_rng(self):
         rng = random.Random()
@@ -443,7 +488,9 @@ class TestTripleKernelCalls:
             return kernel(a, b, df)
 
         monkeypatch.setattr(lattice, "wick_kernel", counting)
-        count = 300  # below MIN_RANGE: one range, in this process
+        # below MIN_RANGE: one range, in this process; at n = 8 about one
+        # pair in 200 shares a coset, so the shifted pairs need this many
+        count = 900
         rows, report = run_triple_suite(n, max_degree, count, 5)
         assert report.passed()
         same_coset = sum(
