@@ -12,6 +12,7 @@ import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from operator import mul
 from typing import NamedTuple
 
@@ -415,7 +416,7 @@ def scalar_suite(model: SpectralModel, ts=DEFAULT_GRID,
         (t, heat_power(t, 4.0 * math.pi, n / 2.0) * model.heat_diagonal(t))
         for t in ts
     ]
-    target = model.scalar_curvature / 6.0
+    target = float(model.scalar() / 6)
     result = SuiteResult("scalar", model.label, {})
     slope = _fitted(samples, target, lambda fit: _judge(
         fit.c1, target, tol["scalar_rel"], tol["scalar_flat_abs"]
@@ -436,12 +437,11 @@ def isometry_suite(model: SpectralModel, ts=DEFAULT_GRID,
     n = model.n
     result = SuiteResult("isometry", model.label, {})
     pulls = [(t, pullback_metric(model, t)) for t in ts]
+    half_s = model.scalar() / 2
     for i in range(n):
         for j in range(i, n):
             delta = 1.0 if i == j else 0.0
-            target_c1 = (
-                model.scalar_curvature / 2.0 * delta - model.ricci_coefficient * delta
-            ) / 3.0
+            target_c1 = float((half_s * (i == j) - model.ricci(i, j)) / 3)
             samples = [(t, p[i][j]) for t, p in pulls]
             name = f"[{i + 1},{j + 1}]"
             if model.is_flat:
@@ -456,7 +456,7 @@ def isometry_suite(model: SpectralModel, ts=DEFAULT_GRID,
             )
             c1 = g.fitted_c1
             result.summaries["isometry.c1" + name] = PairSummary(
-                target_c1, c1, None, g.stderr, c1,
+                target_c1, g.fitted_c0, c1, g.stderr, c1,
                 _judge(c1, target_c1, tol["isometry_c1_rel"], 0.01),
             )
     return result
@@ -482,9 +482,7 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
 
     Targets: -3 for i=j=k, -1 for i=j!=k, 0 for i!=j.  The aggregate
     (1/n) sum_k of the i=j limits is also fitted; it comes out -(n+2)/n, so
-    the umbilical shape constant is -(n+2)/(2n) (reported alongside the
-    alternative -3/2, which agrees only at n = 1; the numerical heat kernel
-    is the arbiter between the two).
+    the umbilical shape constant is -(n+2)/(2n).
     """
     ts = tuple(sorted(ts))
     n = model.n
@@ -502,7 +500,6 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
                     samples, target, lambda fit: _judge(fit.c0, target, rel, zero_abs)
                 )
 
-    # aggregate umbilical constant (no pass condition on the contested value)
     agg_samples = [(t, sum(s[m][1] for s in first) / n) for m, t in enumerate(ts)]
     agg_fit = fit_on_smallest(agg_samples)
     shape_constant = agg_fit.c0 / 2.0
@@ -511,48 +508,36 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
         formula, shape_constant, None, agg_fit.stderr, shape_constant,
         _judge(shape_constant, formula, 0.03),
     )
-    result.summaries["umbilical.shape_constant_alternative"] = PairSummary(
-        -1.5, shape_constant, None, agg_fit.stderr, shape_constant, True
-    )
     return result
 
 
 def curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
                     tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
-    """Riemann tensor from the asymptotic Gauss formula, plus its symmetries."""
+    """Every independent entry of the Riemann tensor fitted from the
+    asymptotic Gauss formula, R(i, j, k, l) with i < j, k < l and
+    (i, j) <= (k, l), against the model's exact ``riemann``.
+
+    A nonzero target is judged relative to itself (``curvature_rel``), a
+    zero target within ``residual_rel`` times max |R| of the model, and on a
+    flat model, where max |R| is 0, every entry within
+    ``curvature_flat_abs``.  The other entries are these up to the algebraic
+    symmetries, which hold exactly in the fit.
+    """
     ts = tuple(sorted(ts))
-    n = model.n
-    flat_abs = tol["curvature_flat_abs"]
+    r = curvature_symmetry_residuals(model, ts)
+    planes = combinations(range(model.n), 2)
+    quads = [(*p, *q) for p, q in combinations_with_replacement(planes, 2)]
+    targets = [float(model.riemann(*quad)) for quad in quads]
+    scale = max(abs(target) for target in targets)
+    zero_abs = tol["residual_rel"] * scale if scale else tol["curvature_flat_abs"]
     result = SuiteResult("curvature", model.label, {})
-    report = curvature_symmetry_residuals(model, ts)
-    r = report.tensor
-    K = model.sectional_curvature
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            value = r[i - 1][j - 1][j - 1][i - 1]
-            # a flat model's K is 0: the check is then |value| <= flat_abs
-            result.summaries[f"curvature.sectional[{i},{j}]"] = PairSummary(
-                K, value, None, None, value,
-                _judge(value, K, tol["curvature_rel"], flat_abs),
-            )
-    if model.is_flat:
-        max_entry = report.max_abs
-        result.summaries["curvature.max_abs"] = PairSummary(
-            0.0, max_entry, None, None, max_entry,
-            _judge(max_entry, 0.0, 0.0, flat_abs),
+    for (i, j, k, l), target in zip(quads, targets):
+        value = r[i][j][k][l]
+        name = f"curvature.R[{i + 1},{j + 1},{k + 1},{l + 1}]"
+        result.summaries[name] = PairSummary(
+            target, value, None, None, value,
+            _judge(value, target, tol["curvature_rel"], zero_abs),
         )
-    else:
-        scale = max(report.max_abs, 1e-30)
-        for name, resid in (
-            ("antisymmetry_first", report.antisymmetry_first),
-            ("antisymmetry_last", report.antisymmetry_last),
-            ("pair_symmetry", report.pair_symmetry),
-            ("first_bianchi", report.first_bianchi),
-        ):
-            rel = resid / scale
-            result.summaries[f"curvature.residual.{name}"] = PairSummary(
-                0.0, rel, None, None, rel, _judge(rel, 0.0, 0.0, tol["residual_rel"])
-            )
     return result
 
 
@@ -564,7 +549,7 @@ def scalar_ricci_suite(model: SpectralModel, ts=DEFAULT_GRID,
     ts = tuple(sorted(ts))
     report = ricci_scalar_extract(model, ts)
     result = SuiteResult("scalar_ricci", model.label, {})
-    target_s = model.scalar_curvature
+    target_s = float(model.scalar())
     result.summaries["scalar_ricci.scalar"] = PairSummary(
         target_s, report.scalar_estimate, report.scalar_slope,
         report.scalar_slope_stderr, report.scalar_estimate,
@@ -575,7 +560,7 @@ def scalar_ricci_suite(model: SpectralModel, ts=DEFAULT_GRID,
     n = model.n
     for i in range(n):
         for j in range(i, n):
-            target = model.ricci_coefficient if i == j else 0.0
+            target = float(model.ricci(i, j))
             value = report.ricci_estimate[i][j]
             result.summaries[f"scalar_ricci.ric[{i + 1},{j + 1}]"] = PairSummary(
                 target, value, None, None, value, _judge(value, target, 0.05, zero_abs)

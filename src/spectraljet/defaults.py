@@ -28,6 +28,8 @@ TOLERANCES = MappingProxyType({
     "umbilical_zero_abs": 0.05,
     "curvature_rel": 0.05,
     "curvature_flat_abs": 1e-6,
+    # bounds a fitted Riemann entry whose target is 0 on a curved model, as a
+    # fraction of max |R| of the model (the key predates the entry checks)
     "residual_rel": 1e-3,
 })
 

@@ -19,6 +19,7 @@ form for every n.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
@@ -169,10 +170,8 @@ class SpectralModel:
     label: str
     default_hard_cap: int
 
-    # true curvature data, used as verification targets
-    scalar_curvature: float
-    ricci_coefficient: float      # Ric = coefficient * g
-    sectional_curvature: float
+    # the exact constant sectional curvature that ``riemann`` reads
+    curvature: Fraction
     is_flat: bool
 
     def __init__(self, policy: TruncationPolicy):
@@ -204,6 +203,22 @@ class SpectralModel:
         the sum then hits the cap all the same."""
         peak = radius * math.sqrt((power + self.policy.rho) / (2.0 * t))
         return max(8, int(math.ceil(min(peak, self._hard_cap))) + 2)
+
+    def riemann(self, i: int, j: int, k: int, l: int) -> Fraction:
+        """R(e_i, e_j, e_k, e_l) at the base point, exact, for 0-based
+        indices, in the convention R(i, j, j, i) = K, the sectional curvature
+        of the plane (e_i, e_j).  Every curvature target derives from it.
+        Here K is the constant ``curvature``; a model whose curvature is not
+        constant overrides this."""
+        return self.curvature * ((i == l) * (j == k) - (i == k) * (j == l))
+
+    def ricci(self, j: int, k: int) -> Fraction:
+        """Ric_jk = sum_i R(i, j, k, i), exact."""
+        return sum(self.riemann(i, j, k, i) for i in range(self.n))
+
+    def scalar(self) -> Fraction:
+        """S = sum_j Ric_jj, exact."""
+        return sum(self.ricci(j, j) for j in range(self.n))
 
     def diag_jet_with_cutoff(self, t, alpha, beta):
         raise NotImplementedError
@@ -267,9 +282,7 @@ class FlatTorus(SpectralModel):
     label = "torus"
     default_hard_cap = 200_000
     is_flat = True
-    scalar_curvature = 0.0
-    ricci_coefficient = 0.0
-    sectional_curvature = 0.0
+    curvature = Fraction(0)
 
     def __init__(self, radii, policy: TruncationPolicy = DEFAULT_POLICY):
         super().__init__(policy)
@@ -423,10 +436,7 @@ class Sphere(SpectralModel):
             lambda: _sphere_volume(dim, radius),
         )
         self._zonal_scale = 1.0 / self.volume
-        a2 = radius * radius
-        self.scalar_curvature = dim * (dim - 1) / a2
-        self.ricci_coefficient = (dim - 1) / a2
-        self.sectional_curvature = 1.0 / a2
+        self.curvature = 1 / Fraction(radius) ** 2
         self._extract_cache: dict = {}
         # 2^m (lam)_m / m! per m, rounded once from the exact rational
         self._rise: list[float] = []
@@ -709,44 +719,25 @@ def third_jet_umbilical(model: SpectralModel, t: float, i: int, j: int,
     return 2.0 * t * model.gram_entry(t, from_indices([i, k, k], n), from_indices([j], n))
 
 
-class SymmetryResidualReport(NamedTuple):
-    tensor: list                # r[i][j][k][l]
-    max_abs: float
-    antisymmetry_first: float   # R_ijkl + R_jikl
-    antisymmetry_last: float    # R_ijkl + R_ijlk
-    pair_symmetry: float        # R_ijkl - R_klij
-    first_bianchi: float        # R_ijkl + R_kijl + R_jkil
-
-
-def _max_abs(values) -> float:
-    """max |v| over a non-empty iterable; NaN if any value is NaN."""
-    out = 0.0
-    for v in values:
-        a = abs(v)
-        if not a <= out:  # larger, or NaN
-            if a != a:
-                return a
-            out = a
-    return out
-
-
-def curvature_symmetry_residuals(model: SpectralModel, ts) -> SymmetryResidualReport:
-    """R(V_i, V_j, V_k, V_l) for all index quadruples, nested as
-    ``tensor[i][j][k][l]`` with 0-based indices, and the residuals of its
-    algebraic symmetries.
+def curvature_symmetry_residuals(model: SpectralModel, ts) -> list:
+    """The fitted Riemann tensor R(V_i, V_j, V_k, V_l), nested as
+    ``tensor[i][j][k][l]`` with 0-based indices.  The name is older than
+    the return value; the benchmark's tracer binds it, so it is renamed
+    together with the next change to the benchmark.
 
     Each entry is the fitted t -> 0 limit of the Gram difference
-    G((i,l),(j,k)) - G((i,k),(j,l)).  Quadruples whose two Gram pairs have
-    the same jet keys (:meth:`SpectralModel.jet_key`) have bit-identical
-    differences, so they share one fit.
+    G((i,l),(j,k)) - G((i,k),(j,l)), so ``tensor[i][j][j][i]`` reads the
+    sectional curvature K, as ``SpectralModel.riemann`` does.  Quadruples
+    whose two Gram pairs have the same jet keys
+    (:meth:`SpectralModel.jet_key`) have bit-identical differences, so they
+    share one fit.
     """
     if model.n < 2:
         raise ValueError("curvature needs dimension at least 2")
     n = model.n
     fits = {}
     r = [[[[0.0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    quads = list(product(range(n), repeat=4))
-    for i, j, k, l in quads:
+    for i, j, k, l in product(range(n), repeat=4):
         pair1 = (from_indices([i + 1, l + 1], n), from_indices([j + 1, k + 1], n))
         pair2 = (from_indices([i + 1, k + 1], n), from_indices([j + 1, l + 1], n))
         key = (model.jet_key(*pair1), model.jet_key(*pair2))
@@ -755,22 +746,7 @@ def curvature_symmetry_residuals(model: SpectralModel, ts) -> SymmetryResidualRe
                 [(t, model.gram_difference(t, pair1, pair2)) for t in ts]
             ).c0
         r[i][j][k][l] = fits[key]
-    return SymmetryResidualReport(
-        tensor=r,
-        max_abs=_max_abs(r[i][j][k][l] for i, j, k, l in quads),
-        antisymmetry_first=_max_abs(
-            r[i][j][k][l] + r[j][i][k][l] for i, j, k, l in quads
-        ),
-        antisymmetry_last=_max_abs(
-            r[i][j][k][l] + r[i][j][l][k] for i, j, k, l in quads
-        ),
-        pair_symmetry=_max_abs(
-            r[i][j][k][l] - r[k][l][i][j] for i, j, k, l in quads
-        ),
-        first_bianchi=_max_abs(
-            r[i][j][k][l] + r[k][i][j][l] + r[j][k][i][l] for i, j, k, l in quads
-        ),
-    )
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +774,8 @@ def squared_distance_jets(model: Sphere, alpha: MultiIndex,
     once.
     Closed-form targets on the sphere: first jets 0, D_ij r^2 = 2 delta_ij =
     -D_i Dbar_j r^2, all third jets 0, pure fourth jets 0, and the mixed
-    fourth jets carry the curvature combination -(2/3)(R_ikjl + R_iljk).
+    fourth jets carry the curvature combination (2/3)(R_ikjl + R_iljk), in
+    the convention R_ijji = K of ``SpectralModel.riemann``.
     """
     if not isinstance(model, Sphere):
         raise ValueError("squared-distance jets use the closed-form sphere kernel")
@@ -813,11 +790,6 @@ def squared_distance_jets(model: Sphere, alpha: MultiIndex,
 def squared_distance_target(model: Sphere, alpha: MultiIndex,
                             beta: MultiIndex) -> float:
     """Closed-form value of the squared-distance jet on the round sphere."""
-    K = model.sectional_curvature
-
-    def riemann(a, b, c, d):
-        return K * ((a == c) * (b == d) - (a == d) * (b == c))
-
     total = _squared_distance_order(alpha, beta)
     if total % 2 == 1 or total == 0:
         return 0.0
@@ -832,9 +804,10 @@ def squared_distance_target(model: Sphere, alpha: MultiIndex,
         return -2.0 * (i == j)
     # total degree 4: only the (2,2)-mixed pattern is nonzero
     if alpha.degree == 2 and beta.degree == 2:
-        i, j = alpha.indices()
-        k, l = beta.indices()
-        return -(2.0 / 3.0) * (riemann(i, k, j, l) + riemann(i, l, j, k))
+        i, j = (a - 1 for a in alpha.indices())  # riemann is 0-based
+        k, l = (b - 1 for b in beta.indices())
+        R = model.riemann
+        return float(Fraction(2, 3) * (R(i, k, j, l) + R(i, l, j, k)))
     return 0.0
 
 

@@ -142,7 +142,7 @@ def test_criterion_05_sphere3_fitted_limits():
 def test_criterion_06_isometry():
     r = isometry_suite(MODELS["sphere3"], DEFAULT_GRID)
     c1 = r.summaries["isometry.c1[1,1]"]
-    assert abs(c1.fitted_c0 - 1 / 3) <= 0.05 / 3
+    assert abs(c1.fitted_c1 - 1 / 3) <= 0.05 / 3
     assert r.passed
     gram = pullback_metric(MODELS["torus"], 0.01)
     assert np.max(np.abs(gram - np.eye(2))) < 1e-8
@@ -194,23 +194,29 @@ def test_criterion_09_umbilical_third_jets():
 
 def test_criterion_10_curvature_recovery():
     def sectional(label):
-        r = curvature_symmetry_residuals(MODELS[label], DEFAULT_GRID).tensor
+        r = curvature_symmetry_residuals(MODELS[label], DEFAULT_GRID)
         return r[0][1][1][0]
 
     k3 = sectional("sphere3")
     assert abs(k3 - 1.0) <= 0.05
     k2 = sectional("sphere2")
     assert abs(k2 - 0.25) <= 0.05 * 0.25
-    torus_rep = curvature_symmetry_residuals(MODELS["torus"], DEFAULT_GRID)
-    assert torus_rep.max_abs < 1e-6
+    torus = curvature_symmetry_residuals(MODELS["torus"], DEFAULT_GRID)
+    assert max(abs(x) for a in torus for b in a for c in b for x in c) < 1e-6
+    # every independent entry of S3 against the model's exact tensor: the
+    # nonzero ones within 5%, the zero ones within 1e-3 of max |R| = 1
     summaries = curvature_suite(MODELS["sphere3"], DEFAULT_GRID).summaries
-    residuals = [
-        v for k, v in summaries.items() if k.startswith("curvature.residual.")
-    ]
-    assert len(residuals) == 4
-    assert all(s.passes and s.observed < 1e-3 for s in residuals)
+    assert len(summaries) == 6
+    worst_zero = 0.0
+    for s in summaries.values():
+        assert s.passes
+        if s.target == 0.0:
+            assert abs(s.observed) <= 1e-3
+            worst_zero = max(worst_zero, abs(s.observed))
+        else:
+            assert abs(s.observed - s.target) <= 0.05 * abs(s.target)
     _report(10, f"sectional: S3 {k3:.4f}, S2(a=2) {k2:.5f}; "
-                f"torus |R| < 1e-6; residuals < 1e-3")
+                f"torus |R| < 1e-6; S3 zero entries <= {worst_zero:.1e}")
 
 
 def test_criterion_11_squared_distance_jets():

@@ -381,12 +381,12 @@ class TestSuitePassFlags:
         assert r.passed
         c1 = r.summaries["isometry.c1[1,1]"]
         assert c1.target == pytest.approx(1 / 3)
-        assert abs(c1.fitted_c0 - 1 / 3) < 0.05 / 3
+        assert abs(c1.fitted_c1 - 1 / 3) < 0.05 / 3
 
     def test_c1_summaries_observe_the_fitted_slope(self):
         # a check of an O(t) coefficient observes the fitted slope, not the
         # sample at the smallest time; isometry.c1[i,j] observes the slope
-        # of the isometry.g[i,j] fit
+        # of the isometry.g[i,j] fit and reports that fit's c0 and c1
         for model, count in ((Sphere(3, 1.0), 6), (Sphere(2, 2.0), 3),
                              (FlatTorus((1.0, 1.3)), 0)):
             slope = scalar_suite(model).summaries["scalar.slope"]
@@ -397,7 +397,8 @@ class TestSuitePassFlags:
             assert len(c1) == count, model.label
             for name, s in c1:
                 g = summaries[name.replace("c1", "g")]
-                assert s.observed == g.fitted_c1, (model.label, name)
+                assert s.observed == s.fitted_c1 == g.fitted_c1, (model.label, name)
+                assert s.fitted_c0 == g.fitted_c0, (model.label, name)
 
     def test_mean_curvature_suite(self):
         for model, target in (
@@ -409,16 +410,17 @@ class TestSuitePassFlags:
             assert r.passed
             assert r.summaries["mean_curvature.length"].target == pytest.approx(target)
 
-    def test_umbilical_suite_reports_both_aggregates(self):
+    def test_umbilical_suite_reports_the_shape_constant(self):
         r = umbilical_suite(Sphere(3, 1.0), DEFAULT_GRID)
         assert r.passed
+        aggregates = [name for name in r.summaries
+                      if not name.startswith("umbilical.jet[")]
+        assert aggregates == ["umbilical.shape_constant"]
         shape = r.summaries["umbilical.shape_constant"]
         assert shape.target == pytest.approx(-5 / 6)
+        # -(n+2)/(2n), not -3/2, for n = 3
         assert abs(shape.fitted_c0 + 5 / 6) < 0.03
-        alt = r.summaries["umbilical.shape_constant_alternative"]
-        assert alt.target == -1.5
-        # observed value adjudicates: far from -3/2 for n = 3
-        assert abs(alt.observed + 5 / 6) < 0.03
+        assert shape.observed == shape.fitted_c0
 
     def test_umbilical_circle_aggregates_agree(self):
         # n = 1 is the one case where -(n+2)/(2n) = -3/2
@@ -427,12 +429,82 @@ class TestSuitePassFlags:
         assert shape.target == pytest.approx(-1.5)
         assert abs(shape.fitted_c0 + 1.5) < 0.045
 
+    @pytest.mark.parametrize("n, radius", [(3, 1.37), (5, 1.5)])
+    def test_curvature_targets_round_once(self, n, radius):
+        # every target is its exact value in K = 1/radius^2, rounded once;
+        # S/6 and (S/2 - Ric)/3 in floats would round two and three times
+        K = 1 / Fraction(radius) ** 2
+        model = Sphere(n, radius)
+        assert scalar_suite(model).summaries["scalar.slope"].target == float(
+            n * (n - 1) * K / 6)
+        iso = isometry_suite(model).summaries
+        ricci = scalar_ricci_suite(model).summaries
+        assert ricci["scalar_ricci.scalar"].target == float(n * (n - 1) * K)
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                c1 = (n - 1) * (n - 2) * K / 6 if i == j else 0
+                ric = (n - 1) * K if i == j else 0
+                assert iso[f"isometry.c1[{i},{j}]"].target == float(c1), (i, j)
+                assert ricci[f"scalar_ricci.ric[{i},{j}]"].target == float(ric), (i, j)
+
     def test_curvature_suite(self):
         assert curvature_suite(Sphere(3, 1.0), DEFAULT_GRID).passed
         assert curvature_suite(FlatTorus((1.0, 1.3)), DEFAULT_GRID).passed
         assert curvature_suite(Sphere(4, 1.3), DEFAULT_GRID).passed
         with pytest.raises(ValueError):
             curvature_suite(Circle(1.0), DEFAULT_GRID)
+
+    @pytest.mark.parametrize("model, count", [
+        (Sphere(2, 1.5), 1), (Sphere(3, 1.0), 6), (Sphere(4, 1.3), 21),
+        (FlatTorus((1.0, 1.3)), 1),
+    ], ids=lambda v: getattr(v, "label", v))
+    def test_curvature_entries_read_the_model_tensor(self, model, count):
+        # one check per entry i < j, k < l, (i, j) <= (k, l), 1-based
+        summaries = curvature_suite(model, DEFAULT_GRID).summaries
+        assert len(summaries) == count
+        for name, s in summaries.items():
+            i, j, k, l = (int(x) - 1 for x in name[12:-1].split(","))
+            assert i < j and k < l and (i, j) <= (k, l), name
+            assert s.target == float(model.riemann(i, j, k, l)), name
+            assert s.passes, name
+
+    def test_curvature_entries_fail_on_a_scaled_tensor(self, monkeypatch):
+        # a model whose tensor is 1.1 times the true one fails every
+        # nonzero entry and still passes the zero ones
+        model = Sphere(3, 1.0)
+
+        def scaled(*quad):
+            return Fraction(11, 10) * Sphere.riemann(model, *quad)
+
+        monkeypatch.setattr(model, "riemann", scaled)
+        summaries = curvature_suite(model, DEFAULT_GRID).summaries
+        assert {s.target for s in summaries.values()} == {-1.1, 0.0}
+        for name, s in summaries.items():
+            assert s.passes == (s.target == 0.0), name
+
+    @pytest.mark.parametrize("model, nudge, passes", [
+        # a zero target passes within residual_rel = 1e-3 times max |R|
+        (Sphere(3, 1.0), 1e-2, False), (Sphere(3, 1.0), 1e-4, True),
+        (Sphere(3, 1.5), 1e-2 / 2.25, False), (Sphere(3, 1.5), 1e-4 / 2.25, True),
+        # max |R| is 0 on a flat model: curvature_flat_abs = 1e-6
+        (FlatTorus((1.0, 1.3, 1.7)), 1e-5, False),
+        (FlatTorus((1.0, 1.3, 1.7)), 1e-7, True),
+    ], ids=["sphere3-fails", "sphere3-passes", "sphere3-r1.5-fails",
+            "sphere3-r1.5-passes", "torus3-fails", "torus3-passes"])
+    def test_curvature_zero_entry_nudged(self, monkeypatch, model, nudge, passes):
+        fitted = asymptotics.curvature_symmetry_residuals
+
+        def nudged(model, ts):
+            r = fitted(model, ts)
+            r[0][1][0][2] += nudge
+            return r
+
+        monkeypatch.setattr(asymptotics, "curvature_symmetry_residuals", nudged)
+        summaries = curvature_suite(model, DEFAULT_GRID).summaries
+        assert summaries["curvature.R[1,2,1,3]"].target == 0.0
+        assert summaries["curvature.R[1,2,1,3]"].passes is passes
+        assert all(s.passes for name, s in summaries.items()
+                   if name != "curvature.R[1,2,1,3]")
 
     def test_scalar_ricci_suite(self):
         assert scalar_ricci_suite(Sphere(3, 1.0), DEFAULT_GRID).passed

@@ -550,16 +550,16 @@ class TestGoldenBytes:
          "431aeae0b1207fc199bca4f96d6ef24de16487a98857c9e6fe8cf40b73f80794",
          "dc0cd8ff720b2eea9f42fbf134f15b0d849c7774a4c4b60b3727ced2e5daff00"),
         (["curvature", "--model", "sphere3"], None,
-         "5b35c082e9ffd634feafaa274ecc6300829498da486bfd90df240c5dc01c74ac"),
+         "fb786a9a43742d01f5e52a850805ec06ebb9d9c8c5c34c422448bdfc3cff7589"),
         (["curvature", "--model", "torus", "--radii", "1.0,1.3"], None,
-         "ba4437dfe166b713e2b79ec6bfd5e08b46f0af809ae99a2be6d872f663093889"),
+         "fcf1651de6048e30c030789d8a5953874d751c3d5cfb5d97f19591446f2b8b79"),
         # the deepest mode sums of the benchmark's verify and curvature ops
         (["verify", "--model", "sphere3", "--radius", "1.75", "--max-degree", "6",
           "--t-grid", "0.1:0.5:7"],
          "8211e216514eb0bc56df053108048f9d5473660404f3bc8e5103c19490987dc8",
          "39186ba534ca7980125fe451994c4ade45612ae408bb622edf3f58c72d61c1b1"),
         (["curvature", "--model", "sphere2", "--radius", "1.5"], None,
-         "a9886ea09a3cc06215bd8503420b9bffee9e312e322803376be4eba8fb849b98"),
+         "e30ddff72107f2f433bf028db7f74d894776ed28603e5dcdf01196417409aab7"),
     ], ids=["verify-sphere3", "verify-sphere2", "verify-torus",
             "curvature-sphere3", "curvature-torus", "verify-sphere3-r1.75",
             "curvature-sphere2-r1.5"])
@@ -585,9 +585,9 @@ class TestGoldenBytes:
          "265dd289a83aec1f893558999786dc11c12e697b2a0389d7a26e80e0d613dbcd",
          "e13bdfb6a83762af22569f7d7dcc7ebf9f4e568b5ac580eb52a4aac090862081"),
         (["curvature", "--model", "sphere3"], None,
-         "30f89638c8dc37e5981d462d4c99f808a9a6fb383d7492074e28a03f0f20350a"),
+         "2e02511efdc46885037de32b3b97f77be72a524948e2842305cae885bc25e472"),
         (["curvature", "--model", "torus", "--radii", "1.0,1.3"], None,
-         "5423ff0860a2c4f3026a613cfa7b51e1a1c91e49968179dca974d693833373ec"),
+         "7e086d2bd63cd0c27d2e8040a21ce47b499f49f95bf0f186b9f64a29c5d9150b"),
     ], ids=["verify-sphere3", "verify-torus", "curvature-sphere3", "curvature-torus"])
     def test_failing_checks(self, tmp_path, capsys, argv, csv_sha, json_sha):
         cfg = tmp_path / "cfg.json"
@@ -618,7 +618,7 @@ class TestGoldenBytes:
          "1ed942f500ebb14d5cd2aeb5351930336d56228313c42580e7abc78bd8a7bae9", None),
         (["curvature", "--model", "sphere2", "--radius", "1.5"],
          {"policy": {"rho": 3.0, "epsilon": 1e-9}}, 0, None,
-         "162c637f4f05e7617c875bff21d1604853dff856eab3c77d5b43d2603dfc9016"),
+         "c1bbb8cb2baf925e75fa06253f9a998e48df4580e795fe5d431529020c5ea458"),
     ], ids=["verify-sphere3-eps", "verify-torus-eps", "curvature-sphere2-rho"])
     def test_non_default_policy(self, tmp_path, capsys, argv, file_cfg, exit_code,
                                 csv_sha, json_sha):
