@@ -519,7 +519,7 @@ def curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
 
     A nonzero target is judged relative to itself (``curvature_rel``), a
     zero target within ``residual_rel`` times max |R| of the model, and on a
-    flat model, where max |R| is 0, every entry within
+    flat model (``model.is_flat``) every entry within
     ``curvature_flat_abs``.  The other entries are these up to the algebraic
     symmetries, which hold exactly in the fit.
     """
@@ -528,8 +528,10 @@ def curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
     planes = combinations(range(model.n), 2)
     quads = [(*p, *q) for p, q in combinations_with_replacement(planes, 2)]
     targets = [float(model.riemann(*quad)) for quad in quads]
-    scale = max(abs(target) for target in targets)
-    zero_abs = tol["residual_rel"] * scale if scale else tol["curvature_flat_abs"]
+    if model.is_flat:
+        zero_abs = tol["curvature_flat_abs"]
+    else:
+        zero_abs = tol["residual_rel"] * max(abs(target) for target in targets)
     result = SuiteResult("curvature", model.label, {})
     for (i, j, k, l), target in zip(quads, targets):
         value = r[i][j][k][l]

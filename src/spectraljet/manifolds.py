@@ -172,7 +172,6 @@ class SpectralModel:
 
     # the exact constant sectional curvature that ``riemann`` reads
     curvature: Fraction
-    is_flat: bool
 
     def __init__(self, policy: TruncationPolicy):
         self.policy = policy
@@ -209,8 +208,16 @@ class SpectralModel:
         indices, in the convention R(i, j, j, i) = K, the sectional curvature
         of the plane (e_i, e_j).  Every curvature target derives from it.
         Here K is the constant ``curvature``; a model whose curvature is not
-        constant overrides this."""
+        constant overrides this, and ``is_flat`` with it."""
         return self.curvature * ((i == l) * (j == k) - (i == k) * (j == l))
+
+    @property
+    def is_flat(self) -> bool:
+        """Whether ``riemann`` vanishes, which picks the flat-model rule of
+        the jet, isometry and curvature suites.  Read from ``curvature``, as
+        ``riemann`` is; a model that overrides ``riemann`` overrides this
+        with it."""
+        return self.curvature == 0
 
     def ricci(self, j: int, k: int) -> Fraction:
         """Ric_jk = sum_i R(i, j, k, i), exact."""
@@ -281,7 +288,6 @@ class FlatTorus(SpectralModel):
 
     label = "torus"
     default_hard_cap = 200_000
-    is_flat = True
     curvature = Fraction(0)
 
     def __init__(self, radii, policy: TruncationPolicy = DEFAULT_POLICY):
@@ -406,20 +412,19 @@ class Sphere(SpectralModel):
 
         Z_l^(m)(1) / m! = (2l+n-1)/(n-1) C(l+m+n-2, l-m) 2^m (lam)_m / m!.
 
-    A jet pairs these coefficients with its extraction vector em, where
-    em[m] is D_u^alpha D_v^beta of w^m at the origin.  w^m is a series in
+    A jet pairs the moments
+
+        S_m(t) = sum_l exp(-lambda_l t) Z_l^(m)(1) / m!
+
+    with its extraction vector em, where em[m] is D_u^alpha D_v^beta of w^m
+    at the origin: the jet is sum_m em[m] S_m(t) / Vol.  w^m is a series in
     |u|^2, |v|^2 and <u, v>, so a coordinate permutation applied to both
     alpha and beta fixes em exactly: the extraction vectors are memoized per
-    degree and orbit, keyed by ``jet_key``.  Pairs of different orbits still
-    share one em, so the zonal sum over l is memoized on (em, t);
-    the heat diagonal is the zonal sum of em = (1.0,).
-    The sums read two mode tables that grow only as far as a sum reaches:
-    the Taylor coefficients of Z_l per degree l, for every m below the
-    widest extraction vector summed, and per heat time t the Gaussian
-    weights exp(-lambda_l t).
+    degree and orbit, keyed by ``jet_key``.  Each moment is summed once per
+    (m, t), as the torus sums once per (axis, order, t); the heat diagonal
+    is S_0, the zonal sum of em = (1.0,).
     """
 
-    is_flat = False
     default_hard_cap = 5_000
 
     def __init__(self, dim: int, radius: float = 1.0,
@@ -440,10 +445,6 @@ class Sphere(SpectralModel):
         self._extract_cache: dict = {}
         # 2^m (lam)_m / m! per m, rounded once from the exact rational
         self._rise: list[float] = []
-        # [l][m] for m below the widest extraction vector summed so far
-        self._taylor_rows: list[tuple[float, ...]] = []
-        self._width = 0
-        self._weights: dict[float, list[float]] = {}  # t -> [exp(-lambda_l t)]
 
     def describe(self) -> dict:
         return {"kind": self.label, "radius": self.radius}
@@ -469,23 +470,17 @@ class Sphere(SpectralModel):
             (2 * l + n - 1) * math.comb(l + m + n - 2, l - m)
         ) / (n - 1) * rise[m]
 
-    def _widen_rows(self, width: int) -> None:
-        """Give every Taylor row the columns m < width."""
-        rows = self._taylor_rows
-        for l, row in enumerate(rows):
-            rows[l] = row + tuple(
-                self._zonal_taylor(l, m) for m in range(len(row), width)
-            )
-        self._width = width
+    def _moment(self, m: int, t: float) -> tuple[float, int]:
+        """S_m(t) = sum_l exp(-lambda_l t) zonal_taylor(l, m) from l = 0,
+        before the zonal scale, and the last degree summed; S_0 sums the
+        multiplicities.  Its terms vanish below l = m, so the tail rule
+        waits past m as well as past the peak of l^(2m+n-1) exp(-lambda_l t).
+        """
+        def term(l):
+            return math.exp(-self.eigenvalue(l) * t) * self._zonal_taylor(l, m)
 
-    def _grow_tables(self, weights: list[float], t: float, l: int) -> None:
-        """Extend the Taylor rows, and the weights of t, through degree l."""
-        rows = self._taylor_rows
-        while len(rows) <= l:
-            k = len(rows)
-            rows.append(tuple(self._zonal_taylor(k, m) for m in range(self._width)))
-        while len(weights) <= l:
-            weights.append(math.exp(-self.eigenvalue(len(weights)) * t))
+        min_index = max(m + 1, self._min_index(self.radius, t, 2 * m + self.n - 1.0))
+        return self._sum((m, t), term, 0, min_index)
 
     def _series_degree(self, total: int) -> int:
         return max(2, total + (total % 2))
@@ -513,31 +508,19 @@ class Sphere(SpectralModel):
         return vec
 
     def _zonal_sum(self, em, t: float) -> tuple[float, int]:
-        """sum_l exp(-lambda_l t) sum_m zonal_taylor(l, m) em[m] from l = 0,
-        before the zonal scale; (0.0, 0) when every em[m] vanishes.
-        em = (1.0,) sums the multiplicities, the heat diagonal."""
-        if all(e == 0.0 for e in em):
-            return 0.0, 0
-        nonzero = [(m, e) for m, e in enumerate(em) if e]
-        weights = self._weights.setdefault(t, [])
-        rows = self._taylor_rows
-
-        def term(l):
-            if l >= len(weights):  # the rows are at least as long
-                self._grow_tables(weights, t, l)
-            row = rows[l]
-            acc = 0.0
-            for m, e in nonzero:
-                acc += row[m] * e
-            return weights[l] * acc
-
-        min_index = self._min_index(self.radius, t, 2 * (len(em) - 1) + self.n - 1.0)
+        """sum_m em[m] S_m(t) over the nonzero em[m], before the zonal scale,
+        and the largest cutoff among those moments; (0.0, 0) when every
+        em[m] vanishes.  em = (1.0,) is S_0, the heat diagonal."""
+        total, cutoff = 0.0, 0
         try:
-            if len(em) > self._width:
-                self._widen_rows(len(em))
-            return self._sum((em, t), term, 0, min_index)
+            for m, e in enumerate(em):
+                if e:
+                    s, used = self._moment(m, t)
+                    total += e * s
+                    cutoff = max(cutoff, used)
         except OverflowError:
             raise self._out_of_range(t) from None
+        return total, cutoff
 
     def _out_of_range(self, t: float) -> ValueError:
         """The error of a mode sum whose terms pass the float range: the
@@ -560,11 +543,13 @@ class Sphere(SpectralModel):
         return s * self._zonal_scale, used
 
     def gram_difference(self, t, pair1, pair2) -> float:
-        """G(pair1) - G(pair2) with the difference taken per eigenvalue term.
+        """G(pair1) - G(pair2) with the difference taken on the extraction
+        vectors, before any moment is summed.
 
         Both entries carry the same O(1/t) leading part when their Wick
-        constants agree; differencing inside the mode sum keeps the O(1)
-        remainder free of catastrophic cancellation.
+        constants agree; their top extraction entries are then bit-equal and
+        cancel exactly, which keeps the O(1) remainder free of catastrophic
+        cancellation.
         """
         self._validate_time(t)
         a1, b1 = pair1
@@ -825,8 +810,8 @@ class TruncationStability(NamedTuple):
 def truncation_stability(model: SpectralModel, t: float, alpha: MultiIndex,
                          beta: MultiIndex) -> TruncationStability:
     """Re-evaluate a jet with the policy-chosen cutoff doubled, on a fresh
-    twin of the model: a copy would share the sphere's Taylor rows, which
-    grow in place to the width of its own widest sum."""
+    twin of the model built with that cutoff: a copy would share the memo of
+    sums taken under the model's own policy."""
     value, cutoff = model.diag_jet_with_cutoff(t, alpha, beta)
     if cutoff == 0:  # structurally zero jet; doubling changes nothing
         return TruncationStability(value, value, 0.0, cutoff)

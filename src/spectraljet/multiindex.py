@@ -87,9 +87,6 @@ class MultiIndex(NamedTuple("MultiIndex", [("counts", tuple[int, ...])])):
             out.extend([j] * c)
         return tuple(out)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(j for j, c in enumerate(self.counts, start=1) if c > 0)
-
     def text(self) -> str:
         """Comma-separated index list; the empty multi-index is ''."""
         return counts_text(self.counts)

@@ -22,7 +22,13 @@ from spectraljet.asymptotics import (
     time_grid,
     umbilical_suite,
 )
-from spectraljet.manifolds import Circle, FlatTorus, Sphere, ricci_scalar_extract
+from spectraljet.manifolds import (
+    Circle,
+    FlatTorus,
+    Sphere,
+    pullback_metric,
+    ricci_scalar_extract,
+)
 from spectraljet.multiindex import from_indices
 
 
@@ -519,6 +525,42 @@ class TestSuitePassFlags:
         r = scalar_suite(Sphere(3, 1.0), DEFAULT_GRID)
         d = r.summary_dict()["scalar.slope"]
         assert set(d) == {"target", "fitted_c0", "fitted_c1", "stderr", "observed", "pass"}
+
+
+class TestOneFlatnessFlag:
+    """``is_flat`` is read from the curvature that ``riemann`` reads, and
+    every suite with a flat-model rule takes it from there."""
+
+    def test_flag_follows_the_curvature(self):
+        assert Circle().is_flat and FlatTorus((1.0, 1.3)).is_flat
+        assert not Sphere(3, 1.0).is_flat and not Sphere(2, 2.0).is_flat
+
+    def test_sphere_with_zero_curvature_gets_every_flat_rule(self):
+        s = Sphere(3, 1.0)
+        s.curvature = Fraction(0)
+        assert s.is_flat
+        # jets and angles are judged at the smallest time: one time suffices
+        jets = jet_relation_suite(s, 2, ts=(0.01,))
+        assert jets.summaries
+        assert all(x.fitted_c0 is None for x in jets.summaries.values())
+        # the pullback is judged as the identity at the smallest time, and
+        # no O(t) coefficient is checked
+        iso = isometry_suite(s, DEFAULT_GRID)
+        smallest = pullback_metric(s, DEFAULT_GRID[0])
+        assert set(iso.summaries) == {
+            f"isometry.g[{i + 1},{j + 1}]" for i in range(3) for j in range(i, 3)
+        }
+        for name, summary in iso.summaries.items():
+            i, j = (int(c) - 1 for c in name[-4:-1].split(","))
+            assert summary.observed == smallest[i][j], name
+        # every entry has target 0 and is judged within curvature_flat_abs:
+        # the fitted sectional entries, about 1, pass a bound of 10 and fail
+        # the default one
+        loose = {**TOLERANCES, "curvature_flat_abs": 10.0}
+        curv = curvature_suite(s, DEFAULT_GRID, loose)
+        assert {x.target for x in curv.summaries.values()} == {0.0}
+        assert curv.passed
+        assert not curvature_suite(s, DEFAULT_GRID).passed
 
 
 class TestOneFitRule:

@@ -539,27 +539,27 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("argv, csv_sha, json_sha", [
         (["verify", "--model", "sphere3", "--max-degree", "6",
           "--t-grid", "0.1:0.5:7"],
-         "5142c6028f32d85dc90fe18339a0f405dc16422ed6588e2f8792be698d024d01",
-         "2f3e09a33c4ec5e89dbcdd8433dc1ded0a13149513d80c0a5f9c2d9dc9fe6f24"),
+         "5e0ba7975bd815a87dbed6b12cd654a642e613c824d12fc4bdc287930d73294b",
+         "489271fd3ceb0ae7182e2ed2b8451f3df824f8728debc1699e37a813b7984294"),
         (["verify", "--model", "sphere2", "--radius", "2.0", "--max-degree", "6",
           "--t-grid", "0.1:0.5:7"],
-         "74440a3d3cc9468e84893863e76b960e68490c4c3b50714341732f2b78d6e402",
-         "f211750f89dee659ae42925653da04d0f9df4dafb1f9fe5a03de06fd3242f2fc"),
+         "55ed1d790667737c518a1211d8a286e5e08a6d9f421e29ec32dad8d72fbc4e69",
+         "073f1823c5c5d4370cd8acd1f9300dcad2441e909a18c6cab0c022e533599045"),
         (["verify", "--model", "torus", "--radii", "1.0,1.3", "--max-degree", "6",
           "--t", "0.01"],
          "431aeae0b1207fc199bca4f96d6ef24de16487a98857c9e6fe8cf40b73f80794",
          "dc0cd8ff720b2eea9f42fbf134f15b0d849c7774a4c4b60b3727ced2e5daff00"),
         (["curvature", "--model", "sphere3"], None,
-         "fb786a9a43742d01f5e52a850805ec06ebb9d9c8c5c34c422448bdfc3cff7589"),
+         "5b02fd786ef4a8715ef5246400793e71fe88018d5b01609c385f9774547065a2"),
         (["curvature", "--model", "torus", "--radii", "1.0,1.3"], None,
          "fcf1651de6048e30c030789d8a5953874d751c3d5cfb5d97f19591446f2b8b79"),
         # the deepest mode sums of the benchmark's verify and curvature ops
         (["verify", "--model", "sphere3", "--radius", "1.75", "--max-degree", "6",
           "--t-grid", "0.1:0.5:7"],
-         "8211e216514eb0bc56df053108048f9d5473660404f3bc8e5103c19490987dc8",
-         "39186ba534ca7980125fe451994c4ade45612ae408bb622edf3f58c72d61c1b1"),
+         "c512ebc3812c5fb175845e089ad8b8f999e57b0194cab09dd02915b64518dea3",
+         "34c34bec8a001bf27a4ceac873c6aa42cdcf3825cb804bb21852912022c5177b"),
         (["curvature", "--model", "sphere2", "--radius", "1.5"], None,
-         "e30ddff72107f2f433bf028db7f74d894776ed28603e5dcdf01196417409aab7"),
+         "ba915be898751292ead44639d251983bd18e93eb9a2a8d9b520b84730910ae0f"),
     ], ids=["verify-sphere3", "verify-sphere2", "verify-torus",
             "curvature-sphere3", "curvature-torus", "verify-sphere3-r1.75",
             "curvature-sphere2-r1.5"])
@@ -578,14 +578,14 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("argv, csv_sha, json_sha", [
         (["verify", "--model", "sphere3", "--max-degree", "4",
           "--t-grid", "0.1:0.5:7"],
-         "8db63ed6aec1154b5bc9bab6d28dfb9a6a38dc3b24dccaa60edfdaf200661941",
-         "76c3a6c8b021bebffbdb4f7c519933a96819dcd431b5dd5dc5d96b9576954c78"),
+         "102f23c939709656a31e6a536e2a35bae05897b23f55801f41df5d43b30367d5",
+         "9dd25101bf29c493766a9e414f8b398def1ae2ae275737bfeb23a0f6cc5fa88c"),
         (["verify", "--model", "torus", "--radii", "1.0,1.3", "--max-degree", "4",
           "--t-grid", "0.04:0.5:5"],
          "265dd289a83aec1f893558999786dc11c12e697b2a0389d7a26e80e0d613dbcd",
          "e13bdfb6a83762af22569f7d7dcc7ebf9f4e568b5ac580eb52a4aac090862081"),
         (["curvature", "--model", "sphere3"], None,
-         "2e02511efdc46885037de32b3b97f77be72a524948e2842305cae885bc25e472"),
+         "bfde737f4c2b5a4f714d8667c1bc1e0a4e7a9a0d49db39a8c7223323a1d31e47"),
         (["curvature", "--model", "torus", "--radii", "1.0,1.3"], None,
          "7e086d2bd63cd0c27d2e8040a21ce47b499f49f95bf0f186b9f64a29c5d9150b"),
     ], ids=["verify-sphere3", "verify-torus", "curvature-sphere3", "curvature-torus"])
@@ -610,15 +610,15 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("argv, file_cfg, exit_code, csv_sha, json_sha", [
         (["verify", "--model", "sphere3", "--max-degree", "4",
           "--t-grid", "0.1:0.5:7", "--policy-eps", "1e-8"], None, 0,
-         "5b6a94c2a54209b3ba3e29d0e28a82875e509b6f1e39925a5ff8a3228942482c",
-         "1c83105054010b8bef239ea55f38db5df235bada7b506f645c4fa77442f19382"),
+         "44209734f4c440f667eae426543b2f0f69966c07e6dbf8e69ea0389ed00a2ce9",
+         "f3d3d4064aadbecc8fecd520622274f56ef7001d3bc6547b582f0bd790332188"),
         # the flat jets of a coarse epsilon miss their 1e-6 tolerance
         (["verify", "--model", "torus", "--radii", "1.0,1.3", "--max-degree", "4",
           "--t", "0.01", "--policy-eps", "1e-6"], None, 1,
          "1ed942f500ebb14d5cd2aeb5351930336d56228313c42580e7abc78bd8a7bae9", None),
         (["curvature", "--model", "sphere2", "--radius", "1.5"],
          {"policy": {"rho": 3.0, "epsilon": 1e-9}}, 0, None,
-         "c1bbb8cb2baf925e75fa06253f9a998e48df4580e795fe5d431529020c5ea458"),
+         "e2660c915717d48c73dad415b1ae6cbbf2c0a5042659a6be8830d18f86ff7ecc"),
     ], ids=["verify-sphere3-eps", "verify-torus-eps", "curvature-sphere2-rho"])
     def test_non_default_policy(self, tmp_path, capsys, argv, file_cfg, exit_code,
                                 csv_sha, json_sha):

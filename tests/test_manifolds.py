@@ -16,6 +16,7 @@ from spectraljet.asymptotics import (
     normalization_factor,
     time_grid,
 )
+from spectraljet.jets import extract_mixed_partial
 from spectraljet.manifolds import (
     DEFAULT_POLICY,
     Circle,
@@ -23,6 +24,7 @@ from spectraljet.manifolds import (
     Sphere,
     TruncationError,
     TruncationPolicy,
+    _sphere_series_tables,
     _tail_sum,
     curvature_symmetry_residuals,
     jet_gram,
@@ -712,27 +714,21 @@ class TestPolicyRecord:
         assert doubled._sums.keys() == stored.keys()
 
 
-class TestSphereModeTables:
-    """The table-backed sphere sums equal a direct loop over the closed-form
-    coefficients, bit for bit and cutoff for cutoff, and the tables grow no
-    further than the sums reach."""
+class TestSphereMoments:
+    """Each sphere moment S_m(t) is one memoized sum, equal to a direct loop
+    over the closed-form coefficients bit for bit and cutoff for cutoff, and
+    every zonal sum is a combination of moments."""
 
     TS = (0.2, 0.05, 0.01, 0.003)
     POLICIES = (DEFAULT_POLICY, TruncationPolicy(fixed_cutoff=37))
+    MODELS = [(2, 1.5), (3, 1.0), (4, 1.2)]
 
     @staticmethod
-    def zonal_reference(s, em, t):
-        if all(e == 0.0 for e in em):
-            return 0.0, 0
-
+    def moment_reference(s, m, t):
         def term(l):
-            acc = 0.0
-            for m, e in enumerate(em):
-                if e:
-                    acc += s._zonal_taylor(l, m) * e
-            return math.exp(-s.eigenvalue(l) * t) * acc
+            return math.exp(-s.eigenvalue(l) * t) * s._zonal_taylor(l, m)
 
-        min_index = s._min_index(s.radius, t, 2 * (len(em) - 1) + s.n - 1.0)
+        min_index = max(m + 1, s._min_index(s.radius, t, 2 * m + s.n - 1.0))
         return _tail_sum(term, 0, min_index, s.policy, s._hard_cap)
 
     @staticmethod
@@ -743,53 +739,132 @@ class TestSphereModeTables:
         min_index = s._min_index(s.radius, t, s.n - 1.0)
         return _tail_sum(term, 0, min_index, s.policy, s._hard_cap)
 
-    @pytest.mark.parametrize("dim, radius", [(2, 1.5), (3, 1.0), (4, 1.2)])
-    def test_tables_equal_direct_loop(self, dim, radius):
+    @staticmethod
+    def combination(s, em, t):
+        total, cutoff = 0.0, 0
+        for m, e in enumerate(em):
+            if e:
+                value, used = s._moment(m, t)
+                total += e * value
+                cutoff = max(cutoff, used)
+        return total, cutoff
+
+    @pytest.mark.parametrize("dim, radius", MODELS)
+    def test_moments_equal_direct_loop(self, dim, radius):
+        for policy in self.POLICIES:
+            s = Sphere(dim, radius, policy)
+            for t in self.TS:
+                for m in range(7):
+                    assert s._moment(m, t) == self.moment_reference(s, m, t), (
+                        policy, t, m)
+                assert s._moment(0, t) == self.diagonal_reference(s, t), (policy, t)
+                assert s._zonal_sum((1.0,), t) == s._moment(0, t)
+
+    @pytest.mark.parametrize("dim, radius", MODELS)
+    def test_zonal_sums_are_moment_combinations(self, dim, radius):
         basis = enumerate_multiindices(dim, 2)
         pairs = [(a, b) for i, a in enumerate(basis) for b in basis[i:]]
         for policy in self.POLICIES:
             s = Sphere(dim, radius, policy)
             ems = {s._extract_vector(a, b, 4) for a, b in pairs}
-            ems |= {(0.5, -1.25, 3.0), (0.0, 0.0, -2.0, 0.0, 7.5), (1.0,), (0.0, 0.0),
-                    (0.0,) * 8 + (1.5,)}  # widens the rows once they exist
-            reach: dict = {}  # t -> largest cutoff summed at t
-
-            def check(got, want, *where):
-                assert got == want, (policy, *where)
-                reach[t] = max(reach.get(t, 0), want[1])
-
+            ems |= {(0.5, -1.25, 3.0), (0.0, 0.0, -2.0, 0.0, 7.5), (0.0, 0.0),
+                    (0.0,) * 8 + (1.5,)}
             for t in self.TS:
                 for em in sorted(ems):
-                    check(s._zonal_sum(em, t), self.zonal_reference(s, em, t), t, em)
-                check(s._zonal_sum((1.0,), t), self.diagonal_reference(s, t), t)
+                    assert s._zonal_sum(em, t) == self.combination(s, em, t), (
+                        policy, t, em)
                 for (a1, b1), (a2, b2) in zip(pairs, pairs[1:]):
                     total = max(a1.degree + b1.degree, a2.degree + b2.degree)
                     degree = s._series_degree(total)
                     em1 = s._extract_vector(a1, b1, degree)
                     em2 = s._extract_vector(a2, b2, degree)
                     diff = tuple(x - y for x, y in zip(em1, em2))
-                    value, cutoff = self.zonal_reference(s, diff, t)
-                    got = s.gram_difference(t, (a1, b1), (a2, b2))
+                    value, _ = self.combination(s, diff, t)
                     want = s.gram_prefactor(t) * value * s._zonal_scale
-                    check((got, cutoff), (want, cutoff), t, a1, b1, a2, b2)
-            assert {t: len(w) - 1 for t, w in s._weights.items()} == reach
-            assert len(s._taylor_rows) - 1 == max(reach.values())
+                    assert s.gram_difference(t, (a1, b1), (a2, b2)) == want, (
+                        policy, t, a1, b1, a2, b2)
 
-    def test_widened_rows_change_no_jet(self):
-        # the Taylor rows of a second-order jet are widened to 7 columns by
-        # a degree-12 jet; every jet reads the coefficients of a fresh
-        # instance
+    def test_sums_keyed_by_order_and_time(self):
+        # a verify run, and the Gram differences of a curvature run, sum
+        # nothing but the moments: one per (order, t)
+        s = Sphere(3, 1.3)
+        jet_relation_suite(s, 6, GRID)
+        curvature_symmetry_residuals(s, GRID)
+        keys = set(s._sums)
+        assert keys == {(m, t) for m in range(4) for t in GRID}
+        assert all(type(m) is int and type(t) is float for m, t in keys)
+
+    def test_high_moment_waits_past_its_vanishing_terms(self):
+        # on S^2 at t = 0.5 the estimated peak of S_9 lies below l = 9, where
+        # its terms start; the sum must not stop on the zeros before them
+        s = Sphere(2, 1.0)
+        value, cutoff = s._moment(9, 0.5)
+        assert cutoff > 9
+        long = Sphere(2, 1.0, TruncationPolicy(fixed_cutoff=200))._moment(9, 0.5)[0]
+        assert value > 0.0 and value == pytest.approx(long, rel=1e-14, abs=0)
+
+    def test_served_sums_change_no_jet(self):
+        # a model that has summed the moments of a degree-12 jet serves every
+        # lower jet exactly as a fresh instance does
         served = Sphere(3, 1.5)
         served.diag_jet(0.01, mi([1], 3), mi([1], 3))
         high = served.diag_jet(0.01, mi([1, 1, 2, 2, 3, 3], 3),
                                mi([1, 1, 1, 1, 2, 2], 3))
         assert high != 0.0 and math.isfinite(high)
-        assert {len(row) for row in served._taylor_rows} == {7}
+        assert (6, 0.01) in served._sums
         basis = enumerate_multiindices(3, 3)
         for t in (0.05, 0.01):
             for a in basis:
                 for b in basis:
                     assert served.diag_jet(t, a, b) == Sphere(3, 1.5).diag_jet(t, a, b)
+
+
+class TestSphereJetAccuracy:
+    """Sphere jets against a 40-digit mpmath zonal sum: the exact extraction
+    vector of each jet against moments summed in mpmath until the terms past
+    the peak fall below 1e-45 of the sum."""
+
+    @staticmethod
+    def moment(mp, n, a, t, m):
+        rise = mp.mpf(2) ** m * mp.rf(mp.mpf(n - 1) / 2, m) / mp.factorial(m)
+        scale = mp.mpf(t) / mp.mpf(a) ** 2
+        acc, l = mp.mpf(0), m
+        while True:
+            taylor = mp.mpf((2 * l + n - 1) * math.comb(l + m + n - 2, l - m)) / (n - 1)
+            term = mp.exp(-l * (l + n - 1) * scale) * taylor * rise
+            acc += term
+            if l * l * scale > 2 * m + n and term < acc * mp.mpf(10) ** -45:
+                return acc
+            l += 1
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_jets_match_a_40_digit_zonal_sum(self, dim):
+        import mpmath
+        mp = mpmath.mp.clone()
+        mp.dps = 40
+        for radius in (1.0, 1.5, 1.9):
+            s = Sphere(dim, radius)
+            volume = (2 * mp.pi ** (mp.mpf(dim + 1) / 2) / mp.gamma(mp.mpf(dim + 1) / 2)
+                      * mp.mpf(radius) ** dim)
+            orbits = {s.jet_key(a, b): (a, b) for a, b in _canonical_pairs(dim, 6)}
+            moments = {}
+            for t in GRID:
+                for a, b in orbits.values():
+                    order = a.degree + b.degree
+                    scale = Fraction(radius) ** -order
+                    exact = mp.mpf(0)
+                    for m, p in enumerate(_sphere_series_tables(max(2, order + order % 2))):
+                        e = extract_mixed_partial(p, a, b) * scale
+                        if e:
+                            if (m, t) not in moments:
+                                moments[m, t] = self.moment(mp, dim, radius, t, m)
+                            exact += mp.mpf(e.numerator) / e.denominator * moments[m, t]
+                    got = s.diag_jet(t, a, b)
+                    if not exact:
+                        assert got == 0.0, (radius, t, a, b)
+                        continue
+                    err = abs((got - exact / volume) / (exact / volume))
+                    assert err <= 1e-13, (radius, t, a, b, float(err))
 
 
 class TestScalarDiagonal:

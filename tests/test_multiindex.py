@@ -101,7 +101,6 @@ def test_degree_and_indices():
     assert m.degree == 3
     assert m.indices() == (1, 1, 2)
     assert m.multiplicity(1) == 2
-    assert m.support() == (1, 2)
 
 
 def test_add_remove_without():
