@@ -15,9 +15,10 @@ flag, an unknown model kind, a config key that is unknown or that the
 command does not read, a non-finite config number, a negative tolerance,
 a hard cap that is not an integer >= 1, a spectral sum that hits its
 hard cap (TruncationError: raise t or raise policy.hard_cap), a t-grid
-whose fitted limit is ill-conditioned, and a verify run of more than
-``asymptotics.MAX_JET_PAIRS`` jet pairs.  All file
-output is deterministic for a fixed config and seed.
+whose fitted limit is ill-conditioned, a verify run of more than
+``asymptotics.MAX_JET_PAIRS`` jet pairs, a lattice max_degree above
+``lattice.MAX_LATTICE_DEGREE``, and a ``wick --oracle`` value past the
+float range.  All file output is deterministic for a fixed config and seed.
 """
 from __future__ import annotations
 

@@ -85,6 +85,13 @@ def distance_comparison_check(
 # Random sampling of lattice points and the triple suite
 # ---------------------------------------------------------------------------
 
+# The suite holds double_factorial_table(max_degree + 2), whose integers
+# hold sum_k log2((2k - 1)!!) bits: 0.55 MB at max degree 10^3, 17 MB at
+# 5*10^3, 76 MB at 10^4, 328 MB at 2*10^4 and 9.65 GB at 10^5.  The limit
+# keeps the table below about 80 MB.
+MAX_LATTICE_DEGREE = 10_000
+
+
 #: Triples per seeded block of the suite.  Triple i belongs to block
 #: i // TRIPLE_BLOCK; each block reseeds the generator once and its triples
 #: take the next draws, so a reseed (about 5 us) costs under 0.5% of a block.
@@ -230,11 +237,12 @@ def _cos(kernel: tuple[int, int, int, int]) -> float:
 
 #: Fewest triples in a range of the suite, give or take half a block (see
 #: :func:`_range_bounds`).  Forking a worker, piping a small result back and
-#: reaping it took 1.6-1.8 ms from a CLI process on a 2-vCPU x86-64 VM
-#: (Python 3.11), the work of about 130-180 triples (10-13 us each at n = 3,
-#: max_degree = 8, CSV line included, with one reseed per block), so a range
-#: of 1000 triples spends about an eighth of its time on its worker, and a
-#: split in two already pays from a few hundred triples.
+#: reaping it took about 1.0 ms from a CLI process on a 2-vCPU x86-64 VM
+#: (Python 3.11; median of 60 forks, in each of 3 processes), the work of
+#: about 150 triples (6.8 us each at n = 3, max_degree = 8, CSV line
+#: included, with one reseed per block), so a range of 1000 triples spends
+#: about a seventh of its time on its worker, and a split in two already
+#: pays from a few hundred triples.
 MIN_RANGE = 1000
 
 
@@ -473,8 +481,18 @@ def run_triple_suite(
     Given ``render``, each range's rows go to ``render`` in the process that
     computed them (see :func:`_triple_range`), and the first value returned
     is the list of its results in index order instead; they must be values
-    that :mod:`marshal` can write.
+    that :mod:`marshal` can write.  A ``max_degree`` above
+    :data:`MAX_LATTICE_DEGREE` is refused before any table is built.
     """
+    if max_degree > MAX_LATTICE_DEGREE:
+        # by Stirling, a table of s entries holds about s^2 (ln(2 s) - 3/2)
+        # / (2 ln 2) bits, that is / 11.09e6 MB; inf past the float range
+        s = min(max_degree, 10**300) + 2.0
+        raise ValueError(
+            f"max_degree={max_degree} needs a double factorial table of about "
+            f"{s * s * (math.log(2 * s) - 1.5) / 11.09e6:,.0f} MB, above the "
+            f"limit of max_degree {MAX_LATTICE_DEGREE}; lower --max-degree"
+        )
     # the shifted pairs reach multiplicity max_degree + 1
     df = double_factorial_table(max_degree + 2)
     sample = _counts_sampler(n, max_degree)

@@ -41,18 +41,30 @@ def csv_line(values) -> str:
 
 
 def _csv_memo():
-    """The field and point renderers of one CSV, each memoized per CSV.
+    """The memo of one CSV: each distinct point and float is rendered once.
 
-    ``field`` gives ``_csv_field``'s text and renders each distinct float
-    once.  Only ``float`` values reach the memo, since ``True == 1 == 1.0``
-    would share a key.  ``0.0 == -0.0`` would too, so zeros stay out of it
-    and are told apart by their sign.  ``point`` renders each distinct count
-    tuple once through ``counts_text``; digits and commas need quoting only
-    when there is a comma.
+    Returns ``point, point_miss, real, field``.  ``point`` and ``real`` are
+    the ``get`` of the point and float dicts, so a writer looks a value up
+    inline, as ``point(p) or point_miss(p)`` and ``real(x) or field(x)``,
+    and calls a function only on a miss.  ``point_miss`` renders a count
+    tuple through ``counts_text`` and stores its text; digits and commas
+    need quoting only when there is a comma.  An all-zero point's text is
+    '', which is falsy, so it is rendered again at each lookup.  ``field``
+    gives ``_csv_field``'s text of any value and stores each new float's.
+    Only ``float`` values reach the memo, since ``True == 1 == 1.0`` would
+    share a key.  ``0.0 == -0.0`` would too, so zeros stay out of it and are
+    told apart by their sign.
     """
+    points: dict[tuple[int, ...], str] = {}
     floats: dict[float, str] = {}
     zeros = {1.0: fmt_float(0.0), -1.0: fmt_float(-0.0)}
-    points: dict[tuple[int, ...], str] = {}
+
+    def point_miss(counts: tuple[int, ...]) -> str:
+        text = counts_text(counts)
+        if "," in text:
+            text = '"' + text + '"'
+        points[counts] = text
+        return text
 
     def field(value) -> str:
         if type(value) is not float:
@@ -64,27 +76,19 @@ def _csv_memo():
             text = floats[value] = fmt_float(value)
         return text
 
-    def point(counts: tuple[int, ...]) -> str:
-        text = points.get(counts)
-        if text is None:
-            text = counts_text(counts)
-            if "," in text:
-                text = '"' + text + '"'
-            points[counts] = text
-        return text
-
-    return field, point
+    return points.get, point_miss, floats.get, field
 
 
 def records_to_csv(records) -> Iterator[str]:
     """The jet-record CSV as newline-terminated lines, header first."""
     yield CSV_HEADER + "\n"
-    field, point = _csv_memo()
+    point, point_miss, _, field = _csv_memo()
     line = ",".join(["%s"] * 8) + "\n"
     for model, alpha, beta, t, raw, normalized, target, abs_err in records:
+        a, b = alpha.counts, beta.counts
         yield line % (
-            field(model), point(alpha.counts), point(beta.counts), field(t),
-            field(raw), field(normalized), field(target), field(abs_err),
+            field(model), point(a) or point_miss(a), point(b) or point_miss(b),
+            field(t), field(raw), field(normalized), field(target), field(abs_err),
         )
 
 
@@ -112,12 +116,17 @@ def triple_csv_chunk(rows) -> list[str]:
 
 
 def _triple_lines(rows) -> Iterator[str]:
-    field, point = _csv_memo()
+    # every field of a row is an inline memo lookup: lattice fields are
+    # floats by construction, and a function runs only on a miss
+    point, point_miss, real, field = _csv_memo()
     line = ",".join(["%s"] * 9) + "\n"
-    for alpha, beta, gamma, d_ab, d_bc, d_ac, slack, lhs, rhs in rows:
+    for a, b, c, d_ab, d_bc, d_ac, slack, lhs, rhs in rows:
         yield line % (
-            point(alpha), point(beta), point(gamma), field(d_ab), field(d_bc),
-            field(d_ac), field(slack), field(lhs), field(rhs),
+            point(a) or point_miss(a), point(b) or point_miss(b),
+            point(c) or point_miss(c), real(d_ab) or field(d_ab),
+            real(d_bc) or field(d_bc), real(d_ac) or field(d_ac),
+            real(slack) or field(slack), real(lhs) or field(lhs),
+            real(rhs) or field(rhs),
         )
 
 

@@ -208,18 +208,28 @@ def gaussian_moment_oracle(alpha: MultiIndex, beta: MultiIndex) -> float:
     one coordinate at a time with int e^(-x^2) x^(2m) dx = Gamma(m + 1/2).
     Coordinates outside the support contribute sqrt(pi), cancelling the
     pi^(-n/2) prefactor.  Uses no factorials, so the route is independent of
-    :func:`wick_a`.
+    :func:`wick_a`.  A value past the float range raises ValueError; on one
+    coordinate that is from |alpha| + |beta| = 340 on.
     """
     prof = pair_profile(alpha, beta)
     if not prof.even_total():
         return 0.0
-    integral = 1.0
-    for e in prof.entries:
-        integral *= math.gamma(e.sigma2 / 2 + 0.5) / _SQRT_PI
     total = alpha.degree + beta.degree
+    integral = 1.0
+    try:
+        for e in prof.entries:
+            integral *= math.gamma(e.sigma2 / 2 + 0.5) / _SQRT_PI
+        magnitude = math.ldexp(integral, total // 2)
+    except OverflowError:
+        magnitude = math.inf
+    if magnitude == math.inf:  # a product of Gammas overflows without raising
+        raise ValueError(
+            "the Gaussian-moment route leaves the float range at degree "
+            f"|alpha| + |beta| = {total}"
+        )
     half_gap = (alpha.degree - beta.degree) // 2
     sign = -1.0 if half_gap % 2 else 1.0
-    return sign * math.ldexp(integral, total // 2)
+    return sign * magnitude
 
 
 class InductiveRelationReport(NamedTuple):

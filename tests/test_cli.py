@@ -70,6 +70,26 @@ class TestWickCommand:
         assert lines[1] == "graphs: count=3 sign=+1"
         assert lines[2].startswith("oracle: 3")
 
+    def test_oracle_past_the_float_range_is_config_error(self, capsys):
+        # one coordinate: Gamma(170.5) 2^170 overflows ldexp at degree 340,
+        # while degree 300 still fits; two coordinates: the product of two
+        # Gammas turns inf without raising
+        ones = ",".join(["1"] * 150)
+        code, out, _ = run(capsys, "wick", "--alpha", ones, "--beta", ones,
+                           "--n", "1", "--oracle")
+        assert code == 0
+        assert out.splitlines()[1].startswith("oracle: 3.75327411157192")
+        ones = ",".join(["1"] * 170)
+        twos = ",".join(["1"] * 100 + ["2"] * 100)
+        for argv, degree in (([ones, "1"], 340), ([twos, "2"], 400)):
+            alpha, n = argv
+            code, _, err = run(capsys, "wick", "--alpha", alpha, "--beta", alpha,
+                               "--n", n, "--oracle")
+            assert code == 2
+            assert err == ("error: the Gaussian-moment route leaves the float "
+                           f"range at degree |alpha| + |beta| = {degree}\n")
+            assert "Traceback" not in err
+
     def test_missing_n(self, capsys):
         code, _, err = run(capsys, "wick", "--alpha", "1")
         assert code == 2
@@ -394,6 +414,24 @@ class TestLatticeCommand:
         )
         assert code == 2
         assert err.startswith(f"error: {message}")
+        assert out == ""
+        assert not out_json.exists()
+
+    def test_max_degree_past_the_limit_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the table of max_degree 10^5 would hold 9.65 GB: refused unbuilt
+        def refuse(size):
+            raise AssertionError(f"double_factorial_table({size}) was built")
+
+        monkeypatch.setattr(lattice, "double_factorial_table", refuse)
+        out_json = tmp_path / "lat.json"
+        code, out, err = run(
+            capsys, "lattice", "sample", "--n", "3", "--max-degree", "100000",
+            "--count", "2", "--out-json", str(out_json),
+        )
+        assert code == 2
+        assert err.startswith("error: max_degree=100000 needs a double factorial "
+                              "table of about 9,654 MB")
+        assert "Traceback" not in err
         assert out == ""
         assert not out_json.exists()
 
@@ -961,7 +999,10 @@ class TestSerialization:
         assert fmt_float(1.0) == "1"
         assert float(fmt_float(0.1)) == 0.1
 
-    @pytest.mark.parametrize("n, max_degree", [(3, 8), (3, 0)])
+    # degree-0 points render as '' and degree-1 points unquoted; n = 12 has
+    # two-digit indices and n = 70 more than counts_text's 64 cached units
+    @pytest.mark.parametrize("n, max_degree", [(3, 8), (3, 0), (1, 5), (12, 3),
+                                               (70, 2)])
     def test_triple_rows_match_fmt_float_route(self, n, max_degree):
         rows, _ = run_triple_suite(n, max_degree, 300, 42)
         lines = list(triple_rows_to_csv(rows))

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import pytest
 
@@ -24,6 +24,11 @@ from spectraljet.multiindex import (
     empty,
     enumerate_multiindices,
     from_indices,
+)
+from spectraljet.reporting import (
+    LATTICE_CSV_HEADER,
+    triple_csv_chunk,
+    triple_rows_to_csv,
 )
 from spectraljet.wick import wick_b
 
@@ -275,6 +280,22 @@ class TestRangeSplit:
         assert_no_child_left()
         assert renders == [(1000, False), (1000, False), (1001, True)]
         assert report == run_triple_suite(3, 8, self.COUNT, 42)[1]
+
+    # each range renders its lines with memos of its own, so a point or float
+    # first met in one range is rendered again in the next
+    @pytest.mark.parametrize("n, max_degree", [(3, 8), (8, 40)])
+    def test_csv_does_not_depend_on_range_count(self, monkeypatch, deadline,
+                                                n, max_degree):
+        self.force_ranges(monkeypatch, 1)
+        rows, _ = run_triple_suite(n, max_degree, self.COUNT, 42)
+        expected = "".join(triple_rows_to_csv(rows))
+        for ranges in (1, 3):
+            self.force_ranges(monkeypatch, ranges)
+            chunks, _ = run_triple_suite(n, max_degree, self.COUNT, 42,
+                                         render=triple_csv_chunk)
+            assert_no_child_left()
+            assert len(chunks) == ranges
+            assert LATTICE_CSV_HEADER + "\n" + "".join(chain(*chunks)) == expected
 
     def test_rows_left_unread_are_checked(self, monkeypatch, deadline):
         # delta = 1 fails the comparison on triples of every range; a render
@@ -533,3 +554,42 @@ class TestTripleSuiteExactDecisions:
         assert report.stabilization_violations == stabilization_failures
         if delta == 1:
             assert comparison_failures > 0
+
+
+class TestDegreeLimit:
+    """A max_degree above MAX_LATTICE_DEGREE is refused before the double
+    factorial table, which grows like max_degree^2 log(max_degree), is built."""
+
+    @staticmethod
+    def no_table(monkeypatch):
+        def refuse(size):
+            raise AssertionError(f"double_factorial_table({size}) was built")
+
+        monkeypatch.setattr(lattice, "double_factorial_table", refuse)
+
+    def test_refused_before_the_table(self, monkeypatch):
+        self.no_table(monkeypatch)
+        with pytest.raises(ValueError, match=(
+            r"^max_degree=100000 needs a double factorial table of about "
+            r"9,654 MB, above the limit of max_degree 10000; lower --max-degree$"
+        )):
+            run_triple_suite(3, 100_000, 2, 42)
+        with pytest.raises(ValueError, match="table of about inf MB"):
+            run_triple_suite(3, 10**400, 2, 42)
+
+    def test_the_limit_itself_runs(self, monkeypatch):
+        monkeypatch.setattr(lattice, "MAX_LATTICE_DEGREE", 8)
+        assert run_triple_suite(3, 8, 10, 42)[1].passed()
+        self.no_table(monkeypatch)
+        with pytest.raises(ValueError, match="above the limit of max_degree 8;"):
+            run_triple_suite(3, 9, 10, 42)
+
+    # the message's Stirling estimate against the sum of log2((2k - 1)!!)
+    # over the table's entries, from lgamma; 16 * ln 2 = 11.09
+    @pytest.mark.parametrize("max_degree", [20_000, 100_000])
+    def test_table_size_estimate(self, monkeypatch, max_degree):
+        self.no_table(monkeypatch)
+        bits = sum(math.lgamma(2 * k + 1) - math.lgamma(k + 1) - k * math.log(2)
+                   for k in range(max_degree + 2)) / math.log(2)
+        with pytest.raises(ValueError, match=f"table of about {bits / 8e6:,.0f} MB"):
+            run_triple_suite(3, max_degree, 2, 42)
