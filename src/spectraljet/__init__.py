@@ -20,11 +20,10 @@ _EXPORTS = {
         "MultiIndex", "PairProfile", "empty", "enumerate_multiindices",
         "from_indices", "pair_profile", "parse", "symmetric_difference_size",
     ),
-    "wick": (
-        "GraphCount", "WickA", "WickB", "b_stabilization_scan",
-        "check_inductive_relations", "double_factorial",
-        "enumerate_admissible_graphs", "gaussian_moment_oracle", "wick_a",
-        "wick_b",
+    "wick": ("WickA", "WickB", "double_factorial", "wick_a", "wick_b"),
+    "oracles": (
+        "GraphCount", "b_stabilization_scan", "check_inductive_relations",
+        "enumerate_admissible_graphs", "gaussian_moment_oracle",
     ),
     "lattice": (
         "AngleDistance", "angle_distance", "distance_comparison_check",

@@ -3,7 +3,7 @@
 --model takes every kind that ``manifolds.make_model`` accepts, the round
 sphere of every dimension included, and verify any --max-degree; the one
 degree limit of a command is that of ``wick --graphs``
-(``wick.ENUMERATION_MAX_DEGREE``).
+(``oracles.ENUMERATION_MAX_DEGREE``).
 
 lattice, verify and curvature take --config, --out-json, --out if they
 write a CSV, and exactly the settings flags they read (``COMMAND_SETTINGS``);
@@ -40,12 +40,12 @@ from .reporting import (
     triple_csv_chunk,
     write_text,
 )
-from .wick import enumerate_admissible_graphs, gaussian_moment_oracle, wick_a, wick_b
+from .wick import wick_a, wick_b
 
 # The model layers (manifolds, jets, asymptotics) are imported inside the
-# functions of verify and curvature: lattice, wick and report never run
-# them, and a process that caches no bytecode compiles every module it
-# imports.
+# functions of verify and curvature, and the oracles inside that of wick:
+# no other command runs them, and a process that caches no bytecode
+# compiles every module it imports.
 
 DEFAULT_CONFIG = {
     "model": {"kind": None, "radius": 1.0, "radii": [1.0, 1.3]},
@@ -255,6 +255,11 @@ def _b_text(b) -> str:
 
 
 def cmd_wick(args: argparse.Namespace) -> int:
+    from .oracles import (  # not loaded by lattice, verify, curvature or report
+        enumerate_admissible_graphs,
+        gaussian_moment_oracle,
+    )
+
     if args.n is None:
         raise ConfigError("wick needs --n")
     n = _config_int("n", args.n, 1)
@@ -262,13 +267,16 @@ def cmd_wick(args: argparse.Namespace) -> int:
     beta = multiindex.parse(args.beta, n)
     a = wick_a(alpha, beta)
     b = wick_b(alpha, beta)
-    print(f"A={_a_text(a)} B={_b_text(b)} ({fmt_float(b.value)})")
+    # every value is computed before the first line is printed, so a route
+    # that fails (exit 2) leaves stdout empty
+    lines = [f"A={_a_text(a)} B={_b_text(b)} ({fmt_float(b.value)})"]
     if args.graphs:
         g = enumerate_admissible_graphs(alpha, beta)
         sign = "none" if g.common_sign is None else f"{g.common_sign:+d}"
-        print(f"graphs: count={g.count} sign={sign}")
+        lines.append(f"graphs: count={g.count} sign={sign}")
     if args.oracle:
-        print(f"oracle: {fmt_float(gaussian_moment_oracle(alpha, beta))}")
+        lines.append(f"oracle: {fmt_float(gaussian_moment_oracle(alpha, beta))}")
+    print("\n".join(lines))
     return 0
 
 

@@ -14,7 +14,6 @@ import math
 import os
 import random
 from bisect import bisect_right
-from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple
 
@@ -32,11 +31,13 @@ from .wick import (
     wick_kernel,
 )
 
-#: Constant tested in the distance-comparison inequality.  The bound chain
+#: Constant tested in the distance-comparison inequality, as the exact
+#: (numerator, denominator) pair of delta.  The bound chain
 #: prod (1 - x/(2s))^s <= exp(-x/2) <= 1 - (1 - e^(-1/2)) x on [0,1] justifies
 #: delta = 1 - e^(-1/2) ~ 0.393 for the squared cosine; 1/4 is tested as the
-#: safer constant and holds with a wide sampled margin.
-COMPARISON_DELTA = Fraction(1, 4)
+#: safer constant and holds with a wide sampled margin.  A pair, not a
+#: ``Fraction``, so that the lattice command never imports :mod:`fractions`.
+COMPARISON_DELTA = (1, 4)
 
 #: Default float tolerance of the triangle inequality d_ac <= d_ab + d_bc.
 TRIANGLE_SLACK = 1e-12
@@ -67,16 +68,20 @@ class DistanceComparisonCheck(NamedTuple):
 
 
 def distance_comparison_check(
-    alpha: MultiIndex, beta: MultiIndex, delta: Fraction = COMPARISON_DELTA
+    alpha: MultiIndex, beta: MultiIndex,
+    delta: tuple[int, int] = COMPARISON_DELTA,
 ) -> DistanceComparisonCheck:
-    """Check |cos d| <= 1 - delta * d0 / (|alpha| + |beta|) exactly."""
+    """Check |cos d| <= 1 - delta * d0 / (|alpha| + |beta|) exactly; ``delta``
+    is a (numerator, denominator) pair like :data:`COMPARISON_DELTA`."""
+    import fractions  # see wick.wick_b
+
     check_same_dimension(alpha, beta)
     total = alpha.degree + beta.degree
     if total < 1:
         raise ValueError("comparison needs |alpha| + |beta| >= 1")
     b = wick_b(alpha, beta)
     d0 = symmetric_difference_size(alpha, beta)
-    rhs = 1 - delta * Fraction(d0, total)
+    rhs = 1 - fractions.Fraction(*delta) * fractions.Fraction(d0, total)
     holds = b.square <= rhs * rhs  # rhs >= 1 - delta >= 0, so squaring is safe
     return DistanceComparisonCheck(abs(b.value), float(rhs), holds)
 
@@ -282,7 +287,7 @@ def _triple_range(n, df, sample, seed, triangle_slack_tol, lo, hi, render):
     counts, the largest triangle slack with the first triple that reaches
     it, and the smallest comparison margin.
     """
-    delta_num, delta_den = COMPARISON_DELTA.numerator, COMPARISON_DELTA.denominator
+    delta_num, delta_den = COMPARISON_DELTA
     summary = []
 
     def triples():

@@ -47,10 +47,11 @@ def _csv_memo():
     the ``get`` of the point and float dicts, so a writer looks a value up
     inline, as ``point(p) or point_miss(p)`` and ``real(x) or field(x)``,
     and calls a function only on a miss.  ``point_miss`` renders a count
-    tuple through ``counts_text`` and stores its text; digits and commas
-    need quoting only when there is a comma.  An all-zero point's text is
-    '', which is falsy, so it is rendered again at each lookup.  ``field``
-    gives ``_csv_field``'s text of any value and stores each new float's.
+    tuple through ``counts_text``, quoted only when it has a comma, and
+    stores the text with the comma that ends its field, so a writer's format
+    puts no comma after a point.  No stored text is empty, the all-zero
+    point's ',' included, so each point is rendered once.  ``field`` gives
+    ``_csv_field``'s text of any value and stores each new float's.
     Only ``float`` values reach the memo, since ``True == 1 == 1.0`` would
     share a key.  ``0.0 == -0.0`` would too, so zeros stay out of it and are
     told apart by their sign.
@@ -63,7 +64,7 @@ def _csv_memo():
         text = counts_text(counts)
         if "," in text:
             text = '"' + text + '"'
-        points[counts] = text
+        text = points[counts] = text + ","
         return text
 
     def field(value) -> str:
@@ -83,7 +84,7 @@ def records_to_csv(records) -> Iterator[str]:
     """The jet-record CSV as newline-terminated lines, header first."""
     yield CSV_HEADER + "\n"
     point, point_miss, _, field = _csv_memo()
-    line = ",".join(["%s"] * 8) + "\n"
+    line = "%s,%s%s%s,%s,%s,%s,%s\n"  # a point's text ends with its comma
     for model, alpha, beta, t, raw, normalized, target, abs_err in records:
         a, b = alpha.counts, beta.counts
         yield line % (
@@ -119,7 +120,7 @@ def _triple_lines(rows) -> Iterator[str]:
     # every field of a row is an inline memo lookup: lattice fields are
     # floats by construction, and a function runs only on a miss
     point, point_miss, real, field = _csv_memo()
-    line = ",".join(["%s"] * 9) + "\n"
+    line = "%s%s%s%s,%s,%s,%s,%s,%s\n"  # a point's text ends with its comma
     for a, b, c, d_ab, d_bc, d_ac, slack, lhs, rhs in rows:
         yield line % (
             point(a) or point_miss(a), point(b) or point_miss(b),

@@ -34,12 +34,8 @@ from spectraljet.manifolds import (
     truncation_stability,
 )
 from spectraljet.multiindex import enumerate_multiindices, from_indices
-from spectraljet.wick import (
-    enumerate_admissible_graphs,
-    gaussian_moment_oracle,
-    wick_a,
-    wick_b,
-)
+from spectraljet.oracles import enumerate_admissible_graphs, gaussian_moment_oracle
+from spectraljet.wick import wick_a, wick_b
 
 MODELS = {
     "circle": Circle(1.0),

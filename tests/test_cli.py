@@ -25,10 +25,10 @@ from spectraljet.asymptotics import (
     time_grid,
 )
 from spectraljet.cli import DEFAULT_CONFIG, build_parser, main
-from spectraljet import lattice
+from spectraljet import lattice, reporting
 from spectraljet.lattice import run_triple_suite
 from spectraljet.manifolds import Sphere
-from spectraljet.multiindex import MultiIndex
+from spectraljet.multiindex import MultiIndex, counts_text
 from spectraljet.reporting import (
     csv_line,
     fmt_float,
@@ -89,6 +89,16 @@ class TestWickCommand:
             assert err == ("error: the Gaussian-moment route leaves the float "
                            f"range at degree |alpha| + |beta| = {degree}\n")
             assert "Traceback" not in err
+
+    def test_failing_oracle_prints_no_result(self, capsys):
+        # A, B and the oracle are all computed before a line is printed, so a
+        # run that exits 2 leaves stdout empty
+        ones = ",".join(["1"] * 170)
+        code, out, err = run(capsys, "wick", "--alpha", ones, "--beta", ones,
+                             "--n", "1", "--oracle")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_missing_n(self, capsys):
         code, _, err = run(capsys, "wick", "--alpha", "1")
@@ -503,10 +513,9 @@ class TestImportCost:
         "multiindex": ("MultiIndex", "PairProfile", "empty", "enumerate_multiindices",
                        "from_indices", "pair_profile", "parse",
                        "symmetric_difference_size"),
-        "wick": ("GraphCount", "WickA", "WickB", "b_stabilization_scan",
-                 "check_inductive_relations", "double_factorial",
-                 "enumerate_admissible_graphs", "gaussian_moment_oracle",
-                 "wick_a", "wick_b"),
+        "wick": ("WickA", "WickB", "double_factorial", "wick_a", "wick_b"),
+        "oracles": ("GraphCount", "b_stabilization_scan", "check_inductive_relations",
+                    "enumerate_admissible_graphs", "gaussian_moment_oracle"),
         "lattice": ("AngleDistance", "angle_distance", "distance_comparison_check",
                     "is_orthogonal", "run_triple_suite", "sample_multiindex"),
         "jets": ("SQRT_COS", "SQRT_SINC", "SQUARED_GEODESIC", "compose_univariate",
@@ -565,6 +574,45 @@ class TestImportCost:
         src = str(Path(spectraljet.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code, str(tmp_path), json.dumps(self.EXPORTS)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
+    # the Wick oracle routes and relation scans, which only wick --graphs
+    # and --oracle run
+    ROUTES = ("GraphCount", "enumerate_admissible_graphs", "gaussian_moment_oracle",
+              "check_inductive_relations", "b_stabilization_scan")
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["lattice", "sample", "--n", "3", "--max-degree", "8", "--count", "300",
+          "--out", "{out}/lat.csv", "--out-json", "{out}/lat.json"],
+         ["fractions", "spectraljet.oracles"]),
+        (["verify", "--model", "sphere3", "--max-degree", "4",
+          "--out", "{out}/s3.csv", "--out-json", "{out}/s3.json"],
+         ["spectraljet.oracles"]),
+    ], ids=["lattice", "verify"])
+    def test_command_alone_skips_what_it_does_not_run(self, tmp_path, argv, absent):
+        # one command per fresh interpreter: a module that another command
+        # loads cannot hide one that this command loads
+        code = textwrap.dedent("""\
+            import json, sys
+            argv, absent, routes = (json.loads(arg) for arg in sys.argv[1:])
+            from spectraljet import cli
+            assert cli.main(argv) == 0, argv
+            loaded = [name for name in absent if name in sys.modules]
+            assert not loaded, loaded
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "spectraljet":
+                    bound = set(routes) & set(vars(module))
+                    assert not bound, (name, bound)
+        """)
+        argv = [arg.format(out=tmp_path) for arg in argv]
+        src = str(Path(spectraljet.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code, json.dumps(argv), json.dumps(absent),
+             json.dumps(self.ROUTES)],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
             text=True, timeout=120,
         )
@@ -1041,6 +1089,29 @@ class TestSerialization:
         assert lines[3] == '"m,x",1,"2,2","nan","nan","inf","-inf",-0\n'
         assert lines[4] == '"m,x",1,"2,2","nan","inf",2.5,1.0,None\n'
         assert lines[5] == 'm,,1,0,-0,0,-0,1\n'
+
+    def test_each_point_rendered_once(self, monkeypatch):
+        # the memo stores a point's text with the comma that ends its field,
+        # so the all-zero point (text '') is a hit after its first lookup too
+        calls = []
+
+        def counting(counts):
+            calls.append(counts)
+            return counts_text(counts)
+
+        monkeypatch.setattr(reporting, "counts_text", counting)
+        zero, a = MultiIndex((0, 0)), MultiIndex((1, 0))
+        records = [ConvergenceRecord("m", alpha, beta, 0.1, 1.0, 1.0, 1.0, 0.0)
+                   for alpha, beta in ((zero, a), (zero, zero), (a, zero), (zero, a))]
+        lines = list(records_to_csv(records))
+        assert sorted(calls) == [(0, 0), (1, 0)]
+        assert lines[1:3] == ["m,,1,0.10000000000000001,1,1,1,0\n",
+                              "m,,,0.10000000000000001,1,1,1,0\n"]
+        calls.clear()
+        rows = [((0, 0), (1, 0), (0, 0), 1.0, 0.5, 1.0, 0.0, 1.0, 1.0)] * 3
+        lines = list(triple_rows_to_csv(rows))
+        assert sorted(calls) == [(0, 0), (1, 0)]
+        assert lines[1:] == [",1,,1,0.5,1,0,1,1\n"] * 3
 
     def test_numpy_non_finite_floats_write_as_floats(self):
         np = pytest.importorskip("numpy")

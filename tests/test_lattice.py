@@ -300,7 +300,7 @@ class TestRangeSplit:
     def test_rows_left_unread_are_checked(self, monkeypatch, deadline):
         # delta = 1 fails the comparison on triples of every range; a render
         # that reads no row must still see them counted, and summed
-        monkeypatch.setattr(lattice, "COMPARISON_DELTA", Fraction(1))
+        monkeypatch.setattr(lattice, "COMPARISON_DELTA", (1, 1))
         self.force_ranges(monkeypatch, 1)
         rows, expected = run_triple_suite(3, 8, self.COUNT, 42)
         self.force_ranges(monkeypatch, 3)
@@ -534,7 +534,8 @@ class TestTripleSuiteExactDecisions:
         (1, 12, Fraction(1)),
     ])
     def test_agrees_with_fraction_route(self, monkeypatch, n, max_degree, delta):
-        monkeypatch.setattr(lattice, "COMPARISON_DELTA", delta)
+        pair = (delta.numerator, delta.denominator)
+        monkeypatch.setattr(lattice, "COMPARISON_DELTA", pair)
         rows, report = run_triple_suite(n, max_degree, 2000, 11)
         comparison_failures = stabilization_failures = 0
         for r in rows:
@@ -543,7 +544,7 @@ class TestTripleSuiteExactDecisions:
             assert r.d_bc == angle_distance(b, c).radians
             assert r.d_ac == angle_distance(a, c).radians
             if a.degree + b.degree >= 1:
-                check = distance_comparison_check(a, b, delta)
+                check = distance_comparison_check(a, b, pair)
                 assert (r.comparison_lhs, r.comparison_rhs) == (check.lhs, check.rhs)
                 comparison_failures += not check.holds
             square = wick_b(a, b).square
