@@ -27,11 +27,12 @@ import copy
 import json
 import math
 import sys
+from functools import partial
 from itertools import chain
 
 from . import multiindex
 from .defaults import POLICY, TIME_GRID, TOLERANCES, TruncationError
-from .lattice import TRIANGLE_SLACK, run_triple_suite
+from .lattice import TRIANGLE_SLACK, points_recur, run_triple_suite
 from .reporting import (
     LATTICE_CSV_HEADER,
     fmt_float,
@@ -347,14 +348,18 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     n, max_degree, count = config_lattice(cfg)
     # each index range of the suite renders its own CSV lines, so no list
-    # of rows is ever built
+    # of rows is ever built, and keeps point texts only where points recur
+    render = _keep_nothing
+    if args.out:
+        render = partial(triple_csv_chunk,
+                         points_recur=points_recur(n, max_degree, count))
     chunks, report = run_triple_suite(
         n=n,
         max_degree=max_degree,
         count=count,
         seed=cfg["seed"],
         triangle_slack_tol=cfg["tolerances"]["triangle_slack"],
-        render=triple_csv_chunk if args.out else _keep_nothing,
+        render=render,
     )
     if args.out:
         write_text(args.out, chain([LATTICE_CSV_HEADER + "\n"], *chunks))

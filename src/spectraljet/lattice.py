@@ -110,10 +110,49 @@ def _task_seed(seed: int, block: int) -> int:
     return (seed * 1_000_003 + block) & 0xFFFFFFFFFFFFFFFF
 
 
+def _pool_draw_sequences(k: int, max_degree: int, limit: int) -> list[int] | None:
+    """The number of draw sequences of k picks from a pool of d + k, that is
+    (d + k)! / d!, for each degree d <= max_degree; or None once their sum
+    passes ``limit``.  Each product grows one factor at a time and the sum
+    stops at the first partial sum past ``limit``, so no integer much
+    larger than ``limit`` is formed, whatever k."""
+    sequences = []
+    total = 0
+    for d in range(max_degree + 1):
+        seqs = 1
+        for m in range(d + 1, d + k + 1):
+            seqs *= m
+            if total + seqs > limit:
+                return None
+        sequences.append(seqs)
+        total += seqs
+    return sequences
+
+
+def points_recur(n: int, max_degree: int, count: int) -> bool:
+    """Whether the 3 * count points a suite draws can recur: whether the
+    ball of degree <= max_degree in Z_+^n, with C(max_degree + n, n)
+    points, holds no more than that.
+
+    The binomial is built as C(N - r + i, i) for i = 1..r, with N = n +
+    max_degree and r = min(n, max_degree).  Each step at least doubles it,
+    so it passes 3 * count within log2(3 * count) + 1 steps, whatever n.
+    """
+    limit = 3 * count
+    r = min(n, max_degree)
+    size = 1
+    for i in range(1, r + 1):
+        size = size * (n + max_degree - r + i) // i
+        if size > limit:
+            return False
+    return True
+
+
 def _counts_sampler(
-    n: int, max_degree: int
+    n: int, max_degree: int, draws: int = 1
 ) -> Callable[[random.Random], tuple[int, ...]]:
-    """Uniform sampler of count tuples of degree <= max_degree.
+    """Uniform sampler of count tuples of degree <= max_degree, for a caller
+    that draws ``draws`` points.
 
     Picks the degree with stars-and-bars weights, then a uniformly random
     composition of that degree into n parts.  The draws are written out from
@@ -127,6 +166,17 @@ def _counts_sampler(
       until the draw is below m.  Like ``sample``, it swaps picks out of a
       pool when the range is at most ``setsize`` long, and otherwise rejects
       repeats against the set of picks.
+
+    Draw table: when the pool serves every degree and its draw sequences,
+    sum_d (d + n - 1)! / d! of them, are no more than ``draws``, the picks
+    of a degree fold into one mixed-radix index instead.  Each index is a
+    slot, filled on first use with the point its picks give, one tuple
+    object per distinct point; so the pool is swapped and the counts are
+    built once per slot, not once per draw.  The suite also keeps a point
+    text memo only when points recur, that is when the ball's
+    C(max_degree + n, n) points are no more than its draws (see
+    :func:`points_recur`); a table implies that, since every point has a
+    slot.
     """
     cum_weights = list(
         accumulate(math.comb(d + n - 1, n - 1) for d in range(max_degree + 1))
@@ -144,6 +194,53 @@ def _counts_sampler(
     # than max_degree + k, so both tables are O(max_degree + n).
     ints = list(range(max_degree + k))
     bit_length = [m.bit_length() for m in range(max_degree + k + 1)]
+
+    sequences = None
+    if k and max_degree + k <= setsize:
+        sequences = _pool_draw_sequences(k, max_degree, draws)
+    if sequences:
+        # per degree: the (m, bits) of each pick, and a slot per sequence
+        degrees = [
+            (tuple((m, bit_length[m]) for m in range(d + k, d, -1)), [None] * seqs)
+            for d, seqs in enumerate(sequences)
+        ]
+        interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+        def fill(d: int, index: int) -> tuple[int, ...]:
+            """The point of a slot: the picks are the digits of its index,
+            the last pick least significant, swapped out of the pool in
+            draw order as below."""
+            size = d + k
+            picks = []
+            for m in range(d + 1, size + 1):
+                index, j = divmod(index, m)
+                picks.append(j)
+            pool = ints[:size]
+            bars = [-1]
+            for m, j in zip(range(size, d, -1), reversed(picks)):
+                bars.append(pool[j])
+                pool[j] = pool[m - 1]
+            bars.sort()
+            bars.append(size)
+            point = tuple(hi - lo - 1 for lo, hi in zip(bars, bars[1:]))
+            return interned.setdefault(point, point)
+
+        def sample(rng: random.Random) -> tuple[int, ...]:
+            d = bisect_right(cum_weights, rng.random() * total, 0, max_degree)
+            getrandbits = rng.getrandbits
+            radices, slots = degrees[d]
+            index = 0
+            for m, bits in radices:
+                j = getrandbits(bits)
+                while j >= m:
+                    j = getrandbits(bits)
+                index = index * m + j
+            point = slots[index]
+            if point is None:
+                point = slots[index] = fill(d, index)
+            return point
+
+        return sample
 
     def sample(rng: random.Random) -> tuple[int, ...]:
         d = bisect_right(cum_weights, rng.random() * total, 0, max_degree)
@@ -244,10 +341,10 @@ def _cos(kernel: tuple[int, int, int, int]) -> float:
 #: :func:`_range_bounds`).  Forking a worker, piping a small result back and
 #: reaping it took about 1.0 ms from a CLI process on a 2-vCPU x86-64 VM
 #: (Python 3.11; median of 60 forks, in each of 3 processes), the work of
-#: about 150 triples (6.8 us each at n = 3, max_degree = 8, CSV line
-#: included, with one reseed per block), so a range of 1000 triples spends
-#: about a seventh of its time on its worker, and a split in two already
-#: pays from a few hundred triples.
+#: about 190 triples (5.4 us each at n = 3, max_degree = 8, CSV line
+#: included, with one reseed per block and the draw table), so a range of
+#: 1000 triples spends about a fifth of its time on its worker, and a split
+#: in two already pays from a few hundred triples.
 MIN_RANGE = 1000
 
 
@@ -500,7 +597,7 @@ def run_triple_suite(
         )
     # the shifted pairs reach multiplicity max_degree + 1
     df = double_factorial_table(max_degree + 2)
-    sample = _counts_sampler(n, max_degree)
+    sample = _counts_sampler(n, max_degree, 3 * count)
 
     def run(lo: int, hi: int):
         return _triple_range(

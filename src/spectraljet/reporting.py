@@ -36,25 +36,31 @@ def _csv_field(value) -> str:
     return text
 
 
-def csv_line(values) -> str:
-    return ",".join(_csv_field(v) for v in values)
+def _csv_memo(points_recur: bool = True):
+    """The memo of one CSV: each distinct float is rendered once, and so is
+    each distinct point when ``points_recur``.
 
-
-def _csv_memo():
-    """The memo of one CSV: each distinct point and float is rendered once.
-
-    Returns ``point, point_miss, real, field``.  ``point`` and ``real`` are
-    the ``get`` of the point and float dicts, so a writer looks a value up
+    Returns ``point, point_miss, real, field``.  A writer looks a value up
     inline, as ``point(p) or point_miss(p)`` and ``real(x) or field(x)``,
-    and calls a function only on a miss.  ``point_miss`` renders a count
-    tuple through ``counts_text``, quoted only when it has a comma, and
-    stores the text with the comma that ends its field, so a writer's format
-    puts no comma after a point.  No stored text is empty, the all-zero
-    point's ',' included, so each point is rendered once.  ``field`` gives
-    ``_csv_field``'s text of any value and stores each new float's.
-    Only ``float`` values reach the memo, since ``True == 1 == 1.0`` would
-    share a key.  ``0.0 == -0.0`` would too, so zeros stay out of it and are
-    told apart by their sign.
+    and calls a function only on a miss.  ``real`` is the ``get`` of the
+    float dict.  ``point_miss`` renders a count tuple through
+    ``counts_text``, quoted only when it has a comma, with the comma that
+    ends its field, so a writer's format puts no comma after a point.  No
+    such text is empty, the all-zero point's ',' included.  With
+    ``points_recur``, ``point_miss`` stores each text and ``point`` is the
+    ``get`` of the point dict, so each point is rendered once; without,
+    ``point`` is ``point_miss`` itself, which stores nothing, and the
+    ``or`` never calls it twice.  ``field`` gives ``_csv_field``'s text of
+    any value and stores each new float's.  Only ``float`` values reach the
+    memo, since ``True == 1 == 1.0`` would share a key.  ``0.0 == -0.0``
+    would too, so zeros stay out of it and are told apart by their sign.
+
+    Points are stored only where they recur.  The jet-record CSV stores
+    them: its points recur by construction, every pair at every time.  The
+    lattice CSV stores them when the ball has no more points than the suite
+    draws (``lattice.points_recur``).  Otherwise most points are met once,
+    and their texts would only grow the memory with every draw.  Floats are
+    stored in both: most of a lattice row's are pi/2 and 0.
     """
     points: dict[tuple[int, ...], str] = {}
     floats: dict[float, str] = {}
@@ -64,7 +70,9 @@ def _csv_memo():
         text = counts_text(counts)
         if "," in text:
             text = '"' + text + '"'
-        text = points[counts] = text + ","
+        text += ","
+        if points_recur:
+            points[counts] = text
         return text
 
     def field(value) -> str:
@@ -77,7 +85,8 @@ def _csv_memo():
             text = floats[value] = fmt_float(value)
         return text
 
-    return points.get, point_miss, floats.get, field
+    point = points.get if points_recur else point_miss
+    return point, point_miss, floats.get, field
 
 
 def records_to_csv(records) -> Iterator[str]:
@@ -96,30 +105,34 @@ def records_to_csv(records) -> Iterator[str]:
 def triple_rows_to_csv(rows) -> Iterator[str]:
     """The lattice-triple CSV as newline-terminated lines, header first.
 
-    The three points of a row are count tuples.
+    The three points of a row are count tuples; each distinct point's text
+    is rendered once.
     """
     yield LATTICE_CSV_HEADER + "\n"
-    yield from _triple_lines(rows)
+    yield from _triple_lines(rows, True)
 
 
-def triple_csv_chunk(rows) -> list[str]:
+def triple_csv_chunk(rows, points_recur: bool = False) -> list[str]:
     """The lattice-triple CSV lines of ``rows``, without the header: the part
     of the CSV that one index range of the suite renders.
 
     The lines come joined in blocks of up to 1024, so that no list of every
-    line is ever held.
+    line is ever held.  Each distinct point's text is kept for reuse only if
+    ``points_recur`` (see :func:`_csv_memo`), so that otherwise the memory
+    does not grow with the distinct points.
     """
-    lines = _triple_lines(rows)
+    lines = _triple_lines(rows, points_recur)
     blocks = []
     while block := "".join(islice(lines, 1024)):
         blocks.append(block)
     return blocks
 
 
-def _triple_lines(rows) -> Iterator[str]:
-    # every field of a row is an inline memo lookup: lattice fields are
-    # floats by construction, and a function runs only on a miss
-    point, point_miss, real, field = _csv_memo()
+def _triple_lines(rows, points_recur: bool) -> Iterator[str]:
+    # every field of a row is an inline lookup, and a function runs only on
+    # a miss: lattice fields are floats by construction, and a point is
+    # always a miss where points do not recur
+    point, point_miss, real, field = _csv_memo(points_recur)
     line = "%s%s%s%s,%s,%s,%s,%s,%s\n"  # a point's text ends with its comma
     for a, b, c, d_ab, d_bc, d_ac, slack, lhs, rhs in rows:
         yield line % (

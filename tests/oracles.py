@@ -6,11 +6,29 @@ these oracles evaluate the kernel itself at chart points instead: the flat
 torus by its cosine series, the sphere by its zonal functions from the
 Gegenbauer three-term recurrence, and the finite normalized embedding of a
 torus mode by mode.  They also hold the float values of the analytic kernels
-whose exact Taylor coefficients ``spectraljet.jets`` composes.
+whose exact Taylor coefficients ``spectraljet.jets`` composes, and a plain
+CSV line writer to compare the memoized report writers against.
 """
 import math
 
 from spectraljet.manifolds import TWO_PI, Sphere
+from spectraljet.reporting import fmt_float
+
+
+def csv_line(values) -> str:
+    """One CSV line of ``values``, field by field with no memo: floats by
+    ``fmt_float``, anything else by ``str``, quoted when it holds a comma,
+    a quote or a newline."""
+    fields = []
+    for value in values:
+        if isinstance(value, float):
+            fields.append(fmt_float(value))
+            continue
+        text = str(value)
+        if "," in text or '"' in text or "\n" in text:
+            text = '"' + text.replace('"', '""') + '"'
+        fields.append(text)
+    return ",".join(fields)
 
 
 def sqrt_cos(z):

@@ -30,12 +30,12 @@ from spectraljet.lattice import run_triple_suite
 from spectraljet.manifolds import Sphere
 from spectraljet.multiindex import MultiIndex, counts_text
 from spectraljet.reporting import (
-    csv_line,
     fmt_float,
     json_dumps,
     records_to_csv,
     triple_rows_to_csv,
 )
+from tests.oracles import csv_line
 
 
 def run(capsys, *argv):
@@ -416,6 +416,9 @@ class TestLatticeCommand:
         # C(1200, 600) lattice points overflow the float degree weights
         (["--n", "600", "--max-degree", "600", "--count", "1"],
          "n=600 and max_degree=600 give too many lattice points"),
+        # at the degree limit itself, C(10300, 300) points overflow them too
+        (["--n", "300", "--max-degree", "10000", "--count", "1"],
+         "n=300 and max_degree=10000 give too many lattice points"),
     ])
     def test_rejects_out_of_range_config(self, tmp_path, capsys, argv, message):
         out_json = tmp_path / "lat.json"

@@ -4,6 +4,8 @@ import random
 import signal
 import subprocess
 import sys
+import tracemalloc
+from functools import partial
 from pathlib import Path
 from fractions import Fraction
 from itertools import accumulate, chain
@@ -17,10 +19,11 @@ from spectraljet.lattice import (
     run_triple_suite,
     sample_multiindex,
 )
-from spectraljet import lattice
+from spectraljet import lattice, reporting
 from spectraljet.lattice import _counts_sampler, _task_seed
 from spectraljet.multiindex import (
     MultiIndex,
+    counts_text,
     empty,
     enumerate_multiindices,
     from_indices,
@@ -282,17 +285,21 @@ class TestRangeSplit:
         assert report == run_triple_suite(3, 8, self.COUNT, 42)[1]
 
     # each range renders its lines with memos of its own, so a point or float
-    # first met in one range is rendered again in the next
+    # first met in one range is rendered again in the next; as in the CLI,
+    # the dense ball keeps its point texts and the sparse one does not
     @pytest.mark.parametrize("n, max_degree", [(3, 8), (8, 40)])
     def test_csv_does_not_depend_on_range_count(self, monkeypatch, deadline,
                                                 n, max_degree):
         self.force_ranges(monkeypatch, 1)
         rows, _ = run_triple_suite(n, max_degree, self.COUNT, 42)
         expected = "".join(triple_rows_to_csv(rows))
+        recur = lattice.points_recur(n, max_degree, self.COUNT)
+        assert recur is (n == 3)
+        render = partial(triple_csv_chunk, points_recur=recur)
         for ranges in (1, 3):
             self.force_ranges(monkeypatch, ranges)
             chunks, _ = run_triple_suite(n, max_degree, self.COUNT, 42,
-                                         render=triple_csv_chunk)
+                                         render=render)
             assert_no_child_left()
             assert len(chunks) == ranges
             assert LATTICE_CSV_HEADER + "\n" + "".join(chain(*chunks)) == expected
@@ -427,6 +434,48 @@ class TestRangeSplit:
                     )
 
 
+class TestTripleCsvMemory:
+    """A range's CSV keeps one text per distinct point only where points
+    recur; otherwise its memory does not grow with the points it renders."""
+
+    @staticmethod
+    def count_renders(monkeypatch):
+        calls = []
+
+        def counting(counts):
+            calls.append(counts)
+            return counts_text(counts)
+
+        monkeypatch.setattr(reporting, "counts_text", counting)
+        return calls
+
+    def test_sparse_points_are_not_kept(self, monkeypatch):
+        # n = 8, degree 40: almost all of the 15000 points are distinct, and
+        # keeping their texts took 2.5 MB beyond the text returned
+        rows, _ = run_triple_suite(8, 40, 5000, 42)
+        expected = "".join(list(triple_rows_to_csv(rows))[1:])
+        tracemalloc.start()
+        try:
+            blocks = triple_csv_chunk(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "".join(blocks) == expected
+        assert peak - sum(map(sys.getsizeof, blocks)) < 0.5e6
+        calls = self.count_renders(monkeypatch)
+        triple_csv_chunk(rows)
+        assert len(calls) == 3 * len(rows)
+
+    def test_dense_points_are_rendered_once(self, monkeypatch):
+        rows, _ = run_triple_suite(3, 8, 5000, 42)
+        expected = "".join(list(triple_rows_to_csv(rows))[1:])
+        calls = self.count_renders(monkeypatch)
+        blocks = triple_csv_chunk(rows, points_recur=True)
+        assert "".join(blocks) == expected
+        points = {p for row in rows for p in row[:3]}
+        assert sorted(calls) == sorted(points)
+
+
 class TestSamplerStream:
     """The suite's sampler and its one reseeded RNG draw the stream of a
     fresh ``random.Random`` per block of triples, sampled through
@@ -445,18 +494,82 @@ class TestSamplerStream:
 
     # (2, 40) and (8, 200) draw bars from ranges longer than sample's setsize
     # (21 and 85), so they take its set branch; the others take the pool.
+    # For 3 * 10^4 draws, the pool's draw sequences, sum_d (d + n - 1)!/d!,
+    # are few enough to tabulate in (4, 0), (2, 19), (3, 8) and (4, 6):
+    # 6, 210, 330 and 1260 of them.  (8, 40) has about 4 * 10^11, and
+    # (1, 12) draws no bars.  One draw tabulates none of them.
+    TABULATED = {(4, 0), (2, 19), (3, 8), (4, 6)}
+
     @pytest.mark.parametrize("n, max_degree", [
-        (1, 12), (3, 8), (8, 40), (4, 0), (2, 40), (8, 200),
+        (1, 12), (3, 8), (8, 40), (4, 0), (2, 40), (8, 200), (2, 19), (4, 6),
     ])
     def test_matches_choices_reference(self, n, max_degree):
-        sample = _counts_sampler(n, max_degree)
-        rng = random.Random()
-        for seed in range(500):
-            ref = random.Random(_task_seed(seed, 0))
-            rng.seed(_task_seed(seed, 0))
-            for _ in range(3):
-                assert sample(rng) == self.reference_sample(ref, n, max_degree)
-            assert rng.random() == ref.random()
+        for draws in (1, 3 * 10**4):
+            sample = _counts_sampler(n, max_degree, draws)
+            tabulated = draws > 1 and (n, max_degree) in self.TABULATED
+            rng = random.Random()
+            first = {}
+            for seed in range(500):
+                ref = random.Random(_task_seed(seed, 0))
+                rng.seed(_task_seed(seed, 0))
+                for _ in range(3):
+                    point = sample(rng)
+                    assert point == self.reference_sample(ref, n, max_degree)
+                    if tabulated:
+                        assert first.setdefault(point, point) is point
+                assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("n, max_degree", sorted(TABULATED))
+    def test_table_returns_one_object_per_point(self, n, max_degree):
+        # the table hands out the tuple it built for a point's first slot;
+        # the plain path need not share, and builds each point afresh, which
+        # shows that the draw count selects the path
+        draws = 3 * 10**4
+        identical = {}
+        for sample_draws in (draws, 1):
+            sample = _counts_sampler(n, max_degree, sample_draws)
+            rng = random.Random(_task_seed(42, 0))
+            points = [sample(rng) for _ in range(2000)]
+            first = {}
+            for p in points:
+                first.setdefault(p, p)
+            assert len(first) == math.comb(max_degree + n, n)
+            identical[sample_draws] = all(first[p] is p for p in points)
+        assert identical == {draws: True, 1: False}
+
+    @pytest.mark.parametrize("n, max_degree, slots", [
+        (4, 0, 6), (2, 19, 210), (3, 8, 330), (4, 6, 1260),
+    ])
+    def test_draw_sequences(self, n, max_degree, slots):
+        sequences = lattice._pool_draw_sequences(n - 1, max_degree, slots)
+        assert sequences == [math.perm(d + n - 1, n - 1)
+                             for d in range(max_degree + 1)]
+        assert sum(sequences) == slots
+        assert lattice._pool_draw_sequences(n - 1, max_degree, slots - 1) is None
+
+    # (100001)! / 2! alone took 0.12 s to form; the rule stops at the first
+    # product past the draw count, so it forms no such integer
+    @pytest.mark.parametrize("n, max_degree", [(100_000, 2), (12, 3)])
+    def test_table_rule_forms_no_factorial(self, monkeypatch, n, max_degree):
+        def refuse(*args):
+            raise AssertionError("the table rule formed a factorial")
+
+        monkeypatch.setattr(math, "perm", refuse)
+        monkeypatch.setattr(math, "factorial", refuse)
+        sample = _counts_sampler(n, max_degree, 3 * 10**6)
+        if n == 12:  # a point at n = 10^5 swaps a pool of 10^5 entries
+            rng = random.Random(_task_seed(42, 0))
+            ref = random.Random(_task_seed(42, 0))
+            assert sample(rng) == self.reference_sample(ref, n, max_degree)
+
+    @pytest.mark.parametrize("n, max_degree, count, recur", [
+        (3, 8, 55, True), (3, 8, 54, False), (8, 40, 5000, False),
+        (1, 12, 5, True), (100_000, 2, 10**6, False), (300, 10_000, 1, False),
+    ])
+    def test_points_recur(self, n, max_degree, count, recur):
+        # the ball holds C(max_degree + n, n) points: 165 at n = 3, degree 8
+        assert lattice.points_recur(n, max_degree, count) is recur
+        assert recur == (math.comb(max_degree + n, n) <= 3 * count)
 
     # 3050 ends mid-block, and splits into ranges of whole blocks
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="the suite forks workers")
