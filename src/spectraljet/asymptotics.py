@@ -17,14 +17,13 @@ from operator import mul
 from typing import NamedTuple
 
 from .defaults import TIME_GRID, TOLERANCES
-from .multiindex import MultiIndex, enumerate_multiindices
+from .multiindex import MultiIndex, enumerate_multiindices, from_indices
 from .wick import wick_a, wick_b
 from .manifolds import (
     SpectralModel,
     curvature_symmetry_residuals,
     heat_power,
     mean_curvature_proxy,
-    pullback_metric,
     ricci_scalar_extract,
     third_jet_umbilical,
 )
@@ -409,65 +408,62 @@ def jet_relation_suite(
 
 def scalar_suite(model: SpectralModel, ts=DEFAULT_GRID,
                  tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
-    """Scalar curvature from the on-diagonal expansion slope, S/6."""
-    ts = tuple(sorted(ts))
-    n = model.n
-    samples = [
-        (t, heat_power(t, 4.0 * math.pi, n / 2.0) * model.heat_diagonal(t))
-        for t in ts
-    ]
+    """Scalar curvature from the on-diagonal expansion slope, S/6: the check
+    judges the fitted slope of ``ricci_scalar_extract``, so that is what it
+    observed."""
+    fit = ricci_scalar_extract(model, ts).diagonal
     target = float(model.scalar() / 6)
-    result = SuiteResult("scalar", model.label, {})
-    slope = _fitted(samples, target, lambda fit: _judge(
-        fit.c1, target, tol["scalar_rel"], tol["scalar_flat_abs"]
-    ))
-    # the check judges the fitted slope, so that is what it observed
-    result.summaries["scalar.slope"] = slope._replace(observed=slope.fitted_c1)
-    return result
+    passes = _judge(fit.c1, target, tol["scalar_rel"], tol["scalar_flat_abs"])
+    return SuiteResult("scalar", model.label, {
+        "scalar.slope": PairSummary(target, fit.c0, fit.c1, fit.stderr, fit.c1, passes),
+    })
 
 
 def isometry_suite(model: SpectralModel, ts=DEFAULT_GRID,
                    tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
-    """Pullback metric: identity at leading order, curvature correction at O(t).
+    """Pullback metric: A(e_i, e_j) = delta_ij at leading order, curvature
+    correction at O(t), judged on the fits of ``ricci_scalar_extract``.
 
     The O(t) coefficient must match (1/3)((S/2) delta_ij - Ric_ij); flat
     models must return the identity outright at the smallest time.
     """
-    ts = tuple(sorted(ts))
-    n = model.n
+    report = ricci_scalar_extract(model, ts)
+    units = [from_indices([i], model.n) for i in range(1, model.n + 1)]
     result = SuiteResult("isometry", model.label, {})
-    pulls = [(t, pullback_metric(model, t)) for t in ts]
     half_s = model.scalar() / 2
-    for i in range(n):
-        for j in range(i, n):
-            delta = 1.0 if i == j else 0.0
-            target_c1 = float((half_s * (i == j) - model.ricci(i, j)) / 3)
-            samples = [(t, p[i][j]) for t, p in pulls]
+    for i, e_i in enumerate(units):
+        for j in range(i, model.n):
+            target = float(wick_a(e_i, units[j]).value)
+            observed = report.smallest_pullback[i][j]
             name = f"[{i + 1},{j + 1}]"
             if model.is_flat:
-                observed = samples[0][1]
                 result.summaries["isometry.g" + name] = PairSummary(
-                    delta, None, None, None, observed,
-                    _judge(observed, delta, tol["isometry_flat_abs"], floor=1.0),
+                    target, None, None, None, observed,
+                    _judge(observed, target, tol["isometry_flat_abs"], floor=1.0),
                 )
                 continue
-            g = result.summaries["isometry.g" + name] = _fitted(
-                samples, delta, lambda fit: _judge(fit.c0, delta, 0.01, floor=1.0)
+            fit = report.pullback[i][j]
+            result.summaries["isometry.g" + name] = PairSummary(
+                target, fit.c0, fit.c1, fit.stderr, observed,
+                _judge(fit.c0, target, 0.01, floor=1.0),
             )
-            c1 = g.fitted_c1
+            target_c1 = float((half_s * (i == j) - model.ricci(i, j)) / 3)
             result.summaries["isometry.c1" + name] = PairSummary(
-                target_c1, g.fitted_c0, c1, g.stderr, c1,
-                _judge(c1, target_c1, tol["isometry_c1_rel"], 0.01),
+                target_c1, fit.c0, fit.c1, fit.stderr, fit.c1,
+                _judge(fit.c1, target_c1, tol["isometry_c1_rel"], 0.01),
             )
     return result
 
 
 def mean_curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
                          tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
-    """sqrt(t) |H| -> sqrt((n+2)/(2n)), the universal mean-curvature length."""
+    """sqrt(t) |H| -> sqrt(sum_{k,l} A((k,k),(l,l)) / (2 n^2)) =
+    sqrt((n+2)/(2n)), the universal mean-curvature length."""
     ts = tuple(sorted(ts))
     n = model.n
-    target = math.sqrt((n + 2.0) / (2.0 * n))
+    pure = [from_indices([k, k], n) for k in range(1, n + 1)]
+    total = sum(wick_a(a, b).value for a in pure for b in pure)
+    target = math.sqrt(total / (2 * n * n))
     samples = [(t, mean_curvature_proxy(model, t)) for t in ts]
     result = SuiteResult("mean_curvature", model.label, {})
     result.summaries["mean_curvature.length"] = _fitted(
@@ -480,9 +476,9 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
                     tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
     """Third-jet umbilical limits 2t <D_i D_k D_k psi, D_j psi>.
 
-    Targets: -3 for i=j=k, -1 for i=j!=k, 0 for i!=j.  The aggregate
-    (1/n) sum_k of the i=j limits is also fitted; it comes out -(n+2)/n, so
-    the umbilical shape constant is -(n+2)/(2n).
+    Targets A((i,k,k),(j)): -3 for i=j=k, -1 for i=j!=k, 0 for i!=j.  The
+    aggregate (1/n) sum_k of the i=j=1 limits is also fitted; half the mean
+    of their targets, -(n+2)/(2n), is the umbilical shape constant.
     """
     ts = tuple(sorted(ts))
     n = model.n
@@ -492,7 +488,8 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(1, n + 1):
-                target = -3.0 if i == j == k else -1.0 if i == j else 0.0
+                a = from_indices([i, k, k], n)
+                target = float(wick_a(a, from_indices([j], n)).value)
                 samples = [(t, third_jet_umbilical(model, t, i, j, k)) for t in ts]
                 if i == j == 1:
                     first.append(samples)
@@ -503,7 +500,8 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
     agg_samples = [(t, sum(s[m][1] for s in first) / n) for m, t in enumerate(ts)]
     agg_fit = fit_on_smallest(agg_samples)
     shape_constant = agg_fit.c0 / 2.0
-    formula = -(n + 2.0) / (2.0 * n)
+    formula = sum(result.summaries[f"umbilical.jet[1,1,{k}]"].target
+                  for k in range(1, n + 1)) / n / 2
     result.summaries["umbilical.shape_constant"] = PairSummary(
         formula, shape_constant, None, agg_fit.stderr, shape_constant,
         _judge(shape_constant, formula, 0.03),
@@ -548,13 +546,12 @@ def scalar_ricci_suite(model: SpectralModel, ts=DEFAULT_GRID,
     """Scalar and Ricci recovery S = 6 c1(diagonal), Ric = (S/2) I - 3 c1(pullback).
 
     Its tolerances have no config key, so it reads nothing from ``tol``."""
-    ts = tuple(sorted(ts))
     report = ricci_scalar_extract(model, ts)
     result = SuiteResult("scalar_ricci", model.label, {})
     target_s = float(model.scalar())
     result.summaries["scalar_ricci.scalar"] = PairSummary(
-        target_s, report.scalar_estimate, report.scalar_slope,
-        report.scalar_slope_stderr, report.scalar_estimate,
+        target_s, report.scalar_estimate, report.diagonal.c1,
+        report.diagonal.stderr, report.scalar_estimate,
         _judge(report.scalar_estimate, target_s, 0.02, 1e-5),
     )
     # an off-diagonal Ricci entry is judged on the scale of S

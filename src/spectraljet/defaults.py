@@ -14,8 +14,8 @@ from types import MappingProxyType
 #: The default heat-time grid, keyed like the config's ``t_grid``.
 TIME_GRID = MappingProxyType({"start": 0.1, "ratio": 0.5, "count": 7})
 
-#: Default tolerance of each verify and curvature check that has a config key,
-#: keyed as the ``tolerances`` object of the CLI config.
+#: Default tolerance of each verify, curvature and lattice check that has a
+#: config key, keyed and ordered as the ``tolerances`` object of the CLI config.
 TOLERANCES = MappingProxyType({
     "flat_jet_abs": 1e-6,
     "fit_rel": 0.01,
@@ -31,6 +31,8 @@ TOLERANCES = MappingProxyType({
     # bounds a fitted Riemann entry whose target is 0 on a curved model, as a
     # fraction of max |R| of the model (the key predates the entry checks)
     "residual_rel": 1e-3,
+    # float slack of the lattice triangle inequality d_ac <= d_ab + d_bc
+    "triangle_slack": 1e-12,
 })
 
 #: Defaults of the ``TruncationPolicy`` fields that the config's ``policy``

@@ -17,6 +17,7 @@ from bisect import bisect_right
 from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple
 
+from .defaults import TOLERANCES
 from .multiindex import (
     MultiIndex,
     check_same_dimension,
@@ -38,9 +39,6 @@ from .wick import (
 #: safer constant and holds with a wide sampled margin.  A pair, not a
 #: ``Fraction``, so that the lattice command never imports :mod:`fractions`.
 COMPARISON_DELTA = (1, 4)
-
-#: Default float tolerance of the triangle inequality d_ac <= d_ab + d_bc.
-TRIANGLE_SLACK = 1e-12
 
 
 class AngleDistance(NamedTuple):
@@ -561,7 +559,7 @@ def run_triple_suite(
     max_degree: int,
     count: int,
     seed: int,
-    triangle_slack_tol: float = TRIANGLE_SLACK,
+    triangle_slack_tol: float = TOLERANCES["triangle_slack"],
     render: Callable[[Iterator[tuple]], object] | None = None,
 ) -> tuple[list, TripleSuiteReport]:
     """Sample ``count`` triples and exercise every lattice invariant on them.
@@ -584,7 +582,8 @@ def run_triple_suite(
     computed them (see :func:`_triple_range`), and the first value returned
     is the list of its results in index order instead; they must be values
     that :mod:`marshal` can write.  A ``max_degree`` above
-    :data:`MAX_LATTICE_DEGREE` is refused before any table is built.
+    :data:`MAX_LATTICE_DEGREE`, or a ball too large for the sampler's float
+    degree weights, is refused before any table is built.
     """
     if max_degree > MAX_LATTICE_DEGREE:
         # by Stirling, a table of s entries holds about s^2 (ln(2 s) - 3/2)
@@ -595,9 +594,9 @@ def run_triple_suite(
             f"{s * s * (math.log(2 * s) - 1.5) / 11.09e6:,.0f} MB, above the "
             f"limit of max_degree {MAX_LATTICE_DEGREE}; lower --max-degree"
         )
+    sample = _counts_sampler(n, max_degree, 3 * count)
     # the shifted pairs reach multiplicity max_degree + 1
     df = double_factorial_table(max_degree + 2)
-    sample = _counts_sampler(n, max_degree, 3 * count)
 
     def run(lo: int, hi: int):
         return _triple_range(

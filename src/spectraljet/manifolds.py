@@ -633,15 +633,19 @@ def pullback_metric(model: SpectralModel, t: float) -> list[list[float]]:
 
 
 class ScalarRicciReport(NamedTuple):
-    """Fitted scalar curvature and the n x n matrices (rows ``m[i][j]``) of
-    the pullback fits and the Ricci estimate."""
+    """The fits of the normalized heat diagonal and of the pullback, the
+    pullback at the smallest time, and the scalar and Ricci estimates; the
+    n x n matrices are rows ``m[i][j]``, and the fit of i <= j is also [j][i]."""
 
+    diagonal: asymptotics.LimitFit
+    pullback: list[list[asymptotics.LimitFit]]
+    smallest_pullback: list[list[float]]
     scalar_estimate: float
-    scalar_slope: float
-    scalar_slope_stderr: float
-    pullback_c0: list[list[float]]
-    pullback_c1: list[list[float]]
     ricci_estimate: list[list[float]]
+
+    @property
+    def pullback_c1(self) -> list[list[float]]:
+        return [[fit.c1 for fit in row] for row in self.pullback]
 
 
 def ricci_scalar_extract(model: SpectralModel, ts) -> ScalarRicciReport:
@@ -650,35 +654,28 @@ def ricci_scalar_extract(model: SpectralModel, ts) -> ScalarRicciReport:
     (4 pi t)^(n/2) H(t, x, x) = 1 + t S/6 + O(t^2) gives S; the pullback
     expands as  delta_ij + t c1_ij + O(t^2)  with  c1 = (1/3)((S/2) delta - Ric),
     so Ric_ij = (S/2) delta_ij - 3 c1_ij.  The pullback is symmetric sample
-    for sample, so each entry i <= j is fitted once and mirrored.
+    for sample, so each entry i <= j is fitted once and mirrored.  The scalar,
+    isometry and scalar_ricci suites judge this report and sample nothing.
     """
+    ts = sorted(ts)
     n = model.n
-    diag = [
+    diag = asymptotics.fit_on_smallest([
         (t, heat_power(t, 4.0 * math.pi, n / 2.0) * model.heat_diagonal(t))
         for t in ts
-    ]
-    scalar_fit = asymptotics.fit_on_smallest(diag)
-    pulls = [(t, pullback_metric(model, t)) for t in ts]
-    c0 = [[0.0] * n for _ in range(n)]
-    c1 = [[0.0] * n for _ in range(n)]
+    ])
+    pulls = [pullback_metric(model, t) for t in ts]
+    fits = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            fit = asymptotics.fit_on_smallest([(t, p[i][j]) for t, p in pulls])
-            c0[i][j] = c0[j][i] = fit.c0
-            c1[i][j] = c1[j][i] = fit.c1
-    scalar = 6.0 * scalar_fit.c1
+            fits[i][j] = fits[j][i] = asymptotics.fit_on_smallest(
+                [(t, p[i][j]) for t, p in zip(ts, pulls)]
+            )
+    scalar = 6.0 * diag.c1
     ricci = [
-        [(scalar / 2.0 if i == j else 0.0) - 3.0 * c1[i][j] for j in range(n)]
+        [(scalar / 2.0 if i == j else 0.0) - 3.0 * fits[i][j].c1 for j in range(n)]
         for i in range(n)
     ]
-    return ScalarRicciReport(
-        scalar_estimate=scalar,
-        scalar_slope=scalar_fit.c1,
-        scalar_slope_stderr=scalar_fit.stderr,
-        pullback_c0=c0,
-        pullback_c1=c1,
-        ricci_estimate=ricci,
-    )
+    return ScalarRicciReport(diag, fits, pulls[0], scalar, ricci)
 
 
 def mean_curvature_proxy(model: SpectralModel, t: float) -> float:

@@ -30,6 +30,7 @@ from spectraljet.manifolds import (
     ricci_scalar_extract,
 )
 from spectraljet.multiindex import from_indices
+from spectraljet.wick import wick_a
 
 
 def mi(indices, n):
@@ -563,6 +564,93 @@ class TestOneFlatnessFlag:
         assert not curvature_suite(s, DEFAULT_GRID).passed
 
 
+class TestTargetsFromWick:
+    """Every c0 target of the curvature suites is a Wick constant A, and
+    equals bit for bit the closed form it replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_c0_targets(self, n):
+        model = Circle(1.0) if n == 1 else Sphere(n, 1.0)
+        iso = isometry_suite(model).summaries
+        umb = umbilical_suite(model).summaries
+        mean = mean_curvature_suite(model).summaries["mean_curvature.length"]
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                target = iso[f"isometry.g[{i},{j}]"].target
+                assert target == wick_a(mi([i], n), mi([j], n)).value
+                assert target.hex() == (1.0 if i == j else 0.0).hex(), (i, j)
+        first = []
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                for k in range(1, n + 1):
+                    target = umb[f"umbilical.jet[{i},{j},{k}]"].target
+                    exact = wick_a(mi([i, k, k], n), mi([j], n)).value
+                    assert target == exact
+                    closed = -3.0 if i == j == k else -1.0 if i == j else 0.0
+                    assert target.hex() == closed.hex(), (i, j, k)
+                    if i == j == 1:
+                        first.append(exact)
+        shape = umb["umbilical.shape_constant"].target
+        assert shape == float(Fraction(sum(first), 2 * n))
+        assert shape.hex() == (-(n + 2.0) / (2.0 * n)).hex()
+        pure = [mi([k, k], n) for k in range(1, n + 1)]
+        total = sum(wick_a(a, b).value for a in pure for b in pure)
+        assert mean.target == math.sqrt(float(Fraction(total, 2 * n * n)))
+        assert mean.target.hex() == math.sqrt((n + 2.0) / (2.0 * n)).hex()
+
+
+class TestOneReader:
+    """``scalar_suite``, ``isometry_suite`` and ``scalar_ricci_suite`` judge
+    one ``ricci_scalar_extract`` report each and sample nothing themselves."""
+
+    @pytest.mark.parametrize("model", [
+        Sphere(3, 1.0), FlatTorus((1.0, 1.3)),
+    ], ids=lambda m: m.label)
+    def test_suites_judge_the_report(self, monkeypatch, model):
+        reports = []
+
+        def counted(*args, **kwargs):
+            reports.append(ricci_scalar_extract(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(asymptotics, "ricci_scalar_extract", counted)
+        n = model.n
+
+        def fitted(summary):
+            return summary.fitted_c0, summary.fitted_c1, summary.stderr
+
+        slope = scalar_suite(model).summaries["scalar.slope"]
+        (report,) = reports
+        d = report.diagonal
+        assert fitted(slope) == (d.c0, d.c1, d.stderr)
+        assert slope.observed == d.c1
+
+        iso = isometry_suite(model).summaries
+        report = reports[1]
+        for i in range(n):
+            for j in range(i, n):
+                name = f"[{i + 1},{j + 1}]"
+                g = iso["isometry.g" + name]
+                assert g.observed == report.smallest_pullback[i][j]
+                if model.is_flat:
+                    assert fitted(g) == (None, None, None)
+                    continue
+                fit = report.pullback[i][j]
+                assert fitted(g) == (fit.c0, fit.c1, fit.stderr)
+                assert fitted(iso["isometry.c1" + name]) == (fit.c0, fit.c1, fit.stderr)
+
+        ricci = scalar_ricci_suite(model).summaries
+        report = reports[2]
+        scalar = ricci["scalar_ricci.scalar"]
+        assert fitted(scalar) == (report.scalar_estimate, report.diagonal.c1,
+                                  report.diagonal.stderr)
+        for i in range(n):
+            for j in range(i, n):
+                entry = ricci[f"scalar_ricci.ric[{i + 1},{j + 1}]"]
+                assert entry.observed == report.ricci_estimate[i][j]
+        assert len(reports) == 3
+
+
 class TestOneFitRule:
     """Every curvature suite fits its t -> 0 limits on the five smallest
     times; ``ricci_scalar_extract`` fits each upper pullback entry once and
@@ -600,7 +688,10 @@ class TestOneFitRule:
         report = ricci_scalar_extract(model, DEFAULT_GRID)
         n = model.n
         assert len(fits) == n * (n + 1) // 2 + 1
-        for name in ("pullback_c0", "pullback_c1", "ricci_estimate"):
+        for i in range(n):
+            for j in range(n):
+                assert report.pullback[i][j] is report.pullback[j][i], (i, j)
+        for name in ("smallest_pullback", "pullback_c1", "ricci_estimate"):
             m = getattr(report, name)
             for i in range(n):
                 for j in range(n):

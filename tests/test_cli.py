@@ -595,7 +595,9 @@ class TestImportCost:
         (["verify", "--model", "sphere3", "--max-degree", "4",
           "--out", "{out}/s3.csv", "--out-json", "{out}/s3.json"],
          ["spectraljet.oracles"]),
-    ], ids=["lattice", "verify"])
+        (["curvature", "--model", "sphere3", "--out-json", "{out}/s3curv.json"],
+         ["spectraljet.oracles"]),
+    ], ids=["lattice", "verify", "curvature"])
     def test_command_alone_skips_what_it_does_not_run(self, tmp_path, argv, absent):
         # one command per fresh interpreter: a module that another command
         # loads cannot hide one that this command loads
@@ -680,7 +682,10 @@ class TestGoldenBytes:
     ], ids=["verify-sphere3", "verify-torus", "curvature-sphere3", "curvature-torus"])
     def test_failing_checks(self, tmp_path, capsys, argv, csv_sha, json_sha):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tolerances": dict.fromkeys(TOLERANCES, 1e-15)}))
+        # every verify and curvature tolerance; the lattice's triangle_slack,
+        # which the pinned reports echo, keeps its default
+        tols = {key: 1e-15 for key in TOLERANCES if key != "triangle_slack"}
+        cfg.write_text(json.dumps({"tolerances": tols}))
         out_csv = tmp_path / "out.csv"
         out_json = tmp_path / "out.json"
         extra = ["--out", str(out_csv)] if csv_sha else []

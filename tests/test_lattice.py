@@ -671,8 +671,9 @@ class TestTripleSuiteExactDecisions:
 
 
 class TestDegreeLimit:
-    """A max_degree above MAX_LATTICE_DEGREE is refused before the double
-    factorial table, which grows like max_degree^2 log(max_degree), is built."""
+    """A max_degree above MAX_LATTICE_DEGREE, or a ball too large for the
+    sampler's float degree weights, is refused before the double factorial
+    table, which grows like max_degree^2 log(max_degree), is built."""
 
     @staticmethod
     def no_table(monkeypatch):
@@ -690,6 +691,15 @@ class TestDegreeLimit:
             run_triple_suite(3, 100_000, 2, 42)
         with pytest.raises(ValueError, match="table of about inf MB"):
             run_triple_suite(3, 10**400, 2, 42)
+
+    def test_oversized_ball_refused_before_the_table(self, monkeypatch):
+        # at the limit degree, a table of about 76 MB
+        self.no_table(monkeypatch)
+        with pytest.raises(ValueError, match=(
+            r"^n=300 and max_degree=10000 give too many lattice points for "
+            r"float degree weights$"
+        )):
+            run_triple_suite(300, 10_000, 1, 42)
 
     def test_the_limit_itself_runs(self, monkeypatch):
         monkeypatch.setattr(lattice, "MAX_LATTICE_DEGREE", 8)
