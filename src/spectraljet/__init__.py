@@ -38,7 +38,7 @@ _EXPORTS = {
         "curvature_symmetry_residuals", "jet_gram", "make_model",
         "mean_curvature_proxy", "pullback_metric", "ricci_scalar_extract",
         "squared_distance_jets", "squared_distance_target",
-        "third_jet_umbilical", "truncation_stability",
+        "third_jet_umbilical",
     ),
     "asymptotics": (
         "ConvergenceRecord", "LimitFit", "curvature_suite", "isometry_suite",

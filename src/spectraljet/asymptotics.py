@@ -279,14 +279,11 @@ MAX_JET_PAIRS = 200_000
 
 
 def _pair_count(n: int, max_degree: int) -> int:
-    """len(_canonical_pairs(n, max_degree)) in closed form, from the
-    C(d + n - 1, n - 1) multi-indices of each degree d."""
-    per_degree = [math.comb(d + n - 1, n - 1) for d in range(max_degree + 1)]
-    total = 0
-    for p in range(max_degree // 2 + 1):
-        total += per_degree[p] * (per_degree[p] + 1) // 2
-        total += per_degree[p] * sum(per_degree[p + 1:max_degree + 1 - p])
-    return total
+    """len(_canonical_pairs(n, max_degree)) in closed form.  The ordered
+    pairs with |alpha| + |beta| <= D are the points of Z_+^(2n) of degree
+    <= D; the diagonal alpha = beta needs 2|alpha| <= D."""
+    return (math.comb(max_degree + 2 * n, 2 * n)
+            + math.comb(max_degree // 2 + n, n)) // 2
 
 
 def _canonical_pairs(n: int, max_degree: int):

@@ -17,8 +17,9 @@ a hard cap that is not an integer >= 1, a spectral sum that hits its
 hard cap (TruncationError: raise t or raise policy.hard_cap), a t-grid
 whose fitted limit is ill-conditioned, a verify run of more than
 ``asymptotics.MAX_JET_PAIRS`` jet pairs, a lattice max_degree above
-``lattice.MAX_LATTICE_DEGREE``, and a ``wick --oracle`` value past the
-float range.  All file output is deterministic for a fixed config and seed.
+``lattice.MAX_LATTICE_DEGREE``, a ``wick --oracle`` value past the
+float range, and a config or report input nested too deeply to read.
+All file output is deterministic for a fixed config and seed.
 """
 from __future__ import annotations
 
@@ -469,7 +470,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (OSError, ValueError, TruncationError) as exc:
+    except (OSError, ValueError, TruncationError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

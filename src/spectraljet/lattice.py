@@ -65,12 +65,10 @@ class DistanceComparisonCheck(NamedTuple):
     holds: bool  # decided on exact squares
 
 
-def distance_comparison_check(
-    alpha: MultiIndex, beta: MultiIndex,
-    delta: tuple[int, int] = COMPARISON_DELTA,
-) -> DistanceComparisonCheck:
-    """Check |cos d| <= 1 - delta * d0 / (|alpha| + |beta|) exactly; ``delta``
-    is a (numerator, denominator) pair like :data:`COMPARISON_DELTA`."""
+def distance_comparison_check(alpha: MultiIndex,
+                              beta: MultiIndex) -> DistanceComparisonCheck:
+    """Check |cos d| <= 1 - delta * d0 / (|alpha| + |beta|) exactly, with
+    delta the :data:`COMPARISON_DELTA` bound when called."""
     import fractions  # see wick.wick_b
 
     check_same_dimension(alpha, beta)
@@ -79,7 +77,8 @@ def distance_comparison_check(
         raise ValueError("comparison needs |alpha| + |beta| >= 1")
     b = wick_b(alpha, beta)
     d0 = symmetric_difference_size(alpha, beta)
-    rhs = 1 - fractions.Fraction(*delta) * fractions.Fraction(d0, total)
+    delta = fractions.Fraction(*COMPARISON_DELTA)
+    rhs = 1 - delta * fractions.Fraction(d0, total)
     holds = b.square <= rhs * rhs  # rhs >= 1 - delta >= 0, so squaring is safe
     return DistanceComparisonCheck(abs(b.value), float(rhs), holds)
 

@@ -40,18 +40,16 @@ class _PolicyFields(NamedTuple):
     epsilon: float = POLICY["epsilon"]
     rho: float = POLICY["rho"]
     hard_cap: int | None = POLICY["hard_cap"]  # None: model default
-    fixed_cutoff: int | None = None
 
 
 class TruncationPolicy(_PolicyFields):
-    """Eigenvalue cutoff policy for spectral sums.
+    """Eigenvalue cutoff policy for spectral sums: the relative tail rule.
 
-    By default the relative tail rule: stop once terms are past their peak
-    and the next term (derivative growth factors included, since the actual
-    summand is tested) drops below epsilon times the accumulated absolute
-    sum.  rho is the exponent margin entering the estimated peak index.  A
-    fixed_cutoff instead sums that many modes, for truncation-stability
-    rechecks.
+    A sum stops once terms are past their peak and the next term
+    (derivative growth factors included, since the actual summand is
+    tested) drops below epsilon times the accumulated absolute sum.  rho is
+    the exponent margin entering the estimated peak index, and hard_cap
+    bounds the number of terms.
     An immutable record, validated on construction and by ``_replace``.
     """
 
@@ -63,17 +61,13 @@ class TruncationPolicy(_PolicyFields):
             raise ValueError("epsilon and rho must be positive")
         if not (self.epsilon < math.inf and self.rho < math.inf):  # NaN too
             raise ValueError("epsilon and rho must be finite")
-        for name in ("hard_cap", "fixed_cutoff"):
-            cap = getattr(self, name)
-            if cap is not None and (type(cap) is not int or cap < 1):  # bool is no cap
-                raise ValueError(
-                    f"{name} must be null/None or an integer >= 1, got {cap!r}")
+        cap = self.hard_cap
+        if cap is not None and (type(cap) is not int or cap < 1):  # bool is no cap
+            raise ValueError(
+                f"hard_cap must be null/None or an integer >= 1, got {cap!r}")
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))
-
-    def doubled(self, chosen_cutoff: int) -> "TruncationPolicy":
-        return self._replace(fixed_cutoff=2 * chosen_cutoff)
 
 
 DEFAULT_POLICY = TruncationPolicy()
@@ -83,33 +77,25 @@ def _tail_sum(term, start: int, min_index: int, policy: TruncationPolicy,
               hard_cap: int) -> tuple[float, int]:
     """Kahan-compensated sum of term(k), k = start, start+1, ...
 
-    Returns (sum, last index summed).  A policy with a fixed_cutoff sums
-    exactly that many terms; otherwise the sum stops on the tail rule,
+    Returns (sum, last index summed).  The sum stops on the tail rule,
     which never fires while terms are still growing toward their peak, and
     raises TruncationError after hard_cap terms.  The models call it only
     through SpectralModel._sum, with their own policy, which memoizes the
     result per instance.
     """
-    fixed = policy.fixed_cutoff is not None
-    limit = policy.fixed_cutoff if fixed else hard_cap
     s = c = abs_acc = 0.0
     prev = math.inf
-    k = start
-    while k - start < limit:
+    for k in range(start, start + hard_cap):
         v = term(k)
         y = v - c
         tmp = s + y
         c = (tmp - s) - y
         s = tmp
-        if not fixed:
-            av = abs(v)
-            abs_acc += av
-            if k >= min_index and av <= prev and av <= policy.epsilon * abs_acc:
-                return s, k
-            prev = av
-        k += 1
-    if fixed:
-        return s, k - 1
+        av = abs(v)
+        abs_acc += av
+        if k >= min_index and av <= prev and av <= policy.epsilon * abs_acc:
+            return s, k
+        prev = av
     raise TruncationError(
         f"hard cap {hard_cap} reached before the tail bound "
         f"(epsilon={policy.epsilon}); raise t or raise the cap"
@@ -791,30 +777,6 @@ def squared_distance_target(model: Sphere, alpha: MultiIndex,
         R = model.riemann
         return float(Fraction(2, 3) * (R(i, k, j, l) + R(i, l, j, k)))
     return 0.0
-
-
-# ---------------------------------------------------------------------------
-# Truncation stability
-# ---------------------------------------------------------------------------
-
-class TruncationStability(NamedTuple):
-    value: float
-    doubled_value: float
-    delta: float
-    cutoff: int
-
-
-def truncation_stability(model: SpectralModel, t: float, alpha: MultiIndex,
-                         beta: MultiIndex) -> TruncationStability:
-    """Re-evaluate a jet with the policy-chosen cutoff doubled, on a fresh
-    twin of the model built with that cutoff: a copy would share the memo of
-    sums taken under the model's own policy."""
-    value, cutoff = model.diag_jet_with_cutoff(t, alpha, beta)
-    if cutoff == 0:  # structurally zero jet; doubling changes nothing
-        return TruncationStability(value, value, 0.0, cutoff)
-    twin = make_model(**model.describe(), policy=model.policy.doubled(cutoff))
-    doubled, _ = twin.diag_jet_with_cutoff(t, alpha, beta)
-    return TruncationStability(value, doubled, abs(value - doubled), cutoff)
 
 
 # Last, once every name that asymptotics imports from this module is bound:

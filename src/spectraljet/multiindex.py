@@ -135,7 +135,7 @@ class ProfileEntry(NamedTuple):
 class PairProfile(NamedTuple):
     """Per-index multiplicity table of a pair (alpha, beta).
 
-    Only indices with a + b > 0 appear.  sigma2 stores the doubled average
+    Only indices with a + b > 0 appear.  sigma2 stores twice the average
     multiplicity so that all profile arithmetic stays in exact integers.
     """
 

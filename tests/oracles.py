@@ -6,12 +6,15 @@ these oracles evaluate the kernel itself at chart points instead: the flat
 torus by its cosine series, the sphere by its zonal functions from the
 Gegenbauer three-term recurrence, and the finite normalized embedding of a
 torus mode by mode.  They also hold the float values of the analytic kernels
-whose exact Taylor coefficients ``spectraljet.jets`` composes, and a plain
-CSV line writer to compare the memoized report writers against.
+whose exact Taylor coefficients ``spectraljet.jets`` composes, a plain CSV
+line writer to compare the memoized report writers against, and the
+truncation recheck: a jet summed again over twice the modes its tail rule
+chose.
 """
 import math
+from typing import NamedTuple
 
-from spectraljet.manifolds import TWO_PI, Sphere
+from spectraljet.manifolds import TWO_PI, Sphere, make_model
 from spectraljet.reporting import fmt_float
 
 
@@ -143,3 +146,42 @@ def embedding_point(torus, t: float, x, modes_per_axis: int) -> tuple[float, ...
         norm * math.exp(-lam * t / 2.0) * val
         for lam, val in zip(lams[1:], vals[1:])
     )
+
+
+def fixed_sum_twin(model, terms: int):
+    """A fresh twin of ``model`` whose every mode sum is a Kahan sum of
+    exactly ``terms`` terms from its first index, whatever its tail rule
+    and hard cap.  Every sum of a model goes through ``_sum``, so replacing
+    it on the instance reaches them all; being fresh, the twin shares no
+    memo with ``model``."""
+    twin = make_model(**model.describe(), policy=model.policy)
+
+    def fixed_sum(key, term, start, min_index):
+        s = c = 0.0
+        for k in range(start, start + terms):
+            y = term(k) - c
+            tmp = s + y
+            c = (tmp - s) - y
+            s = tmp
+        return s, start + terms - 1
+
+    twin._sum = fixed_sum
+    return twin
+
+
+class TruncationStability(NamedTuple):
+    value: float
+    doubled_value: float
+    delta: float
+    cutoff: int
+
+
+def truncation_stability(model, t: float, alpha, beta) -> TruncationStability:
+    """A jet of ``model`` against the same jet summed over twice the cutoff
+    that its tail rule chose, on a fixed-sum twin."""
+    value, cutoff = model.diag_jet_with_cutoff(t, alpha, beta)
+    if cutoff == 0:  # structurally zero jet; doubling changes nothing
+        return TruncationStability(value, value, 0.0, cutoff)
+    twin = fixed_sum_twin(model, 2 * cutoff)
+    doubled, _ = twin.diag_jet_with_cutoff(t, alpha, beta)
+    return TruncationStability(value, doubled, abs(value - doubled), cutoff)

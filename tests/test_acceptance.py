@@ -31,11 +31,11 @@ from spectraljet.manifolds import (
     pullback_metric,
     squared_distance_jets,
     squared_distance_target,
-    truncation_stability,
 )
 from spectraljet.multiindex import enumerate_multiindices, from_indices
 from spectraljet.oracles import enumerate_admissible_graphs, gaussian_moment_oracle
 from spectraljet.wick import wick_a, wick_b
+from tests.oracles import truncation_stability
 
 MODELS = {
     "circle": Circle(1.0),

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -172,6 +173,36 @@ class TestVerifyCommand:
         )
         assert out == ""
         assert not out_json.exists()
+
+    def test_huge_max_degree_refused_at_once(self, capsys):
+        # the closed-form count takes no loop over the degrees
+        def expire(signum, frame):
+            pytest.fail("verify --max-degree 10000000 still running after 2 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 2)
+        try:
+            code, out, err = run(capsys, "verify", "--model", "circle",
+                                 "--max-degree", "10000000")
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2
+        assert err == (
+            "error: 25000010000001 jet pairs on circle at max degree 10000000, "
+            "above the limit of 200000; lower --max-degree\n"
+        )
+        assert out == ""
+
+    def test_deeply_nested_config_is_config_error(self, tmp_path, capsys):
+        # json.load recurses once per level: too deep is a usage error
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "verify", "--model", "circle",
+                             "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error: maximum recursion depth exceeded")
+        assert out == ""
 
     def test_noise_gain_once_per_grid(self, tmp_path, capsys):
         # S^3 at degree 6 runs 164 fits on one grid and judges it once
@@ -528,7 +559,7 @@ class TestImportCost:
                       "jet_gram", "make_model", "mean_curvature_proxy",
                       "pullback_metric", "ricci_scalar_extract",
                       "squared_distance_jets", "squared_distance_target",
-                      "third_jet_umbilical", "truncation_stability"),
+                      "third_jet_umbilical"),
         "asymptotics": ("ConvergenceRecord", "LimitFit", "curvature_suite",
                         "isometry_suite", "jet_relation_suite", "limit_fit",
                         "mean_curvature_suite", "normalization_factor",
@@ -798,6 +829,9 @@ class TestConfigTypes:
          "config key max_degree is not read by curvature"),
         (["curvature", "--model", "sphere3"], {"seed": 1},
          "config key seed is not read by curvature"),
+        # the tail rule is the one stopping rule of a mode sum
+        (["verify", "--model", "sphere2"], {"policy": {"fixed_cutoff": 3}},
+         "unknown config key policy.fixed_cutoff"),
     ])
     def test_wrong_type_is_config_error(self, tmp_path, capsys, argv, file_cfg,
                                         message):
@@ -1031,6 +1065,18 @@ class TestReportCommand:
         )
         assert code == 1
         assert json.loads(merged.read_text())["passed"] is False
+
+    def test_deeply_nested_input_is_usage_error(self, tmp_path, capsys):
+        # an exit of 1 would say a tolerance failed
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 900 + "]" * 900)
+        merged = tmp_path / "merged.json"
+        code, out, err = run(capsys, "report", "--inputs", str(deep),
+                             "--out", str(merged))
+        assert code == 2
+        assert err.startswith("error: maximum recursion depth exceeded")
+        assert out == ""
+        assert not merged.exists()
 
 
 class TestVerifyDeterminism:

@@ -657,7 +657,7 @@ class TestTripleSuiteExactDecisions:
             assert r.d_bc == angle_distance(b, c).radians
             assert r.d_ac == angle_distance(a, c).radians
             if a.degree + b.degree >= 1:
-                check = distance_comparison_check(a, b, pair)
+                check = distance_comparison_check(a, b)
                 assert (r.comparison_lhs, r.comparison_rhs) == (check.lhs, check.rhs)
                 comparison_failures += not check.holds
             square = wick_b(a, b).square

@@ -35,11 +35,16 @@ from spectraljet.manifolds import (
     squared_distance_jets,
     squared_distance_target,
     third_jet_umbilical,
-    truncation_stability,
 )
 from spectraljet.multiindex import empty, enumerate_multiindices, from_indices
 from spectraljet.wick import wick_a, wick_b
-from tests.oracles import chart_cosine, embedding_point, kernel_value
+from tests.oracles import (
+    chart_cosine,
+    embedding_point,
+    fixed_sum_twin,
+    kernel_value,
+    truncation_stability,
+)
 
 GRID = time_grid()
 
@@ -76,8 +81,6 @@ class TestModelBasics:
             Sphere(1, 1.0)
         with pytest.raises(ValueError):
             FlatTorus(())
-        with pytest.raises(ValueError):
-            TruncationPolicy(fixed_cutoff=0)
 
     def test_huge_dimension_refused_at_once(self):
         # the unit-sphere area underflows to 0 at S^455, so a dimension past
@@ -507,9 +510,9 @@ class TestTruncation:
 
     def test_fixed_cutoff_mode(self):
         a = mi([1], 1)
-        policy = TruncationPolicy(fixed_cutoff=200)
-        v1 = Circle(1.0, policy).diag_jet(0.05, a, a)
+        v1, last = fixed_sum_twin(Circle(1.0), 200).diag_jet_with_cutoff(0.05, a, a)
         v2 = Circle(1.0).diag_jet(0.05, a, a)
+        assert last == 200  # the circle sums from k = 1
         assert abs(v1 - v2) < 1e-12
 
     def test_tail_sum_term_counts(self):
@@ -519,12 +522,7 @@ class TestTruncation:
             calls.append(k)
             return 1.0
 
-        # fixed mode sums exactly fixed_cutoff terms, whatever the cap
-        fixed = TruncationPolicy(fixed_cutoff=7)
-        assert _tail_sum(term, 1, 8, fixed, hard_cap=3) == (7.0, 7)
-        assert calls == list(range(1, 8))
-        # tail mode raises after exactly hard_cap terms of a flat series
-        calls.clear()
+        # the sum raises after exactly hard_cap terms of a flat series
         with pytest.raises(TruncationError, match="hard cap 5 reached"):
             _tail_sum(term, 0, 8, TruncationPolicy(), hard_cap=5)
         assert calls == list(range(5))
@@ -539,9 +537,9 @@ class TestModeSumMemo:
     what a fresh model computes for every value and cutoff."""
 
     MODELS = {
-        "sphere2": lambda policy=DEFAULT_POLICY: Sphere(2, 1.5, policy),
-        "sphere3": lambda policy=DEFAULT_POLICY: Sphere(3, 1.0, policy),
-        "torus": lambda policy=DEFAULT_POLICY: FlatTorus((1.0, 1.3), policy),
+        "sphere2": lambda: Sphere(2, 1.5),
+        "sphere3": lambda: Sphere(3, 1.0),
+        "torus": lambda: FlatTorus((1.0, 1.3)),
     }
     TS = time_grid(0.1, 0.5, 4)
 
@@ -578,8 +576,7 @@ class TestModeSumMemo:
         model = make()
         a = b = mi([1, 1], model.n)
         t = 0.05
-        fixed = make(TruncationPolicy(fixed_cutoff=3))
-        short = fixed.diag_jet_with_cutoff(t, a, b)
+        short = fixed_sum_twin(model, 3).diag_jet_with_cutoff(t, a, b)
         full = model.diag_jet_with_cutoff(t, a, b)
         assert full == make().diag_jet_with_cutoff(t, a, b)
         assert full != short and full[1] > short[1]
@@ -657,21 +654,21 @@ class TestPolicyRecord:
     def test_record_semantics(self):
         policy = TruncationPolicy(epsilon=1e-12)
         assert repr(policy) == (
-            "TruncationPolicy(epsilon=1e-12, rho=0.5, hard_cap=None, "
-            "fixed_cutoff=None)"
+            "TruncationPolicy(epsilon=1e-12, rho=0.5, hard_cap=None)"
         )
         assert TruncationPolicy() == DEFAULT_POLICY
         assert hash(TruncationPolicy()) == hash(DEFAULT_POLICY)
         with pytest.raises(AttributeError):
             policy.epsilon = 1e-10
-        assert policy.doubled(40) == TruncationPolicy(epsilon=1e-12, fixed_cutoff=80)
 
     @pytest.mark.parametrize("fields, message", [
-        ({"fixed_cutoff": 0}, "fixed_cutoff must be null/None or an integer >= 1, got 0"),
-        ({"fixed_cutoff": True},
-         "fixed_cutoff must be null/None or an integer >= 1, got True"),
-        ({"fixed_cutoff": 2.5},
-         "fixed_cutoff must be null/None or an integer >= 1, got 2.5"),
+        # a cap is an int >= 1: not negative, not a whole float such as
+        # JSON's 1e3, not a string
+        ({"hard_cap": -1}, "hard_cap must be null/None or an integer >= 1, got -1"),
+        ({"hard_cap": 1000.0},
+         "hard_cap must be null/None or an integer >= 1, got 1000.0"),
+        ({"hard_cap": "8"},
+         "hard_cap must be null/None or an integer >= 1, got '8'"),
         ({"epsilon": 0.0}, "epsilon and rho must be positive"),
         ({"rho": -1.0}, "epsilon and rho must be positive"),
         ({"hard_cap": 0}, "hard_cap must be null/None or an integer >= 1, got 0"),
@@ -688,11 +685,6 @@ class TestPolicyRecord:
         with pytest.raises(ValueError, match=re.escape(message)):
             DEFAULT_POLICY._replace(**fields)
 
-    def test_doubled_of_a_zero_cutoff_raises(self):
-        with pytest.raises(ValueError, match="fixed_cutoff must be null/None or an "
-                                             "integer >= 1, got 0"):
-            DEFAULT_POLICY.doubled(0)
-
     def test_equal_policies_share_memo_entries(self):
         # the memo is keyed without the policy: a model holds one, and
         # models built with equal policies store equal entries
@@ -705,13 +697,14 @@ class TestPolicyRecord:
         equal = Sphere(3, 1.0, TruncationPolicy())
         assert equal.diag_jet_with_cutoff(0.05, a, a) == value
         assert equal._sums == stored
-        doubled = Sphere(3, 1.0, DEFAULT_POLICY.doubled(value[1]))
-        again = Sphere(3, 1.0, TruncationPolicy().doubled(value[1]))
+        # twins that sum twice the cutoff agree, and leave both memos as
+        # they were
+        doubled = fixed_sum_twin(s, 2 * value[1])
+        again = fixed_sum_twin(equal, 2 * value[1])
         assert doubled.diag_jet_with_cutoff(0.05, a, a) == (
             again.diag_jet_with_cutoff(0.05, a, a)
         )
-        assert doubled._sums == again._sums
-        assert doubled._sums.keys() == stored.keys()
+        assert s._sums == stored and equal._sums == stored
 
 
 class TestSphereMoments:
@@ -720,24 +713,35 @@ class TestSphereMoments:
     every zonal sum is a combination of moments."""
 
     TS = (0.2, 0.05, 0.01, 0.003)
-    POLICIES = (DEFAULT_POLICY, TruncationPolicy(fixed_cutoff=37))
     MODELS = [(2, 1.5), (3, 1.0), (4, 1.2)]
 
     @staticmethod
-    def moment_reference(s, m, t):
+    def spheres(dim, radius):
+        """The sphere, which sums by the tail rule, and its twin that sums
+        exactly 37 terms."""
+        s = Sphere(dim, radius)
+        return {"tail": s, "fixed": fixed_sum_twin(s, 37)}
+
+    @staticmethod
+    def direct_sum(s, term, min_index):
+        # a fixed-sum twin's own _sum keeps no memo
+        if "_sum" in vars(s):
+            return s._sum(None, term, 0, min_index)
+        return _tail_sum(term, 0, min_index, s.policy, s._hard_cap)
+
+    def moment_reference(self, s, m, t):
         def term(l):
             return math.exp(-s.eigenvalue(l) * t) * s._zonal_taylor(l, m)
 
         min_index = max(m + 1, s._min_index(s.radius, t, 2 * m + s.n - 1.0))
-        return _tail_sum(term, 0, min_index, s.policy, s._hard_cap)
+        return self.direct_sum(s, term, min_index)
 
-    @staticmethod
-    def diagonal_reference(s, t):
+    def diagonal_reference(self, s, t):
         def term(l):
             return math.exp(-s.eigenvalue(l) * t) * s.multiplicity(l)
 
         min_index = s._min_index(s.radius, t, s.n - 1.0)
-        return _tail_sum(term, 0, min_index, s.policy, s._hard_cap)
+        return self.direct_sum(s, term, min_index)
 
     @staticmethod
     def combination(s, em, t):
@@ -751,28 +755,26 @@ class TestSphereMoments:
 
     @pytest.mark.parametrize("dim, radius", MODELS)
     def test_moments_equal_direct_loop(self, dim, radius):
-        for policy in self.POLICIES:
-            s = Sphere(dim, radius, policy)
+        for rule, s in self.spheres(dim, radius).items():
             for t in self.TS:
                 for m in range(7):
                     assert s._moment(m, t) == self.moment_reference(s, m, t), (
-                        policy, t, m)
-                assert s._moment(0, t) == self.diagonal_reference(s, t), (policy, t)
+                        rule, t, m)
+                assert s._moment(0, t) == self.diagonal_reference(s, t), (rule, t)
                 assert s._zonal_sum((1.0,), t) == s._moment(0, t)
 
     @pytest.mark.parametrize("dim, radius", MODELS)
     def test_zonal_sums_are_moment_combinations(self, dim, radius):
         basis = enumerate_multiindices(dim, 2)
         pairs = [(a, b) for i, a in enumerate(basis) for b in basis[i:]]
-        for policy in self.POLICIES:
-            s = Sphere(dim, radius, policy)
+        for rule, s in self.spheres(dim, radius).items():
             ems = {s._extract_vector(a, b, 4) for a, b in pairs}
             ems |= {(0.5, -1.25, 3.0), (0.0, 0.0, -2.0, 0.0, 7.5), (0.0, 0.0),
                     (0.0,) * 8 + (1.5,)}
             for t in self.TS:
                 for em in sorted(ems):
                     assert s._zonal_sum(em, t) == self.combination(s, em, t), (
-                        policy, t, em)
+                        rule, t, em)
                 for (a1, b1), (a2, b2) in zip(pairs, pairs[1:]):
                     total = max(a1.degree + b1.degree, a2.degree + b2.degree)
                     degree = s._series_degree(total)
@@ -782,7 +784,7 @@ class TestSphereMoments:
                     value, _ = self.combination(s, diff, t)
                     want = s.gram_prefactor(t) * value * s._zonal_scale
                     assert s.gram_difference(t, (a1, b1), (a2, b2)) == want, (
-                        policy, t, a1, b1, a2, b2)
+                        rule, t, a1, b1, a2, b2)
 
     def test_sums_keyed_by_order_and_time(self):
         # a verify run, and the Gram differences of a curvature run, sum
@@ -800,7 +802,7 @@ class TestSphereMoments:
         s = Sphere(2, 1.0)
         value, cutoff = s._moment(9, 0.5)
         assert cutoff > 9
-        long = Sphere(2, 1.0, TruncationPolicy(fixed_cutoff=200))._moment(9, 0.5)[0]
+        long = fixed_sum_twin(s, 200)._moment(9, 0.5)[0]
         assert value > 0.0 and value == pytest.approx(long, rel=1e-14, abs=0)
 
     def test_served_sums_change_no_jet(self):
