@@ -12,7 +12,7 @@ import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from operator import mul
 from typing import NamedTuple
 
@@ -482,17 +482,20 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
     rel, zero_abs = tol["umbilical_rel"], tol["umbilical_zero_abs"]
     result = SuiteResult("umbilical", model.label, {})
     first = []  # the (1, 1, k) samples, k = 1..n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                a = from_indices([i, k, k], n)
-                target = float(wick_a(a, from_indices([j], n)).value)
-                samples = [(t, third_jet_umbilical(model, t, i, j, k)) for t in ts]
-                if i == j == 1:
-                    first.append(samples)
-                result.summaries[f"umbilical.jet[{i},{j},{k}]"] = _fitted(
-                    samples, target, lambda fit: _judge(fit.c0, target, rel, zero_abs)
-                )
+    # triples with one model.jet_key share jets and targets: one fit per key
+    measured: dict = {}  # jet key -> (samples, summary)
+    for i, j, k in product(range(1, n + 1), repeat=3):
+        a, b = from_indices([i, k, k], n), from_indices([j], n)
+        key = model.jet_key(a, b)
+        if key not in measured:
+            target = float(wick_a(a, b).value)
+            samples = [(t, third_jet_umbilical(model, t, i, j, k)) for t in ts]
+            measured[key] = samples, _fitted(
+                samples, target, lambda fit: _judge(fit.c0, target, rel, zero_abs))
+        samples, summary = measured[key]
+        if i == j == 1:
+            first.append(samples)
+        result.summaries[f"umbilical.jet[{i},{j},{k}]"] = summary
 
     agg_samples = [(t, sum(s[m][1] for s in first) / n) for m, t in enumerate(ts)]
     agg_fit = fit_on_smallest(agg_samples)

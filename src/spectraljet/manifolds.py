@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import product, zip_longest
 from typing import NamedTuple
 
 from .defaults import POLICY, TruncationError
@@ -148,7 +148,9 @@ class SpectralModel:
 
     A model is built with its truncation policy, and every spectral sum
     goes through ``_sum``, which applies that policy and memoizes the sum
-    for the lifetime of the instance.
+    for the lifetime of the instance.  Every jet goes through
+    ``diag_jet_with_cutoff``, which validates it and returns the zeros that
+    coordinate flips force; a model defines only ``_jet``, its sums.
     """
 
     n: int
@@ -213,7 +215,20 @@ class SpectralModel:
         """S = sum_j Ric_jj, exact."""
         return sum(self.ricci(j, j) for j in range(self.n))
 
-    def diag_jet_with_cutoff(self, t, alpha, beta):
+    def diag_jet_with_cutoff(self, t: float, alpha: MultiIndex,
+                             beta: MultiIndex) -> tuple[float, int]:
+        """(J(t, alpha, beta), the last mode index summed): the one entry
+        point to every jet.  It validates the request; every coordinate
+        flip fixes the base point, so a pair whose alpha + beta has an odd
+        entry is exactly (0.0, 0), with nothing summed.  ``_jet`` holds the
+        model's sums for the other pairs."""
+        self._validate_time(t)
+        self._validate_pair(alpha, beta)
+        if any((a + b) % 2 for a, b in zip(alpha.counts, beta.counts)):
+            return 0.0, 0
+        return self._jet(t, alpha, beta)
+
+    def _jet(self, t, alpha, beta) -> tuple[float, int]:
         raise NotImplementedError
 
     def diag_jet(self, t: float, alpha: MultiIndex, beta: MultiIndex) -> float:
@@ -310,12 +325,8 @@ class FlatTorus(SpectralModel):
                 "lower the max degree or raise the radius"
             ) from None
 
-    def diag_jet_with_cutoff(self, t, alpha, beta):
-        self._validate_time(t)
-        self._validate_pair(alpha, beta)
+    def _jet(self, t, alpha, beta):
         orders = [a + b for a, b in zip(alpha.counts, beta.counts)]
-        if any(m % 2 for m in orders):
-            return 0.0, 0  # odd derivative of an even kernel vanishes exactly
         value = 1.0
         cutoff = 0
         for axis, m in enumerate(orders):
@@ -406,9 +417,9 @@ class Sphere(SpectralModel):
     at the origin: the jet is sum_m em[m] S_m(t) / Vol.  w^m is a series in
     |u|^2, |v|^2 and <u, v>, so a coordinate permutation applied to both
     alpha and beta fixes em exactly: the extraction vectors are memoized per
-    degree and orbit, keyed by ``jet_key``.  Each moment is summed once per
-    (m, t), as the torus sums once per (axis, order, t); the heat diagonal
-    is S_0, the zonal sum of em = (1.0,).
+    orbit, keyed by ``jet_key``, and the order of the pair sets the length.
+    Each moment is summed once per (m, t), as the torus sums once per (axis,
+    order, t); the heat diagonal is S_0, the zonal sum of em = (1.0,).
     """
 
     default_hard_cap = 5_000
@@ -468,27 +479,22 @@ class Sphere(SpectralModel):
         min_index = max(m + 1, self._min_index(self.radius, t, 2 * m + self.n - 1.0))
         return self._sum((m, t), term, 0, min_index)
 
-    def _series_degree(self, total: int) -> int:
-        return max(2, total + (total % 2))
-
     def jet_key(self, alpha: MultiIndex, beta: MultiIndex):
         """The multiset of column pairs (alpha_r, beta_r): a coordinate
         permutation applied to both indices fixes the jet exactly."""
         return tuple(sorted(zip(alpha.counts, beta.counts)))
 
-    def _extract_vector(self, alpha: MultiIndex, beta: MultiIndex,
-                        degree: int) -> tuple[float, ...]:
-        key = (degree, self.jet_key(alpha, beta))
+    def _extract_vector(self, alpha: MultiIndex,
+                        beta: MultiIndex) -> tuple[float, ...]:
+        key = self.jet_key(alpha, beta)
         cached = self._extract_cache.get(key)
         if cached is not None:
             return cached
         order = alpha.degree + beta.degree
-        if order > degree:
-            raise ValueError(f"jet order {order} exceeds series degree {degree}")
         vec = tuple(
             _rounded_jet(extract_mixed_partial(p, alpha, beta), self.radius,
                          -order, order)
-            for p in _sphere_series_tables(degree)
+            for p in _sphere_series_tables(max(2, order + order % 2))
         )
         self._extract_cache[key] = vec
         return vec
@@ -496,7 +502,9 @@ class Sphere(SpectralModel):
     def _zonal_sum(self, em, t: float) -> tuple[float, int]:
         """sum_m em[m] S_m(t) over the nonzero em[m], before the zonal scale,
         and the largest cutoff among those moments; (0.0, 0) when every
-        em[m] vanishes.  em = (1.0,) is S_0, the heat diagonal."""
+        em[m] vanishes.  em = (1.0,) is S_0, the heat diagonal.  The terms
+        grow like l^(n-1), the more so as t falls, and past the float range
+        raise a ValueError."""
         total, cutoff = 0.0, 0
         try:
             for m, e in enumerate(em):
@@ -505,27 +513,17 @@ class Sphere(SpectralModel):
                     total += e * s
                     cutoff = max(cutoff, used)
         except OverflowError:
-            raise self._out_of_range(t) from None
+            raise ValueError(
+                f"mode sums of sphere{self.n} pass the float range at t={t!r}: "
+                "raise t or lower the dimension"
+            ) from None
         return total, cutoff
 
-    def _out_of_range(self, t: float) -> ValueError:
-        """The error of a mode sum whose terms pass the float range: the
-        multiplicities and Taylor coefficients grow like l^(n-1), and the
-        modes summed grow as t falls."""
-        return ValueError(
-            f"mode sums of sphere{self.n} pass the float range at t={t!r}: "
-            "raise t or lower the dimension"
-        )
-
-    def diag_jet_with_cutoff(self, t, alpha, beta):
-        self._validate_time(t)
-        self._validate_pair(alpha, beta)
-        total = alpha.degree + beta.degree
-        if total == 0:
+    def _jet(self, t, alpha, beta):
+        if alpha.degree + beta.degree == 0:
             s, used = self._zonal_sum((1.0,), t)
             return s / self.volume, used
-        em = self._extract_vector(alpha, beta, self._series_degree(total))
-        s, used = self._zonal_sum(em, t)
+        s, used = self._zonal_sum(self._extract_vector(alpha, beta), t)
         return s * self._zonal_scale, used
 
     def gram_difference(self, t, pair1, pair2) -> float:
@@ -542,11 +540,9 @@ class Sphere(SpectralModel):
         a2, b2 = pair2
         self._validate_pair(a1, b1)
         self._validate_pair(a2, b2)
-        total = max(a1.degree + b1.degree, a2.degree + b2.degree)
-        degree = self._series_degree(total)
-        em1 = self._extract_vector(a1, b1, degree)
-        em2 = self._extract_vector(a2, b2, degree)
-        s, _ = self._zonal_sum(tuple(x - y for x, y in zip(em1, em2)), t)
+        ems = zip_longest(self._extract_vector(a1, b1),
+                          self._extract_vector(a2, b2), fillvalue=0.0)
+        s, _ = self._zonal_sum(tuple(x - y for x, y in ems), t)
         return self.gram_prefactor(t) * s * self._zonal_scale
 
 
@@ -704,10 +700,10 @@ def curvature_symmetry_residuals(model: SpectralModel, ts) -> list:
         raise ValueError("curvature needs dimension at least 2")
     n = model.n
     fits = {}
+    two = [[from_indices([i + 1, j + 1], n) for j in range(n)] for i in range(n)]
     r = [[[[0.0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i, j, k, l in product(range(n), repeat=4):
-        pair1 = (from_indices([i + 1, l + 1], n), from_indices([j + 1, k + 1], n))
-        pair2 = (from_indices([i + 1, k + 1], n), from_indices([j + 1, l + 1], n))
+        pair1, pair2 = (two[i][l], two[j][k]), (two[i][k], two[j][l])
         key = (model.jet_key(*pair1), model.jet_key(*pair2))
         if key not in fits:
             fits[key] = asymptotics.fit_on_smallest(

@@ -654,7 +654,8 @@ class TestOneReader:
 class TestOneFitRule:
     """Every curvature suite fits its t -> 0 limits on the five smallest
     times; ``ricci_scalar_extract`` fits each upper pullback entry once and
-    mirrors it, and ``umbilical_suite`` measures each third jet once."""
+    mirrors it, and ``umbilical_suite`` measures and fits each jet key of
+    its third jets once."""
 
     def test_every_curvature_fit_takes_five_smallest(self, monkeypatch):
         grids = []
@@ -698,7 +699,9 @@ class TestOneFitRule:
                     assert m[i][j].hex() == m[j][i].hex(), (name, i, j)
 
     def test_umbilical_measures_each_jet_once(self, monkeypatch):
-        # the aggregate sums the (1, 1, k) samples the jet checks hold
+        # one measurement per jet key and time: S^3 has 5 keys among its
+        # 27 triples; the aggregate sums the (1, 1, k) samples the jet
+        # checks hold
         calls = []
         measure = asymptotics.third_jet_umbilical
 
@@ -708,10 +711,23 @@ class TestOneFitRule:
 
         monkeypatch.setattr(asymptotics, "third_jet_umbilical", counted)
         result = umbilical_suite(Sphere(3, 1.0), DEFAULT_GRID)
-        assert len(calls) == len(set(calls)) == 27 * len(DEFAULT_GRID)
+        assert len(calls) == len(set(calls)) == 5 * len(DEFAULT_GRID)
         samples = [
             (t, sum(measure(Sphere(3, 1.0), t, 1, 1, k) for k in (1, 2, 3)) / 3)
             for t in DEFAULT_GRID
         ]
         shape = result.summaries["umbilical.shape_constant"]
         assert shape.fitted_c0 == fit_on_smallest(samples).c0 / 2.0
+
+    def test_umbilical_fits_each_jet_key_once(self, monkeypatch):
+        # S^4 has 64 triples but 5 jet keys: 5 fits and the aggregate's
+        fits = []
+
+        def counted(samples, *args, **kwargs):
+            fits.append(samples)
+            return fit_on_smallest(samples, *args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "fit_on_smallest", counted)
+        result = umbilical_suite(Sphere(4, 1.3), DEFAULT_GRID)
+        assert len(fits) == 6
+        assert len(result.summaries) == 4**3 + 1

@@ -2,7 +2,7 @@ import math
 import re
 import signal
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 
 import numpy as np
 import pytest
@@ -17,10 +17,12 @@ from spectraljet.asymptotics import (
     time_grid,
 )
 from spectraljet.jets import extract_mixed_partial
+from spectraljet import manifolds
 from spectraljet.manifolds import (
     DEFAULT_POLICY,
     Circle,
     FlatTorus,
+    SpectralModel,
     Sphere,
     TruncationError,
     TruncationPolicy,
@@ -611,6 +613,49 @@ class TestJetKey:
         assert torus.diag_jet(0.01, e1, e1) != torus.diag_jet(0.01, e2, e2)
 
 
+class TestForcedZeros:
+    """Every coordinate flip fixes the base point, so a pair whose
+    alpha + beta has an odd entry is exactly (0.0, 0): the one entry point
+    ``diag_jet_with_cutoff`` returns it before any extraction or sum."""
+
+    MODELS = {
+        "circle": lambda: Circle(1.0),
+        "torus": lambda: FlatTorus((1.0, 1.3)),
+        "sphere2": lambda: Sphere(2, 1.3),
+        "sphere3": lambda: Sphere(3, 1.3),
+        "sphere5": lambda: Sphere(5, 1.3),
+    }
+
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_odd_pairs_are_exact_zeros(self, monkeypatch, kind):
+        def refuse(*args):
+            raise AssertionError("a forced zero was extracted or summed")
+
+        model = self.MODELS[kind]()
+        monkeypatch.setattr(manifolds, "extract_mixed_partial", refuse)
+        monkeypatch.setattr(SpectralModel, "_sum", refuse)
+        basis = enumerate_multiindices(model.n, 5)
+        odd = [(a, b) for a in basis for b in basis
+               if a.degree + b.degree <= 5
+               and any((x + y) % 2 for x, y in zip(a.counts, b.counts))]
+        assert odd
+        for t in (0.1, 0.01):
+            for a, b in odd:
+                value, cutoff = model.diag_jet_with_cutoff(t, a, b)
+                assert (value, cutoff) == (0.0, 0), (t, a, b)
+                assert math.copysign(1.0, value) == 1.0, (t, a, b)  # not -0.0
+
+    def test_sphere_extracts_one_nonzero_vector_per_key(self):
+        s = Sphere(3, 1.3)
+        jet_relation_suite(s, 6, GRID)
+        even = [(a, b) for a, b in _canonical_pairs(3, 6)
+                if a.degree + b.degree
+                and not any((x + y) % 2 for x, y in zip(a.counts, b.counts))]
+        assert set(s._extract_cache) == {s.jet_key(a, b) for a, b in even}
+        assert len(s._extract_cache) == 28
+        assert all(any(em) for em in s._extract_cache.values())
+
+
 class TestCurvatureOrbitMemo:
     """``curvature_symmetry_residuals`` fits one Gram difference per pair of
     jet keys; every entry must read what its own fit gives, bit for bit."""
@@ -768,7 +813,7 @@ class TestSphereMoments:
         basis = enumerate_multiindices(dim, 2)
         pairs = [(a, b) for i, a in enumerate(basis) for b in basis[i:]]
         for rule, s in self.spheres(dim, radius).items():
-            ems = {s._extract_vector(a, b, 4) for a, b in pairs}
+            ems = {s._extract_vector(a, b) for a, b in pairs}
             ems |= {(0.5, -1.25, 3.0), (0.0, 0.0, -2.0, 0.0, 7.5), (0.0, 0.0),
                     (0.0,) * 8 + (1.5,)}
             for t in self.TS:
@@ -776,11 +821,11 @@ class TestSphereMoments:
                     assert s._zonal_sum(em, t) == self.combination(s, em, t), (
                         rule, t, em)
                 for (a1, b1), (a2, b2) in zip(pairs, pairs[1:]):
-                    total = max(a1.degree + b1.degree, a2.degree + b2.degree)
-                    degree = s._series_degree(total)
-                    em1 = s._extract_vector(a1, b1, degree)
-                    em2 = s._extract_vector(a2, b2, degree)
-                    diff = tuple(x - y for x, y in zip(em1, em2))
+                    # vectors of unequal length are padded with 0.0
+                    em1 = s._extract_vector(a1, b1)
+                    em2 = s._extract_vector(a2, b2)
+                    diff = tuple(
+                        x - y for x, y in zip_longest(em1, em2, fillvalue=0.0))
                     value, _ = self.combination(s, diff, t)
                     want = s.gram_prefactor(t) * value * s._zonal_scale
                     assert s.gram_difference(t, (a1, b1), (a2, b2)) == want, (
