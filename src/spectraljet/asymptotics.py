@@ -366,16 +366,10 @@ def jet_relation_suite(
     # Angles: Gram cosines against B, for pairs of at most ceil(max_degree / 2)
     # per side.  No jet order is refused; this cap decides which B checks a
     # report holds, so it stays, and the norms G(alpha, alpha) it needs
-    # reach order max_degree + 1 at most.
+    # reach order max_degree + 1 at most.  The model memoizes every jet, so
+    # each read of an entry the A checks measured is a lookup.
     side_cap = (max_degree + 1) // 2
-    gram_cache: dict = {}
-
-    def gram(t, a, b):
-        key = (t, key_of(a, b))
-        if key not in gram_cache:
-            gram_cache[key] = model.gram_entry(t, a, b)
-        return gram_cache[key]
-
+    gram = model.gram_entry
     judged: dict = {}  # B key -> summary
     for a, b in pairs:
         if a.degree == 0 or b.degree == 0:

@@ -18,7 +18,8 @@ hard cap (TruncationError: raise t or raise policy.hard_cap), a t-grid
 whose fitted limit is ill-conditioned, a verify run of more than
 ``asymptotics.MAX_JET_PAIRS`` jet pairs, a lattice max_degree above
 ``lattice.MAX_LATTICE_DEGREE``, a ``wick --oracle`` value past the
-float range, and a config or report input nested too deeply to read.
+float range, a config or report input nested too deeply to read, and a
+run too large for the memory it may take (MemoryError).
 All file output is deterministic for a fixed config and seed.
 """
 from __future__ import annotations
@@ -472,6 +473,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (OSError, ValueError, TruncationError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; lower the size of the run", file=sys.stderr)
         return 2
 
 

@@ -149,8 +149,9 @@ class SpectralModel:
     A model is built with its truncation policy, and every spectral sum
     goes through ``_sum``, which applies that policy and memoizes the sum
     for the lifetime of the instance.  Every jet goes through
-    ``diag_jet_with_cutoff``, which validates it and returns the zeros that
-    coordinate flips force; a model defines only ``_jet``, its sums.
+    ``diag_jet_with_cutoff``, which validates it, returns the zeros that
+    coordinate flips force and memoizes the others by (t, ``jet_key``); a
+    model defines only ``_jet``, its sums.
     """
 
     n: int
@@ -167,6 +168,7 @@ class SpectralModel:
             self.default_hard_cap if policy.hard_cap is None else policy.hard_cap
         )
         self._sums: dict = {}
+        self._jets: dict = {}
 
     def _sum(self, key, term, start: int, min_index: int) -> tuple[float, int]:
         """_tail_sum(term, start, ...), memoized on key.
@@ -215,26 +217,36 @@ class SpectralModel:
         """S = sum_j Ric_jj, exact."""
         return sum(self.ricci(j, j) for j in range(self.n))
 
+    def _forced_zero(self, t: float, alpha: MultiIndex, beta: MultiIndex) -> bool:
+        """Validates t and the pair; True when alpha + beta has an odd entry,
+        whose jet is 0 exactly, as every coordinate flip fixes the base point."""
+        if not t > 0:
+            raise ValueError(f"heat time must be positive, got {t}")
+        if alpha.n != self.n or beta.n != self.n:
+            raise ValueError(f"multi-index dimension must be {self.n}, "
+                             f"got {alpha.n} and {beta.n}")
+        return any((a + b) % 2 for a, b in zip(alpha.counts, beta.counts))
+
     def diag_jet_with_cutoff(self, t: float, alpha: MultiIndex,
                              beta: MultiIndex) -> tuple[float, int]:
         """(J(t, alpha, beta), the last mode index summed): the one entry
-        point to every jet.  It validates the request; every coordinate
-        flip fixes the base point, so a pair whose alpha + beta has an odd
-        entry is exactly (0.0, 0), with nothing summed.  ``_jet`` holds the
-        model's sums for the other pairs."""
-        self._validate_time(t)
-        self._validate_pair(alpha, beta)
-        if any((a + b) % 2 for a, b in zip(alpha.counts, beta.counts)):
+        point to every jet.  A forced zero is (0.0, 0), with nothing
+        summed; the other pairs run ``_jet``, the model's sums, once per
+        (t, ``jet_key``), and every later read is a lookup."""
+        if self._forced_zero(t, alpha, beta):
             return 0.0, 0
-        return self._jet(t, alpha, beta)
+        key = t, self.jet_key(alpha, beta)
+        hit = self._jets.get(key)
+        if hit is None:
+            hit = self._jets[key] = self._jet(t, alpha, beta)
+        return hit
 
     def _jet(self, t, alpha, beta) -> tuple[float, int]:
         raise NotImplementedError
 
     def diag_jet(self, t: float, alpha: MultiIndex, beta: MultiIndex) -> float:
         """J(t, alpha, beta), every eigenfunction included."""
-        value, _ = self.diag_jet_with_cutoff(t, alpha, beta)
-        return value
+        return self.diag_jet_with_cutoff(t, alpha, beta)[0]
 
     def heat_diagonal(self, t: float) -> float:
         e = empty(self.n)
@@ -264,20 +276,7 @@ class SpectralModel:
     def gram_difference(self, t, pair1, pair2) -> float:
         """G(pair1) - G(pair2); models override where the leading parts must
         be cancelled mode by mode."""
-        a1, b1 = pair1
-        a2, b2 = pair2
-        return self.gram_entry(t, a1, b1) - self.gram_entry(t, a2, b2)
-
-    def _validate_time(self, t: float) -> None:
-        if not t > 0:
-            raise ValueError(f"heat time must be positive, got {t}")
-
-    def _validate_pair(self, alpha: MultiIndex, beta: MultiIndex) -> None:
-        if alpha.n != self.n or beta.n != self.n:
-            raise ValueError(
-                f"multi-index dimension must be {self.n}, "
-                f"got {alpha.n} and {beta.n}"
-            )
+        return self.gram_entry(t, *pair1) - self.gram_entry(t, *pair2)
 
 
 class FlatTorus(SpectralModel):
@@ -417,9 +416,10 @@ class Sphere(SpectralModel):
     at the origin: the jet is sum_m em[m] S_m(t) / Vol.  w^m is a series in
     |u|^2, |v|^2 and <u, v>, so a coordinate permutation applied to both
     alpha and beta fixes em exactly: the extraction vectors are memoized per
-    orbit, keyed by ``jet_key``, and the order of the pair sets the length.
-    Each moment is summed once per (m, t), as the torus sums once per (axis,
-    order, t); the heat diagonal is S_0, the zonal sum of em = (1.0,).
+    orbit, keyed by ``jet_key``, the order of the pair sets the length, and
+    a forced zero has none.  Each moment is summed once per (m, t), as the
+    torus sums once per (axis, order, t); the heat diagonal is S_0, the
+    zonal sum of em = (1.0,).
     """
 
     default_hard_cap = 5_000
@@ -533,15 +533,12 @@ class Sphere(SpectralModel):
         Both entries carry the same O(1/t) leading part when their Wick
         constants agree; their top extraction entries are then bit-equal and
         cancel exactly, which keeps the O(1) remainder free of catastrophic
-        cancellation.
+        cancellation.  A forced zero adds the empty vector.
         """
-        self._validate_time(t)
-        a1, b1 = pair1
-        a2, b2 = pair2
-        self._validate_pair(a1, b1)
-        self._validate_pair(a2, b2)
-        ems = zip_longest(self._extract_vector(a1, b1),
-                          self._extract_vector(a2, b2), fillvalue=0.0)
+        zero1, zero2 = (self._forced_zero(t, *pair) for pair in (pair1, pair2))
+        ems = zip_longest(() if zero1 else self._extract_vector(*pair1),
+                          () if zero2 else self._extract_vector(*pair2),
+                          fillvalue=0.0)
         s, _ = self._zonal_sum(tuple(x - y for x, y in ems), t)
         return self.gram_prefactor(t) * s * self._zonal_scale
 

@@ -7,15 +7,34 @@ torus by its cosine series, the sphere by its zonal functions from the
 Gegenbauer three-term recurrence, and the finite normalized embedding of a
 torus mode by mode.  They also hold the float values of the analytic kernels
 whose exact Taylor coefficients ``spectraljet.jets`` composes, a plain CSV
-line writer to compare the memoized report writers against, and the
+line writer to compare the memoized report writers against, the
 truncation recheck: a jet summed again over twice the modes its tail rule
-chose.
+chose, and the six suites of the ``curvature`` command for the tests that
+run them all on one model.
 """
 import math
 from typing import NamedTuple
 
+from spectraljet.asymptotics import (
+    DEFAULT_GRID,
+    curvature_suite,
+    isometry_suite,
+    mean_curvature_suite,
+    scalar_ricci_suite,
+    scalar_suite,
+    umbilical_suite,
+)
 from spectraljet.manifolds import TWO_PI, Sphere, make_model
 from spectraljet.reporting import fmt_float
+
+CURVATURE_SUITES = (scalar_suite, isometry_suite, mean_curvature_suite,
+                    umbilical_suite, curvature_suite, scalar_ricci_suite)
+
+
+def run_curvature_suites(model, grid=DEFAULT_GRID) -> None:
+    """Every suite of the ``curvature`` command on ``model``, in its order."""
+    for suite in CURVATURE_SUITES:
+        suite(model, grid)
 
 
 def csv_line(values) -> str:
@@ -69,10 +88,16 @@ def chart_cosine(sphere: Sphere, u, v) -> float:
     return min(1.0, max(-1.0, z))
 
 
+def _check_time(t: float) -> None:
+    """The models' positive-t check, with their message."""
+    if not t > 0:
+        raise ValueError(f"heat time must be positive, got {t}")
+
+
 def kernel_value(model, t: float, u, v) -> float:
     """H(t, exp(u), exp(v)) on a sphere, H(t, u, v) on a flat torus (whose
     chart is globally flat)."""
-    model._validate_time(t)
+    _check_time(t)
     if isinstance(model, Sphere):
         return _sphere_kernel_value(model, t, u, v)
     return _torus_kernel_value(model, t, u, v)
@@ -124,7 +149,7 @@ def embedding_point(torus, t: float, x, modes_per_axis: int) -> tuple[float, ...
     exp(-lambda t / 2) and the psi normalization; the global constant
     mode is dropped.
     """
-    torus._validate_time(t)
+    _check_time(t)
     axis_funcs: list[list[tuple[float, float]]] = []  # (lambda, value)
     for axis in range(torus.n):
         R = torus.radii[axis]

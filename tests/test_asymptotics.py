@@ -31,6 +31,7 @@ from spectraljet.manifolds import (
 )
 from spectraljet.multiindex import from_indices
 from spectraljet.wick import wick_a
+from tests.oracles import run_curvature_suites
 
 
 def mi(indices, n):
@@ -654,8 +655,36 @@ class TestOneReader:
 class TestOneFitRule:
     """Every curvature suite fits its t -> 0 limits on the five smallest
     times; ``ricci_scalar_extract`` fits each upper pullback entry once and
-    mirrors it, and ``umbilical_suite`` measures and fits each jet key of
-    its third jets once."""
+    mirrors it, ``umbilical_suite`` measures and fits each jet key of its
+    third jets once, and a model runs its sums once per (t, jet key)."""
+
+    # (model, suites, distinct (t, jet key) reads); the jet suite's angle
+    # checks read the jets of its A checks again, and the curvature suites
+    # share one model, so each measured jet is read again in later suites
+    JET_RUNS = {
+        "jets-sphere3-d6": (lambda: Sphere(3, 1.3),
+                            lambda m: jet_relation_suite(m, 6), 203),
+        "jets-sphere3-d7": (lambda: Sphere(3, 1.3),
+                            lambda m: jet_relation_suite(m, 7), 231),
+        "jets-torus-d6": (lambda: FlatTorus((1.2, 1.7)),
+                          lambda m: jet_relation_suite(m, 6, (0.01,)), 40),
+        "curvature-sphere3": (lambda: Sphere(3, 1.3), run_curvature_suites, 42),
+        "curvature-sphere8": (lambda: Sphere(8, 1.3), run_curvature_suites, 42),
+        "curvature-torus": (lambda: FlatTorus((1.2, 1.7)), run_curvature_suites, 84),
+    }
+
+    @pytest.mark.parametrize("case", JET_RUNS)
+    def test_one_jet_run_per_time_and_key(self, monkeypatch, case):
+        make, run, distinct = self.JET_RUNS[case]
+        runs = []
+        for cls in (Sphere, FlatTorus):
+            def counted(model, t, alpha, beta, jet=cls._jet):
+                runs.append((t, model.jet_key(alpha, beta)))
+                return jet(model, t, alpha, beta)
+
+            monkeypatch.setattr(cls, "_jet", counted)
+        run(make())
+        assert len(runs) == len(set(runs)) == distinct
 
     def test_every_curvature_fit_takes_five_smallest(self, monkeypatch):
         grids = []
@@ -667,9 +696,7 @@ class TestOneFitRule:
 
         monkeypatch.setattr(asymptotics, "limit_fit", counted)
         model = Sphere(3, 1.0)
-        for suite in (scalar_suite, isometry_suite, mean_curvature_suite,
-                      umbilical_suite, curvature_suite, scalar_ricci_suite):
-            suite(model, DEFAULT_GRID[::-1])
+        run_curvature_suites(model, DEFAULT_GRID[::-1])
         assert grids
         assert set(grids) == {DEFAULT_GRID[:5]}
 

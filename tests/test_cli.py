@@ -1079,6 +1079,45 @@ class TestReportCommand:
         assert not merged.exists()
 
 
+class TestOutOfMemory:
+    # a run too large for its memory exits 2 with an error line, not with a
+    # MemoryError traceback and 1, which would say a tolerance failed; the
+    # address-space limit is set in the child only
+    LIMIT = 512 * 2**20
+    CODE = textwrap.dedent("""\
+        import resource, sys
+        try:
+            resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2)
+        except (ValueError, OSError):
+            sys.exit(77)
+        from spectraljet.cli import main
+        sys.exit(main(sys.argv[2:]))
+    """)
+
+    @pytest.mark.parametrize("argv", [
+        ["wick", "--n", "1000000000", "--alpha", "1", "--beta", "1"],
+        ["lattice", "sample", "--n", "1000000000", "--max-degree", "2",
+         "--count", "1"],
+        ["verify", "--model", "sphere2", "--max-degree", "2",
+         "--t-grid", "0.1:0.9999999:100000000"],
+    ], ids=["wick", "lattice", "verify"])
+    def test_memory_error_is_usage_error(self, argv):
+        resource = pytest.importorskip("resource")
+        if not hasattr(resource, "RLIMIT_AS"):
+            pytest.skip("RLIMIT_AS is not supported here")
+        src = str(Path(spectraljet.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CODE, str(self.LIMIT), *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=120,
+        )
+        if proc.returncode == 77:
+            pytest.skip("the address-space limit cannot be set here")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: "), proc.stderr
+        assert proc.stdout == ""
+
+
 class TestVerifyDeterminism:
     def test_sphere_verify_byte_identical(self, tmp_path, capsys):
         blobs = []

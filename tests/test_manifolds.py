@@ -45,6 +45,7 @@ from tests.oracles import (
     embedding_point,
     fixed_sum_twin,
     kernel_value,
+    run_curvature_suites,
     truncation_stability,
 )
 
@@ -616,7 +617,8 @@ class TestJetKey:
 class TestForcedZeros:
     """Every coordinate flip fixes the base point, so a pair whose
     alpha + beta has an odd entry is exactly (0.0, 0): the one entry point
-    ``diag_jet_with_cutoff`` returns it before any extraction or sum."""
+    ``diag_jet_with_cutoff`` returns it before any extraction or sum, and
+    the sphere's ``gram_difference`` adds it as the empty vector."""
 
     MODELS = {
         "circle": lambda: Circle(1.0),
@@ -644,6 +646,10 @@ class TestForcedZeros:
                 value, cutoff = model.diag_jet_with_cutoff(t, a, b)
                 assert (value, cutoff) == (0.0, 0), (t, a, b)
                 assert math.copysign(1.0, value) == 1.0, (t, a, b)  # not -0.0
+            for pair1, pair2 in zip(odd, odd[1:]):
+                value = model.gram_difference(t, pair1, pair2)
+                assert value == 0.0, (t, pair1, pair2)
+                assert math.copysign(1.0, value) == 1.0, (t, pair1, pair2)
 
     def test_sphere_extracts_one_nonzero_vector_per_key(self):
         s = Sphere(3, 1.3)
@@ -653,6 +659,14 @@ class TestForcedZeros:
                 and not any((x + y) % 2 for x, y in zip(a.counts, b.counts))]
         assert set(s._extract_cache) == {s.jet_key(a, b) for a, b in even}
         assert len(s._extract_cache) == 28
+        assert all(any(em) for em in s._extract_cache.values())
+
+    @pytest.mark.parametrize("dim", [3, 8])
+    def test_curvature_suites_extract_no_zero_vector(self, dim):
+        # the Gram differences of the Gauss formula pair forced zeros too
+        s = Sphere(dim, 1.3)
+        run_curvature_suites(s, GRID)
+        assert s._extract_cache
         assert all(any(em) for em in s._extract_cache.values())
 
 
