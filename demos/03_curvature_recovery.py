@@ -37,7 +37,8 @@ def print_matrix(rows):
 
 print("=== scalar curvature from the diagonal slope (target S/6) ===")
 for model in (FlatTorus((1.0, 1.3)), Sphere(2, 2.0), Sphere(3, 1.0)):
-    fit = scalar_suite(model, GRID).summaries["scalar.slope"]
+    report = ricci_scalar_extract(model, GRID)
+    fit = scalar_suite(model, report).summaries["scalar.slope"]
     print(f"{model.label:8s} slope = {fit.fitted_c1:+.6f}"
           f"   target = {fit.target:+.6f}   (S = {float(model.scalar()):g})")
 

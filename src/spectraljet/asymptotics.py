@@ -20,6 +20,7 @@ from .defaults import TIME_GRID, TOLERANCES
 from .multiindex import MultiIndex, enumerate_multiindices, from_indices
 from .wick import wick_a, wick_b
 from .manifolds import (
+    ScalarRicciReport,
     SpectralModel,
     curvature_symmetry_residuals,
     heat_power,
@@ -29,11 +30,31 @@ from .manifolds import (
 )
 
 
+# Each fit reads only the five smallest times of its grid, so a longer grid
+# adds CSV rows, not checks; past this count a grid only fills memory.
+MAX_GRID_COUNT = 1000
+
+
 def time_grid(start: float = TIME_GRID["start"], ratio: float = TIME_GRID["ratio"],
               count: int = TIME_GRID["count"]) -> tuple[float, ...]:
-    """Geometric grid t_m = start * ratio^m, m = 0..count-1, sorted ascending."""
+    """Geometric grid t_m = start * ratio^m, m = 0..count-1, sorted ascending.
+
+    Refuses, before any time is built, more than MAX_GRID_COUNT times and a
+    smallest time start * ratio^(count - 1) that is not a positive float.
+    """
     if start <= 0 or not 0 < ratio < 1 or count < 1:
         raise ValueError("need start > 0, 0 < ratio < 1, count >= 1")
+    grid = f"t-grid {start!r}:{ratio!r}:{count}"
+    if count > MAX_GRID_COUNT:
+        raise ValueError(
+            f"{grid} has {count} times, above the limit of {MAX_GRID_COUNT}; "
+            "lower the count"
+        )
+    if not start * ratio ** (count - 1) > 0:
+        raise ValueError(
+            f"{grid} has a smallest time start * ratio**(count - 1) that "
+            "underflows to 0; raise the start or the ratio, or lower the count"
+        )
     return tuple(sorted(start * ratio**m for m in range(count)))
 
 
@@ -335,14 +356,21 @@ def jet_relation_suite(
             return PairSummary(target, None, None, None, observed, ok)
         return _fitted(samples, target, lambda fit: ok)
 
-    # Pairs with one model.jet_key have bit-identical jets and equal exact
-    # targets, so each key is measured, fitted and judged once, and its
-    # records and summary are repeated for every pair it names.
+    # Angles: Gram cosines against B, for pairs of positive degrees of at
+    # most ceil(max_degree / 2) per side.  No jet order is refused; this cap
+    # decides which B checks a report holds, so it stays.  The norms
+    # G(alpha, alpha) reach order max_degree + 1 at most, and the model
+    # memoizes every jet, so each read of a jet measured before is a lookup.
+    side_cap = (max_degree + 1) // 2
+    gram = model.gram_entry
+    # Pairs with one model.jet_key have bit-identical jets, equal exact
+    # targets and equal degrees, so the first pair of each key is measured
+    # and judged, and later pairs repeat its records and summaries.
     key_of = model.jet_key
     label = model.label
     records: list[ConvergenceRecord] = []
     summaries: dict[str, PairSummary] = {}
-    measured: dict = {}  # A key -> (rows (t, raw, normalized, abs_err), summary)
+    measured: dict = {}  # jet key -> (rows (t, raw, normalized, abs_err), A, B)
     for a, b in pairs:
         key = key_of(a, b)
         hit = measured.get(key)
@@ -354,41 +382,28 @@ def jet_relation_suite(
                 normalized = normalization_factor(n, t, a, b) * raw
                 rows.append((t, raw, normalized, abs(normalized - target)))
             summary = judge([(t, y) for t, _, y, _ in rows], target)
-            hit = measured[key] = rows, summary
-        rows, summary = hit
+            angle = None  # no B check
+            if 0 < a.degree <= side_cap and 0 < b.degree <= side_cap:
+                samples = []
+                for t in ts:
+                    denom = math.sqrt(gram(t, a, a) * gram(t, b, b))
+                    if denom == 0.0:
+                        raise ValueError(
+                            f"Gram norms of {a.text()} and {b.text()} "
+                            f"underflow at t={t}: lower t"
+                        )
+                    samples.append((t, gram(t, a, b) / denom))
+                angle = judge(samples, wick_b(a, b).value)
+            hit = measured[key] = rows, summary, angle
+        rows, summary, angle = hit
         target = summary.target
         records.extend(
             ConvergenceRecord(label, a, b, t, raw, normalized, target, err)
             for t, raw, normalized, err in rows
         )
         summaries[f"A[{a.text()}|{b.text()}]"] = summary
-
-    # Angles: Gram cosines against B, for pairs of at most ceil(max_degree / 2)
-    # per side.  No jet order is refused; this cap decides which B checks a
-    # report holds, so it stays, and the norms G(alpha, alpha) it needs
-    # reach order max_degree + 1 at most.  The model memoizes every jet, so
-    # each read of an entry the A checks measured is a lookup.
-    side_cap = (max_degree + 1) // 2
-    gram = model.gram_entry
-    judged: dict = {}  # B key -> summary
-    for a, b in pairs:
-        if a.degree == 0 or b.degree == 0:
-            continue
-        if a.degree > side_cap or b.degree > side_cap:
-            continue
-        key = key_of(a, b)
-        if key not in judged:
-            samples = []
-            for t in ts:
-                denom = math.sqrt(gram(t, a, a) * gram(t, b, b))
-                if denom == 0.0:
-                    raise ValueError(
-                        f"Gram norms of {a.text()} and {b.text()} underflow at "
-                        f"t={t}: lower t"
-                    )
-                samples.append((t, gram(t, a, b) / denom))
-            judged[key] = judge(samples, wick_b(a, b).value)
-        summaries[f"B[{a.text()}|{b.text()}]"] = judged[key]
+        if angle is not None:
+            summaries[f"B[{a.text()}|{b.text()}]"] = angle
 
     return SuiteResult("jet_relation", label, summaries, records)
 
@@ -397,12 +412,11 @@ def jet_relation_suite(
 # Geometry suites
 # ---------------------------------------------------------------------------
 
-def scalar_suite(model: SpectralModel, ts=DEFAULT_GRID,
+def scalar_suite(model: SpectralModel, report: ScalarRicciReport,
                  tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
     """Scalar curvature from the on-diagonal expansion slope, S/6: the check
-    judges the fitted slope of ``ricci_scalar_extract``, so that is what it
-    observed."""
-    fit = ricci_scalar_extract(model, ts).diagonal
+    judges the fitted slope of ``report``, so that is what it observed."""
+    fit = report.diagonal
     target = float(model.scalar() / 6)
     passes = _judge(fit.c1, target, tol["scalar_rel"], tol["scalar_flat_abs"])
     return SuiteResult("scalar", model.label, {
@@ -410,15 +424,14 @@ def scalar_suite(model: SpectralModel, ts=DEFAULT_GRID,
     })
 
 
-def isometry_suite(model: SpectralModel, ts=DEFAULT_GRID,
+def isometry_suite(model: SpectralModel, report: ScalarRicciReport,
                    tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
     """Pullback metric: A(e_i, e_j) = delta_ij at leading order, curvature
-    correction at O(t), judged on the fits of ``ricci_scalar_extract``.
+    correction at O(t), judged on the fits of ``report``.
 
     The O(t) coefficient must match (1/3)((S/2) delta_ij - Ric_ij); flat
     models must return the identity outright at the smallest time.
     """
-    report = ricci_scalar_extract(model, ts)
     units = [from_indices([i], model.n) for i in range(1, model.n + 1)]
     result = SuiteResult("isometry", model.label, {})
     half_s = model.scalar() / 2
@@ -535,12 +548,11 @@ def curvature_suite(model: SpectralModel, ts=DEFAULT_GRID,
     return result
 
 
-def scalar_ricci_suite(model: SpectralModel, ts=DEFAULT_GRID,
+def scalar_ricci_suite(model: SpectralModel, report: ScalarRicciReport,
                        tol: Mapping[str, float] = TOLERANCES) -> SuiteResult:
-    """Scalar and Ricci recovery S = 6 c1(diagonal), Ric = (S/2) I - 3 c1(pullback).
-
-    Its tolerances have no config key, so it reads nothing from ``tol``."""
-    report = ricci_scalar_extract(model, ts)
+    """Scalar and Ricci recovery S = 6 c1(diagonal), Ric = (S/2) I - 3 c1(pullback),
+    read off ``report``; its tolerances have no config key, so it reads
+    nothing from ``tol``."""
     result = SuiteResult("scalar_ricci", model.label, {})
     target_s = float(model.scalar())
     result.summaries["scalar_ricci.scalar"] = PairSummary(
@@ -559,3 +571,22 @@ def scalar_ricci_suite(model: SpectralModel, ts=DEFAULT_GRID,
                 target, value, None, None, value, _judge(value, target, 0.05, zero_abs)
             )
     return result
+
+
+def curvature_suites(model: SpectralModel, ts=DEFAULT_GRID,
+                     tol: Mapping[str, float] = TOLERANCES) -> list[SuiteResult]:
+    """The suites of the ``curvature`` command in its order, the last two
+    where n >= 2; the scalar, isometry and scalar_ricci suites judge one
+    ``ricci_scalar_extract`` report.  Refuses a grid of fewer than 4 times."""
+    if len(ts) < 4:
+        raise ValueError(
+            "curvature suites need a t-grid of at least 4 times "
+            f"(--t-grid start:ratio:count), got {len(ts)}"
+        )
+    report = ricci_scalar_extract(model, ts)
+    suites = [scalar_suite(model, report, tol), isometry_suite(model, report, tol),
+              mean_curvature_suite(model, ts, tol), umbilical_suite(model, ts, tol)]
+    if model.n >= 2:
+        suites += [curvature_suite(model, ts, tol),
+                   scalar_ricci_suite(model, report, tol)]
+    return suites

@@ -15,11 +15,13 @@ flag, an unknown model kind, a config key that is unknown or that the
 command does not read, a non-finite config number, a negative tolerance,
 a hard cap that is not an integer >= 1, a spectral sum that hits its
 hard cap (TruncationError: raise t or raise policy.hard_cap), a t-grid
-whose fitted limit is ill-conditioned, a verify run of more than
-``asymptotics.MAX_JET_PAIRS`` jet pairs, a lattice max_degree above
-``lattice.MAX_LATTICE_DEGREE``, a ``wick --oracle`` value past the
-float range, a config or report input nested too deeply to read, and a
-run too large for the memory it may take (MemoryError).
+of more than ``asymptotics.MAX_GRID_COUNT`` times or whose smallest time
+underflows to 0, a t-grid whose fitted limit is ill-conditioned, a
+verify run of more than ``asymptotics.MAX_JET_PAIRS`` jet pairs, a
+lattice max_degree above ``lattice.MAX_LATTICE_DEGREE``, a ``wick
+--oracle`` value past the float range, a config or report input nested
+too deeply to read, and a run too large for the memory it may take
+(MemoryError).
 All file output is deterministic for a fixed config and seed.
 """
 from __future__ import annotations
@@ -317,27 +319,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_curvature(args: argparse.Namespace) -> int:
-    from .asymptotics import (  # not loaded by lattice, wick or report
-        curvature_suite,
-        isometry_suite,
-        mean_curvature_suite,
-        scalar_ricci_suite,
-        scalar_suite,
-        umbilical_suite,
-    )
+    from .asymptotics import curvature_suites  # not loaded by lattice, wick or report
 
     cfg = build_config(args)
     model = config_model(cfg)
-    grid = config_grid(cfg)
-    if len(grid) < 4:
-        raise ConfigError(
-            "curvature suites need a t-grid of at least 4 times "
-            f"(--t-grid start:ratio:count), got {len(grid)}"
-        )
-    runs = [scalar_suite, isometry_suite, mean_curvature_suite, umbilical_suite]
-    if model.n >= 2:
-        runs += [curvature_suite, scalar_ricci_suite]
-    suites = [run(model, grid, cfg["tolerances"]) for run in runs]
+    suites = curvature_suites(model, config_grid(cfg), cfg["tolerances"])
     passed = _write_suites(args, cfg, model, suites)
     for s in suites:
         print(f"curvature: suite={s.name} checks={len(s.summaries)} passed={s.passed}")

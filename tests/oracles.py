@@ -7,34 +7,15 @@ torus by its cosine series, the sphere by its zonal functions from the
 Gegenbauer three-term recurrence, and the finite normalized embedding of a
 torus mode by mode.  They also hold the float values of the analytic kernels
 whose exact Taylor coefficients ``spectraljet.jets`` composes, a plain CSV
-line writer to compare the memoized report writers against, the
+line writer to compare the memoized report writers against, and the
 truncation recheck: a jet summed again over twice the modes its tail rule
-chose, and the six suites of the ``curvature`` command for the tests that
-run them all on one model.
+chose.
 """
 import math
 from typing import NamedTuple
 
-from spectraljet.asymptotics import (
-    DEFAULT_GRID,
-    curvature_suite,
-    isometry_suite,
-    mean_curvature_suite,
-    scalar_ricci_suite,
-    scalar_suite,
-    umbilical_suite,
-)
 from spectraljet.manifolds import TWO_PI, Sphere, make_model
 from spectraljet.reporting import fmt_float
-
-CURVATURE_SUITES = (scalar_suite, isometry_suite, mean_curvature_suite,
-                    umbilical_suite, curvature_suite, scalar_ricci_suite)
-
-
-def run_curvature_suites(model, grid=DEFAULT_GRID) -> None:
-    """Every suite of the ``curvature`` command on ``model``, in its order."""
-    for suite in CURVATURE_SUITES:
-        suite(model, grid)
 
 
 def csv_line(values) -> str:

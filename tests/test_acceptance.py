@@ -29,6 +29,7 @@ from spectraljet.manifolds import (
     Sphere,
     curvature_symmetry_residuals,
     pullback_metric,
+    ricci_scalar_extract,
     squared_distance_jets,
     squared_distance_target,
 )
@@ -136,7 +137,8 @@ def test_criterion_05_sphere3_fitted_limits():
 
 
 def test_criterion_06_isometry():
-    r = isometry_suite(MODELS["sphere3"], DEFAULT_GRID)
+    sphere = MODELS["sphere3"]
+    r = isometry_suite(sphere, ricci_scalar_extract(sphere, DEFAULT_GRID))
     c1 = r.summaries["isometry.c1[1,1]"]
     assert abs(c1.fitted_c1 - 1 / 3) <= 0.05 / 3
     assert r.passed
@@ -146,10 +148,11 @@ def test_criterion_06_isometry():
 
 
 def test_criterion_07_scalar_curvature_slope():
-    r3 = scalar_suite(MODELS["sphere3"], DEFAULT_GRID)
+    sphere, torus = MODELS["sphere3"], MODELS["torus"]
+    r3 = scalar_suite(sphere, ricci_scalar_extract(sphere, DEFAULT_GRID))
     slope = r3.summaries["scalar.slope"]
     assert abs(slope.fitted_c1 - 1.0) <= 0.02
-    rt = scalar_suite(MODELS["torus"], DEFAULT_GRID)
+    rt = scalar_suite(torus, ricci_scalar_extract(torus, DEFAULT_GRID))
     assert abs(rt.summaries["scalar.slope"].fitted_c1) <= 1e-6
     _report(7, f"S3 diagonal slope {slope.fitted_c1:.5f} (S/6 = 1), torus slope ~ 0")
 

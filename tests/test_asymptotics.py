@@ -11,6 +11,7 @@ from spectraljet.asymptotics import (
     DEFAULT_GRID,
     TOLERANCES,
     curvature_suite,
+    curvature_suites,
     fit_on_smallest,
     isometry_suite,
     jet_relation_suite,
@@ -31,7 +32,6 @@ from spectraljet.manifolds import (
 )
 from spectraljet.multiindex import from_indices
 from spectraljet.wick import wick_a
-from tests.oracles import run_curvature_suites
 
 
 def mi(indices, n):
@@ -48,6 +48,36 @@ class TestTimeGrid:
             time_grid(start=-1)
         with pytest.raises(ValueError):
             time_grid(ratio=1.5)
+
+    def test_refuses_a_count_past_the_limit(self):
+        # each fit reads only the five smallest times, so a longer grid adds
+        # rows and no check; the count is refused before any time is built
+        assert asymptotics.MAX_GRID_COUNT == 1000
+        assert len(time_grid(0.1, 0.5, 1000)) == 1000
+        # 0.1:0.999:1500 is a healthy grid (smallest time about 0.022) that
+        # ran before the limit; it is refused with the rest
+        for ratio, count in ((0.999, 1500), (0.9999999, 1001),
+                             (0.9999999, 10**18)):
+            with pytest.raises(ValueError, match=(
+                rf"^t-grid 0.1:{ratio!r}:{count} has {count} times, above "
+                r"the limit of 1000; lower the count$"
+            )):
+                time_grid(0.1, ratio, count)
+
+    @pytest.mark.parametrize("start, ratio, count", [
+        (0.1, 1e-320, 5), (1e-300, 1e-10, 5), (5e-324, 0.5, 5), (1e-300, 0.5, 900),
+    ])
+    def test_refuses_a_smallest_time_that_underflows(self, start, ratio, count):
+        with pytest.raises(ValueError, match=(
+            rf"^t-grid {start!r}:{ratio!r}:{count} has a smallest time "
+            r"start \* ratio\*\*\(count - 1\) that underflows to 0; raise "
+            r"the start or the ratio, or lower the count$"
+        )):
+            time_grid(start, ratio, count)
+
+    def test_keeps_a_positive_subnormal_smallest_time(self):
+        assert time_grid(5e-324, 0.5, 1) == (5e-324,)
+        assert time_grid(1e-320, 0.5, 2) == (1e-320 * 0.5, 1e-320)
 
 
 class TestLimitFit:
@@ -377,15 +407,17 @@ class TestResidualShrinkage:
 
 class TestSuitePassFlags:
     def test_scalar_suite_targets(self):
-        assert scalar_suite(Sphere(3, 1.0), DEFAULT_GRID).passed
-        assert scalar_suite(FlatTorus((1.0, 1.3)), DEFAULT_GRID).passed
-        r = scalar_suite(Sphere(2, 2.0), DEFAULT_GRID)
+        for model in (Sphere(3, 1.0), FlatTorus((1.0, 1.3)), Sphere(4, 1.3)):
+            report = ricci_scalar_extract(model, DEFAULT_GRID)
+            assert scalar_suite(model, report).passed
+        model = Sphere(2, 2.0)
+        r = scalar_suite(model, ricci_scalar_extract(model, DEFAULT_GRID))
         assert r.passed
         assert r.summaries["scalar.slope"].target == pytest.approx(1 / 12)
-        assert scalar_suite(Sphere(4, 1.3), DEFAULT_GRID).passed
 
     def test_isometry_suite(self):
-        r = isometry_suite(Sphere(3, 1.0), DEFAULT_GRID)
+        model = Sphere(3, 1.0)
+        r = isometry_suite(model, ricci_scalar_extract(model, DEFAULT_GRID))
         assert r.passed
         c1 = r.summaries["isometry.c1[1,1]"]
         assert c1.target == pytest.approx(1 / 3)
@@ -397,9 +429,10 @@ class TestSuitePassFlags:
         # of the isometry.g[i,j] fit and reports that fit's c0 and c1
         for model, count in ((Sphere(3, 1.0), 6), (Sphere(2, 2.0), 3),
                              (FlatTorus((1.0, 1.3)), 0)):
-            slope = scalar_suite(model).summaries["scalar.slope"]
+            report = ricci_scalar_extract(model, DEFAULT_GRID)
+            slope = scalar_suite(model, report).summaries["scalar.slope"]
             assert slope.observed == slope.fitted_c1, model.label
-            summaries = isometry_suite(model).summaries
+            summaries = isometry_suite(model, report).summaries
             c1 = [(name, s) for name, s in summaries.items()
                   if name.startswith("isometry.c1")]
             assert len(c1) == count, model.label
@@ -443,10 +476,11 @@ class TestSuitePassFlags:
         # S/6 and (S/2 - Ric)/3 in floats would round two and three times
         K = 1 / Fraction(radius) ** 2
         model = Sphere(n, radius)
-        assert scalar_suite(model).summaries["scalar.slope"].target == float(
+        report = ricci_scalar_extract(model, DEFAULT_GRID)
+        assert scalar_suite(model, report).summaries["scalar.slope"].target == float(
             n * (n - 1) * K / 6)
-        iso = isometry_suite(model).summaries
-        ricci = scalar_ricci_suite(model).summaries
+        iso = isometry_suite(model, report).summaries
+        ricci = scalar_ricci_suite(model, report).summaries
         assert ricci["scalar_ricci.scalar"].target == float(n * (n - 1) * K)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
@@ -515,16 +549,20 @@ class TestSuitePassFlags:
                    if name != "curvature.R[1,2,1,3]")
 
     def test_scalar_ricci_suite(self):
-        assert scalar_ricci_suite(Sphere(3, 1.0), DEFAULT_GRID).passed
+        model = Sphere(3, 1.0)
+        report = ricci_scalar_extract(model, DEFAULT_GRID)
+        assert scalar_ricci_suite(model, report).passed
 
     def test_failure_is_reported_not_hidden(self):
-        r = scalar_suite(Sphere(3, 1.0), DEFAULT_GRID,
+        model = Sphere(3, 1.0)
+        r = scalar_suite(model, ricci_scalar_extract(model, DEFAULT_GRID),
                          tol={**TOLERANCES, "scalar_rel": 1e-9})
         assert not r.passed
         assert not r.summaries["scalar.slope"].passes
 
     def test_summary_dict_schema(self):
-        r = scalar_suite(Sphere(3, 1.0), DEFAULT_GRID)
+        model = Sphere(3, 1.0)
+        r = scalar_suite(model, ricci_scalar_extract(model, DEFAULT_GRID))
         d = r.summary_dict()["scalar.slope"]
         assert set(d) == {"target", "fitted_c0", "fitted_c1", "stderr", "observed", "pass"}
 
@@ -547,7 +585,7 @@ class TestOneFlatnessFlag:
         assert all(x.fitted_c0 is None for x in jets.summaries.values())
         # the pullback is judged as the identity at the smallest time, and
         # no O(t) coefficient is checked
-        iso = isometry_suite(s, DEFAULT_GRID)
+        iso = isometry_suite(s, ricci_scalar_extract(s, DEFAULT_GRID))
         smallest = pullback_metric(s, DEFAULT_GRID[0])
         assert set(iso.summaries) == {
             f"isometry.g[{i + 1},{j + 1}]" for i in range(3) for j in range(i, 3)
@@ -572,7 +610,8 @@ class TestTargetsFromWick:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_c0_targets(self, n):
         model = Circle(1.0) if n == 1 else Sphere(n, 1.0)
-        iso = isometry_suite(model).summaries
+        report = ricci_scalar_extract(model, DEFAULT_GRID)
+        iso = isometry_suite(model, report).summaries
         umb = umbilical_suite(model).summaries
         mean = mean_curvature_suite(model).summaries["mean_curvature.length"]
         for i in range(1, n + 1):
@@ -602,54 +641,112 @@ class TestTargetsFromWick:
 
 class TestOneReader:
     """``scalar_suite``, ``isometry_suite`` and ``scalar_ricci_suite`` judge
-    one ``ricci_scalar_extract`` report each and sample nothing themselves."""
+    exactly the ``ricci_scalar_extract`` report they are given and sample
+    nothing themselves; ``curvature_suites`` builds that report once."""
 
     @pytest.mark.parametrize("model", [
         Sphere(3, 1.0), FlatTorus((1.0, 1.3)),
     ], ids=lambda m: m.label)
     def test_suites_judge_the_report(self, monkeypatch, model):
-        reports = []
-
-        def counted(*args, **kwargs):
-            reports.append(ricci_scalar_extract(*args, **kwargs))
-            return reports[-1]
-
-        monkeypatch.setattr(asymptotics, "ricci_scalar_extract", counted)
         n = model.n
+        report = ricci_scalar_extract(model, DEFAULT_GRID)
+
+        def moved(fit, k):
+            return fit._replace(c0=fit.c0 + k, c1=fit.c1 + 2 * k,
+                                stderr=fit.stderr + 3 * k)
+
+        # every number of the given report differs from the model's own,
+        # so a suite that judged anything else would show it
+        given = report._replace(
+            diagonal=moved(report.diagonal, 0.5),
+            pullback=[[moved(report.pullback[i][j], 1 + i + j) for j in range(n)]
+                      for i in range(n)],
+            smallest_pullback=[[x + 7 + i + j for j, x in enumerate(row)]
+                               for i, row in enumerate(report.smallest_pullback)],
+            scalar_estimate=report.scalar_estimate + 11,
+            ricci_estimate=[[x + 13 + i + j for j, x in enumerate(row)]
+                            for i, row in enumerate(report.ricci_estimate)],
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a suite sampled the model")
+
+        monkeypatch.setattr(asymptotics, "ricci_scalar_extract", refuse)
+        monkeypatch.setattr(type(model), "_jet", refuse)
 
         def fitted(summary):
             return summary.fitted_c0, summary.fitted_c1, summary.stderr
 
-        slope = scalar_suite(model).summaries["scalar.slope"]
-        (report,) = reports
-        d = report.diagonal
+        slope = scalar_suite(model, given).summaries["scalar.slope"]
+        d = given.diagonal
         assert fitted(slope) == (d.c0, d.c1, d.stderr)
         assert slope.observed == d.c1
 
-        iso = isometry_suite(model).summaries
-        report = reports[1]
+        iso = isometry_suite(model, given).summaries
         for i in range(n):
             for j in range(i, n):
                 name = f"[{i + 1},{j + 1}]"
                 g = iso["isometry.g" + name]
-                assert g.observed == report.smallest_pullback[i][j]
+                assert g.observed == given.smallest_pullback[i][j]
                 if model.is_flat:
                     assert fitted(g) == (None, None, None)
                     continue
-                fit = report.pullback[i][j]
+                fit = given.pullback[i][j]
                 assert fitted(g) == (fit.c0, fit.c1, fit.stderr)
                 assert fitted(iso["isometry.c1" + name]) == (fit.c0, fit.c1, fit.stderr)
 
-        ricci = scalar_ricci_suite(model).summaries
-        report = reports[2]
+        ricci = scalar_ricci_suite(model, given).summaries
         scalar = ricci["scalar_ricci.scalar"]
-        assert fitted(scalar) == (report.scalar_estimate, report.diagonal.c1,
-                                  report.diagonal.stderr)
+        assert fitted(scalar) == (given.scalar_estimate, d.c1, d.stderr)
         for i in range(n):
             for j in range(i, n):
                 entry = ricci[f"scalar_ricci.ric[{i + 1},{j + 1}]"]
-                assert entry.observed == report.ricci_estimate[i][j]
-        assert len(reports) == 3
+                assert entry.observed == given.ricci_estimate[i][j]
+
+    # (model, fits of the whole command); the three readers of the report
+    # shared 1 + n(n + 1)/2 fits of it, which three reports made three times
+    FITS = {
+        "sphere3": (lambda: Sphere(3, 1.0), 27),
+        "sphere8": (lambda: Sphere(8, 1.0), 58),
+        "torus": (lambda: FlatTorus((1.0, 1.3)), 29),
+        "circle": (lambda: Circle(1.0), 5),
+    }
+    SUITES = ("scalar", "isometry", "mean_curvature", "umbilical",
+              "curvature", "scalar_ricci")
+
+    @pytest.mark.parametrize("case", FITS)
+    def test_curvature_suites_extract_once(self, monkeypatch, case):
+        make, count = self.FITS[case]
+        reports, fits = [], []
+        extract = asymptotics.ricci_scalar_extract
+
+        def counted_extract(*args, **kwargs):
+            reports.append(extract(*args, **kwargs))
+            return reports[-1]
+
+        def counted_fit(samples, *args, **kwargs):
+            fits.append(samples)
+            return limit_fit(samples, *args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "ricci_scalar_extract", counted_extract)
+        monkeypatch.setattr(asymptotics, "limit_fit", counted_fit)
+        model = make()
+        suites = curvature_suites(model, DEFAULT_GRID)
+        assert len(reports) == 1
+        assert len(fits) == count
+        names = self.SUITES if model.n >= 2 else self.SUITES[:4]
+        assert tuple(s.name for s in suites) == names
+        assert all(s.model == model.label for s in suites)
+
+    @pytest.mark.parametrize("model", [Sphere(3, 1.0), Circle(1.0)],
+                             ids=lambda m: m.label)
+    def test_curvature_suites_refuse_a_short_grid(self, monkeypatch, model):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a short grid was sampled")
+
+        monkeypatch.setattr(asymptotics, "ricci_scalar_extract", refuse)
+        with pytest.raises(ValueError, match=r"at least 4 times .* got 3$"):
+            curvature_suites(model, DEFAULT_GRID[:3])
 
 
 class TestOneFitRule:
@@ -668,9 +765,9 @@ class TestOneFitRule:
                             lambda m: jet_relation_suite(m, 7), 231),
         "jets-torus-d6": (lambda: FlatTorus((1.2, 1.7)),
                           lambda m: jet_relation_suite(m, 6, (0.01,)), 40),
-        "curvature-sphere3": (lambda: Sphere(3, 1.3), run_curvature_suites, 42),
-        "curvature-sphere8": (lambda: Sphere(8, 1.3), run_curvature_suites, 42),
-        "curvature-torus": (lambda: FlatTorus((1.2, 1.7)), run_curvature_suites, 84),
+        "curvature-sphere3": (lambda: Sphere(3, 1.3), curvature_suites, 42),
+        "curvature-sphere8": (lambda: Sphere(8, 1.3), curvature_suites, 42),
+        "curvature-torus": (lambda: FlatTorus((1.2, 1.7)), curvature_suites, 84),
     }
 
     @pytest.mark.parametrize("case", JET_RUNS)
@@ -696,7 +793,7 @@ class TestOneFitRule:
 
         monkeypatch.setattr(asymptotics, "limit_fit", counted)
         model = Sphere(3, 1.0)
-        run_curvature_suites(model, DEFAULT_GRID[::-1])
+        curvature_suites(model, DEFAULT_GRID[::-1])
         assert grids
         assert set(grids) == {DEFAULT_GRID[:5]}
 

@@ -561,7 +561,8 @@ class TestImportCost:
                       "squared_distance_jets", "squared_distance_target",
                       "third_jet_umbilical"),
         "asymptotics": ("ConvergenceRecord", "LimitFit", "curvature_suite",
-                        "isometry_suite", "jet_relation_suite", "limit_fit",
+                        "curvature_suites", "isometry_suite",
+                        "jet_relation_suite", "limit_fit",
                         "mean_curvature_suite", "normalization_factor",
                         "scalar_ricci_suite", "scalar_suite", "time_grid",
                         "umbilical_suite"),
@@ -1018,6 +1019,31 @@ class TestCurvatureCommand:
         assert out == ""
         assert not out_json.exists()
 
+    @pytest.mark.parametrize("grid, reason", [
+        ("0.1:0.9999999:100000000", "has 100000000 times, above the limit of "
+                                    "1000; lower the count"),
+        ("0.1:1e-320:5", "has a smallest time start * ratio**(count - 1) that "
+                         "underflows to 0; raise the start or the ratio, or "
+                         "lower the count"),
+        ("1e-300:1e-10:5", "has a smallest time start * ratio**(count - 1) "
+                           "that underflows to 0; raise the start or the "
+                           "ratio, or lower the count"),
+        ("5e-324:0.5:5", "has a smallest time start * ratio**(count - 1) that "
+                         "underflows to 0; raise the start or the ratio, or "
+                         "lower the count"),
+    ])
+    def test_grid_refusal_names_the_grid(self, tmp_path, capsys, grid, reason):
+        # a grid the user gave as positive is refused as given, before any
+        # time is built, not as a zero heat time
+        out_json = tmp_path / "out.json"
+        for command in ("verify", "curvature"):
+            code, out, err = run(capsys, command, "--model", "sphere2",
+                                 "--t-grid", grid, "--out-json", str(out_json))
+            assert code == 2, command
+            assert err == f"error: t-grid {grid} {reason}\n", command
+            assert out == ""
+            assert not out_json.exists()
+
     def test_ill_conditioned_fitted_times_exit_2(self, tmp_path, capsys):
         # every fit judges the five smallest times it takes; their c0 noise
         # gain is 1.17e8 here, so each command that fits refuses the grid
@@ -1090,18 +1116,36 @@ class TestOutOfMemory:
             resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]),) * 2)
         except (ValueError, OSError):
             sys.exit(77)
+        import time
         from spectraljet.cli import main
-        sys.exit(main(sys.argv[2:]))
+        start = time.perf_counter()
+        code = main(sys.argv[2:])
+        sys.stderr.write(f"elapsed {time.perf_counter() - start!r}\\n")
+        sys.exit(code)
     """)
 
-    @pytest.mark.parametrize("argv", [
-        ["wick", "--n", "1000000000", "--alpha", "1", "--beta", "1"],
-        ["lattice", "sample", "--n", "1000000000", "--max-degree", "2",
-         "--count", "1"],
-        ["verify", "--model", "sphere2", "--max-degree", "2",
-         "--t-grid", "0.1:0.9999999:100000000"],
-    ], ids=["wick", "lattice", "verify"])
-    def test_memory_error_is_usage_error(self, argv):
+    OUT_OF_MEMORY = "error: out of memory; lower the size of the run\n"
+
+    # The verify grid is refused before any time is built, so `main` must
+    # return within a second (the child times `main` alone, not its start-up).
+    # S^11 at degree 6 has 188552 jet pairs, under the pair limit; on 14
+    # times their records and JSON report pass 512 MB.  It runs out of
+    # memory only because `reporting.json_dumps` builds the whole report as
+    # one string before writing it; once that writer streams, this case
+    # needs a larger input.
+    @pytest.mark.parametrize("argv, stderr", [
+        (["wick", "--n", "1000000000", "--alpha", "1", "--beta", "1"],
+         OUT_OF_MEMORY),
+        (["lattice", "sample", "--n", "1000000000", "--max-degree", "2",
+          "--count", "1"], OUT_OF_MEMORY),
+        (["verify", "--model", "sphere2", "--max-degree", "2",
+          "--t-grid", "0.1:0.9999999:100000000"],
+         "error: t-grid 0.1:0.9999999:100000000 has 100000000 times, above "
+         "the limit of 1000; lower the count\n"),
+        (["verify", "--model", "sphere11", "--max-degree", "6",
+          "--t-grid", "0.1:0.5:14", "--out-json", os.devnull], OUT_OF_MEMORY),
+    ], ids=["wick", "lattice", "verify", "verify-pairs"])
+    def test_memory_error_is_usage_error(self, argv, stderr):
         resource = pytest.importorskip("resource")
         if not hasattr(resource, "RLIMIT_AS"):
             pytest.skip("RLIMIT_AS is not supported here")
@@ -1114,8 +1158,11 @@ class TestOutOfMemory:
         if proc.returncode == 77:
             pytest.skip("the address-space limit cannot be set here")
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith("error: "), proc.stderr
+        errors, _, timing = proc.stderr.rpartition("elapsed ")
+        assert errors == stderr
         assert proc.stdout == ""
+        if stderr != self.OUT_OF_MEMORY:
+            assert float(timing) < 1.0
 
 
 class TestVerifyDeterminism:

@@ -11,6 +11,7 @@ from spectraljet.asymptotics import (
     NOISE_GAIN_LIMIT,
     _canonical_pairs,
     _noise_gain,
+    curvature_suites,
     fit_on_smallest,
     jet_relation_suite,
     normalization_factor,
@@ -45,7 +46,6 @@ from tests.oracles import (
     embedding_point,
     fixed_sum_twin,
     kernel_value,
-    run_curvature_suites,
     truncation_stability,
 )
 
@@ -665,7 +665,7 @@ class TestForcedZeros:
     def test_curvature_suites_extract_no_zero_vector(self, dim):
         # the Gram differences of the Gauss formula pair forced zeros too
         s = Sphere(dim, 1.3)
-        run_curvature_suites(s, GRID)
+        curvature_suites(s, GRID)
         assert s._extract_cache
         assert all(any(em) for em in s._extract_cache.values())
 
