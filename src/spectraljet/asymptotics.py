@@ -61,6 +61,15 @@ def time_grid(start: float = TIME_GRID["start"], ratio: float = TIME_GRID["ratio
 DEFAULT_GRID = time_grid()
 
 
+def _require_fit_grid(ts) -> None:
+    """The one refusal of a grid too short for a fitted limit."""
+    if len(ts) < 4:
+        raise ValueError(
+            "fitted limits need a t-grid of at least 4 times "
+            f"(--t-grid start:ratio:count), got {len(ts)}"
+        )
+
+
 def normalization_factor(n: int, t: float, alpha: MultiIndex, beta: MultiIndex) -> float:
     """(4 pi t)^(n/2) (2t)^floor((|alpha|+|beta|)/2), the jet normalization."""
     half = (alpha.degree + beta.degree) // 2
@@ -131,28 +140,29 @@ def _fit_operator(ts: tuple[float, ...]):
     one positive integer denom, and t_i^j == powers[i][j] / 2**(j * shift).
     """
     size = 3
-    vander = [[Fraction(t) ** j for j in range(size)] for t in ts]
-    # Gauss-Jordan on [V^T V | V^T] in exact rationals; V^T V is positive
-    # definite for distinct times, so every pivot is nonzero.
+    grid, shift = _dyadic(ts)
+    powers = tuple(tuple(g**j for j in range(size)) for g in grid)
+    # V = W D^-1 for the integer W_ij = grid_i^j and D = diag(2**(j * shift)),
+    # so (V^T V)^-1 V^T = D (W^T W)^-1 W^T.  Gauss-Jordan on [W^T W | W^T]
+    # in exact rationals; W^T W is positive definite for distinct times, so
+    # every pivot is nonzero.
     aug = [
-        [sum(row[p] * row[q] for row in vander) for q in range(size)]
-        + [row[p] for row in vander]
+        [sum(row[p] * row[q] for row in powers) for q in range(size)]
+        + [row[p] for row in powers]
         for p in range(size)
     ]
     for p in range(size):
         pivot = aug[p][p]
-        aug[p] = [x / pivot for x in aug[p]]
+        aug[p] = [Fraction(x, pivot) for x in aug[p]]
         for q in range(size):
             if q != p and aug[q][p]:
                 factor = aug[q][p]
                 aug[q] = [x - factor * y for x, y in zip(aug[q], aug[p])]
-    pinv = [row[size:] for row in aug]
+    pinv = [[x * 2 ** (p * shift) for x in row[size:]] for p, row in enumerate(aug)]
     denom = math.lcm(*(x.denominator for row in pinv for x in row))
     rows = tuple(
         tuple(x.numerator * (denom // x.denominator) for x in row) for row in pinv
     )
-    grid, shift = _dyadic(ts)
-    powers = tuple(tuple(g**j for j in range(size)) for g in grid)
     return rows, denom, powers, shift
 
 
@@ -163,7 +173,8 @@ def limit_fit(samples) -> LimitFit:
     least-squares solution: one integer dot product of the memoized exact
     operator of the grid with the samples, then one integer division.
     stderr is the root mean square of the exact residuals of the rounded
-    coefficients.  A NaN or infinite sample gives a NaN fit.
+    coefficients, so samples that are all zero fit 0 exactly.  A NaN or
+    infinite sample gives a NaN fit.
 
     Refuses grids with fewer than 4 points or non-distinct, non-positive or
     non-finite times.
@@ -175,6 +186,8 @@ def limit_fit(samples) -> LimitFit:
         raise ValueError("need at least 4 samples for a quadratic fit")
     if not all(0.0 < t < math.inf for t in ts) or len(set(ts)) != len(ts):
         raise ValueError("times must be distinct and positive")
+    if not any(ys):  # the forced zeros of most jet pairs
+        return LimitFit(0.0, 0.0, 0.0, 0.0, ts)
     if not all(math.isfinite(y) for y in ys):
         nan = math.nan
         return LimitFit(nan, nan, nan, nan, ts)
@@ -270,7 +283,11 @@ class SuiteResult(NamedTuple):
         return all(s.passes for s in self.summaries.values())
 
     def summary_dict(self) -> dict:
-        return {name: s.as_dict() for name, s in self.summaries.items()}
+        """One dict per distinct summary object, shared by all its names, so
+        that the report writer renders each once."""
+        dicts: dict = {}  # id of a summary -> its dict
+        return {name: dicts.get(id(s)) or dicts.setdefault(id(s), s.as_dict())
+                for name, s in self.summaries.items()}
 
 
 def _judge(value: float, target: float, rel: float, zero_abs: float = 0.0,
@@ -328,7 +345,10 @@ def jet_relation_suite(
     B(alpha, beta).  Flat models are compared directly at the smallest time,
     curved ones through the fitted limit; both within their tolerance times
     max(|target|, 1), since |A| grows fast with the degree.  More than
-    MAX_JET_PAIRS pairs are refused before any is enumerated.
+    MAX_JET_PAIRS pairs are refused before any is enumerated.  Each jet
+    key is read once per t, each norm G(alpha, alpha) is formed once per t,
+    and each judged key's Gram entries come from its raw jets, as the same
+    float products that ``gram_entry`` makes.
     """
     ts = tuple(sorted(ts))
     n = model.n
@@ -340,8 +360,8 @@ def jet_relation_suite(
         )
     pairs = _canonical_pairs(n, max_degree)
     use_fit = not model.is_flat
-    if use_fit and len(ts) < 4:
-        raise ValueError("curved models need a grid with at least 4 times")
+    if use_fit:
+        _require_fit_grid(ts)
     fit_rel = tol["fit_rel"]
 
     def judge(samples, target) -> PairSummary:
@@ -359,51 +379,78 @@ def jet_relation_suite(
     # Angles: Gram cosines against B, for pairs of positive degrees of at
     # most ceil(max_degree / 2) per side.  No jet order is refused; this cap
     # decides which B checks a report holds, so it stays.  The norms
-    # G(alpha, alpha) reach order max_degree + 1 at most, and the model
-    # memoizes every jet, so each read of a jet measured before is a lookup.
+    # G(alpha, alpha) reach order max_degree + 1 at most.  Past degree 0 a
+    # Gram entry is gram_prefactor(t) * J, with no constant mode to drop.
     side_cap = (max_degree + 1) // 2
-    gram = model.gram_entry
+    prefactors: list[float] = []  # gram_prefactor(t) over ts, from the first norm
     # Pairs with one model.jet_key have bit-identical jets, equal exact
     # targets and equal degrees, so the first pair of each key is measured
     # and judged, and later pairs repeat its records and summaries.
     key_of = model.jet_key
+    read = model.diag_jet
+    raws: dict = {}  # jet key -> its raw jets over ts
+    norms: dict = {}  # jet key of (alpha, alpha) -> G(alpha, alpha) over ts
+    scales: dict = {}  # |alpha| + |beta| -> normalization_factor over ts
+    # each multi-index's text, for the check names
+    texts = {m: m.text() for m in {m for pair in pairs for m in pair}}
+
+    def raw_jets(a, b, key):
+        got = raws.get(key)
+        if got is None:
+            got = raws[key] = [read(t, a, b) for t in ts]
+        return got
+
+    def norm(a):
+        key = key_of(a, a)
+        got = norms.get(key)
+        if got is None:
+            raw = raw_jets(a, a, key)
+            if not prefactors:
+                prefactors.extend(map(model.gram_prefactor, ts))
+            got = norms[key] = [p * j for p, j in zip(prefactors, raw)]
+        return got
+
     label = model.label
+    record = ConvergenceRecord._make
     records: list[ConvergenceRecord] = []
     summaries: dict[str, PairSummary] = {}
-    measured: dict = {}  # jet key -> (rows (t, raw, normalized, abs_err), A, B)
+    measured: dict = {}  # jet key -> (record tails from t on, A, B)
     for a, b in pairs:
         key = key_of(a, b)
         hit = measured.get(key)
         if hit is None:
             target = float(wick_a(a, b).value)
+            raw = raw_jets(a, b, key)
+            scale = scales.get(a.degree + b.degree)
+            if scale is None:
+                scale = scales[a.degree + b.degree] = [
+                    normalization_factor(n, t, a, b) for t in ts]
             rows = []
-            for t in ts:
-                raw = model.diag_jet(t, a, b)
-                normalized = normalization_factor(n, t, a, b) * raw
-                rows.append((t, raw, normalized, abs(normalized - target)))
-            summary = judge([(t, y) for t, _, y, _ in rows], target)
+            for t, j, factor in zip(ts, raw, scale):
+                normalized = factor * j
+                rows.append((t, j, normalized, target, abs(normalized - target)))
+            summary = judge([(t, y) for t, _, y, _, _ in rows], target)
             angle = None  # no B check
             if 0 < a.degree <= side_cap and 0 < b.degree <= side_cap:
                 samples = []
-                for t in ts:
-                    denom = math.sqrt(gram(t, a, a) * gram(t, b, b))
+                norms_a, norms_b = norm(a), norm(b)
+                for t, p, j, g_aa, g_bb in zip(ts, prefactors, raw, norms_a, norms_b):
+                    denom = math.sqrt(g_aa * g_bb)
                     if denom == 0.0:
                         raise ValueError(
                             f"Gram norms of {a.text()} and {b.text()} "
                             f"underflow at t={t}: lower t"
                         )
-                    samples.append((t, gram(t, a, b) / denom))
+                    samples.append((t, p * j / denom))
                 angle = judge(samples, wick_b(a, b).value)
             hit = measured[key] = rows, summary, angle
         rows, summary, angle = hit
-        target = summary.target
-        records.extend(
-            ConvergenceRecord(label, a, b, t, raw, normalized, target, err)
-            for t, raw, normalized, err in rows
-        )
-        summaries[f"A[{a.text()}|{b.text()}]"] = summary
+        head = label, a, b
+        records += [record(head + row) for row in rows]
+        name = f"{texts[a]}|{texts[b]}]"
+        summaries["A[" + name] = summary
         if angle is not None:
-            summaries[f"B[{a.text()}|{b.text()}]"] = angle
+            summaries["B[" + name] = angle
 
     return SuiteResult("jet_relation", label, summaries, records)
 
@@ -578,11 +625,7 @@ def curvature_suites(model: SpectralModel, ts=DEFAULT_GRID,
     """The suites of the ``curvature`` command in its order, the last two
     where n >= 2; the scalar, isometry and scalar_ricci suites judge one
     ``ricci_scalar_extract`` report.  Refuses a grid of fewer than 4 times."""
-    if len(ts) < 4:
-        raise ValueError(
-            "curvature suites need a t-grid of at least 4 times "
-            f"(--t-grid start:ratio:count), got {len(ts)}"
-        )
+    _require_fit_grid(ts)
     report = ricci_scalar_extract(model, ts)
     suites = [scalar_suite(model, report, tol), isometry_suite(model, report, tol),
               mean_curvature_suite(model, ts, tol), umbilical_suite(model, ts, tol)]

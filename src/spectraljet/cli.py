@@ -27,8 +27,6 @@ All file output is deterministic for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
-import copy
-import json
 import math
 import sys
 from functools import partial
@@ -43,6 +41,7 @@ from .reporting import (
     LATTICE_CSV_HEADER,
     fmt_float,
     json_dumps,
+    json_pieces,
     records_to_csv,
     triple_csv_chunk,
     write_text,
@@ -50,9 +49,10 @@ from .reporting import (
 from .wick import wick_a, wick_b
 
 # The model layers (manifolds, jets, asymptotics) are imported inside the
-# functions of verify and curvature, and the oracles inside that of wick:
-# no other command runs them, and a process that caches no bytecode
-# compiles every module it imports.
+# functions of verify and curvature, the oracles inside that of wick and
+# json where a config file or a report is read: no other command runs
+# them, and a process that caches no bytecode compiles every module it
+# imports.
 
 DEFAULT_CONFIG = {
     "model": {"kind": None, "radius": 1.0, "radii": [1.0, 1.3]},
@@ -68,6 +68,13 @@ DEFAULT_CONFIG = {
 
 class ConfigError(ValueError):
     pass
+
+
+def _copy_config(value):
+    """A deep copy of a config of dicts, lists and scalars."""
+    if isinstance(value, dict):
+        return {key: _copy_config(item) for key, item in value.items()}
+    return list(value) if isinstance(value, list) else value
 
 
 def _is_int(value) -> bool:
@@ -170,8 +177,10 @@ COMMAND_SETTINGS = {
 
 def build_config(args: argparse.Namespace) -> dict:
     """defaults <- config file <- the settings flags of the command."""
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    cfg = _copy_config(DEFAULT_CONFIG)
     if args.config:
+        import json
+
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 file_cfg = json.load(fh)
@@ -291,7 +300,7 @@ def _write_suites(args: argparse.Namespace, cfg: dict, model, suites) -> bool:
     """Write the summary JSON of ``suites`` if asked; True if all passed."""
     passed = all(s.passed for s in suites)
     if args.out_json:
-        write_text(args.out_json, json_dumps({
+        write_text(args.out_json, json_pieces({
             "command": args.command,
             "config": cfg,
             "model": model.describe(),
@@ -358,7 +367,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     doc = {"command": "lattice", "config": cfg, "passed": report.passed(),
            "report": summary}
     if args.out_json:
-        write_text(args.out_json, json_dumps(doc))
+        write_text(args.out_json, json_pieces(doc))
     print(
         f"lattice: n={report.n} max_degree={report.max_degree} "
         f"count={report.count} passed={report.passed()}"
@@ -379,6 +388,8 @@ def _any_failures(obj) -> bool:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    import json
+
     reports = []
     for path in args.inputs:
         with open(path, "r", encoding="utf-8") as fh:

@@ -117,8 +117,8 @@ def compose_univariate(kernel: AnalyticKernel, inner: Series, cap: int) -> Serie
     return out
 
 
-def sphere_cosine_powers(cap: int) -> tuple[Series, ...]:
-    """[w^0, ..., w^cap] for w = cos Theta - 1 on the unit sphere."""
+def _cosine_minus_one(cap: int) -> Series:
+    """w = cos Theta - 1 on the unit sphere, truncated at weighted degree cap."""
     cos_theta = series_add(
         series_mul(compose_univariate(SQRT_COS, X, cap),
                    compose_univariate(SQRT_COS, Y, cap), cap),
@@ -126,11 +126,64 @@ def sphere_cosine_powers(cap: int) -> tuple[Series, ...]:
                               compose_univariate(SQRT_SINC, Y, cap), cap),
                    Z, cap),
     )
-    w = series_add(cos_theta, {(0, 0, 0): -1})
-    powers = [{(0, 0, 0): 1}]
-    for _ in range(cap):
-        powers.append(series_mul(powers[-1], w, cap))
-    return tuple(powers)
+    return series_add(cos_theta, {(0, 0, 0): -1})
+
+
+class CosinePowerTable:
+    """The powers of w = cos Theta - 1, grown by weighted degree, so that
+    the tables of every cap up to the largest cost what that one alone does.
+
+    ``upto(cap)`` adds to each power the monomials of degree up to cap that
+    it lacks and returns [w^0, ..., w^cap].  Each series then holds the
+    monomials up to the largest cap asked so far; a jet of order 2m reads
+    only those of degree m <= cap, so it reads the same exact values off
+    these as off the powers truncated at cap.
+
+    The products run in integers.  With x_ = 2a + c and y_ = 2b + c, the
+    coefficient of x^a y^b z^c in w is +-1 / (x_! y_!), since z enters
+    cos Theta only to the first power; so in every power of w it is
+    N / (x_! y_!) for an integer N, and a product of two monomials
+    multiplies their N by C(x_, x_1) C(y_, y_1).
+    """
+
+    def __init__(self):
+        self.cap = 0
+        # [p][k]: the monomials of degree k of w^p, as {(x_, y_, c): N}
+        self._scaled = [[{(0, 0, 0): 1}]]
+        self._powers: list[Series] = [{(0, 0, 0): 1}]
+
+    def upto(self, cap: int) -> tuple[Series, ...]:
+        if cap > self.cap:
+            self._grow(cap)
+        return tuple(self._powers[:cap + 1])
+
+    def _grow(self, cap: int) -> None:
+        fact = [math.factorial(i) for i in range(2 * cap + 1)]
+        binom = [[math.comb(i, j) for j in range(i + 1)] for i in range(2 * cap + 1)]
+        w = [[] for _ in range(cap + 1)]  # by degree: ((x_, y_, c), N)
+        for (a, b, c), value in _cosine_minus_one(cap).items():
+            x, y = 2 * a + c, 2 * b + c
+            w[a + b + c].append(((x, y, c), int(value * fact[x] * fact[y])))
+        scaled, powers = self._scaled, self._powers
+        for p in range(1, cap + 1):
+            if p == len(scaled):
+                scaled.append([{}] * p)  # w^p has no monomial of degree < p
+                powers.append({})
+            prev, graded, flat = scaled[p - 1], scaled[p], powers[p]
+            for k in range(len(graded), cap + 1):
+                out: dict[tuple[int, int, int], int] = {}
+                for j in range(p - 1, min(k, len(prev))):
+                    for (x1, y1, c1), n1 in prev[j].items():
+                        for (x2, y2, c2), n2 in w[k - j]:
+                            x, y = x1 + x2, y1 + y2
+                            key = x, y, c1 + c2
+                            out[key] = (out.get(key, 0)
+                                        + n1 * n2 * binom[x][x1] * binom[y][y1])
+                part = {key: n for key, n in out.items() if n}
+                graded.append(part)
+                for (x, y, c), n in part.items():
+                    flat[(x - c) // 2, (y - c) // 2, c] = Fraction(n, fact[x] * fact[y])
+        self.cap = cap
 
 
 @lru_cache(maxsize=256)  # shared by the powers of w in one extraction vector

@@ -28,9 +28,9 @@ from .defaults import POLICY, TruncationError
 from .multiindex import MultiIndex, empty, enumerate_multiindices, from_indices
 from .jets import (
     SQUARED_GEODESIC,
+    CosinePowerTable,
     compose_univariate,
     extract_mixed_partial,
-    sphere_cosine_powers,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -85,6 +85,7 @@ def _tail_sum(term, start: int, min_index: int, policy: TruncationPolicy,
     """
     s = c = abs_acc = 0.0
     prev = math.inf
+    eps = policy.epsilon
     for k in range(start, start + hard_cap):
         v = term(k)
         y = v - c
@@ -93,7 +94,7 @@ def _tail_sum(term, start: int, min_index: int, policy: TruncationPolicy,
         s = tmp
         av = abs(v)
         abs_acc += av
-        if k >= min_index and av <= prev and av <= policy.epsilon * abs_acc:
+        if k >= min_index and av <= prev and av <= eps * abs_acc:
             return s, k
         prev = av
     raise TruncationError(
@@ -151,7 +152,8 @@ class SpectralModel:
     for the lifetime of the instance.  Every jet goes through
     ``diag_jet_with_cutoff``, which validates it, returns the zeros that
     coordinate flips force and memoizes the others by (t, ``jet_key``); a
-    model defines only ``_jet``, its sums.
+    model defines only ``_jet(t, alpha, beta, key)``, its sums, which is
+    handed the jet key of the pair.
     """
 
     n: int
@@ -235,13 +237,13 @@ class SpectralModel:
         (t, ``jet_key``), and every later read is a lookup."""
         if self._forced_zero(t, alpha, beta):
             return 0.0, 0
-        key = t, self.jet_key(alpha, beta)
-        hit = self._jets.get(key)
+        key = self.jet_key(alpha, beta)
+        hit = self._jets.get((t, key))
         if hit is None:
-            hit = self._jets[key] = self._jet(t, alpha, beta)
+            hit = self._jets[t, key] = self._jet(t, alpha, beta, key)
         return hit
 
-    def _jet(self, t, alpha, beta) -> tuple[float, int]:
+    def _jet(self, t, alpha, beta, key) -> tuple[float, int]:
         raise NotImplementedError
 
     def diag_jet(self, t: float, alpha: MultiIndex, beta: MultiIndex) -> float:
@@ -324,7 +326,7 @@ class FlatTorus(SpectralModel):
                 "lower the max degree or raise the radius"
             ) from None
 
-    def _jet(self, t, alpha, beta):
+    def _jet(self, t, alpha, beta, key):
         orders = [a + b for a, b in zip(alpha.counts, beta.counts)]
         value = 1.0
         cutoff = 0
@@ -351,13 +353,20 @@ class Circle(FlatTorus):
         return {"kind": self.label, "radius": self.radius}
 
 
+# One table per process: every degree is served by slicing it, and it
+# grows only by the monomials that a larger degree adds.
+_COSINE_POWERS = CosinePowerTable()
+
+
 @lru_cache(maxsize=32)
 def _sphere_series_tables(max_degree: int):
     """[w^0, w^1, ..., w^(max_degree // 2)] for w = cos(Theta) - 1, exact
-    series in the rotation invariants of the unit sphere's chart offsets;
-    a jet of order k on the sphere of radius a is a^-k times its value
-    there, so the tables serve every dimension and radius."""
-    return sphere_cosine_powers(max_degree // 2)
+    series in the rotation invariants of the unit sphere's chart offsets,
+    each holding at least its monomials of weighted degree up to
+    max_degree // 2 (``jets.CosinePowerTable``); a jet of order k on the
+    sphere of radius a is a^-k times its value there, so the tables serve
+    every dimension and radius."""
+    return _COSINE_POWERS.upto(max_degree // 2)
 
 
 def _rounded_jet(exact, radius: float, power: int, order: int) -> float:
@@ -442,6 +451,8 @@ class Sphere(SpectralModel):
         self._extract_cache: dict = {}
         # 2^m (lam)_m / m! per m, rounded once from the exact rational
         self._rise: list[float] = []
+        # m -> [_zonal_taylor(l, m) for l = 0, 1, ...], shared by every t
+        self._taylor: dict[int, list[float]] = {}
 
     def describe(self) -> dict:
         return {"kind": self.label, "radius": self.radius}
@@ -472,9 +483,19 @@ class Sphere(SpectralModel):
         before the zonal scale, and the last degree summed; S_0 sums the
         multiplicities.  Its terms vanish below l = m, so the tail rule
         waits past m as well as past the peak of l^(2m+n-1) exp(-lambda_l t).
+        A moment summed before is a lookup, and each Taylor coefficient is
+        computed once for every t.
         """
-        def term(l):
-            return math.exp(-self.eigenvalue(l) * t) * self._zonal_taylor(l, m)
+        hit = self._sums.get((m, t))
+        if hit is not None:
+            return hit
+        taylor = self._taylor.setdefault(m, [])
+        n1, r2, exp = self.n - 1, self.radius * self.radius, math.exp
+
+        def term(l):  # l runs 0, 1, 2, ...; exp(-eigenvalue(l) * t), inlined
+            if l == len(taylor):
+                taylor.append(self._zonal_taylor(l, m))
+            return exp(-(l * (l + n1) / r2) * t) * taylor[l]
 
         min_index = max(m + 1, self._min_index(self.radius, t, 2 * m + self.n - 1.0))
         return self._sum((m, t), term, 0, min_index)
@@ -484,9 +505,11 @@ class Sphere(SpectralModel):
         permutation applied to both indices fixes the jet exactly."""
         return tuple(sorted(zip(alpha.counts, beta.counts)))
 
-    def _extract_vector(self, alpha: MultiIndex,
-                        beta: MultiIndex) -> tuple[float, ...]:
-        key = self.jet_key(alpha, beta)
+    def _extract_vector(self, alpha: MultiIndex, beta: MultiIndex,
+                        key=None) -> tuple[float, ...]:
+        """em of the pair, cached by ``key``, its jet key (found if None)."""
+        if key is None:
+            key = self.jet_key(alpha, beta)
         cached = self._extract_cache.get(key)
         if cached is not None:
             return cached
@@ -519,11 +542,11 @@ class Sphere(SpectralModel):
             ) from None
         return total, cutoff
 
-    def _jet(self, t, alpha, beta):
+    def _jet(self, t, alpha, beta, key):
         if alpha.degree + beta.degree == 0:
             s, used = self._zonal_sum((1.0,), t)
             return s / self.volume, used
-        s, used = self._zonal_sum(self._extract_vector(alpha, beta), t)
+        s, used = self._zonal_sum(self._extract_vector(alpha, beta, key), t)
         return s * self._zonal_scale, used
 
     def gram_difference(self, t, pair1, pair2) -> float:

@@ -7,11 +7,9 @@ order.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Iterable, Iterator
 from itertools import islice
-
 from .multiindex import counts_text
 
 CSV_HEADER = "model,alpha,beta,t,raw,normalized,target,abs_err"
@@ -90,16 +88,33 @@ def _csv_memo(points_recur: bool = True):
 
 
 def records_to_csv(records) -> Iterator[str]:
-    """The jet-record CSV as newline-terminated lines, header first."""
+    """The jet-record CSV as newline-terminated lines, header first.
+
+    The pairs of one jet key share each (t, raw, normalized, target,
+    abs_err) tail, so a tail of floats is rendered once, keyed by the bytes
+    of its five doubles, which keep 0.0 and -0.0 apart.
+    """
+    from struct import Struct  # not loaded by lattice
+
     yield CSV_HEADER + "\n"
     point, point_miss, _, field = _csv_memo()
-    line = "%s,%s%s%s,%s,%s,%s,%s\n"  # a point's text ends with its comma
+    pack = Struct("5d").pack
+    tails: dict[bytes, str] = {}
+    label = last = None
+    line = "%s,%s%s%s\n"  # a point's text ends with its comma
     for model, alpha, beta, t, raw, normalized, target, abs_err in records:
         a, b = alpha.counts, beta.counts
-        yield line % (
-            field(model), point(a) or point_miss(a), point(b) or point_miss(b),
-            field(t), field(raw), field(normalized), field(target), field(abs_err),
-        )
+        if model is not last:
+            last, label = model, field(model)
+        floats = (type(t) is type(raw) is type(normalized) is type(target)
+                  is type(abs_err) is float)
+        key = pack(t, raw, normalized, target, abs_err) if floats else None
+        tail = tails.get(key)
+        if tail is None:
+            tail = ",".join(map(field, (t, raw, normalized, target, abs_err)))
+            if floats:
+                tails[key] = tail
+        yield line % (label, point(a) or point_miss(a), point(b) or point_miss(b), tail)
 
 
 def triple_rows_to_csv(rows) -> Iterator[str]:
@@ -144,14 +159,31 @@ def _triple_lines(rows, points_recur: bool) -> Iterator[str]:
         )
 
 
+def _json_str(text: str) -> str:
+    """json.dumps(text); json is loaded only for a text that needs escapes."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    import json
+
+    return json.dumps(text)
+
+
 def json_dumps(obj) -> str:
     """JSON with sorted keys, two-space indent, and 17-digit floats."""
+    return "".join(json_pieces(obj))
+
+
+def json_pieces(obj) -> list[str]:
+    """The text of ``json_dumps(obj)`` as pieces in order, for a writer that
+    needs no joined text.  A dict of scalars is rendered once per object and
+    depth, however often it recurs (a suite's shared summaries)."""
     out: list[str] = []
-    _write_json(obj, out, 0)
-    return "".join(out) + "\n"
+    _write_json(obj, out, 0, {})
+    out.append("\n")
+    return out
 
 
-def _write_json(obj, out: list[str], depth: int) -> None:
+def _write_json(obj, out: list[str], depth: int, memo: dict) -> None:
     pad = "  " * depth
     inner = "  " * (depth + 1)
     if obj is None:
@@ -163,20 +195,29 @@ def _write_json(obj, out: list[str], depth: int) -> None:
     elif isinstance(obj, float):
         out.append(fmt_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_json_str(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
+        # obj lives as long as the document, so its id names it
+        text = memo.get((id(obj), depth))
+        if text is not None:
+            out.append(text)
+            return
+        flat = not any(isinstance(v, (dict, list, tuple)) for v in obj.values())
+        start = len(out)
         out.append("{\n")
         keys = sorted(obj.keys())
         for pos, key in enumerate(keys):
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {key!r}")
-            out.append(inner + json.dumps(key) + ": ")
-            _write_json(obj[key], out, depth + 1)
+            out.append(inner + _json_str(key) + ": ")
+            _write_json(obj[key], out, depth + 1, memo)
             out.append(",\n" if pos < len(keys) - 1 else "\n")
         out.append(pad + "}")
+        if flat:
+            out[start:] = [memo.setdefault((id(obj), depth), "".join(out[start:]))]
     elif isinstance(obj, (list, tuple)):
         seq = list(obj)
         if not seq:
@@ -185,7 +226,7 @@ def _write_json(obj, out: list[str], depth: int) -> None:
         out.append("[\n")
         for pos, item in enumerate(seq):
             out.append(inner)
-            _write_json(item, out, depth + 1)
+            _write_json(item, out, depth + 1, memo)
             out.append(",\n" if pos < len(seq) - 1 else "\n")
         out.append(pad + "]")
     else:

@@ -6,14 +6,16 @@ these oracles evaluate the kernel itself at chart points instead: the flat
 torus by its cosine series, the sphere by its zonal functions from the
 Gegenbauer three-term recurrence, and the finite normalized embedding of a
 torus mode by mode.  They also hold the float values of the analytic kernels
-whose exact Taylor coefficients ``spectraljet.jets`` composes, a plain CSV
-line writer to compare the memoized report writers against, and the
-truncation recheck: a jet summed again over twice the modes its tail rule
-chose.
+whose exact Taylor coefficients ``spectraljet.jets`` composes, the powers
+of cos Theta - 1 as truncated products, one power after another, to compare
+the table grown by degree against, a plain CSV line writer to compare the
+memoized report writers against, and the truncation recheck: a jet summed
+again over twice the modes its tail rule chose.
 """
 import math
 from typing import NamedTuple
 
+from spectraljet.jets import _cosine_minus_one, series_mul
 from spectraljet.manifolds import TWO_PI, Sphere, make_model
 from spectraljet.reporting import fmt_float
 
@@ -32,6 +34,16 @@ def csv_line(values) -> str:
             text = '"' + text.replace('"', '""') + '"'
         fields.append(text)
     return ",".join(fields)
+
+
+def sphere_cosine_powers(cap: int) -> tuple:
+    """[w^0, ..., w^cap] for w = cos Theta - 1 on the unit sphere, each the
+    product of the one before and w, truncated at weighted degree cap."""
+    w = _cosine_minus_one(cap)
+    powers = [{(0, 0, 0): 1}]
+    for _ in range(cap):
+        powers.append(series_mul(powers[-1], w, cap))
+    return tuple(powers)
 
 
 def sqrt_cos(z):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +33,10 @@ from spectraljet.manifolds import (
 )
 from spectraljet.multiindex import from_indices
 from spectraljet.wick import wick_a
+
+# the one refusal of a grid too short for a fitted limit, of N times
+SHORT_GRID = (r"^fitted limits need a t-grid of at least 4 times "
+              r"\(--t-grid start:ratio:count\), got %d$")
 
 
 def mi(indices, n):
@@ -328,7 +333,7 @@ class TestJetRelationSuite:
         assert worst > TOLERANCES["flat_jet_abs"]
 
     def test_curved_needs_grid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=SHORT_GRID % 1):
             jet_relation_suite(Sphere(2, 1.0), 2, ts=(0.01,))
 
     def test_pair_count_closed_form(self):
@@ -370,6 +375,44 @@ class TestJetRelationSuite:
         assert (len(a_keys), len(b_keys)) == (113, 51)
         assert len(fits) == 113 + 51
         assert len(result.records) == len(pairs) * len(DEFAULT_GRID)
+
+    def test_one_read_per_jet_key_and_time(self, monkeypatch):
+        # S^5 at degree 8: the model runs its sums for the same 574 (t, jet
+        # key) pairs as when every pair read its jets and its norms through
+        # gram_entry; the suite reads each (t, jet key) once, so each norm
+        # G(alpha, alpha) once per (alpha, t), and gram_prefactor once per t
+        reads, runs, prefactors = [], [], []
+        read, jet = Sphere.diag_jet_with_cutoff, Sphere._jet
+        prefactor = Sphere.gram_prefactor
+
+        def counted_read(model, t, alpha, beta):
+            reads.append((t, alpha, beta))
+            return read(model, t, alpha, beta)
+
+        def counted_jet(model, t, alpha, beta, key):
+            runs.append((t, key))
+            return jet(model, t, alpha, beta, key)
+
+        def counted_prefactor(model, t):
+            prefactors.append(t)
+            return prefactor(model, t)
+
+        def refuse(*args):
+            raise AssertionError("a Gram entry was read through gram_entry")
+
+        monkeypatch.setattr(Sphere, "diag_jet_with_cutoff", counted_read)
+        monkeypatch.setattr(Sphere, "_jet", counted_jet)
+        monkeypatch.setattr(Sphere, "gram_prefactor", counted_prefactor)
+        monkeypatch.setattr(Sphere, "gram_entry", refuse)
+        model = Sphere(5, 1.0)
+        jet_relation_suite(model, 8)
+        assert len(runs) == len(set(runs)) == 574
+        keys = [(t, model.jet_key(a, b)) for t, a, b in reads]
+        assert len(keys) == len(set(keys))
+        norms = Counter((t, a) for t, a, b in reads if a == b)
+        assert len(norms) == 84
+        assert set(norms.values()) == {1}
+        assert prefactors == list(DEFAULT_GRID)
 
 
 class TestUniversalLimits:
@@ -745,7 +788,7 @@ class TestOneReader:
             raise AssertionError("a short grid was sampled")
 
         monkeypatch.setattr(asymptotics, "ricci_scalar_extract", refuse)
-        with pytest.raises(ValueError, match=r"at least 4 times .* got 3$"):
+        with pytest.raises(ValueError, match=SHORT_GRID % 3):
             curvature_suites(model, DEFAULT_GRID[:3])
 
 
@@ -775,9 +818,10 @@ class TestOneFitRule:
         make, run, distinct = self.JET_RUNS[case]
         runs = []
         for cls in (Sphere, FlatTorus):
-            def counted(model, t, alpha, beta, jet=cls._jet):
-                runs.append((t, model.jet_key(alpha, beta)))
-                return jet(model, t, alpha, beta)
+            def counted(model, t, alpha, beta, key, jet=cls._jet):
+                assert key == model.jet_key(alpha, beta)
+                runs.append((t, key))
+                return jet(model, t, alpha, beta, key)
 
             monkeypatch.setattr(cls, "_jet", counted)
         run(make())

@@ -26,13 +26,14 @@ from spectraljet.asymptotics import (
     time_grid,
 )
 from spectraljet.cli import DEFAULT_CONFIG, build_parser, main
-from spectraljet import lattice, reporting
+from spectraljet import cli, lattice, reporting
 from spectraljet.lattice import run_triple_suite
 from spectraljet.manifolds import Sphere
 from spectraljet.multiindex import MultiIndex, counts_text
 from spectraljet.reporting import (
     fmt_float,
     json_dumps,
+    json_pieces,
     records_to_csv,
     triple_rows_to_csv,
 )
@@ -1013,7 +1014,24 @@ class TestCurvatureCommand:
                              "--radii", "1,1", *times, "--out-json", str(out_json))
         assert code == 2
         assert err == (
-            "error: curvature suites need a t-grid of at least 4 times "
+            "error: fitted limits need a t-grid of at least 4 times "
+            f"(--t-grid start:ratio:count), got {got}\n"
+        )
+        assert out == ""
+        assert not out_json.exists()
+
+    @pytest.mark.parametrize("times, got", [
+        (["--t-grid", "0.1:0.5:3"], 3),
+        (["--t", "0.1"], 1),
+    ])
+    def test_verify_refuses_a_short_grid_in_the_same_words(self, tmp_path, capsys,
+                                                           times, got):
+        out_json = tmp_path / "out.json"
+        code, out, err = run(capsys, "verify", "--model", "sphere3", *times,
+                             "--out-json", str(out_json))
+        assert code == 2
+        assert err == (
+            "error: fitted limits need a t-grid of at least 4 times "
             f"(--t-grid start:ratio:count), got {got}\n"
         )
         assert out == ""
@@ -1128,11 +1146,11 @@ class TestOutOfMemory:
 
     # The verify grid is refused before any time is built, so `main` must
     # return within a second (the child times `main` alone, not its start-up).
-    # S^11 at degree 6 has 188552 jet pairs, under the pair limit; on 14
-    # times their records and JSON report pass 512 MB.  It runs out of
-    # memory only because `reporting.json_dumps` builds the whole report as
-    # one string before writing it; once that writer streams, this case
-    # needs a larger input.
+    # S^11 at degree 6 has 188552 jet pairs, under the pair limit, and the
+    # JSON report is written in pieces; on 100 times their records alone
+    # would take about 3.8 GB (200 bytes each), so the run passes 512 MB
+    # while it measures, after about 5 s.  The grid's smallest time is 6e-4
+    # and the noise gain of its fits 217, so nothing refuses it first.
     @pytest.mark.parametrize("argv, stderr", [
         (["wick", "--n", "1000000000", "--alpha", "1", "--beta", "1"],
          OUT_OF_MEMORY),
@@ -1143,7 +1161,7 @@ class TestOutOfMemory:
          "error: t-grid 0.1:0.9999999:100000000 has 100000000 times, above "
          "the limit of 1000; lower the count\n"),
         (["verify", "--model", "sphere11", "--max-degree", "6",
-          "--t-grid", "0.1:0.5:14", "--out-json", os.devnull], OUT_OF_MEMORY),
+          "--t-grid", "0.1:0.95:100", "--out-json", os.devnull], OUT_OF_MEMORY),
     ], ids=["wick", "lattice", "verify", "verify-pairs"])
     def test_memory_error_is_usage_error(self, argv, stderr):
         resource = pytest.importorskip("resource")
@@ -1230,6 +1248,19 @@ class TestSerialization:
         assert lines[4] == '"m,x",1,"2,2","nan","inf",2.5,1.0,None\n'
         assert lines[5] == 'm,,1,0,-0,0,-0,1\n'
 
+    def test_shared_tails_keep_their_signed_zeros(self):
+        # tails of floats that are equal as tuples but for the sign of a zero,
+        # each repeated, as the pairs of one jet key repeat theirs
+        a, b = MultiIndex((1, 0)), MultiIndex((0, 2))
+        tails = [(0.5, 0.0, 0.0, 0.0, 0.0), (0.5, -0.0, -0.0, 0.0, 0.0),
+                 (0.5, 0.0, -0.0, -0.0, 0.0), (0.5, 2.0, 4.0, 4.0, 0.0)]
+        records = [ConvergenceRecord("m", a, b, *tail) for tail in tails * 3]
+        lines = list(records_to_csv(records))[1:]
+        assert lines == [csv_line((r.model, r.alpha.text(), r.beta.text(), *r[3:]))
+                         + "\n" for r in records]
+        assert lines[:4] == ['m,1,"2,2",0.5,0,0,0,0\n', 'm,1,"2,2",0.5,-0,-0,0,0\n',
+                             'm,1,"2,2",0.5,0,-0,-0,0\n', 'm,1,"2,2",0.5,2,4,4,0\n']
+
     def test_each_point_rendered_once(self, monkeypatch):
         # the memo stores a point's text with the comma that ends its field,
         # so the all-zero point (text '') is a hit after its first lookup too
@@ -1270,6 +1301,38 @@ class TestSerialization:
         assert text.index('"a"') < text.index('"b"')
         assert json.loads(text) == {"b": [1.0, 0.5], "a": {"y": True, "x": None}}
         assert json_dumps(doc) == text
+
+    def test_shared_dict_renders_like_copies(self):
+        # a dict of scalars is rendered once per object and depth: shared
+        # under many keys, and at depths 1, 2 and 3, it writes the text of
+        # distinct copies, each at its own indentation
+        shared = {"target": 0.5, "fitted_c0": None, "pass": True, "b": -0.0}
+        doc = {"x": shared, "v": shared, "y": {"z": shared, "w": [shared, 1]},
+               "u": {"t": {"s": shared}}}
+        copies = json.loads(json.dumps(doc))
+        copies["x"]["b"] = copies["v"]["b"] = copies["y"]["z"]["b"] = -0.0
+        copies["y"]["w"][0]["b"] = copies["u"]["t"]["s"]["b"] = -0.0
+        text = json_dumps(copies)
+        assert json_dumps(doc) == text
+        assert "".join(json_pieces(doc)) == text
+        assert text.count('"b": -0') == 5
+        assert '\n      "pass": true' in text and '\n    "pass": true' in text
+
+    def test_report_json_is_written_in_pieces(self, tmp_path, capsys, monkeypatch):
+        # the writer is handed the pieces, never one joined text
+        written = []
+
+        def write(path, text):
+            written.append(text)
+            reporting.write_text(path, text)
+
+        monkeypatch.setattr(cli, "write_text", write)
+        out_json = tmp_path / "s.json"
+        code, _, _ = run(capsys, "verify", "--model", "sphere3", "--max-degree", "2",
+                         "--out-json", str(out_json))
+        assert code == 0
+        assert len(written) == 1 and not isinstance(written[0], str)
+        assert out_json.read_text() == json_dumps(json.loads(out_json.read_text()))
 
 
 def _log_uniform(low_exp, high_exp):

@@ -12,15 +12,20 @@ from spectraljet.jets import (
     X,
     Y,
     Z,
+    CosinePowerTable,
     compose_univariate,
     extract_mixed_partial,
     series_add,
     series_mul,
-    sphere_cosine_powers,
 )
-from spectraljet.manifolds import Sphere, squared_distance_jets
+from spectraljet.manifolds import (
+    Sphere,
+    _rounded_jet,
+    _sphere_series_tables,
+    squared_distance_jets,
+)
 from spectraljet.multiindex import MultiIndex, enumerate_multiindices, from_indices
-from tests.oracles import squared_geodesic
+from tests.oracles import sphere_cosine_powers, squared_geodesic
 
 # ---------------------------------------------------------------------------
 # finite-difference oracle (4th-order central stencils, composed per order)
@@ -307,6 +312,45 @@ class TestExtraction:
             got = float(extract_mixed_partial(series, MultiIndex(ac), MultiIndex(bc)))
             fd = fd_mixed_partial(f, ac + bc, h=0.03)
             assert abs(got - fd) <= 1e-5 * max(1.0, abs(got))
+
+
+class TestCosinePowerTable:
+    """The powers of w grown by weighted degree against the powers built by
+    truncated products at each cap."""
+
+    @pytest.mark.parametrize("caps", [range(1, 9), [8], [3, 8, 5]],
+                             ids=["one degree at a time", "top at once", "mixed"])
+    def test_monomials_up_to_each_cap_match_truncated_products(self, caps):
+        table = CosinePowerTable()
+        for cap in caps:
+            for top in range(cap + 1):
+                got = table.upto(top)
+                fresh = sphere_cosine_powers(top)
+                assert len(got) == len(fresh) == top + 1
+                for power, want in zip(got, fresh):
+                    assert {k: v for k, v in power.items() if sum(k) <= top} == want
+            assert table.cap == max(caps[:caps.index(cap) + 1])
+
+    def test_sliced_tables_give_fresh_extraction_vectors(self):
+        # the top table first, so that every smaller degree is a slice of it
+        _sphere_series_tables(16)
+        s = Sphere(2, 1.3)
+        even = [(a, b) for a, b in ordered_pairs(2, 16)
+                if not any((i + j) % 2 for i, j in zip(a.counts, b.counts))]
+        for degree in range(2, 17, 2):
+            fresh = sphere_cosine_powers(degree // 2)
+            checked = 0
+            for a, b in even:
+                order = a.degree + b.degree
+                if max(2, order + order % 2) != degree:
+                    continue
+                got = s._extract_vector(a, b)
+                want = tuple(_rounded_jet(extract_mixed_partial(p, a, b), 1.3,
+                                          -order, order) for p in fresh)
+                assert len(got) == degree // 2 + 1
+                assert got == want, (degree, a, b)
+                checked += 1
+            assert checked, degree
 
 
 class TestSphereExtraction:
