@@ -19,9 +19,9 @@ of more than ``asymptotics.MAX_GRID_COUNT`` times or whose smallest time
 underflows to 0, a t-grid whose fitted limit is ill-conditioned, a
 verify run of more than ``asymptotics.MAX_JET_PAIRS`` jet pairs, a
 lattice max_degree above ``lattice.MAX_LATTICE_DEGREE``, a ``wick
---oracle`` value past the float range, a config or report input nested
-too deeply to read, and a run too large for the memory it may take
-(MemoryError).
+--oracle`` value past the float range, a config or report input that
+is not JSON (the error names its path) or is nested too deeply to read,
+and a run too large for the memory it may take (MemoryError).
 All file output is deterministic for a fixed config and seed.
 """
 from __future__ import annotations
@@ -35,12 +35,13 @@ from itertools import chain
 from . import multiindex
 from .defaults import POLICY, TIME_GRID, TOLERANCES, TruncationError
 # imported here, not in cmd_lattice: the benchmark's tracer binds the lattice
-# functions of sys.modules once this module is imported
+# functions of sys.modules once this module is imported.  The suite's engine
+# (_triples: the sampler, the range loop, the fork fan-out) loads only when
+# a suite runs.
 from .lattice import points_recur, run_triple_suite
 from .reporting import (
     LATTICE_CSV_HEADER,
     fmt_float,
-    json_dumps,
     json_pieces,
     records_to_csv,
     triple_csv_chunk,
@@ -175,17 +176,23 @@ COMMAND_SETTINGS = {
 }
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at ``path``; a file that is not UTF-8 JSON
+    is a config error that names ``what`` it is and its path."""
+    import json
+
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ConfigError(f"bad {what} {path}: {exc}") from exc
+
+
 def build_config(args: argparse.Namespace) -> dict:
     """defaults <- config file <- the settings flags of the command."""
     cfg = _copy_config(DEFAULT_CONFIG)
     if args.config:
-        import json
-
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"bad config file {args.config}: {exc}") from exc
+        file_cfg = _read_json(args.config, "config file")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
         _deep_update(cfg, file_cfg)
@@ -388,24 +395,19 @@ def _any_failures(obj) -> bool:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    import json
-
-    reports = []
-    for path in args.inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            reports.append(json.load(fh))
+    reports = [_read_json(path, "report input") for path in args.inputs]
     doc = {
         "command": "report",
         "inputs": list(args.inputs),
         "passed": not _any_failures(reports),
         "reports": reports,
     }
-    text = json_dumps(doc)
+    pieces = json_pieces(doc)
     if args.out:
-        write_text(args.out, text)
+        write_text(args.out, pieces)
         print(f"report: merged={len(reports)} passed={doc['passed']}")
     else:
-        sys.stdout.write(text)  # pure JSON on stdout for piping
+        sys.stdout.writelines(pieces)  # pure JSON on stdout for piping
     return 0 if doc["passed"] else 1
 
 

@@ -26,7 +26,7 @@ from spectraljet.asymptotics import (
     time_grid,
 )
 from spectraljet.cli import DEFAULT_CONFIG, build_parser, main
-from spectraljet import cli, lattice, reporting
+from spectraljet import _triples, cli, reporting
 from spectraljet.lattice import run_triple_suite
 from spectraljet.manifolds import Sphere
 from spectraljet.multiindex import MultiIndex, counts_text
@@ -383,7 +383,7 @@ class TestLatticeCommand:
     def test_bytes_do_not_depend_on_range_count(self, tmp_path, capsys, monkeypatch):
         outputs = {}
         for ranges in (1, 2, 3):
-            monkeypatch.setattr(lattice, "_cpu_count", lambda: ranges)
+            monkeypatch.setattr(_triples, "_cpu_count", lambda: ranges)
             out_csv = tmp_path / f"lat_{ranges}.csv"
             out_json = tmp_path / f"lat_{ranges}.json"
             code, out, err = run(
@@ -467,7 +467,7 @@ class TestLatticeCommand:
         def refuse(size):
             raise AssertionError(f"double_factorial_table({size}) was built")
 
-        monkeypatch.setattr(lattice, "double_factorial_table", refuse)
+        monkeypatch.setattr(_triples, "double_factorial_table", refuse)
         out_json = tmp_path / "lat.json"
         code, out, err = run(
             capsys, "lattice", "sample", "--n", "3", "--max-degree", "100000",
@@ -621,36 +621,48 @@ class TestImportCost:
     ROUTES = ("GraphCount", "enumerate_admissible_graphs", "gaussian_moment_oracle",
               "check_inductive_relations", "b_stabilization_scan")
 
-    @pytest.mark.parametrize("argv, absent", [
+    # the sampled suite's engine, which only lattice runs
+    ENGINE = ("_counts_sampler", "_triple_range", "_fork", "_fan_out")
+
+    # argv None runs no command: the bare import of cli
+    @pytest.mark.parametrize("argv, absent, runs_suite", [
         (["lattice", "sample", "--n", "3", "--max-degree", "8", "--count", "300",
           "--out", "{out}/lat.csv", "--out-json", "{out}/lat.json"],
-         ["fractions", "spectraljet.oracles"]),
+         ["fractions", "spectraljet.oracles"], True),
         (["verify", "--model", "sphere3", "--max-degree", "4",
           "--out", "{out}/s3.csv", "--out-json", "{out}/s3.json"],
-         ["spectraljet.oracles"]),
+         ["spectraljet.oracles", "random"], False),
         (["curvature", "--model", "sphere3", "--out-json", "{out}/s3curv.json"],
-         ["spectraljet.oracles"]),
-    ], ids=["lattice", "verify", "curvature"])
-    def test_command_alone_skips_what_it_does_not_run(self, tmp_path, argv, absent):
+         ["spectraljet.oracles", "random"], False),
+        (None, ["spectraljet.oracles", "random"], False),
+    ], ids=["lattice", "verify", "curvature", "import"])
+    def test_command_alone_skips_what_it_does_not_run(self, tmp_path, argv, absent,
+                                                      runs_suite):
         # one command per fresh interpreter: a module that another command
         # loads cannot hide one that this command loads
         code = textwrap.dedent("""\
             import json, sys
-            argv, absent, routes = (json.loads(arg) for arg in sys.argv[1:])
+            argv, absent, routes, engine, runs_suite = (
+                json.loads(arg) for arg in sys.argv[1:])
             from spectraljet import cli
-            assert cli.main(argv) == 0, argv
+            if argv is not None:
+                assert cli.main(argv) == 0, argv
             loaded = [name for name in absent if name in sys.modules]
             assert not loaded, loaded
+            engine_bound = set()
             for name, module in list(sys.modules.items()):
                 if name.split(".")[0] == "spectraljet":
                     bound = set(routes) & set(vars(module))
                     assert not bound, (name, bound)
+                    engine_bound |= set(engine) & set(vars(module))
+            assert engine_bound == (set(engine) if runs_suite else set()), engine_bound
         """)
-        argv = [arg.format(out=tmp_path) for arg in argv]
+        if argv is not None:
+            argv = [arg.format(out=tmp_path) for arg in argv]
         src = str(Path(spectraljet.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code, json.dumps(argv), json.dumps(absent),
-             json.dumps(self.ROUTES)],
+             json.dumps(self.ROUTES), json.dumps(self.ENGINE), json.dumps(runs_suite)],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
             text=True, timeout=120,
         )
@@ -1121,6 +1133,44 @@ class TestReportCommand:
         assert err.startswith("error: maximum recursion depth exceeded")
         assert out == ""
         assert not merged.exists()
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: "
+                      "invalid start byte"),
+    ], ids=["empty", "not-utf8"])
+    def test_unparsable_input_is_named(self, tmp_path, capsys, content, reason):
+        good = tmp_path / "good.json"
+        good.write_text(json_dumps({"passed": True, "suites": {}}))
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        merged = tmp_path / "merged.json"
+        code, out, err = run(capsys, "report", "--inputs", str(good), str(bad),
+                             "--out", str(merged))
+        assert code == 2
+        assert err == f"error: bad report input {bad}: {reason}\n"
+        assert out == ""
+        assert not merged.exists()
+
+    def test_merged_json_is_written_in_pieces(self, tmp_path, capsys, monkeypatch):
+        # the writer is handed the pieces, never one joined text, and stdout
+        # gets the same bytes
+        written = []
+
+        def write(path, text):
+            written.append(text)
+            reporting.write_text(path, text)
+
+        monkeypatch.setattr(cli, "write_text", write)
+        good = tmp_path / "good.json"
+        good.write_text(json_dumps({"passed": True, "suites": {"x": {"pass": True}}}))
+        merged = tmp_path / "merged.json"
+        code, _, _ = run(capsys, "report", "--inputs", str(good), "--out", str(merged))
+        assert code == 0
+        assert len(written) == 1 and not isinstance(written[0], str)
+        code, out, _ = run(capsys, "report", "--inputs", str(good))
+        assert code == 0
+        assert out == merged.read_text() == json_dumps(json.loads(out))
 
 
 class TestOutOfMemory:

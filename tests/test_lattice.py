@@ -19,8 +19,8 @@ from spectraljet.lattice import (
     run_triple_suite,
     sample_multiindex,
 )
-from spectraljet import lattice, reporting
-from spectraljet.lattice import _counts_sampler, _task_seed
+from spectraljet import _triples, lattice, reporting
+from spectraljet._triples import _counts_sampler, _task_seed
 from spectraljet.multiindex import (
     MultiIndex,
     counts_text,
@@ -245,8 +245,8 @@ class TestRangeSplit:
 
     @staticmethod
     def force_ranges(monkeypatch, ranges):
-        monkeypatch.setattr(lattice, "_cpu_count", lambda: ranges)
-        assert len(lattice._range_bounds(TestRangeSplit.COUNT)) == ranges + 1
+        monkeypatch.setattr(_triples, "_cpu_count", lambda: ranges)
+        assert len(_triples._range_bounds(TestRangeSplit.COUNT)) == ranges + 1
 
     def test_results_do_not_depend_on_range_count(self, monkeypatch, deadline):
         results = {}
@@ -263,7 +263,7 @@ class TestRangeSplit:
             assert all(type(r) is lattice.TripleRow for r in results[ranges][0])
             assert type(results[ranges][1].worst_triple) is tuple
         # the earliest of the tied largest slacks names the worst triple
-        bounds = lattice._range_bounds(self.COUNT)
+        bounds = _triples._range_bounds(self.COUNT)
         ties = [i for i, r in enumerate(rows)
                 if r.triangle_slack == report.max_triangle_slack]
         assert all(any(lo <= i < hi for i in ties)
@@ -307,11 +307,11 @@ class TestRangeSplit:
     def test_rows_left_unread_are_checked(self, monkeypatch, deadline):
         # delta = 1 fails the comparison on triples of every range; a render
         # that reads no row must still see them counted, and summed
-        monkeypatch.setattr(lattice, "COMPARISON_DELTA", (1, 1))
+        monkeypatch.setattr(_triples, "COMPARISON_DELTA", (1, 1))
         self.force_ranges(monkeypatch, 1)
         rows, expected = run_triple_suite(3, 8, self.COUNT, 42)
         self.force_ranges(monkeypatch, 3)
-        bounds = lattice._range_bounds(self.COUNT)
+        bounds = _triples._range_bounds(self.COUNT)
         assert all(
             any(r.comparison_lhs > r.comparison_rhs for r in rows[lo:hi])
             for lo, hi in zip(bounds, bounds[1:])
@@ -321,14 +321,14 @@ class TestRangeSplit:
         assert report == expected
 
     def test_failing_range_raises_and_reaps(self, monkeypatch, deadline):
-        triple_range = lattice._triple_range
+        triple_range = _triples._triple_range
 
         def failing(n, df, sample, seed, tol, lo, hi, render):
             if lo > 0:
                 raise ValueError("range failed")
             return triple_range(n, df, sample, seed, tol, lo, hi, render)
 
-        monkeypatch.setattr(lattice, "_triple_range", failing)
+        monkeypatch.setattr(_triples, "_triple_range", failing)
         for ranges in (2, 3):
             self.force_ranges(monkeypatch, ranges)
             with pytest.raises(ValueError, match="range failed"):
@@ -336,7 +336,7 @@ class TestRangeSplit:
             assert_no_child_left()
 
     def test_failing_worker_is_named(self, monkeypatch, deadline):
-        triple_range = lattice._triple_range
+        triple_range = _triples._triple_range
         parent = os.getpid()
 
         def failing(n, df, sample, seed, tol, lo, hi, render):
@@ -344,7 +344,7 @@ class TestRangeSplit:
                 raise ValueError("worker failed")
             return triple_range(n, df, sample, seed, tol, lo, hi, render)
 
-        monkeypatch.setattr(lattice, "_triple_range", failing)
+        monkeypatch.setattr(_triples, "_triple_range", failing)
         self.force_ranges(monkeypatch, 3)
         with pytest.raises(
             RuntimeError,
@@ -354,7 +354,7 @@ class TestRangeSplit:
         assert_no_child_left()
 
     def test_dead_worker_is_reported(self, monkeypatch, deadline):
-        triple_range = lattice._triple_range
+        triple_range = _triples._triple_range
         parent = os.getpid()
 
         def dying(n, df, sample, seed, tol, lo, hi, render):
@@ -362,7 +362,7 @@ class TestRangeSplit:
                 os._exit(3)
             return triple_range(n, df, sample, seed, tol, lo, hi, render)
 
-        monkeypatch.setattr(lattice, "_triple_range", dying)
+        monkeypatch.setattr(_triples, "_triple_range", dying)
         self.force_ranges(monkeypatch, 2)
         with pytest.raises(RuntimeError,
                            match=r"worker for triples 0\.\.1499 exited with status 3"):
@@ -374,8 +374,8 @@ class TestRangeSplit:
         # buffer when the worker is forked
         code = (
             "import sys\n"
-            "from spectraljet import lattice\n"
-            "lattice._cpu_count = lambda: 2\n"
+            "from spectraljet import _triples, lattice\n"
+            "_triples._cpu_count = lambda: 2\n"
             "print('before', end='')\n"
             "lattice.run_triple_suite(3, 8, 3001, 42)\n"
             "print('after')\n"
@@ -391,10 +391,10 @@ class TestRangeSplit:
 
     @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
     def test_one_range_without_fork_or_affinity(self, monkeypatch, missing):
-        monkeypatch.setattr(lattice, "_cpu_count", lambda: 4)
-        assert lattice._range_bounds(4500) == [0, 1100, 2300, 3400, 4500]
+        monkeypatch.setattr(_triples, "_cpu_count", lambda: 4)
+        assert _triples._range_bounds(4500) == [0, 1100, 2300, 3400, 4500]
         monkeypatch.delattr(os, missing)
-        assert lattice._range_bounds(4500) == [0, 4500]
+        assert _triples._range_bounds(4500) == [0, 4500]
 
     # interior bounds are the block boundaries nearest the balanced split
     # (1250.25 -> 1300, 3750.75 -> 3800); 3090 in three ranges splits at
@@ -407,30 +407,30 @@ class TestRangeSplit:
         (3090, [0, 1000, 2100, 3090]),
     ])
     def test_ranges_keep_the_minimum_size(self, monkeypatch, count, bounds):
-        monkeypatch.setattr(lattice, "_cpu_count", lambda: 4)
-        assert (lattice.MIN_RANGE, lattice.TRIPLE_BLOCK) == (1000, 100)
-        assert lattice._range_bounds(count) == bounds
+        monkeypatch.setattr(_triples, "_cpu_count", lambda: 4)
+        assert (_triples.MIN_RANGE, _triples.TRIPLE_BLOCK) == (1000, 100)
+        assert _triples._range_bounds(count) == bounds
 
     @pytest.mark.parametrize("count", [10000, 5000])
     def test_two_cpus_split_in_half(self, monkeypatch, count):
-        monkeypatch.setattr(lattice, "_cpu_count", lambda: 2)
-        assert lattice._range_bounds(count) == [0, count // 2, count]
+        monkeypatch.setattr(_triples, "_cpu_count", lambda: 2)
+        assert _triples._range_bounds(count) == [0, count // 2, count]
 
     def test_bounds_lie_on_block_boundaries(self, monkeypatch):
-        block = lattice.TRIPLE_BLOCK
+        block = _triples.TRIPLE_BLOCK
         for cpus in range(1, 9):
-            monkeypatch.setattr(lattice, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(_triples, "_cpu_count", lambda: cpus)
             for count in range(1, 20000, 37):
-                bounds = lattice._range_bounds(count)
+                bounds = _triples._range_bounds(count)
                 ranges = len(bounds) - 1
-                assert ranges == max(1, min(cpus, count // lattice.MIN_RANGE))
+                assert ranges == max(1, min(cpus, count // _triples.MIN_RANGE))
                 assert bounds[0] == 0 and bounds[-1] == count
                 for k, bound in enumerate(bounds[1:-1], 1):
                     assert bound % block == 0
                     assert abs(bound - count * k / ranges) <= block / 2
                 if ranges > 1:
                     assert min(hi - lo for lo, hi in zip(bounds, bounds[1:])) >= (
-                        lattice.MIN_RANGE - block // 2
+                        _triples.MIN_RANGE - block // 2
                     )
 
 
@@ -541,11 +541,11 @@ class TestSamplerStream:
         (4, 0, 6), (2, 19, 210), (3, 8, 330), (4, 6, 1260),
     ])
     def test_draw_sequences(self, n, max_degree, slots):
-        sequences = lattice._pool_draw_sequences(n - 1, max_degree, slots)
+        sequences = _triples._pool_draw_sequences(n - 1, max_degree, slots)
         assert sequences == [math.perm(d + n - 1, n - 1)
                              for d in range(max_degree + 1)]
         assert sum(sequences) == slots
-        assert lattice._pool_draw_sequences(n - 1, max_degree, slots - 1) is None
+        assert _triples._pool_draw_sequences(n - 1, max_degree, slots - 1) is None
 
     # (100001)! / 2! alone took 0.12 s to form; the rule stops at the first
     # product past the draw count, so it forms no such integer
@@ -576,11 +576,11 @@ class TestSamplerStream:
     @pytest.mark.parametrize("ranges", [1, 2, 3])
     def test_suite_draws_one_stream_per_block(self, monkeypatch, ranges):
         n, max_degree, count, seed = 3, 8, 3050, 42
-        monkeypatch.setattr(lattice, "_cpu_count", lambda: ranges)
-        assert len(lattice._range_bounds(count)) == ranges + 1
+        monkeypatch.setattr(_triples, "_cpu_count", lambda: ranges)
+        assert len(_triples._range_bounds(count)) == ranges + 1
         rows, _ = run_triple_suite(n, max_degree, count, seed)
         assert_no_child_left()
-        block = lattice.TRIPLE_BLOCK
+        block = _triples.TRIPLE_BLOCK
         expected = []
         for b in range(-(-count // block)):
             ref = random.Random(_task_seed(seed, b))
@@ -615,13 +615,13 @@ class TestTripleKernelCalls:
     @pytest.mark.parametrize("n, max_degree", [(3, 8), (1, 12), (8, 40)])
     def test_calls_per_triple(self, monkeypatch, n, max_degree):
         calls = []
-        kernel = lattice.wick_kernel
+        kernel = _triples.wick_kernel
 
         def counting(a, b, df):
             calls.append((a, b))
             return kernel(a, b, df)
 
-        monkeypatch.setattr(lattice, "wick_kernel", counting)
+        monkeypatch.setattr(_triples, "wick_kernel", counting)
         # below MIN_RANGE: one range, in this process; at n = 8 about one
         # pair in 200 shares a coset, so the shifted pairs need this many
         count = 900
@@ -648,7 +648,7 @@ class TestTripleSuiteExactDecisions:
     ])
     def test_agrees_with_fraction_route(self, monkeypatch, n, max_degree, delta):
         pair = (delta.numerator, delta.denominator)
-        monkeypatch.setattr(lattice, "COMPARISON_DELTA", pair)
+        monkeypatch.setattr(_triples, "COMPARISON_DELTA", pair)
         rows, report = run_triple_suite(n, max_degree, 2000, 11)
         comparison_failures = stabilization_failures = 0
         for r in rows:
@@ -680,7 +680,7 @@ class TestDegreeLimit:
         def refuse(size):
             raise AssertionError(f"double_factorial_table({size}) was built")
 
-        monkeypatch.setattr(lattice, "double_factorial_table", refuse)
+        monkeypatch.setattr(_triples, "double_factorial_table", refuse)
 
     def test_refused_before_the_table(self, monkeypatch):
         self.no_table(monkeypatch)
