@@ -41,8 +41,8 @@ _EXPORTS = {
         "third_jet_umbilical",
     ),
     "asymptotics": (
-        "ConvergenceRecord", "LimitFit", "curvature_suite", "curvature_suites",
-        "isometry_suite", "jet_relation_suite", "limit_fit", "mean_curvature_suite",
+        "LimitFit", "curvature_suite", "curvature_suites", "isometry_suite",
+        "jet_relation_suite", "limit_fit", "mean_curvature_suite",
         "normalization_factor", "scalar_ricci_suite", "scalar_suite",
         "time_grid", "umbilical_suite",
     ),

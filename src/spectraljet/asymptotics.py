@@ -76,19 +76,6 @@ def normalization_factor(n: int, t: float, alpha: MultiIndex, beta: MultiIndex) 
     return heat_power(t, 4.0 * math.pi, n / 2.0) * heat_power(t, 2.0, half)
 
 
-class ConvergenceRecord(NamedTuple):
-    """One (model, alpha, beta, t) measurement against its Wick target."""
-
-    model: str
-    alpha: MultiIndex
-    beta: MultiIndex
-    t: float
-    raw_jet: float
-    normalized: float
-    target: float
-    abs_err: float
-
-
 class LimitFit(NamedTuple):
     """Least-squares fit y ~ c0 + c1 t + c2 t^2; c0 is the reported limit."""
 
@@ -270,13 +257,16 @@ class PairSummary(NamedTuple):
 
 
 class SuiteResult(NamedTuple):
-    """The named checks of one suite; the jet-relation suite also keeps
-    every measurement behind them in ``records``."""
+    """The named checks of one suite.  The jet-relation suite also keeps
+    every measurement behind them in ``records``: one (alpha, beta, rows)
+    per pair, in pair order, where ``rows`` holds a (t, raw, normalized,
+    target, abs_err) tuple per time and is one list, shared by every pair
+    of the pair's jet key."""
 
     name: str
     model: str
     summaries: dict[str, PairSummary]
-    records: Sequence[ConvergenceRecord] = ()
+    records: Sequence[tuple[MultiIndex, MultiIndex, list[tuple]]] = ()
 
     @property
     def passed(self) -> bool:
@@ -348,7 +338,8 @@ def jet_relation_suite(
     MAX_JET_PAIRS pairs are refused before any is enumerated.  Each jet
     key is read once per t, each norm G(alpha, alpha) is formed once per t,
     and each judged key's Gram entries come from its raw jets, as the same
-    float products that ``gram_entry`` makes.
+    float products that ``gram_entry`` makes.  Each key's rows are built
+    once, and its pairs' records share that one list.
     """
     ts = tuple(sorted(ts))
     n = model.n
@@ -385,7 +376,7 @@ def jet_relation_suite(
     prefactors: list[float] = []  # gram_prefactor(t) over ts, from the first norm
     # Pairs with one model.jet_key have bit-identical jets, equal exact
     # targets and equal degrees, so the first pair of each key is measured
-    # and judged, and later pairs repeat its records and summaries.
+    # and judged, and later pairs share its rows and summaries.
     key_of = model.jet_key
     read = model.diag_jet
     raws: dict = {}  # jet key -> its raw jets over ts
@@ -410,11 +401,9 @@ def jet_relation_suite(
             got = norms[key] = [p * j for p, j in zip(prefactors, raw)]
         return got
 
-    label = model.label
-    record = ConvergenceRecord._make
-    records: list[ConvergenceRecord] = []
+    records = []
     summaries: dict[str, PairSummary] = {}
-    measured: dict = {}  # jet key -> (record tails from t on, A, B)
+    measured: dict = {}  # jet key -> (rows, A, B)
     for a, b in pairs:
         key = key_of(a, b)
         hit = measured.get(key)
@@ -445,14 +434,13 @@ def jet_relation_suite(
                 angle = judge(samples, wick_b(a, b).value)
             hit = measured[key] = rows, summary, angle
         rows, summary, angle = hit
-        head = label, a, b
-        records += [record(head + row) for row in rows]
+        records.append((a, b, rows))
         name = f"{texts[a]}|{texts[b]}]"
         summaries["A[" + name] = summary
         if angle is not None:
             summaries["B[" + name] = angle
 
-    return SuiteResult("jet_relation", label, summaries, records)
+    return SuiteResult("jet_relation", model.label, summaries, records)
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     max_degree = _config_int("max_degree", cfg["max_degree"], 0)
     result = jet_relation_suite(model, max_degree, config_grid(cfg), cfg["tolerances"])
     if args.out:
-        write_text(args.out, records_to_csv(result.records))
+        write_text(args.out, records_to_csv(result.model, result.records))
     passed = _write_suites(args, cfg, model, [result])
     print(
         f"verify: model={model.label} max_degree={max_degree} "
@@ -470,12 +470,16 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
+    except MemoryError:
+        # matched first, since the tuple of the next clause is built when it
+        # is matched; and the traceback holds the run's frames, and with them
+        # its memory, until the handler ends, so the message follows it
+        pass
     except (OSError, ValueError, TruncationError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
-        print("error: out of memory; lower the size of the run", file=sys.stderr)
-        return 2
+    print("error: out of memory; lower the size of the run", file=sys.stderr)
+    return 2
 
 
 def entrypoint() -> None:

@@ -656,8 +656,10 @@ def ricci_scalar_extract(model: SpectralModel, ts) -> ScalarRicciReport:
     (4 pi t)^(n/2) H(t, x, x) = 1 + t S/6 + O(t^2) gives S; the pullback
     expands as  delta_ij + t c1_ij + O(t^2)  with  c1 = (1/3)((S/2) delta - Ric),
     so Ric_ij = (S/2) delta_ij - 3 c1_ij.  The pullback is symmetric sample
-    for sample, so each entry i <= j is fitted once and mirrored.  The scalar,
-    isometry and scalar_ricci suites judge this report and sample nothing.
+    for sample, and the entries of one ``jet_key`` of (e_i, e_j) are
+    bit-identical, so each key is fitted once and its fit serves every entry
+    i <= j of the key and their mirrors.  The scalar, isometry and
+    scalar_ricci suites judge this report and sample nothing.
     """
     ts = sorted(ts)
     n = model.n
@@ -666,12 +668,18 @@ def ricci_scalar_extract(model: SpectralModel, ts) -> ScalarRicciReport:
         for t in ts
     ])
     pulls = [pullback_metric(model, t) for t in ts]
+    units = [from_indices([i], n) for i in range(1, n + 1)]
     fits = [[None] * n for _ in range(n)]
+    fitted = {}  # jet key of (e_i, e_j) -> its fit
     for i in range(n):
         for j in range(i, n):
-            fits[i][j] = fits[j][i] = asymptotics.fit_on_smallest(
-                [(t, p[i][j]) for t, p in zip(ts, pulls)]
-            )
+            key = model.jet_key(units[i], units[j])
+            fit = fitted.get(key)
+            if fit is None:
+                fit = fitted[key] = asymptotics.fit_on_smallest(
+                    [(t, p[i][j]) for t, p in zip(ts, pulls)]
+                )
+            fits[i][j] = fits[j][i] = fit
     scalar = 6.0 * diag.c1
     ricci = [
         [(scalar / 2.0 if i == j else 0.0) - 3.0 * fits[i][j].c1 for j in range(n)]

@@ -54,7 +54,7 @@ def _csv_memo(points_recur: bool = True):
     would too, so zeros stay out of it and are told apart by their sign.
 
     Points are stored only where they recur.  The jet-record CSV stores
-    them: its points recur by construction, every pair at every time.  The
+    them: its points recur by construction, each in many pairs.  The
     lattice CSV stores them when the ball has no more points than the suite
     draws (``lattice.points_recur``).  Otherwise most points are met once,
     and their texts would only grow the memory with every draw.  Floats are
@@ -87,34 +87,31 @@ def _csv_memo(points_recur: bool = True):
     return point, point_miss, floats.get, field
 
 
-def records_to_csv(records) -> Iterator[str]:
-    """The jet-record CSV as newline-terminated lines, header first.
+def records_to_csv(model: str, records) -> Iterator[str]:
+    """The jet-record CSV of the model labelled ``model`` as
+    newline-terminated lines, header first.
 
-    The pairs of one jet key share each (t, raw, normalized, target,
-    abs_err) tail, so a tail of floats is rendered once, keyed by the bytes
-    of its five doubles, which keep 0.0 and -0.0 apart.
+    ``records`` holds one (alpha, beta, rows) per pair, with a (t, raw,
+    normalized, target, abs_err) row per time.  The pairs of one jet key
+    share one rows list, so each list's rows are rendered once, keyed by
+    the list's identity.
     """
-    from struct import Struct  # not loaded by lattice
-
     yield CSV_HEADER + "\n"
     point, point_miss, _, field = _csv_memo()
-    pack = Struct("5d").pack
-    tails: dict[bytes, str] = {}
-    label = last = None
-    line = "%s,%s%s%s\n"  # a point's text ends with its comma
-    for model, alpha, beta, t, raw, normalized, target, abs_err in records:
+    label = field(model) + ","
+    # id of a rows list -> (the list, its rendered rows); the list is held
+    # so that its id names no other list while the CSV is written
+    rendered: dict[int, tuple[list, list[str]]] = {}
+    for alpha, beta, rows in records:
         a, b = alpha.counts, beta.counts
-        if model is not last:
-            last, label = model, field(model)
-        floats = (type(t) is type(raw) is type(normalized) is type(target)
-                  is type(abs_err) is float)
-        key = pack(t, raw, normalized, target, abs_err) if floats else None
-        tail = tails.get(key)
-        if tail is None:
-            tail = ",".join(map(field, (t, raw, normalized, target, abs_err)))
-            if floats:
-                tails[key] = tail
-        yield line % (label, point(a) or point_miss(a), point(b) or point_miss(b), tail)
+        # a point's text ends with its comma
+        head = label + (point(a) or point_miss(a)) + (point(b) or point_miss(b))
+        hit = rendered.get(id(rows))
+        if hit is None:
+            hit = rendered[id(rows)] = rows, [
+                ",".join(map(field, row)) + "\n" for row in rows]
+        for tail in hit[1]:
+            yield head + tail
 
 
 def triple_rows_to_csv(rows) -> Iterator[str]:

@@ -109,7 +109,7 @@ def test_criterion_03_paper_constants_exact():
 def test_criterion_04_circle_jets_at_desk_scale():
     start = time.time()
     result = jet_relation_suite(MODELS["circle"], 6, ts=(0.01,))
-    worst = max(r.abs_err for r in result.records)
+    worst = max(abs_err for _, _, rows in result.records for *_, abs_err in rows)
     assert worst < 1e-6
     elapsed = time.time() - start
     assert elapsed < 30.0

@@ -271,17 +271,19 @@ class TestJetRelationSuite:
     def test_circle_degree_six_single_time(self):
         result = jet_relation_suite(Circle(1.0), 6, ts=(0.01,))
         assert result.passed
-        # one record per pair per time
-        assert all(r.t == 0.01 for r in result.records)
-        for r in result.records:
-            assert r.abs_err < 1e-6
+        # one row per pair per time
+        for _, _, rows in result.records:
+            (t, _, _, _, abs_err), = rows
+            assert t == 0.01
+            assert abs_err < 1e-6
 
     def test_records_normalization_consistency(self):
         result = jet_relation_suite(Circle(1.0), 4, ts=(0.02,))
-        for r in result.records:
-            f = normalization_factor(1, r.t, r.alpha, r.beta)
-            assert r.normalized == pytest.approx(f * r.raw_jet, rel=0, abs=0)
-            assert r.abs_err == abs(r.normalized - r.target)
+        for a, b, rows in result.records:
+            for t, raw, normalized, target, abs_err in rows:
+                f = normalization_factor(1, t, a, b)
+                assert normalized == pytest.approx(f * raw, rel=0, abs=0)
+                assert abs_err == abs(normalized - target)
 
     def test_sphere3_degree_two_fit(self):
         result = jet_relation_suite(Sphere(3, 1.0), 2, ts=DEFAULT_GRID)
@@ -303,10 +305,11 @@ class TestJetRelationSuite:
 
     def test_flat_invariant_smallest_time(self):
         result = jet_relation_suite(FlatTorus((1.0, 1.3)), 4, ts=(0.04, 0.02, 0.01))
-        smallest = min(r.t for r in result.records)
-        for r in result.records:
-            if r.t == smallest:
-                assert r.abs_err < 1e-6
+        rows = [row for _, _, key_rows in result.records for row in key_rows]
+        smallest = min(t for t, *_ in rows)
+        for t, *_, abs_err in rows:
+            if t == smallest:
+                assert abs_err < 1e-6
 
     def test_flat_grid_reports_fit_on_every_entry(self):
         # a flat model still passes on its smallest-t sample, but A and B
@@ -374,7 +377,14 @@ class TestJetRelationSuite:
         assert len(result.summaries) == 662
         assert (len(a_keys), len(b_keys)) == (113, 51)
         assert len(fits) == 113 + 51
-        assert len(result.records) == len(pairs) * len(DEFAULT_GRID)
+        # one record per pair, in pair order, and one rows list per A key,
+        # a row per time, shared by the pairs of the key
+        assert [(a, b) for a, b, _ in result.records] == pairs
+        shared = {}
+        for a, b, rows in result.records:
+            assert shared.setdefault(model.jet_key(a, b), rows) is rows
+            assert [t for t, *_ in rows] == list(DEFAULT_GRID)
+        assert len(shared) == len({id(rows) for *_, rows in result.records}) == 113
 
     def test_one_read_per_jet_key_and_time(self, monkeypatch):
         # S^5 at degree 8: the model runs its sums for the same 574 (t, jet
@@ -747,10 +757,11 @@ class TestOneReader:
                 assert entry.observed == given.ricci_estimate[i][j]
 
     # (model, fits of the whole command); the three readers of the report
-    # shared 1 + n(n + 1)/2 fits of it, which three reports made three times
+    # share its fits: one of the diagonal and one per jet key of the
+    # pullback entries, two on a sphere of any dimension
     FITS = {
-        "sphere3": (lambda: Sphere(3, 1.0), 27),
-        "sphere8": (lambda: Sphere(8, 1.0), 58),
+        "sphere3": (lambda: Sphere(3, 1.0), 23),
+        "sphere8": (lambda: Sphere(8, 1.0), 24),
         "torus": (lambda: FlatTorus((1.0, 1.3)), 29),
         "circle": (lambda: Circle(1.0), 5),
     }
@@ -794,8 +805,8 @@ class TestOneReader:
 
 class TestOneFitRule:
     """Every curvature suite fits its t -> 0 limits on the five smallest
-    times; ``ricci_scalar_extract`` fits each upper pullback entry once and
-    mirrors it, ``umbilical_suite`` measures and fits each jet key of its
+    times; ``ricci_scalar_extract`` fits each jet key of the pullback entries
+    once and mirrors its fit, ``umbilical_suite`` measures and fits each jet key of its
     third jets once, and a model runs its sums once per (t, jet key)."""
 
     # (model, suites, distinct (t, jet key) reads); the jet suite's angle
@@ -841,12 +852,16 @@ class TestOneFitRule:
         assert grids
         assert set(grids) == {DEFAULT_GRID[:5]}
 
-    @pytest.mark.parametrize("model", [
-        Sphere(3, 1.0), Sphere(4, 1.3), FlatTorus((1.0, 1.3)),
-    ], ids=lambda m: m.label)
-    def test_ricci_fits_each_pullback_entry_once(self, monkeypatch, model):
-        # the pullback is symmetric sample for sample, so the n(n+1)/2 upper
-        # entries are fitted and mirrored, plus one fit of the diagonal
+    @pytest.mark.parametrize("model, keys", [
+        pytest.param(Sphere(3, 1.0), 2, id="sphere3"),
+        pytest.param(Sphere(4, 1.3), 2, id="sphere4"),
+        pytest.param(FlatTorus((1.0, 1.3)), 3, id="torus"),
+    ])
+    def test_ricci_fits_each_pullback_entry_once(self, monkeypatch, model, keys):
+        # the upper entries (e_i, e_j) of one jet key have bit-identical
+        # samples, so each key is fitted once and its fit serves its entries
+        # and their mirrors (on a sphere one key of i = j and one of i != j;
+        # on the torus each entry is its own key), plus one fit of the diagonal
         fits = []
 
         def counted(samples, *args, **kwargs):
@@ -856,7 +871,15 @@ class TestOneFitRule:
         monkeypatch.setattr(asymptotics, "fit_on_smallest", counted)
         report = ricci_scalar_extract(model, DEFAULT_GRID)
         n = model.n
-        assert len(fits) == n * (n + 1) // 2 + 1
+        assert len(fits) == keys + 1
+        units = [from_indices([i], n) for i in range(1, n + 1)]
+        by_key = {}
+        for i in range(n):
+            for j in range(i, n):
+                fit = by_key.setdefault(model.jet_key(units[i], units[j]),
+                                        report.pullback[i][j])
+                assert report.pullback[i][j] is fit, (i, j)
+        assert len(by_key) == keys
         for i in range(n):
             for j in range(n):
                 assert report.pullback[i][j] is report.pullback[j][i], (i, j)

@@ -21,7 +21,6 @@ from spectraljet import asymptotics
 from spectraljet.asymptotics import (
     DEFAULT_GRID,
     TOLERANCES,
-    ConvergenceRecord,
     jet_relation_suite,
     time_grid,
 )
@@ -561,7 +560,7 @@ class TestImportCost:
                       "pullback_metric", "ricci_scalar_extract",
                       "squared_distance_jets", "squared_distance_target",
                       "third_jet_umbilical"),
-        "asymptotics": ("ConvergenceRecord", "LimitFit", "curvature_suite",
+        "asymptotics": ("LimitFit", "curvature_suite",
                         "curvature_suites", "isometry_suite",
                         "jet_relation_suite", "limit_fit",
                         "mean_curvature_suite", "normalization_factor",
@@ -1197,29 +1196,35 @@ class TestOutOfMemory:
     # The verify grid is refused before any time is built, so `main` must
     # return within a second (the child times `main` alone, not its start-up).
     # S^11 at degree 6 has 188552 jet pairs, under the pair limit, and the
-    # JSON report is written in pieces; on 100 times their records alone
-    # would take about 3.8 GB (200 bytes each), so the run passes 512 MB
-    # while it measures, after about 5 s.  The grid's smallest time is 6e-4
+    # JSON report is written in pieces.  The suite keeps one record and one
+    # summary per pair, and each key's rows once, so on 100 times the run
+    # peaks near 100 MB and passes 512 MB in about 1.4 s.  It is given a
+    # lower limit of its own instead: 64 MB, about 44 MB above what the
+    # interpreter and the package take at start-up, which the suite reaches
+    # while it measures, after about 0.9 s.  The grid's smallest time is 6e-4
     # and the noise gain of its fits 217, so nothing refuses it first.
-    @pytest.mark.parametrize("argv, stderr", [
+    PAIRS_LIMIT = 64 * 2**20
+
+    @pytest.mark.parametrize("argv, stderr, limit", [
         (["wick", "--n", "1000000000", "--alpha", "1", "--beta", "1"],
-         OUT_OF_MEMORY),
+         OUT_OF_MEMORY, LIMIT),
         (["lattice", "sample", "--n", "1000000000", "--max-degree", "2",
-          "--count", "1"], OUT_OF_MEMORY),
+          "--count", "1"], OUT_OF_MEMORY, LIMIT),
         (["verify", "--model", "sphere2", "--max-degree", "2",
           "--t-grid", "0.1:0.9999999:100000000"],
          "error: t-grid 0.1:0.9999999:100000000 has 100000000 times, above "
-         "the limit of 1000; lower the count\n"),
+         "the limit of 1000; lower the count\n", LIMIT),
         (["verify", "--model", "sphere11", "--max-degree", "6",
-          "--t-grid", "0.1:0.95:100", "--out-json", os.devnull], OUT_OF_MEMORY),
+          "--t-grid", "0.1:0.95:100", "--out-json", os.devnull], OUT_OF_MEMORY,
+         PAIRS_LIMIT),
     ], ids=["wick", "lattice", "verify", "verify-pairs"])
-    def test_memory_error_is_usage_error(self, argv, stderr):
+    def test_memory_error_is_usage_error(self, argv, stderr, limit):
         resource = pytest.importorskip("resource")
         if not hasattr(resource, "RLIMIT_AS"):
             pytest.skip("RLIMIT_AS is not supported here")
         src = str(Path(spectraljet.__file__).resolve().parents[1])
         proc = subprocess.run(
-            [sys.executable, "-c", self.CODE, str(self.LIMIT), *argv],
+            [sys.executable, "-c", self.CODE, str(limit), *argv],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
             text=True, timeout=120,
         )
@@ -1269,11 +1274,11 @@ class TestSerialization:
 
     def test_records_match_fmt_float_route(self):
         result = jet_relation_suite(Sphere(3, 1.0), 4, time_grid(0.1, 0.5, 7))
-        lines = list(records_to_csv(result.records))
-        assert len(lines) == len(result.records) + 1
-        for r, line in zip(result.records, lines[1:]):
-            fields = (r.model, r.alpha.text(), r.beta.text(), *r[3:])
-            assert line == csv_line(fields) + "\n"
+        lines = list(records_to_csv(result.model, result.records))
+        assert len(lines) == 7 * len(result.records) + 1
+        expected = [csv_line((result.model, a.text(), b.text(), *row)) + "\n"
+                    for a, b, rows in result.records for row in rows]
+        assert lines[1:] == expected
 
     def test_memo_keeps_signed_zeros_and_types_apart(self):
         # 0.0 == -0.0 and True == 1 == 1.0 as dict keys, and nan != nan:
@@ -1286,30 +1291,41 @@ class TestSerialization:
             (math.nan, math.nan, math.inf, -math.inf, -0.0),
             (float("nan"), math.inf, 2.5, "1.0", None),
         ]
-        records = [ConvergenceRecord("m,x", a, b, *v) for v in values]
-        records.append(ConvergenceRecord("m", MultiIndex((0, 0)), a, *values[0]))
-        lines = list(records_to_csv(records))[1:]
-        assert lines == [csv_line((r.model, r.alpha.text(), r.beta.text(), *r[3:]))
-                         + "\n" for r in records]
+        records = [(a, b, values), (MultiIndex((0, 0)), a, values[:1])]
+        lines = list(records_to_csv("m,x", records))[1:]
+        assert lines == [csv_line(("m,x", alpha.text(), beta.text(), *row)) + "\n"
+                         for alpha, beta, rows in records for row in rows]
         assert lines[0] == '"m,x",1,"2,2",0,-0,0,-0,1\n'
         assert lines[1] == '"m,x",1,"2,2",-0,0,-0,0,True\n'
         assert lines[2] == '"m,x",1,"2,2",1,True,1,1,0\n'
         assert lines[3] == '"m,x",1,"2,2","nan","nan","inf","-inf",-0\n'
         assert lines[4] == '"m,x",1,"2,2","nan","inf",2.5,1.0,None\n'
-        assert lines[5] == 'm,,1,0,-0,0,-0,1\n'
+        assert lines[5] == '"m,x",,1,0,-0,0,-0,1\n'
 
     def test_shared_tails_keep_their_signed_zeros(self):
-        # tails of floats that are equal as tuples but for the sign of a zero,
-        # each repeated, as the pairs of one jet key repeat theirs
+        # row lists that are equal as lists but for the sign of a zero, each
+        # shared by three pairs, as the pairs of one jet key share theirs
         a, b = MultiIndex((1, 0)), MultiIndex((0, 2))
-        tails = [(0.5, 0.0, 0.0, 0.0, 0.0), (0.5, -0.0, -0.0, 0.0, 0.0),
-                 (0.5, 0.0, -0.0, -0.0, 0.0), (0.5, 2.0, 4.0, 4.0, 0.0)]
-        records = [ConvergenceRecord("m", a, b, *tail) for tail in tails * 3]
-        lines = list(records_to_csv(records))[1:]
-        assert lines == [csv_line((r.model, r.alpha.text(), r.beta.text(), *r[3:]))
-                         + "\n" for r in records]
+        tails = [[(0.5, 0.0, 0.0, 0.0, 0.0)], [(0.5, -0.0, -0.0, 0.0, 0.0)],
+                 [(0.5, 0.0, -0.0, -0.0, 0.0)], [(0.5, 2.0, 4.0, 4.0, 0.0)]]
+        records = [(a, b, rows) for rows in tails * 3]
+        lines = list(records_to_csv("m", records))[1:]
+        assert lines == [csv_line(("m", a.text(), b.text(), *rows[0])) + "\n"
+                         for _, _, rows in records]
         assert lines[:4] == ['m,1,"2,2",0.5,0,0,0,0\n', 'm,1,"2,2",0.5,-0,-0,0,0\n',
                              'm,1,"2,2",0.5,0,-0,-0,0\n', 'm,1,"2,2",0.5,2,4,4,0\n']
+
+    def test_equal_row_lists_render_as_one_shared_list(self):
+        # rows are rendered once per list object: equal rows in distinct
+        # lists write what one shared list writes
+        a, b, c = MultiIndex((1, 0)), MultiIndex((0, 2)), MultiIndex((1, 1))
+        rows = [(0.1, 2.0, -0.0, 1.0, 0.5), (0.05, 1.5, 0.0, 1.0, 0.25)]
+        shared = [(a, b, rows), (c, b, rows), (a, c, rows)]
+        distinct = [(a, b, rows), (c, b, list(rows)), (a, c, [*map(tuple, rows)])]
+        lines = list(records_to_csv("m", shared))
+        assert list(records_to_csv("m", distinct)) == lines
+        assert lines[1:] == [csv_line(("m", alpha.text(), beta.text(), *row)) + "\n"
+                             for alpha, beta, _ in shared for row in rows]
 
     def test_each_point_rendered_once(self, monkeypatch):
         # the memo stores a point's text with the comma that ends its field,
@@ -1322,9 +1338,10 @@ class TestSerialization:
 
         monkeypatch.setattr(reporting, "counts_text", counting)
         zero, a = MultiIndex((0, 0)), MultiIndex((1, 0))
-        records = [ConvergenceRecord("m", alpha, beta, 0.1, 1.0, 1.0, 1.0, 0.0)
+        rows = [(0.1, 1.0, 1.0, 1.0, 0.0)]
+        records = [(alpha, beta, rows)
                    for alpha, beta in ((zero, a), (zero, zero), (a, zero), (zero, a))]
-        lines = list(records_to_csv(records))
+        lines = list(records_to_csv("m", records))
         assert sorted(calls) == [(0, 0), (1, 0)]
         assert lines[1:3] == ["m,,1,0.10000000000000001,1,1,1,0\n",
                               "m,,,0.10000000000000001,1,1,1,0\n"]
@@ -1340,8 +1357,8 @@ class TestSerialization:
         assert [fmt_float(v) for v in values] == ['"nan"', '"inf"', '"-inf"']
         assert json_dumps({"x": values}) == json_dumps({"x": [math.nan, math.inf, -math.inf]})
         a, b = MultiIndex((1, 0)), MultiIndex((0, 2))
-        records = [ConvergenceRecord("m", a, b, 0.1, *values, np.float64(2.5))]
-        assert list(records_to_csv(records))[1] == 'm,1,"2,2",0.10000000000000001,"nan","inf","-inf",2.5\n'
+        records = [(a, b, [(0.1, *values, np.float64(2.5))])]
+        assert list(records_to_csv("m", records))[1] == 'm,1,"2,2",0.10000000000000001,"nan","inf","-inf",2.5\n'
         rows = [((1, 0), (0, 2), (0, 0), *values, np.float64(0.5), 1.0, -0.0)]
         assert list(triple_rows_to_csv(rows))[1] == '1,"2,2",,"nan","inf","-inf",0.5,1,-0\n'
 
