@@ -22,12 +22,26 @@ lattice max_degree above ``lattice.MAX_LATTICE_DEGREE``, a ``wick
 --oracle`` value past the float range, a config or report input that
 is not JSON (the error names its path) or is nested too deeply to read,
 and a run too large for the memory it may take (MemoryError).
+A report input must also be a JSON object with a boolean ``passed``.
 All file output is deterministic for a fixed config and seed.
+
+The console script and ``python -m spectraljet.cli`` run ``entrypoint``:
+once ``main`` returns, it flushes stdout and stderr and leaves by
+``os._exit``, which skips the interpreter's teardown (module and object
+clean-up, about 8 ms per run, more than a whole curvature suite), so
+``atexit`` handlers that a caller registers do not run.  A flush that
+fails, as into a closed pipe, or an exception out of ``main`` leaves by
+the normal path.  ``main`` itself returns to in-process callers.  This is
+safe only while no output waits for teardown, which later code must keep:
+every file is written and closed in a ``with`` block before ``main``
+returns, and the package registers no ``atexit`` handler or finalizer and
+starts no thread (the forked lattice workers leave by ``os._exit`` too).
 """
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from functools import partial
 from itertools import chain
@@ -394,8 +408,18 @@ def _any_failures(obj) -> bool:
     return False
 
 
+def _read_report(path: str) -> dict:
+    """A report input: a JSON object whose ``passed`` is a boolean, the
+    verdict that every command writes."""
+    report = _read_json(path, "report input")
+    if not (isinstance(report, dict) and isinstance(report.get("passed"), bool)):
+        raise ConfigError(f'bad report input {path}: not a JSON object with '
+                          f'a boolean "passed"')
+    return report
+
+
 def cmd_report(args: argparse.Namespace) -> int:
-    reports = [_read_json(path, "report input") for path in args.inputs]
+    reports = [_read_report(path) for path in args.inputs]
     doc = {
         "command": "report",
         "inputs": list(args.inputs),
@@ -483,7 +507,14 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run ``main`` as a process, which leaves as the module docstring says."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

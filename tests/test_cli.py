@@ -1122,9 +1122,10 @@ class TestReportCommand:
         assert json.loads(merged.read_text())["passed"] is False
 
     def test_deeply_nested_input_is_usage_error(self, tmp_path, capsys):
-        # an exit of 1 would say a tolerance failed
+        # an exit of 1 would say a tolerance failed; the nesting sits inside a
+        # report, so the merge's own walk of the inputs is what recurses
         deep = tmp_path / "deep.json"
-        deep.write_text("[" * 900 + "]" * 900)
+        deep.write_text('{"passed": true, "x": ' + "[" * 900 + "]" * 900 + "}")
         merged = tmp_path / "merged.json"
         code, out, err = run(capsys, "report", "--inputs", str(deep),
                              "--out", str(merged))
@@ -1133,11 +1134,21 @@ class TestReportCommand:
         assert out == ""
         assert not merged.exists()
 
+    NOT_A_REPORT = 'not a JSON object with a boolean "passed"'
+
+    # JSON that carries no verdict is refused, not merged as a pass
     @pytest.mark.parametrize("content, reason", [
         (b"", "Expecting value: line 1 column 1 (char 0)"),
         (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: "
                       "invalid start byte"),
-    ], ids=["empty", "not-utf8"])
+        (b"{}", NOT_A_REPORT),
+        (b"5", NOT_A_REPORT),
+        (b"[1, 2]", NOT_A_REPORT),
+        (b'{"passed": "no"}', NOT_A_REPORT),
+        (b'{"passed": null, "suites": {}}', NOT_A_REPORT),
+        (("[" * 900 + "]" * 900).encode(), NOT_A_REPORT),
+    ], ids=["empty", "not-utf8", "empty-object", "number", "list",
+            "passed-string", "passed-null", "deep-list"])
     def test_unparsable_input_is_named(self, tmp_path, capsys, content, reason):
         good = tmp_path / "good.json"
         good.write_text(json_dumps({"passed": True, "suites": {}}))
@@ -1236,6 +1247,66 @@ class TestOutOfMemory:
         assert proc.stdout == ""
         if stderr != self.OUT_OF_MEMORY:
             assert float(timing) < 1.0
+
+
+class TestProcessExit:
+    # `python -m spectraljet.cli` runs `entrypoint`, which flushes stdout and
+    # stderr and leaves by os._exit: nothing the parent reads may be lost.
+    # The child's stdout stays buffered, so a missing flush shows.
+    CLI = [sys.executable, "-m", "spectraljet.cli"]
+    ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+           "PYTHONPATH": str(Path(spectraljet.__file__).resolve().parents[1])}
+
+    @staticmethod
+    def big_report(tmp_path) -> str:
+        # about 1 MB of merged JSON, well past the 64 KiB of a pipe's buffer
+        path = tmp_path / "big.json"
+        path.write_text(json_dumps({"passed": True, "suites": {
+            f"s{i}": {"pass": True, "value": i / 7} for i in range(20000)}}))
+        return str(path)
+
+    def test_report_through_a_pipe_matches_out(self, tmp_path):
+        report = [*self.CLI, "report", "--inputs", self.big_report(tmp_path)]
+        merged = tmp_path / "merged.json"
+        proc = subprocess.run([*report, "--out", str(merged)], env=self.ENV,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        proc = subprocess.run(report, env=self.ENV, capture_output=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert len(proc.stdout) > 2**20
+        assert proc.stdout == merged.read_bytes()
+
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["verify", "--model", "circle", "--max-degree", "2", "--t", "0.01"], 0,
+         "verify: model=circle max_degree=2 checks=5 passed=True\n", ""),
+        (["verify", "--model", "sphere2", "--t-grid", "50:0.5:7",
+          "--max-degree", "2"], 1,
+         "verify: model=sphere2 max_degree=2 checks=12 passed=False\n", ""),
+        (["verify", "--max-degree", "2"], 2, "",
+         "error: no model specified (use --model)\n"),
+    ], ids=["pass", "tolerance-failed", "usage-error"])
+    def test_stdout_in_a_file_keeps_line_and_code(self, tmp_path, argv, code,
+                                                  out, err):
+        with open(tmp_path / "stdout.txt", "wb") as fh:
+            proc = subprocess.run([*self.CLI, *argv], env=self.ENV, stdout=fh,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == code
+        assert (tmp_path / "stdout.txt").read_text() == out
+        assert proc.stderr == err
+
+    def test_report_into_a_closed_pipe_is_usage_error(self, tmp_path):
+        # the reader takes 10 bytes and leaves, as `| head -c 10` does; the
+        # exit code and the error line are those of the normal exit path
+        argv = [*self.CLI, "report", "--inputs", self.big_report(tmp_path)]
+        with subprocess.Popen(argv, env=self.ENV, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert code == 2
+        assert err == b"error: [Errno 32] Broken pipe\n"
 
 
 class TestVerifyDeterminism:
