@@ -246,10 +246,11 @@ def _triple_range(n, df, sample, seed, triangle_slack_tol, lo, hi, render):
     The generator is reseeded with ``_task_seed(seed, b)`` at the first
     triple of each block b, and each triple draws its three points next
     from that stream.  ``render`` gets an iterator over the rows, as plain
-    tuples in :class:`lattice.TripleRow` field order; rows it leaves unread
-    are checked all the same.  Returns ``render``'s result, the five violation
-    counts, the largest triangle slack with the first triple that reaches
-    it, and the smallest comparison margin.
+    tuples in ``reporting.LATTICE_CSV_HEADER`` order; rows it leaves unread
+    are checked all the same, and with ``render`` None every row is checked
+    and none kept.  Returns ``render``'s result (None without one), the five
+    violation counts, the largest triangle slack with the first triple that
+    reaches it, and the smallest comparison margin.
     """
     delta_num, delta_den = COMPARISON_DELTA
     summary = []
@@ -343,7 +344,7 @@ def _triple_range(n, df, sample, seed, triangle_slack_tol, lo, hi, render):
         ))
 
     rows = triples()
-    out = render(rows)
+    out = None if render is None else render(rows)
     for _ in rows:
         pass
     return (out, *summary)

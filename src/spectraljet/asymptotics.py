@@ -523,7 +523,7 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
     n = model.n
     rel, zero_abs = tol["umbilical_rel"], tol["umbilical_zero_abs"]
     result = SuiteResult("umbilical", model.label, {})
-    first = []  # the (1, 1, k) samples, k = 1..n
+    first = []  # the (1, 1, k) samples and targets, k = 1..n
     # triples with one model.jet_key share jets and targets: one fit per key
     measured: dict = {}  # jet key -> (samples, summary)
     for i, j, k in product(range(1, n + 1), repeat=3):
@@ -536,14 +536,13 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
                 samples, target, lambda fit: _judge(fit.c0, target, rel, zero_abs))
         samples, summary = measured[key]
         if i == j == 1:
-            first.append(samples)
+            first.append((samples, summary.target))
         result.summaries[f"umbilical.jet[{i},{j},{k}]"] = summary
 
-    agg_samples = [(t, sum(s[m][1] for s in first) / n) for m, t in enumerate(ts)]
+    agg_samples = [(t, sum(s[m][1] for s, _ in first) / n) for m, t in enumerate(ts)]
     agg_fit = fit_on_smallest(agg_samples)
     shape_constant = agg_fit.c0 / 2.0
-    formula = sum(result.summaries[f"umbilical.jet[1,1,{k}]"].target
-                  for k in range(1, n + 1)) / n / 2
+    formula = sum(target for _, target in first) / n / 2
     result.summaries["umbilical.shape_constant"] = PairSummary(
         formula, shape_constant, None, agg_fit.stderr, shape_constant,
         _judge(shape_constant, formula, 0.03),

@@ -22,7 +22,8 @@ lattice max_degree above ``lattice.MAX_LATTICE_DEGREE``, a ``wick
 --oracle`` value past the float range, a config or report input that
 is not JSON (the error names its path) or is nested too deeply to read,
 and a run too large for the memory it may take (MemoryError).
-A report input must also be a JSON object with a boolean ``passed``.
+A report input must also be a JSON object with a boolean ``passed``,
+and every ``pass`` or ``passed`` nested in it a boolean.
 All file output is deterministic for a fixed config and seed.
 
 The console script and ``python -m spectraljet.cli`` run ``entrypoint``:
@@ -360,19 +361,13 @@ def cmd_curvature(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
-def _keep_nothing(rows) -> None:
-    """A suite ``render`` that keeps no row; the suite checks them all."""
-
-
 def cmd_lattice(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     n, max_degree, count = config_lattice(cfg)
     # each index range of the suite renders its own CSV lines, so no list
     # of rows is ever built, and keeps point texts only where points recur
-    render = _keep_nothing
-    if args.out:
-        render = partial(triple_csv_chunk,
-                         points_recur=points_recur(n, max_degree, count))
+    render = partial(triple_csv_chunk, points_recur=points_recur(
+        n, max_degree, count)) if args.out else None
     chunks, report = run_triple_suite(
         n=n,
         max_degree=max_degree,
@@ -396,36 +391,36 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     return 0 if report.passed() else 1
 
 
-def _any_failures(obj) -> bool:
+def _failures(obj, path: str, key=None) -> int:
+    """How many ``pass`` or ``passed`` verdicts in ``obj``, the value of
+    ``key`` in report input ``path``, are False; one that is not a boolean
+    is a config error.  Each level of nesting takes two recursion frames."""
+    if key in ("pass", "passed"):
+        if not isinstance(obj, bool):
+            raise ConfigError(f'bad report input {path}: a nested "{key}" '
+                              f'is not a boolean')
+        return not obj
     if isinstance(obj, dict):
-        for key, value in obj.items():
-            if key in ("pass", "passed") and value is False:
-                return True
-            if _any_failures(value):
-                return True
-    elif isinstance(obj, (list, tuple)):
-        return any(_any_failures(v) for v in obj)
-    return False
+        return sum(_failures(v, path, k) for k, v in obj.items())
+    if isinstance(obj, (list, tuple)):
+        return sum(_failures(v, path) for v in obj)
+    return 0
 
 
-def _read_report(path: str) -> dict:
-    """A report input: a JSON object whose ``passed`` is a boolean, the
-    verdict that every command writes."""
+def _read_report(path: str) -> tuple[dict, int]:
+    """A report input, a JSON object whose ``passed`` is a boolean, the
+    verdict that every command writes, and its number of failed verdicts."""
     report = _read_json(path, "report input")
     if not (isinstance(report, dict) and isinstance(report.get("passed"), bool)):
         raise ConfigError(f'bad report input {path}: not a JSON object with '
                           f'a boolean "passed"')
-    return report
+    return report, _failures(report, path)
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    reports = [_read_report(path) for path in args.inputs]
-    doc = {
-        "command": "report",
-        "inputs": list(args.inputs),
-        "passed": not _any_failures(reports),
-        "reports": reports,
-    }
+    reports, failures = zip(*map(_read_report, args.inputs))
+    doc = {"command": "report", "inputs": list(args.inputs),
+           "passed": not any(failures), "reports": list(reports)}
     pieces = json_pieces(doc)
     if args.out:
         write_text(args.out, pieces)

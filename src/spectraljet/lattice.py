@@ -110,21 +110,6 @@ def sample_multiindex(rng: random.Random, n: int, max_degree: int) -> MultiIndex
     return MultiIndex(_counts_sampler(n, max_degree)(rng))
 
 
-class TripleRow(NamedTuple):
-    """One sampled triple, in the CSV column layout of the lattice suite;
-    the three points are count tuples (``MultiIndex.counts``)."""
-
-    alpha: tuple[int, ...]
-    beta: tuple[int, ...]
-    gamma: tuple[int, ...]
-    d_ab: float
-    d_bc: float
-    d_ac: float
-    triangle_slack: float
-    comparison_lhs: float
-    comparison_rhs: float
-
-
 class TripleSuiteReport(NamedTuple):
     n: int
     max_degree: int
@@ -175,11 +160,12 @@ def run_triple_suite(
     seed, and every range bound is a block boundary, so neither rows nor
     report depend on the split.
 
-    Returns the rows, as :class:`TripleRow` in index order, and the report.
-    Given ``render``, each range's rows go to ``render`` in the process that
-    computed them (see :func:`_triples._triple_range`), and the first value
-    returned is the list of its results in index order instead; they must
-    be values that :mod:`marshal` can write.  A ``max_degree`` above
+    Returns the results of ``render``, one per range in index order, and
+    the report.  Each range's rows go to ``render`` in the process that
+    computed them (see :func:`_triples._triple_range`), so its results must
+    be values that :mod:`marshal` can write; ``render=list`` keeps the rows
+    as plain tuples in ``reporting.LATTICE_CSV_HEADER`` order, and
+    ``render=None`` checks every row and keeps none.  A ``max_degree`` above
     :data:`MAX_LATTICE_DEGREE`, or a ball too large for the sampler's float
     degree weights, is refused before any table is built.
     """
@@ -198,7 +184,7 @@ def run_triple_suite(
     violations = (0, 0, 0, 0, 0)
     max_slack, worst, min_margin = -math.inf, None, math.inf
     for out, counts, slack, triple, margin in _suite_ranges(
-        n, max_degree, count, seed, triangle_slack_tol, render or list
+        n, max_degree, count, seed, triangle_slack_tol, render
     ):
         outs.append(out)
         violations = tuple(map(sum, zip(violations, counts)))
@@ -208,6 +194,4 @@ def run_triple_suite(
     report = TripleSuiteReport(
         n, max_degree, count, seed, *violations, max_slack, worst, min_margin
     )
-    if render is None:
-        return [TripleRow._make(row) for out in outs for row in out], report
     return outs, report

@@ -333,6 +333,17 @@ class TestVerifyCommand:
         )
         assert out == ""
 
+    def test_gram_norm_underflow_exits_2(self, tmp_path, capsys):
+        # at t = 800 the circle's Gram norm of D psi underflows to 0, so the
+        # angle B of (1, 1) has no denominator; refused before any output
+        out_json = tmp_path / "x.json"
+        code, out, err = run(capsys, "verify", "--model", "circle", "--t", "800",
+                             "--max-degree", "2", "--out-json", str(out_json))
+        assert code == 2
+        assert err == "error: Gram norms of 1 and 1 underflow at t=800.0: lower t\n"
+        assert out == ""
+        assert not out_json.exists()
+
     def test_config_file_roundtrip(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -1147,8 +1158,13 @@ class TestReportCommand:
         (b'{"passed": "no"}', NOT_A_REPORT),
         (b'{"passed": null, "suites": {}}', NOT_A_REPORT),
         (("[" * 900 + "]" * 900).encode(), NOT_A_REPORT),
+        (b'{"passed": true, "suites": {"x": {"pass": "no"}}}',
+         'a nested "pass" is not a boolean'),
+        (b'{"passed": true, "reports": [{"passed": null}]}',
+         'a nested "passed" is not a boolean'),
     ], ids=["empty", "not-utf8", "empty-object", "number", "list",
-            "passed-string", "passed-null", "deep-list"])
+            "passed-string", "passed-null", "deep-list", "nested-pass-string",
+            "nested-passed-null"])
     def test_unparsable_input_is_named(self, tmp_path, capsys, content, reason):
         good = tmp_path / "good.json"
         good.write_text(json_dumps({"passed": True, "suites": {}}))
@@ -1336,7 +1352,8 @@ class TestSerialization:
     @pytest.mark.parametrize("n, max_degree", [(3, 8), (3, 0), (1, 5), (12, 3),
                                                (70, 2)])
     def test_triple_rows_match_fmt_float_route(self, n, max_degree):
-        rows, _ = run_triple_suite(n, max_degree, 300, 42)
+        outs, _ = run_triple_suite(n, max_degree, 300, 42, render=list)
+        rows = [row for out in outs for row in out]
         lines = list(triple_rows_to_csv(rows))
         assert len(lines) == len(rows) + 1
         for row, line in zip(rows, lines[1:]):

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from collections import namedtuple
 from functools import partial
 from pathlib import Path
 from fractions import Fraction
@@ -38,6 +39,17 @@ from spectraljet.wick import wick_b
 
 def mi(indices, n):
     return from_indices(indices, n)
+
+
+#: A row of the suite, named by the CSV columns it is written to.
+Row = namedtuple("Row", LATTICE_CSV_HEADER)
+
+
+def suite_rows(*args):
+    """The suite's rows in index order, read through ``render=list``, and
+    its report."""
+    outs, report = run_triple_suite(*args, render=list)
+    return [Row._make(row) for out in outs for row in out], report
 
 
 class TestAngleDistance:
@@ -196,15 +208,15 @@ class TestSampling:
         assert min(counts.values()) > 400
 
     def test_deterministic_given_seed(self):
-        rows1, rep1 = run_triple_suite(2, 6, 50, 123)
-        rows2, rep2 = run_triple_suite(2, 6, 50, 123)
+        rows1, rep1 = suite_rows(2, 6, 50, 123)
+        rows2, rep2 = suite_rows(2, 6, 50, 123)
         assert rep1 == rep2
         assert [(r.alpha, r.beta, r.gamma) for r in rows1] == [
             (r.alpha, r.beta, r.gamma) for r in rows2
         ]
 
     def test_triple_suite_small(self):
-        rows, report = run_triple_suite(3, 6, 400, 7)
+        rows, report = suite_rows(3, 6, 400, 7)
         assert report.passed()
         assert len(rows) == 400
         for r in rows[:25]:
@@ -252,18 +264,20 @@ class TestRangeSplit:
         results = {}
         for ranges in (1, 2, 3):
             self.force_ranges(monkeypatch, ranges)
-            results[ranges] = run_triple_suite(3, 8, self.COUNT, 42)
+            outs, report = run_triple_suite(3, 8, self.COUNT, 42, render=list)
+            results[ranges] = [row for out in outs for row in out], report
             assert_no_child_left()
         rows, report = results[1]
         assert len(rows) == self.COUNT
-        assert all(type(r) is lattice.TripleRow for r in rows)
+        assert all(type(r) is tuple for r in rows)
         assert results[2] == results[1]
         assert results[3] == results[1]
         for ranges in (2, 3):
-            assert all(type(r) is lattice.TripleRow for r in results[ranges][0])
+            assert all(type(r) is tuple for r in results[ranges][0])
             assert type(results[ranges][1].worst_triple) is tuple
         # the earliest of the tied largest slacks names the worst triple
         bounds = _triples._range_bounds(self.COUNT)
+        rows = [Row._make(r) for r in rows]
         ties = [i for i, r in enumerate(rows)
                 if r.triangle_slack == report.max_triangle_slack]
         assert all(any(lo <= i < hi for i in ties)
@@ -291,7 +305,7 @@ class TestRangeSplit:
     def test_csv_does_not_depend_on_range_count(self, monkeypatch, deadline,
                                                 n, max_degree):
         self.force_ranges(monkeypatch, 1)
-        rows, _ = run_triple_suite(n, max_degree, self.COUNT, 42)
+        rows, _ = suite_rows(n, max_degree, self.COUNT, 42)
         expected = "".join(triple_rows_to_csv(rows))
         recur = lattice.points_recur(n, max_degree, self.COUNT)
         assert recur is (n == 3)
@@ -309,7 +323,7 @@ class TestRangeSplit:
         # that reads no row must still see them counted, and summed
         monkeypatch.setattr(_triples, "COMPARISON_DELTA", (1, 1))
         self.force_ranges(monkeypatch, 1)
-        rows, expected = run_triple_suite(3, 8, self.COUNT, 42)
+        rows, expected = suite_rows(3, 8, self.COUNT, 42)
         self.force_ranges(monkeypatch, 3)
         bounds = _triples._range_bounds(self.COUNT)
         assert all(
@@ -319,6 +333,17 @@ class TestRangeSplit:
         _, report = run_triple_suite(3, 8, self.COUNT, 42, render=lambda rows: None)
         assert_no_child_left()
         assert report == expected
+
+    # render=None checks every row and keeps none, on a forked run and on
+    # a single range alike
+    @pytest.mark.parametrize("ranges", [1, 2])
+    def test_no_render_keeps_no_rows(self, monkeypatch, deadline, ranges):
+        assert self.COUNT >= 2 * _triples.MIN_RANGE
+        self.force_ranges(monkeypatch, ranges)
+        kept, report = run_triple_suite(3, 8, self.COUNT, 42)
+        assert_no_child_left()
+        assert kept == [None] * ranges
+        assert report == run_triple_suite(3, 8, self.COUNT, 42, render=list)[1]
 
     def test_failing_range_raises_and_reaps(self, monkeypatch, deadline):
         triple_range = _triples._triple_range
@@ -452,7 +477,7 @@ class TestTripleCsvMemory:
     def test_sparse_points_are_not_kept(self, monkeypatch):
         # n = 8, degree 40: almost all of the 15000 points are distinct, and
         # keeping their texts took 2.5 MB beyond the text returned
-        rows, _ = run_triple_suite(8, 40, 5000, 42)
+        rows, _ = suite_rows(8, 40, 5000, 42)
         expected = "".join(list(triple_rows_to_csv(rows))[1:])
         tracemalloc.start()
         try:
@@ -467,7 +492,7 @@ class TestTripleCsvMemory:
         assert len(calls) == 3 * len(rows)
 
     def test_dense_points_are_rendered_once(self, monkeypatch):
-        rows, _ = run_triple_suite(3, 8, 5000, 42)
+        rows, _ = suite_rows(3, 8, 5000, 42)
         expected = "".join(list(triple_rows_to_csv(rows))[1:])
         calls = self.count_renders(monkeypatch)
         blocks = triple_csv_chunk(rows, points_recur=True)
@@ -578,7 +603,7 @@ class TestSamplerStream:
         n, max_degree, count, seed = 3, 8, 3050, 42
         monkeypatch.setattr(_triples, "_cpu_count", lambda: ranges)
         assert len(_triples._range_bounds(count)) == ranges + 1
-        rows, _ = run_triple_suite(n, max_degree, count, seed)
+        rows, _ = suite_rows(n, max_degree, count, seed)
         assert_no_child_left()
         block = _triples.TRIPLE_BLOCK
         expected = []
@@ -625,7 +650,7 @@ class TestTripleKernelCalls:
         # below MIN_RANGE: one range, in this process; at n = 8 about one
         # pair in 200 shares a coset, so the shifted pairs need this many
         count = 900
-        rows, report = run_triple_suite(n, max_degree, count, 5)
+        rows, report = suite_rows(n, max_degree, count, 5)
         assert report.passed()
         same_coset = sum(
             MultiIndex(r.alpha).parity() == MultiIndex(r.beta).parity() for r in rows
@@ -649,7 +674,7 @@ class TestTripleSuiteExactDecisions:
     def test_agrees_with_fraction_route(self, monkeypatch, n, max_degree, delta):
         pair = (delta.numerator, delta.denominator)
         monkeypatch.setattr(_triples, "COMPARISON_DELTA", pair)
-        rows, report = run_triple_suite(n, max_degree, 2000, 11)
+        rows, report = suite_rows(n, max_degree, 2000, 11)
         comparison_failures = stabilization_failures = 0
         for r in rows:
             a, b, c = MultiIndex(r.alpha), MultiIndex(r.beta), MultiIndex(r.gamma)
