@@ -211,7 +211,11 @@ def _cos(kernel: tuple[int, int, int, int]) -> float:
 #: about 190 triples (5.4 us each at n = 3, max_degree = 8, CSV line
 #: included, with one reseed per block and the draw table), so a range of
 #: 1000 triples spends about a fifth of its time on its worker, and a split
-#: in two already pays from a few hundred triples.
+#: in two already pays from a few hundred triples, where the CPUs run at
+#: once.  On a 2-vCPU VM that did not (two forked busy loops: 0.53 s of wall
+#: time, one alone 0.24 s), 30 interleaved CLI runs had medians of 0.232 s
+#: split and 0.220 s under ``taskset -c 0`` (one range, the same bytes) at
+#: n = 3, max_degree = 8, 10^4 triples, and 0.252 s and 0.243 s at 8, 40, 5000.
 MIN_RANGE = 1000
 
 

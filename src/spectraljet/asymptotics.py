@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement, product
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .defaults import TIME_GRID, TOLERANCES
@@ -539,7 +539,9 @@ def umbilical_suite(model: SpectralModel, ts=DEFAULT_GRID,
             first.append((samples, summary.target))
         result.summaries[f"umbilical.jet[{i},{j},{k}]"] = summary
 
-    agg_samples = [(t, sum(s[m][1] for s, _ in first) / n) for m, t in enumerate(ts)]
+    # summed left to right on every Python: from 3.12 on, sum() compensates
+    agg_samples = [(t, reduce(add, (s[m][1] for s, _ in first), 0.0) / n)
+                   for m, t in enumerate(ts)]
     agg_fit = fit_on_smallest(agg_samples)
     shape_constant = agg_fit.c0 / 2.0
     formula = sum(target for _, target in first) / n / 2

@@ -150,10 +150,10 @@ class SpectralModel:
     A model is built with its truncation policy, and every spectral sum
     goes through ``_sum``, which applies that policy and memoizes the sum
     for the lifetime of the instance.  Every jet goes through
-    ``diag_jet_with_cutoff``, which validates it, returns the zeros that
-    coordinate flips force and memoizes the others by (t, ``jet_key``); a
-    model defines only ``_jet(t, alpha, beta, key)``, its sums, which is
-    handed the jet key of the pair.
+    ``diag_jet_with_cutoff``, which validates it and returns the zeros that
+    coordinate flips force; a model defines only ``_jet(t, alpha, beta)``,
+    which combines its memoized sums, so a repeated read repeats the same
+    float operations on cached numbers.
     """
 
     n: int
@@ -170,7 +170,6 @@ class SpectralModel:
             self.default_hard_cap if policy.hard_cap is None else policy.hard_cap
         )
         self._sums: dict = {}
-        self._jets: dict = {}
 
     def _sum(self, key, term, start: int, min_index: int) -> tuple[float, int]:
         """_tail_sum(term, start, ...), memoized on key.
@@ -233,17 +232,12 @@ class SpectralModel:
                              beta: MultiIndex) -> tuple[float, int]:
         """(J(t, alpha, beta), the last mode index summed): the one entry
         point to every jet.  A forced zero is (0.0, 0), with nothing
-        summed; the other pairs run ``_jet``, the model's sums, once per
-        (t, ``jet_key``), and every later read is a lookup."""
+        summed; the other pairs run ``_jet``, the model's sums."""
         if self._forced_zero(t, alpha, beta):
             return 0.0, 0
-        key = self.jet_key(alpha, beta)
-        hit = self._jets.get((t, key))
-        if hit is None:
-            hit = self._jets[t, key] = self._jet(t, alpha, beta, key)
-        return hit
+        return self._jet(t, alpha, beta)
 
-    def _jet(self, t, alpha, beta, key) -> tuple[float, int]:
+    def _jet(self, t, alpha, beta) -> tuple[float, int]:
         raise NotImplementedError
 
     def diag_jet(self, t: float, alpha: MultiIndex, beta: MultiIndex) -> float:
@@ -255,9 +249,9 @@ class SpectralModel:
         return self.diag_jet(t, e, e)
 
     def jet_key(self, alpha: MultiIndex, beta: MultiIndex):
-        """A hashable name of the pair (alpha, beta) under which the model's
-        jets are cached: pairs with one key have bit-identical jets at every
-        t.  Here every pair is its own key; isotropic models merge more."""
+        """A hashable name of the pair (alpha, beta): pairs with one key have
+        bit-identical jets at every t, so a suite measures each key once.
+        Here every pair is its own key; isotropic models merge more."""
         return alpha.counts, beta.counts
 
     def gram_prefactor(self, t: float) -> float:
@@ -326,7 +320,7 @@ class FlatTorus(SpectralModel):
                 "lower the max degree or raise the radius"
             ) from None
 
-    def _jet(self, t, alpha, beta, key):
+    def _jet(self, t, alpha, beta):
         orders = [a + b for a, b in zip(alpha.counts, beta.counts)]
         value = 1.0
         cutoff = 0
@@ -505,11 +499,10 @@ class Sphere(SpectralModel):
         permutation applied to both indices fixes the jet exactly."""
         return tuple(sorted(zip(alpha.counts, beta.counts)))
 
-    def _extract_vector(self, alpha: MultiIndex, beta: MultiIndex,
-                        key=None) -> tuple[float, ...]:
-        """em of the pair, cached by ``key``, its jet key (found if None)."""
-        if key is None:
-            key = self.jet_key(alpha, beta)
+    def _extract_vector(self, alpha: MultiIndex,
+                        beta: MultiIndex) -> tuple[float, ...]:
+        """em of the pair, cached by its jet key."""
+        key = self.jet_key(alpha, beta)
         cached = self._extract_cache.get(key)
         if cached is not None:
             return cached
@@ -542,11 +535,11 @@ class Sphere(SpectralModel):
             ) from None
         return total, cutoff
 
-    def _jet(self, t, alpha, beta, key):
+    def _jet(self, t, alpha, beta):
         if alpha.degree + beta.degree == 0:
             s, used = self._zonal_sum((1.0,), t)
             return s / self.volume, used
-        s, used = self._zonal_sum(self._extract_vector(alpha, beta, key), t)
+        s, used = self._zonal_sum(self._extract_vector(alpha, beta), t)
         return s * self._zonal_scale, used
 
     def gram_difference(self, t, pair1, pair2) -> float:
@@ -569,8 +562,8 @@ class Sphere(SpectralModel):
 def make_model(kind: str, radius: float = 1.0, radii=None,
                policy: TruncationPolicy = DEFAULT_POLICY) -> SpectralModel:
     """Model factory used by the CLI specifiers: ``circle``, ``torus`` or
-    ``sphereN``, the round S^N for any N >= 2; ``make_model(**m.describe(),
-    policy=...)`` rebuilds m under another policy."""
+    ``sphereN``, the round S^N for any N >= 2, written without a leading zero;
+    ``make_model(**m.describe(), policy=...)`` rebuilds m under another policy."""
     if kind == "circle":
         return Circle(radius, policy)
     if kind == "torus":
@@ -578,7 +571,7 @@ def make_model(kind: str, radius: float = 1.0, radii=None,
             raise ValueError("torus needs --radii")
         return FlatTorus(radii, policy)
     digits = kind[6:] if isinstance(kind, str) and kind.startswith("sphere") else ""
-    if digits.isascii() and digits.isdigit():
+    if digits.isascii() and digits.isdigit() and (digits[0] != "0" or digits == "0"):
         return Sphere(int(digits), radius, policy)
     raise ValueError(
         f"unknown model kind {kind!r}: use circle, torus or sphereN (N >= 2)"

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spectraljet import asymptotics
+from spectraljet import asymptotics, manifolds
 from spectraljet.asymptotics import (
     DEFAULT_GRID,
     TOLERANCES,
@@ -399,9 +399,9 @@ class TestJetRelationSuite:
             reads.append((t, alpha, beta))
             return read(model, t, alpha, beta)
 
-        def counted_jet(model, t, alpha, beta, key):
-            runs.append((t, key))
-            return jet(model, t, alpha, beta, key)
+        def counted_jet(model, t, alpha, beta):
+            runs.append((t, model.jet_key(alpha, beta)))
+            return jet(model, t, alpha, beta)
 
         def counted_prefactor(model, t):
             prefactors.append(t)
@@ -807,36 +807,48 @@ class TestOneFitRule:
     """Every curvature suite fits its t -> 0 limits on the five smallest
     times; ``ricci_scalar_extract`` fits each jet key of the pullback entries
     once and mirrors its fit, ``umbilical_suite`` measures and fits each jet key of its
-    third jets once, and a model runs its sums once per (t, jet key)."""
+    third jets once, and a model runs each of its mode sums once."""
 
-    # (model, suites, distinct (t, jet key) reads); the jet suite's angle
-    # checks read the jets of its A checks again, and the curvature suites
-    # share one model, so each measured jet is read again in later suites
+    # (model, suites, _jet runs, mode sums).  The jet suite reads each
+    # (t, jet key) once, so it runs _jet once per (t, jet key).  The
+    # curvature suites share one model and read some jets again in later
+    # suites, which recombine the memoized mode sums, so only the sums are
+    # pinned there.
     JET_RUNS = {
         "jets-sphere3-d6": (lambda: Sphere(3, 1.3),
-                            lambda m: jet_relation_suite(m, 6), 203),
+                            lambda m: jet_relation_suite(m, 6), 203, 28),
         "jets-sphere3-d7": (lambda: Sphere(3, 1.3),
-                            lambda m: jet_relation_suite(m, 7), 231),
+                            lambda m: jet_relation_suite(m, 7), 231, 35),
         "jets-torus-d6": (lambda: FlatTorus((1.2, 1.7)),
-                          lambda m: jet_relation_suite(m, 6, (0.01,)), 40),
-        "curvature-sphere3": (lambda: Sphere(3, 1.3), curvature_suites, 42),
-        "curvature-sphere8": (lambda: Sphere(8, 1.3), curvature_suites, 42),
-        "curvature-torus": (lambda: FlatTorus((1.2, 1.7)), curvature_suites, 84),
+                          lambda m: jet_relation_suite(m, 6, (0.01,)), 40, 8),
+        "curvature-sphere3": (lambda: Sphere(3, 1.3), curvature_suites, None, 21),
+        "curvature-sphere8": (lambda: Sphere(8, 1.3), curvature_suites, None, 21),
+        "curvature-torus": (lambda: FlatTorus((1.2, 1.7)), curvature_suites,
+                            None, 42),
     }
 
     @pytest.mark.parametrize("case", JET_RUNS)
     def test_one_jet_run_per_time_and_key(self, monkeypatch, case):
-        make, run, distinct = self.JET_RUNS[case]
-        runs = []
+        make, run, jet_runs, sum_runs = self.JET_RUNS[case]
+        runs, sums = [], []
         for cls in (Sphere, FlatTorus):
-            def counted(model, t, alpha, beta, key, jet=cls._jet):
-                assert key == model.jet_key(alpha, beta)
-                runs.append((t, key))
-                return jet(model, t, alpha, beta, key)
+            def counted(model, t, alpha, beta, jet=cls._jet):
+                runs.append((t, model.jet_key(alpha, beta)))
+                return jet(model, t, alpha, beta)
 
             monkeypatch.setattr(cls, "_jet", counted)
-        run(make())
-        assert len(runs) == len(set(runs)) == distinct
+
+        def counted_sum(*args, tail_sum=manifolds._tail_sum):
+            sums.append(args)
+            return tail_sum(*args)
+
+        monkeypatch.setattr(manifolds, "_tail_sum", counted_sum)
+        model = make()
+        run(model)
+        # no mode sum runs twice: one run per key the model memoizes
+        assert len(sums) == len(model._sums) == sum_runs
+        if jet_runs is not None:
+            assert len(runs) == len(set(runs)) == jet_runs
 
     def test_every_curvature_fit_takes_five_smallest(self, monkeypatch):
         grids = []
@@ -909,6 +921,21 @@ class TestOneFitRule:
         ]
         shape = result.summaries["umbilical.shape_constant"]
         assert shape.fitted_c0 == fit_on_smallest(samples).c0 / 2.0
+
+    def test_umbilical_aggregate_sums_left_to_right(self):
+        # the same bytes on every Python: from 3.12 on, sum() compensates,
+        # which moves the aggregate of S^5 at 6 of its 7 times
+        model = Sphere(5, 1.0)
+        samples = []
+        for t in DEFAULT_GRID:
+            total = 0.0
+            for k in range(1, 6):
+                total += asymptotics.third_jet_umbilical(model, t, 1, 1, k)
+            samples.append((t, total / 5))
+        fit = fit_on_smallest(samples)
+        result = umbilical_suite(model, DEFAULT_GRID)
+        shape = result.summaries["umbilical.shape_constant"]
+        assert (shape.fitted_c0, shape.stderr) == (fit.c0 / 2.0, fit.stderr)
 
     def test_umbilical_fits_each_jet_key_once(self, monkeypatch):
         # S^4 has 64 triples but 5 jet keys: 5 fits and the aggregate's

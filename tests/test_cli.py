@@ -217,6 +217,14 @@ class TestVerifyCommand:
         ("sphere1", "sphere dimension must be at least 2"),
         ("spherex", "unknown model kind 'spherex': use circle, torus or "
                     "sphereN (N >= 2)"),
+        # one spelling per sphere: sphere02 would run S^2 under another name
+        ("sphere0", "sphere dimension must be at least 2"),
+        ("sphere02", "unknown model kind 'sphere02': use circle, torus or "
+                     "sphereN (N >= 2)"),
+        ("sphere0002", "unknown model kind 'sphere0002': use circle, torus or "
+                       "sphereN (N >= 2)"),
+        ("sphere00", "unknown model kind 'sphere00': use circle, torus or "
+                     "sphereN (N >= 2)"),
     ])
     def test_bad_sphere_kind(self, capsys, kind, message):
         code, out, err = run(capsys, "verify", "--model", kind)

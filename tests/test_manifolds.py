@@ -70,6 +70,8 @@ class TestModelBasics:
         assert make_model("sphere3").scalar() == 6
         with pytest.raises(ValueError):
             make_model("klein_bottle")
+        with pytest.raises(ValueError, match="unknown model kind 'sphere02'"):
+            make_model("sphere02")  # one spelling per sphere
         with pytest.raises(ValueError):
             make_model("torus")
 
